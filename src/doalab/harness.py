@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass
@@ -398,11 +399,13 @@ def run_rmse_snr(config: ExperimentConfig):
     rows = []
     for snr_db in _parse_list(config["scenario.snr_db_list"]):
         rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, config.seed)
+        # the HAD eliminators estimate from a broadside snapshot, so their
+        # bound is the broadside one that doa.py attaches to the estimates
+        sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1,
+                                      analog_steer_u=0.0) * RAD2_TO_DEG2)
         sqrt_crlb = {
-            METHOD_CLASSIC: math.sqrt(
-                crlb_had(cfg_had, theta, snr_db, 1) * RAD2_TO_DEG2),
-            METHOD_FHAD: math.sqrt(
-                crlb_had(cfg_had, theta, snr_db, 1) * RAD2_TO_DEG2),
+            METHOD_CLASSIC: sqrt_had,
+            METHOD_FHAD: sqrt_had,
             METHOD_TLHAD: math.sqrt(
                 crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
         }
@@ -428,7 +431,8 @@ def run_rmse_eta(config: ExperimentConfig):
             raise ConfigError("eta grid values must lie in (0, 1]")
         cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
         if abs(cfg.fd_proportion - eta) > 1e-9:
-            print(f"warning: eta={eta} rounded down to {cfg.fd_proportion}")
+            warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
+                          stacklevel=2)
         for snr_db in _parse_list(config["rmse.eta_snr_db_list"]):
             rmse = _run_rmse_point(config, cfg, theta, snr_db,
                                    (METHOD_TLHAD,), config.seed)

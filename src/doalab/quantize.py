@@ -1,9 +1,9 @@
 """Low-resolution ADC model: Lloyd-Max quantization and AQNM loss factors.
 
 The Lloyd-Max codebook for a unit-variance Gaussian is computed once per
-bit depth by centroid/boundary fixed-point iteration and cached; the
-additive quantization noise model (AQNM) linearizes the quantizer as gain
-``alpha = 1 - rho_b`` plus uncorrelated noise.
+bit depth by Newton's method on the centroid/boundary conditions and
+cached; the additive quantization noise model (AQNM) linearizes the
+quantizer as gain ``alpha = 1 - rho_b`` plus uncorrelated noise.
 """
 
 import math
@@ -21,35 +21,62 @@ def _phi(x):
     return np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
 
 
-def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 200_000):
+def _centroids(c: np.ndarray):
+    """Gaussian cell centroids for levels ``c`` with midpoint boundaries.
+
+    Returns (centroids, d_lo, d_hi, prob): the derivatives of each centroid
+    by the lower and upper edge of its cell, and the cell masses.
+    """
+    t = (c[:-1] + c[1:]) / 2.0
+    lo = np.concatenate(([-np.inf], t))
+    hi = np.concatenate((t, [np.inf]))
+    # upper-tail differences keep the masses of the positive cells accurate
+    prob = np.where(lo >= 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    p_lo, p_hi = _phi(lo), _phi(hi)
+    m = (p_lo - p_hi) / prob
+    with np.errstate(invalid="ignore"):
+        d_lo = np.where(np.isfinite(lo), p_lo * (m - lo) / prob, 0.0)
+        d_hi = np.where(np.isfinite(hi), p_hi * (hi - m) / prob, 0.0)
+    return m, d_lo, d_hi, prob
+
+
+def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 100):
     """Optimal levels and distortion for a b-bit scalar Gaussian quantizer.
 
     Returns (levels, thresholds, rho) where ``levels`` are the 2^b
     reproduction points, ``thresholds`` the 2^b - 1 decision boundaries,
     and ``rho`` the mean-square distortion for unit input variance.
+
+    Solves the Lloyd-Max conditions (every level the centroid of its cell,
+    every threshold the midpoint of its levels) by Newton's method on
+    c - centroid(c), from the Gaussian quantile lattice.  Each centroid
+    depends only on its own level and its two neighbours, so the Jacobian
+    is tridiagonal.  Stops once no level is more than ``tol`` from its
+    centroid.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if bits in _codebook_cache:
         return _codebook_cache[bits]
-    n = 1 << bits
-    # start from the Gaussian quantile lattice; converges for all b tested
+    from scipy.linalg import solve_banded
     from scipy.special import erfinv
 
+    n = 1 << bits
     c = np.sqrt(2.0) * erfinv(2.0 * (np.arange(n) + 0.5) / n - 1.0)
+    jac = np.zeros((3, n))  # banded: super-, main and subdiagonal
     for _ in range(max_iter):
-        t = (c[:-1] + c[1:]) / 2.0
-        lo = np.concatenate(([-np.inf], t))
-        hi = np.concatenate((t, [np.inf]))
-        prob = ndtr(hi) - ndtr(lo)
-        num = np.where(np.isfinite(lo), _phi(lo), 0.0) - np.where(np.isfinite(hi), _phi(hi), 0.0)
-        c_next = num / prob
-        if np.max(np.abs(c_next - c)) < tol:
-            c = c_next
+        c = (c - c[::-1]) / 2.0  # the exact codebook is odd-symmetric
+        m, d_lo, d_hi, prob = _centroids(c)
+        resid = c - m
+        if np.max(np.abs(resid)) < tol:
             break
-        c = c_next
+        jac[0, 1:] = -d_hi[:-1] / 2.0
+        jac[1] = 1.0 - (d_lo + d_hi) / 2.0
+        jac[2, :-1] = -d_lo[1:] / 2.0
+        c = c - solve_banded((1, 1), jac, resid)
+    else:
+        raise ArithmeticError(f"{bits}-bit Lloyd-Max solve did not converge")
     t = (c[:-1] + c[1:]) / 2.0
-    prob = ndtr(np.concatenate((t, [np.inf]))) - ndtr(np.concatenate(([-np.inf], t)))
     # centroid codebooks satisfy E[q^2] = E[qx], so rho = 1 - E[q^2]
     rho = float(1.0 - np.sum(prob * c * c))
     _codebook_cache[bits] = (c, t, rho)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from doalab.arrays import ArrayConfig
 from doalab.cli import main as cli_main
+from doalab.crlb import RAD2_TO_DEG2, crlb_had
 from doalab.errors import ConfigError
 from doalab.harness import (
     DEFAULT_TRIALS,
@@ -150,6 +152,20 @@ class TestRmseSnr:
         for _, _, rmse, bound, *_ in rows:
             assert rmse > 0 and bound > 0
 
+    def test_had_bound_is_broadside(self, tmp_path):
+        # the HAD eliminators estimate from a broadside snapshot
+        cfg_path = _write_config(tmp_path / "c.ini", SMALL_RMSE)
+        path, _ = run_rmse_snr(load_config("rmse-snr", cfg_path,
+                                           out=str(tmp_path / "o")))
+        cfg_had = ArrayConfig.pure_had(32, 4)  # the HAD part of 40 / 4 / 0.2
+        want = math.sqrt(crlb_had(cfg_had, 15.0, 10.0, 1, analog_steer_u=0.0)
+                         * RAD2_TO_DEG2)
+        rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+        had = [float(r[3]) for r in rows
+               if r[1] in ("had-root-music", "fhad-root-music")]
+        assert len(had) == 2
+        assert had == pytest.approx([want, want], rel=1e-9)
+
     def test_analog_null_angle_rejected(self, tmp_path):
         text = SMALL_RMSE.replace("theta_deg = 15", "theta_deg = 30")
         cfg_path = _write_config(tmp_path / "c.ini", text)
@@ -168,6 +184,15 @@ class TestRmseEta:
         etas = sorted({r[0] for r in rows})
         assert etas == [0.5, 1.0]
         assert all(r[2] > 0 and r[3] > 0 for r in rows)
+
+    def test_eta_rounding_warns(self, tmp_path):
+        # 0.33 * 40 = 13.2 FD antennas round down to 12, leaving 7 subarrays
+        text = SMALL_RMSE + "[rmse]\neta_grid = 0.33\neta_snr_db_list = 10\n"
+        cfg_path = _write_config(tmp_path / "c.ini", text)
+        with pytest.warns(UserWarning, match=r"eta=0\.33 rounded down to 0\.3"):
+            _, rows = run_rmse_eta(load_config("rmse-eta", cfg_path,
+                                               out=str(tmp_path / "o")))
+        assert rows[0][0] == pytest.approx(0.3)
 
     def test_bad_eta_rejected(self, tmp_path):
         text = SMALL_RMSE + "[rmse]\neta_grid = 0.0\neta_snr_db_list = 0\n"

@@ -70,6 +70,25 @@ class TestLloydMax:
             mse += val
         assert rho == pytest.approx(mse, abs=1e-8)
 
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_lloyd_max_conditions(self, bits):
+        # levels are the centroids of their cells, computed here in closed
+        # form with upper-tail masses; thresholds are exact midpoints
+        levels, thresholds, rho = lloyd_max_codebook(bits)
+        np.testing.assert_array_equal(thresholds, (levels[:-1] + levels[1:]) / 2)
+        np.testing.assert_allclose(levels, -levels[::-1], rtol=0, atol=1e-12)
+        edges = [0.0, *thresholds[thresholds > 0], math.inf]
+        phi = [math.exp(-x * x / 2) / math.sqrt(2 * math.pi) for x in edges]
+        tail = [math.erfc(x / math.sqrt(2)) / 2 for x in edges]
+        for j, c in enumerate(levels[levels > 0]):
+            centroid = (phi[j] - phi[j + 1]) / (tail[j] - tail[j + 1])
+            assert abs(c - centroid) <= 1e-10
+        assert 0.0 < rho < 1.0
+
+    def test_unconverged_solve_raises(self):
+        with pytest.raises(ArithmeticError):
+            lloyd_max_codebook(9, max_iter=1)
+
     def test_bits_validation(self):
         with pytest.raises(ValueError):
             lloyd_max_codebook(0)

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doalab import spectral
 from doalab.arrays import (
+    AnalogWeights,
     ArrayConfig,
     EmitterScenario,
+    analog_combine,
     steering_vector,
     synthesize_snapshots,
 )
@@ -99,6 +102,15 @@ class TestRootMusicPolynomial:
         for z in roots:
             assert np.min(np.abs(recip - z)) < 1e-6
 
+    def test_matches_trace_sums(self):
+        # oracle: one np.trace per diagonal
+        for p, n_sources in ((5, 1), (16, 1), (33, 2)):
+            cov = sample_covariance(_snapshots(p, [0.1, -0.4][:n_sources], 0.0, 40))
+            c = noise_projector(cov, n_sources)
+            traces = [np.trace(c, offset=l) for l in range(p - 1, -p, -1)]
+            np.testing.assert_allclose(root_music_polynomial(cov, n_sources),
+                                       traces, rtol=0, atol=1e-12)
+
     def test_matches_explicit_quadratic_form(self):
         # evaluate a(1/z)^H C a(z) directly on the unit circle
         cov = sample_covariance(_snapshots(5, [0.1], 0.0, 30))
@@ -174,3 +186,95 @@ class TestMusicSpectrumGrid:
             sample_covariance(_snapshots(4, [0.0], 0.0, 10)), 1, n_grid=256)
         assert np.all(np.diff(u_grid) > 0)
         assert u_grid[0] == pytest.approx(-1.0) and u_grid[-1] < 1.0
+
+
+def _corpus(seed=2024):
+    """Seeded one-source covariances over P, T, SNR and spacing."""
+    i = 0
+    for p in (4, 8, 13, 16, 24, 32, 48, 64):
+        for t in (1, 50):
+            for snr_db in (-10, -5, 0, 5, 10, 15):
+                for spacing in (0.5, 2.0):
+                    for _ in range(3):
+                        rng = trial_rng(seed, i)
+                        i += 1
+                        u = rng.uniform(-0.45, 0.45) / spacing
+                        a = np.exp(2j * np.pi * spacing * u * np.arange(p))
+                        s = (10.0 ** (snr_db / 20.0)
+                             * np.exp(2j * np.pi * rng.random(t)))
+                        noise = (rng.standard_normal((p, t))
+                                 + 1j * rng.standard_normal((p, t))) / np.sqrt(2.0)
+                        yield (p, snr_db, spacing,
+                               sample_covariance(np.outer(a, s) + noise))
+
+
+def _du(z, ref, spacing):
+    return abs(np.angle(z / ref)) / (2.0 * np.pi * spacing)
+
+
+def _miss_case(trial, snr_db, block):
+    """A TLHAD covariance on which the first start of the search lands on
+    the wrong root: trial ``trial`` of the eta = 0.0625 array, theta = 15."""
+    cfg = ArrayConfig.two_layer(64, 4, 0.0625)
+    scen = EmitterScenario.single_emitter(15.0, snr_db, 1)
+    batch = analog_combine(
+        synthesize_snapshots(cfg, scen, trial_rng(242478359331798, trial)),
+        cfg, AnalogWeights.broadside(cfg))
+    if block == "had":
+        return sample_covariance(batch.samples[: cfg.k_sub]), cfg.m_sub * cfg.spacing
+    return sample_covariance(batch.samples[cfg.k_sub:]), cfg.spacing
+
+
+class TestCertifiedRoot:
+    """The one-source search against the companion-matrix oracle."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        out = []
+        for p, snr_db, spacing, cov in _corpus():
+            coeffs = root_music_polynomial(cov, 1)
+            ref = spectral._companion_roots(coeffs, 1)[0]
+            out.append((p, snr_db, spacing, cov, ref,
+                        spectral._certified_root(coeffs)))
+        return out
+
+    def test_agrees_with_companion_roots(self, corpus):
+        worst = max((_du(z, ref, spacing)
+                     for _, _, spacing, _, ref, z in corpus if z is not None),
+                    default=0.0)
+        assert worst <= 1e-12
+
+    def test_root_music_agrees_with_oracle(self, corpus):
+        for _, _, spacing, cov, ref, _ in corpus:
+            u = root_music(cov, 1, spacing)[0]
+            assert _du(np.exp(2j * np.pi * spacing * u), ref, spacing) <= 1e-12
+
+    def test_fast_path_taken(self, corpus):
+        # a search that always fell back would pass the agreement tests
+        hits = [z is not None for p, snr_db, _, _, _, z in corpus
+                if p >= 32 and snr_db >= 5]
+        assert sum(hits) >= len(hits) / 2
+
+    @pytest.mark.parametrize("trial,snr_db,block", [
+        (41, -10.0, "had"),  # P = 15 at spacing 2, chosen root |z| = 0.71
+        (51, 0.0, "fd"),  # P = 4, chosen root |z| = 0.21
+    ], ids=["had-trial41-minus10dB", "fd-trial51-0dB"])
+    def test_known_miss(self, trial, snr_db, block):
+        cov, spacing = _miss_case(trial, snr_db, block)
+        coeffs = root_music_polynomial(cov, 1)
+        a = coeffs[::-1]
+        ref = spectral._companion_roots(coeffs, 1)[0]
+        # the root below the deepest spectral minimum is not the closest
+        # one, and the certificate must say so
+        first = spectral._laguerre(a, spectral._deepest_minimum_start(a))[0]
+        assert _du(first, ref, spacing) > 1e-3
+        assert not spectral._certified(a, first)
+        z = spectral._certified_root(coeffs)
+        assert z is None or _du(z, ref, spacing) <= 1e-12
+        u = root_music(cov, 1, spacing)[0]
+        assert _du(np.exp(2j * np.pi * spacing * u), ref, spacing) <= 1e-12
+
+    def test_more_sources_use_companion_roots(self, monkeypatch):
+        cov = sample_covariance(_snapshots(20, [-0.3, 0.4], 10.0, 50))
+        monkeypatch.setattr(spectral, "_certified_root", None)
+        np.testing.assert_allclose(root_music(cov, 2), [-0.3, 0.4], atol=5e-3)
