@@ -56,7 +56,6 @@ from .quantize import (
     effective_snr,
     lloyd_max_codebook,
     performance_loss_db,
-    quantize,
 )
 from .rng import trial_rng
 from .spectral import CovarianceEstimate, root_music, sample_covariance

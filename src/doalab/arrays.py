@@ -136,15 +136,7 @@ class EmitterScenario:
     @classmethod
     def noise_only(cls, n_snapshots, noise_power=1.0):
         """H0 scenario carrier: no emitters, just noise."""
-        scen = cls.__new__(cls)
-        object.__setattr__(scen, "directions_deg", ())
-        object.__setattr__(scen, "powers", ())
-        object.__setattr__(scen, "noise_power", float(noise_power))
-        object.__setattr__(scen, "n_snapshots", int(n_snapshots))
-        object.__setattr__(scen, "signal_model", CONSTANT_MODULUS)
-        if not noise_power > 0 or n_snapshots < 1:
-            raise ValueError("invalid noise-only scenario")
-        return scen
+        return cls((), (), noise_power, n_snapshots)
 
 
 @dataclass
@@ -153,7 +145,6 @@ class SnapshotBatch:
 
     samples: np.ndarray
     stage: str
-    channel_map: tuple
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -162,8 +153,6 @@ class SnapshotBatch:
             raise ValueError("samples must be channels x snapshots")
         if self.stage not in (ELEMENT, ANALOG_COMBINED, QUANTIZED):
             raise ValueError(f"unknown stage {self.stage!r}")
-        if len(self.channel_map) != self.samples.shape[0]:
-            raise ValueError("channel_map length must match channel count")
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise ValueError("samples must be finite")
 
@@ -263,7 +252,7 @@ def synthesize_snapshots(cfg: ArrayConfig, scen: EmitterScenario,
         x += np.outer(steering_vector(n, u_q, cfg.spacing), s)
     sigma = np.sqrt(scen.noise_power / 2.0)
     x += sigma * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
-    return SnapshotBatch(x, ELEMENT, tuple(f"ant{i}" for i in range(n)))
+    return SnapshotBatch(x, ELEMENT)
 
 
 def analog_combine(batch: SnapshotBatch, cfg: ArrayConfig,
@@ -283,7 +272,4 @@ def analog_combine(batch: SnapshotBatch, cfg: ArrayConfig,
                                              batch.n_snapshots)
     combined = np.einsum("km,kmt->kt", weights.weights.conj(), had)
     out = np.concatenate([combined, batch.samples[cfg.n_had:]], axis=0)
-    cmap = tuple(f"sub{k}" for k in range(cfg.k_sub)) + tuple(
-        f"fd{cfg.n_had + i}" for i in range(cfg.n_fd)
-    )
-    return SnapshotBatch(out, ANALOG_COMBINED, cmap)
+    return SnapshotBatch(out, ANALOG_COMBINED)

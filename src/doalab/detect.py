@@ -12,7 +12,9 @@ import numpy as np
 
 from .arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
 from .rng import trial_rng
-from .spectral import sample_covariance
+
+# trials per batched eigendecomposition
+BATCH = 128
 
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
@@ -66,30 +68,33 @@ def glrt_statistic(eigs: np.ndarray, form: str = GLRT_MAX_OVER_MEAN) -> float:
     raise ValueError(f"unknown GLRT form {form!r}")
 
 
-def h0_statistics(statistic_fn, cfg: ArrayConfig, noise_power: float,
-                  n_snapshots: int, n_trials: int, master_seed: int,
-                  batch: int = 128) -> np.ndarray:
-    """Statistic values over noise-only Monte Carlo trials (one stream each)."""
-    return _mc_statistics(statistic_fn, cfg,
-                          EmitterScenario.noise_only(n_snapshots, noise_power),
-                          n_trials, master_seed, offset=0, batch=batch)
+def trial_eigs(cfg: ArrayConfig, scen_for, seed: int, start: int,
+               stop: int) -> np.ndarray:
+    """Descending sample-covariance eigenvalues of trials [start, stop), one
+    row per trial, decomposed ``BATCH`` trials at a time.
 
-
-def _mc_statistics(statistic_fn, cfg, scen, n_trials, master_seed,
-                   offset=0, batch=128):
-    out = np.empty(n_trials)
-    n, l = cfg.n_total, scen.n_snapshots
-    for start in range(0, n_trials, batch):
-        stop = min(start + batch, n_trials)
-        xs = np.stack([
-            synthesize_snapshots(cfg, scen, trial_rng(master_seed, offset + i)).samples
-            for i in range(start, stop)
-        ])
-        covs = xs @ xs.conj().transpose(0, 2, 1) / l
-        eigs = np.linalg.eigvalsh(covs)[:, ::-1]
-        for j, e in enumerate(eigs):
-            out[start + j] = statistic_fn(e)
+    ``scen_for(rng)`` builds a trial's scenario from that trial's own
+    stream, so it may draw (say) a random direction before synthesis.
+    """
+    out = np.empty((stop - start, cfg.n_total))
+    for lo in range(start, stop, BATCH):
+        hi = min(lo + BATCH, stop)
+        xs = []
+        for i in range(lo, hi):
+            rng = trial_rng(seed, i)
+            xs.append(synthesize_snapshots(cfg, scen_for(rng), rng).samples)
+        xs = np.stack(xs)
+        covs = xs @ xs.conj().transpose(0, 2, 1) / xs.shape[2]
+        out[lo - start:hi - start] = np.linalg.eigvalsh(covs)[:, ::-1]
     return out
+
+
+def h0_statistics(statistic_fn, cfg: ArrayConfig, noise_power: float,
+                  n_snapshots: int, n_trials: int, master_seed: int) -> np.ndarray:
+    """Statistic values over noise-only Monte Carlo trials (one stream each)."""
+    scen = EmitterScenario.noise_only(n_snapshots, noise_power)
+    eigs = trial_eigs(cfg, lambda rng: scen, master_seed, 0, n_trials)
+    return np.array([statistic_fn(e) for e in eigs])
 
 
 def calibrate_threshold(statistic_fn, cfg: ArrayConfig, noise_power: float,
@@ -132,13 +137,11 @@ def roc_curve(score_fn, scenario_h1: EmitterScenario, cfg: ArrayConfig,
     """
     if n_trials < 1000:
         raise ValueError("need at least 1000 trials per hypothesis")
-    s0 = _mc_statistics(score_fn, cfg,
-                        EmitterScenario.noise_only(scenario_h1.n_snapshots,
-                                                   scenario_h1.noise_power),
-                        n_trials, master_seed, offset=0)
-    s1 = _mc_statistics(score_fn, cfg, scenario_h1, n_trials, master_seed,
-                        offset=n_trials)
-    return roc_points(s0, s1)
+    s0 = h0_statistics(score_fn, cfg, scenario_h1.noise_power,
+                       scenario_h1.n_snapshots, n_trials, master_seed)
+    e1 = trial_eigs(cfg, lambda rng: scenario_h1, master_seed, n_trials,
+                    2 * n_trials)
+    return roc_points(s0, [score_fn(e) for e in e1])
 
 
 def auc(points: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from .arrays import (
     synthesize_snapshots,
 )
 from .crlb import crlb_fd, crlb_had
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError
 from .spectral import root_music, sample_covariance
 
 METHOD_CLASSIC = "had-root-music"

@@ -15,7 +15,9 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .arrays import (
     EmitterScenario,
     synthesize_snapshots,
 )
-from .crlb import RAD2_TO_DEG2, crlb_fd, crlb_had, crlb_tlhad
-from .detect import glrt_statistic, maxmin_statistic, roc_points
+from .crlb import RAD2_TO_DEG2, crlb_had, crlb_tlhad
+from .detect import BATCH, glrt_statistic, maxmin_statistic, roc_points, trial_eigs
 from .doa import (
     METHOD_CLASSIC,
     METHOD_FHAD,
@@ -205,45 +207,40 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _map_chunks(fn, args_list, workers):
-    """Apply ``fn`` over chunk argument tuples, order preserved."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
-def _chunk_ranges(n, n_chunks):
-    bounds = np.linspace(0, n, n_chunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-# --- shared eigenvalue Monte Carlo -----------------------------------------
-
-def _eig_batch(cfg: ArrayConfig, scen_for, seed: int, start: int, stop: int,
-               batch: int = 128):
-    """Sorted-descending eigenvalues for trials [start, stop).
-
-    ``scen_for(rng)`` builds the scenario for one trial (it may draw, e.g.,
-    a random direction, from the trial's own stream before synthesis).
+@contextmanager
+def _pool(workers):
+    """Yield the map a run's trial blocks go through: the built-in ``map``
+    for one worker, else the map of one process pool that lives until the
+    context exits.  ``workers`` may already be such a map, held by the
+    enclosing run; it is passed through, so a run opens at most one pool.
     """
-    out = np.empty((stop - start, cfg.n_total))
-    for lo in range(start, stop, batch):
-        hi = min(lo + batch, stop)
-        xs = []
-        for i in range(lo, hi):
-            rng = trial_rng(seed, i)
-            scen = scen_for(rng)
-            xs.append(synthesize_snapshots(cfg, scen, rng).samples)
-        xs = np.stack(xs)
-        covs = xs @ xs.conj().transpose(0, 2, 1) / xs.shape[2]
-        out[lo - start:hi - start] = np.linalg.eigvalsh(covs)[:, ::-1]
-    return out
+    if callable(workers):
+        yield workers
+    elif workers <= 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
-def _detection_eigs_chunk(args):
-    (n_total, l_snapshots, snr_db, jitter_db, hypothesis, seed, start, stop) = args
-    cfg = ArrayConfig.fully_digital(n_total)
+def _monte_carlo(block_fn, params, n, seed, pmap, n_blocks, offset=0):
+    """Rows of ``block_fn(params, seed, trials)`` for trials [offset, offset + n),
+    split into ``n_blocks`` ranges of trial indices mapped by ``pmap``.
+
+    Every trial draws from its own stream and the rows come back in trial
+    order, so the result does not depend on how blocks meet workers.
+    """
+    bounds = offset + np.linspace(0, n, n_blocks + 1).astype(int)
+    blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    return np.concatenate(list(pmap(partial(block_fn, params, seed), blocks)))
+
+
+def _rms(x) -> float:
+    return float(np.sqrt(np.mean(x ** 2)))
+
+
+def _detection_block(params, seed, trials):
+    n_total, l_snapshots, snr_db, jitter_db, hypothesis = params
 
     def scen_for(rng):
         if hypothesis == 0:
@@ -254,16 +251,20 @@ def _detection_eigs_chunk(args):
         snr = snr_db + (rng.uniform(-jitter_db, jitter_db) if jitter_db else 0.0)
         return EmitterScenario.single_emitter(theta, snr, l_snapshots)
 
-    return _eig_batch(cfg, scen_for, seed, start, stop)
+    return trial_eigs(ArrayConfig.fully_digital(n_total), scen_for, seed,
+                      trials.start, trials.stop)
 
 
 def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
                    workers=1, jitter_db=0.0, offset=0):
-    """Eigenvalue matrix for H0 or H1 detection trials (one stream each)."""
-    chunks = _chunk_ranges(n_trials, max(workers, 1) * 4)
-    args = [(n_total, l_snapshots, snr_db, jitter_db, hypothesis, seed,
-             offset + a, offset + b) for a, b in chunks]
-    return np.concatenate(_map_chunks(_detection_eigs_chunk, args, workers))
+    """Eigenvalue matrix for H0 or H1 detection trials (one stream each).
+
+    ``workers`` is a process count or the map of a run's pool (``_pool``).
+    """
+    params = (n_total, l_snapshots, snr_db, jitter_db, hypothesis)
+    with _pool(workers) as pmap:
+        return _monte_carlo(_detection_block, params, n_trials, seed, pmap,
+                            math.ceil(n_trials / BATCH), offset)
 
 
 def make_detection_dataset_factory(n_total, l_snapshots, snr_db,
@@ -277,8 +278,7 @@ def make_detection_dataset_factory(n_total, l_snapshots, snr_db,
                             workers, jitter_db)
         e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed,
                             workers, jitter_db, offset=n_h0)
-        feats = np.vstack([e0, e1])
-        feats /= feats.sum(axis=1, keepdims=True)
+        feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
         return TrainingSet(feats, labels, dict(
             n_total=n_total, l_snapshots=l_snapshots, snr_db=snr_db,
@@ -318,20 +318,20 @@ def run_roc(config: ExperimentConfig, model=None):
     l_snap = int(config["scenario.n_snapshots"])
     snr_db = float(config["scenario.snr_db"])
     trials = config.trials
-    if model is None:
-        model, _ = train_mlnn_model(config)
-    e0 = detection_eigs(n_total, l_snap, snr_db, 0, trials, config.seed,
-                        config.workers)
-    e1 = detection_eigs(n_total, l_snap, snr_db, 1, trials, config.seed,
-                        config.workers, offset=trials)
+    with _pool(config.workers) as pmap:
+        if model is None:
+            model, _ = train_mlnn_model(config, pmap)
+        e0 = detection_eigs(n_total, l_snap, snr_db, 0, trials, config.seed,
+                            pmap)
+        e1 = detection_eigs(n_total, l_snap, snr_db, 1, trials, config.seed,
+                            pmap, offset=trials)
     glrt_form = config["detect.glrt_form"]
     scores = {}
     for tag, eigs in (("h0", e0), ("h1", e1)):
-        feats = eigs / eigs.sum(axis=1, keepdims=True)
         scores[tag] = {
             "glrt": np.array([glrt_statistic(e, glrt_form) for e in eigs]),
             "r-maxev-minev": np.array([maxmin_statistic(e) for e in eigs]),
-            "mlnn": forward(model, feats),
+            "mlnn": forward(model, eig_features(eigs)),
         }
     rows = []
     for detector in ("glrt", "r-maxev-minev", "mlnn"):
@@ -347,16 +347,14 @@ def run_roc(config: ExperimentConfig, model=None):
 
 # --- rmse ------------------------------------------------------------------
 
-def _rmse_chunk(args):
-    """Paired DOA errors (degrees) for one trial range, one SNR point.
+def _rmse_block(params, seed, trials):
+    """Paired DOA errors (degrees) at one SNR point, one column per method.
 
     The classic and fast eliminators run on the HAD subsystem of the
     configured array; the two-layer estimator sees the full array.  All
     methods share the trial stream, so snapshot realizations are paired.
     """
-    (cfg_tuple, theta_deg, snr_db, t_snap, signal_model, methods,
-     seed, start, stop) = args
-    cfg = ArrayConfig(*cfg_tuple)
+    cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
     cfg_had = (ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
                if cfg.k_sub >= 1 else None)
     runners = {
@@ -364,26 +362,23 @@ def _rmse_chunk(args):
         METHOD_FHAD: (fhad_root_music, cfg_had, 1),
         METHOD_TLHAD: (tlhad_estimate, cfg, t_snap),
     }
-    errors = {m: np.empty(stop - start) for m in methods}
-    for i in range(start, stop):
-        for m in methods:
+    errors = np.empty((len(trials), len(methods)))
+    for k, i in enumerate(trials):
+        for j, m in enumerate(methods):
             fn, mcfg, t = runners[m]
             scen = EmitterScenario.single_emitter(theta_deg, snr_db, t,
                                                   signal_model=signal_model)
             est = fn(mcfg, scen, trial_rng(seed, i))
-            errors[m][i - start] = est.angle_deg - theta_deg
+            errors[k, j] = est.angle_deg - theta_deg
     return errors
 
 
-def _run_rmse_point(config, cfg, theta_deg, snr_db, methods, seed):
-    chunks = _chunk_ranges(config.trials, max(config.workers, 1) * 4)
-    cfg_tuple = (cfg.n_total, cfg.m_sub, cfg.k_sub, cfg.n_fd, cfg.spacing)
-    args = [(cfg_tuple, theta_deg, snr_db, int(config["scenario.t_snapshots"]),
-             config["scenario.signal_model"], methods, seed, a, b)
-            for a, b in chunks]
-    parts = _map_chunks(_rmse_chunk, args, config.workers)
-    return {m: float(np.sqrt(np.mean(np.concatenate([p[m] for p in parts]) ** 2)))
-            for m in methods}
+def _run_rmse_point(config, cfg, theta_deg, snr_db, methods, pmap):
+    params = (cfg, theta_deg, snr_db, int(config["scenario.t_snapshots"]),
+              config["scenario.signal_model"], methods)
+    errors = _monte_carlo(_rmse_block, params, config.trials, config.seed,
+                          pmap, 4 * config.workers)
+    return {m: _rms(errors[:, j]) for j, m in enumerate(methods)}
 
 
 def run_rmse_snr(config: ExperimentConfig):
@@ -397,21 +392,22 @@ def run_rmse_snr(config: ExperimentConfig):
     cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
     methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
     rows = []
-    for snr_db in _parse_list(config["scenario.snr_db_list"]):
-        rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, config.seed)
-        # the HAD eliminators estimate from a broadside snapshot, so their
-        # bound is the broadside one that doa.py attaches to the estimates
-        sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1,
-                                      analog_steer_u=0.0) * RAD2_TO_DEG2)
-        sqrt_crlb = {
-            METHOD_CLASSIC: sqrt_had,
-            METHOD_FHAD: sqrt_had,
-            METHOD_TLHAD: math.sqrt(
-                crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
-        }
-        for m in methods:
-            rows.append((snr_db, m, rmse[m], sqrt_crlb[m], config.trials,
-                         config.seed, config.digest))
+    with _pool(config.workers) as pmap:
+        for snr_db in _parse_list(config["scenario.snr_db_list"]):
+            rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, pmap)
+            # the HAD eliminators estimate from a broadside snapshot, so their
+            # bound is the broadside one that doa.py attaches to the estimates
+            sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1,
+                                          analog_steer_u=0.0) * RAD2_TO_DEG2)
+            sqrt_crlb = {
+                METHOD_CLASSIC: sqrt_had,
+                METHOD_FHAD: sqrt_had,
+                METHOD_TLHAD: math.sqrt(
+                    crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
+            }
+            for m in methods:
+                rows.append((snr_db, m, rmse[m], sqrt_crlb[m], config.trials,
+                             config.seed, config.digest))
     path = os.path.join(config.out_dir, "rmse_snr.csv")
     _write_csv(path, ["snr_db", "method", "rmse_deg", "sqrt_crlb_deg",
                       "trials", "seed", "digest"], rows)
@@ -426,20 +422,21 @@ def run_rmse_eta(config: ExperimentConfig):
     theta = float(config["scenario.theta_deg"])
     t_snap = int(config["scenario.t_snapshots"])
     rows = []
-    for eta in _parse_list(config["rmse.eta_grid"]):
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError("eta grid values must lie in (0, 1]")
-        cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
-        if abs(cfg.fd_proportion - eta) > 1e-9:
-            warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
-                          stacklevel=2)
-        for snr_db in _parse_list(config["rmse.eta_snr_db_list"]):
-            rmse = _run_rmse_point(config, cfg, theta, snr_db,
-                                   (METHOD_TLHAD,), config.seed)
-            bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap)
-                              * RAD2_TO_DEG2)
-            rows.append((cfg.fd_proportion, snr_db, rmse[METHOD_TLHAD], bound,
-                         config.trials, config.seed, config.digest))
+    with _pool(config.workers) as pmap:
+        for eta in _parse_list(config["rmse.eta_grid"]):
+            if not 0.0 < eta <= 1.0:
+                raise ConfigError("eta grid values must lie in (0, 1]")
+            cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
+            if abs(cfg.fd_proportion - eta) > 1e-9:
+                warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
+                              stacklevel=2)
+            for snr_db in _parse_list(config["rmse.eta_snr_db_list"]):
+                rmse = _run_rmse_point(config, cfg, theta, snr_db,
+                                       (METHOD_TLHAD,), pmap)
+                bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap)
+                                  * RAD2_TO_DEG2)
+                rows.append((cfg.fd_proportion, snr_db, rmse[METHOD_TLHAD],
+                             bound, config.trials, config.seed, config.digest))
     path = os.path.join(config.out_dir, "rmse_eta.csv")
     _write_csv(path, ["eta", "snr_db", "rmse_deg", "sqrt_crlb_deg", "trials",
                       "seed", "digest"], rows)
@@ -448,22 +445,22 @@ def run_rmse_eta(config: ExperimentConfig):
 
 # --- quantization ----------------------------------------------------------
 
-def _quant_rmse_chunk(args):
-    (n_antennas, l_snap, theta_deg, snr_db, bits, seed, start, stop) = args
+def _quant_block(params, seed, trials):
+    """Root-MUSIC errors in u: the quantized estimate in column 0, the
+    unquantized one in column 1."""
+    n_antennas, l_snap, theta_deg, snr_db, bits = params
     cfg = ArrayConfig.fully_digital(n_antennas)
     q = QuantizerConfig.from_bits(bits) if bits != math.inf else None
-    err_q = np.empty(stop - start)
-    err_u = np.empty(stop - start)
-    for i in range(start, stop):
+    u_true = math.sin(math.radians(theta_deg))
+    errors = np.empty((len(trials), 2))
+    for k, i in enumerate(trials):
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
         batch = synthesize_snapshots(cfg, scen, trial_rng(seed, i))
-        u_true = math.sin(math.radians(theta_deg))
         u_hat = root_music(sample_covariance(batch.samples), 1, cfg.spacing)[0]
-        err_u[i - start] = u_hat - u_true
         qb = quantize(batch, q).samples if q is not None else batch.samples
         uq = root_music(sample_covariance(qb), 1, cfg.spacing)[0]
-        err_q[i - start] = uq - u_true
-    return err_q, err_u
+        errors[k] = uq - u_true, u_hat - u_true
+    return errors
 
 
 def run_loss_bits(config: ExperimentConfig):
@@ -474,20 +471,18 @@ def run_loss_bits(config: ExperimentConfig):
     theta = float(config["scenario.theta_deg"])
     emp_trials = int(config["quant.empirical_trials"])
     rows = []
-    for snr_db in _parse_list(config["quant.snr_db_list"]):
-        for bits in [*bits_grid, math.inf]:
-            loss_db = performance_loss_db(bits, snr_db)
-            chunks = _chunk_ranges(emp_trials, max(config.workers, 1) * 2)
-            args = [(n_ant, l_snap, theta, snr_db, bits, config.seed, a, b)
-                    for a, b in chunks]
-            parts = _map_chunks(_quant_rmse_chunk, args, config.workers)
-            err_q = np.concatenate([p[0] for p in parts])
-            err_u = np.concatenate([p[1] for p in parts])
-            rmse_q = float(np.sqrt(np.mean(err_q ** 2)))
-            rmse_u = float(np.sqrt(np.mean(err_u ** 2)))
-            empirical_db = 20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0 else 0.0
-            rows.append(("inf" if bits == math.inf else bits, snr_db, loss_db,
-                         empirical_db, emp_trials, config.seed, config.digest))
+    with _pool(config.workers) as pmap:
+        for snr_db in _parse_list(config["quant.snr_db_list"]):
+            for bits in [*bits_grid, math.inf]:
+                loss_db = performance_loss_db(bits, snr_db)
+                errors = _monte_carlo(
+                    _quant_block, (n_ant, l_snap, theta, snr_db, bits),
+                    emp_trials, config.seed, pmap, 2 * config.workers)
+                rmse_q, rmse_u = _rms(errors[:, 0]), _rms(errors[:, 1])
+                empirical_db = 20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0 else 0.0
+                rows.append(("inf" if bits == math.inf else bits, snr_db,
+                             loss_db, empirical_db, emp_trials, config.seed,
+                             config.digest))
     path = os.path.join(config.out_dir, "loss_bits.csv")
     _write_csv(path, ["bits", "snr_db", "loss_db_formula", "loss_db_empirical",
                       "trials", "seed", "digest"], rows)
@@ -498,13 +493,14 @@ def run_loss_bits(config: ExperimentConfig):
 
 def run_train_mlnn(config: ExperimentConfig):
     """Architecture selection, final training, and threshold calibration."""
-    model, report = train_mlnn_model(config)
     n_total = int(config["array.n_total"])
     l_snap = int(config["scenario.n_snapshots"])
-    # threshold calibration on fresh H0 validation scores
-    e0 = detection_eigs(n_total, l_snap, float(config["scenario.snr_db"]), 0,
-                        config.trials, config.seed + 7, config.workers)
-    feats = e0 / e0.sum(axis=1, keepdims=True)
+    with _pool(config.workers) as pmap:
+        model, report = train_mlnn_model(config, pmap)
+        # threshold calibration on fresh H0 validation scores
+        e0 = detection_eigs(n_total, l_snap, float(config["scenario.snr_db"]),
+                            0, config.trials, config.seed + 7, pmap)
+    feats = eig_features(e0)
     thresholds = {
         fap: decision_threshold(model, feats, fap) for fap in (0.01, 0.1)
     }

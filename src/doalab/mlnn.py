@@ -189,9 +189,6 @@ class TrainingSet:
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, idx) -> "TrainingSet":
-        return TrainingSet(self.features[idx], self.labels[idx], dict(self.metadata))
-
 
 @dataclass(frozen=True)
 class Hyper:
@@ -209,12 +206,13 @@ class Hyper:
 def eig_features(cov) -> np.ndarray:
     """Eigenvalues sorted descending and normalized by their sum.
 
-    Accepts a CovarianceEstimate or a sorted eigenvalue vector.  The
-    normalization makes the detector blind to absolute noise power.
+    Accepts a CovarianceEstimate, a sorted eigenvalue vector, or a matrix
+    of them, one trial per row, normalized row by row.  The normalization
+    makes the detector blind to absolute noise power.
     """
     eigs = cov.eigenvalues if isinstance(cov, CovarianceEstimate) else np.asarray(cov, float)
-    total = eigs.sum()
-    if total <= 0:
+    total = eigs.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("degenerate covariance: nonpositive trace")
     return eigs / total
 

@@ -134,7 +134,7 @@ def quantize(batch: SnapshotBatch, q: QuantizerConfig,
     if batch.stage not in (ELEMENT, ANALOG_COMBINED):
         raise ValueError(f"cannot quantize stage {batch.stage!r}")
     if q.bits == math.inf:
-        return SnapshotBatch(batch.samples.copy(), QUANTIZED, batch.channel_map,
+        return SnapshotBatch(batch.samples.copy(), QUANTIZED,
                              dict(batch.meta, quant_scale=None))
     levels, thresholds, _ = lloyd_max_codebook(int(q.bits))
     x = batch.samples
@@ -149,7 +149,7 @@ def quantize(batch: SnapshotBatch, q: QuantizerConfig,
     meta = dict(batch.meta, quant_scale=scale)
     if degenerate.size:
         meta["degenerate_channels"] = tuple(int(i) for i in degenerate)
-    return SnapshotBatch(out, QUANTIZED, batch.channel_map, meta)
+    return SnapshotBatch(out, QUANTIZED, meta)
 
 
 def effective_snr(snr_linear: float, alpha: float) -> float:

@@ -93,14 +93,26 @@ _EPS = np.finfo(float).eps
 
 def _companion_roots(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
     """The ``n_sources`` roots inside the unit circle closest to it, from
-    the companion-matrix eigenvalues (``np.roots``)."""
+    the companion-matrix eigenvalues (``np.roots``), at most one from each
+    mirror pair (z, 1/conj(z)): rounding can split the double root that
+    noiseless data put on the circle into both halves of one pair, each
+    within the 1e-9 tolerance, and both would be the same direction.
+    """
     roots = np.roots(coeffs)
-    inside = roots[np.abs(roots) <= 1.0 + 1e-9]
-    if len(inside) < n_sources:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(roots - 1.0 / np.conj(roots)[:, None])
+    np.fill_diagonal(gap, np.inf)
+    partner = np.argmin(gap, axis=1)  # the root nearest each mirror image
+    inside = np.flatnonzero(np.abs(roots) <= 1.0 + 1e-9)
+    chosen = []
+    for i in inside[_closest_first(roots[inside])]:
+        if len(chosen) < n_sources and i not in partner[chosen]:
+            chosen.append(i)
+    if len(chosen) < n_sources:
         raise EstimationError(
-            f"only {len(inside)} unit-circle roots for {n_sources} sources"
+            f"only {len(chosen)} unit-circle roots for {n_sources} sources"
         )
-    return inside[_closest_first(inside)[:n_sources]]
+    return roots[chosen]
 
 
 def _closest_first(z: np.ndarray) -> np.ndarray:

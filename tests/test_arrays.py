@@ -197,4 +197,4 @@ class TestAnalogWeights:
 class TestSnapshotBatch:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            SnapshotBatch(np.array([[np.nan + 0j]]), "element", ("ant0",))
+            SnapshotBatch(np.array([[np.nan + 0j]]), "element")

@@ -12,6 +12,7 @@ from doalab.harness import (
     detection_eigs,
     load_config,
     make_detection_dataset_factory,
+    run_experiment,
     run_loss_bits,
     run_rmse_eta,
     run_rmse_snr,
@@ -54,6 +55,16 @@ activations = sigmoid
 shapes = 4
 search_size = 400
 epochs = 5
+"""
+
+
+SMALL_BITS = """
+[quant]
+bits = 1,2
+n_antennas = 8
+n_snapshots = 20
+snr_db_list = 0
+empirical_trials = 100
 """
 
 
@@ -271,6 +282,29 @@ class TestTrainMlnn:
         assert detectors == {"glrt", "r-maxev-minev", "mlnn"}
         # scores are paired: same realizations scored by every detector
         assert all(len(scores["h0"][d]) == config.trials for d in detectors)
+
+
+# experiment -> (config text, output files)
+INVARIANCE_CASES = {
+    "rmse-eta": (SMALL_RMSE + "[rmse]\neta_grid = 0.5,1.0\neta_snr_db_list = 0\n",
+                 ("rmse_eta.csv",)),
+    "loss-bits": (SMALL_BITS, ("loss_bits.csv",)),
+    "train-mlnn": (SMALL_MLNN, ("mlnn_model.json", "mlnn_report.csv")),
+    "roc": (SMALL_MLNN.replace("trials = 1000", "trials = 200"), ("roc.csv",)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(INVARIANCE_CASES))
+def test_worker_count_invariance(tmp_path, experiment):
+    text, outputs = INVARIANCE_CASES[experiment]
+    cfg_path = _write_config(tmp_path / "c.ini", text)
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        run_experiment(load_config(experiment, cfg_path, out=str(out),
+                                   workers=workers))
+        runs.append([(out / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1]
 
 
 class TestCli:

@@ -115,7 +115,7 @@ def _gaussian_batch(n_ch, n_t, seed=0, power=1.0):
     rng = trial_rng(seed)
     x = np.sqrt(power / 2) * (rng.standard_normal((n_ch, n_t))
                               + 1j * rng.standard_normal((n_ch, n_t)))
-    return SnapshotBatch(x, "element", tuple(f"ant{i}" for i in range(n_ch)))
+    return SnapshotBatch(x, "element")
 
 
 class TestQuantize:
@@ -161,7 +161,7 @@ class TestQuantize:
 
     def test_degenerate_channel_flagged(self):
         x = np.vstack([np.zeros(8), np.ones(8)]).astype(complex)
-        batch = SnapshotBatch(x, "element", ("a", "b"))
+        batch = SnapshotBatch(x, "element")
         out = quantize(batch, QuantizerConfig.from_bits(2))
         assert out.meta["degenerate_channels"] == (0,)
         np.testing.assert_array_equal(out.samples[0], 0.0)

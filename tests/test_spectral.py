@@ -132,6 +132,24 @@ class TestRootMusic:
         u_hat = root_music(sample_covariance(x), 2)
         np.testing.assert_allclose(u_hat, sorted(u_true), atol=1e-9)
 
+    def test_noiseless_two_source_corpus(self):
+        # noiseless data put a double root on the unit circle at each
+        # direction; rounding may split it into both halves of one mirror
+        # pair, and each direction must still come back exactly once
+        misses = []
+        for k in range(400):
+            rng = trial_rng(2718, k)
+            p = int(rng.integers(6, 17))
+            u = np.sort(rng.uniform(-0.95, 0.95, 2))
+            while u[1] - u[0] < 4.0 / p:
+                u = np.sort(rng.uniform(-0.95, 0.95, 2))
+            x = sum(np.outer(steering_vector(p, uq),
+                             np.exp(2j * np.pi * rng.random(20))) for uq in u)
+            u_hat = root_music(sample_covariance(x), 2)
+            if np.max(np.abs(u_hat - u)) > 1e-7:
+                misses.append((k, p, tuple(u), tuple(u_hat)))
+        assert misses == []
+
     def test_matches_grid_oracle(self):
         cov = sample_covariance(_snapshots(12, [0.15], 0.0, 80, seed=3))
         u_hat = root_music(cov, 1)
