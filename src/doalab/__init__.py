@@ -8,7 +8,6 @@ harness with a CLI entry point (``doa-lab``).
 """
 
 from .arrays import (
-    AnalogWeights,
     ArrayConfig,
     EmitterScenario,
     SnapshotBatch,
@@ -18,7 +17,6 @@ from .arrays import (
     synthesize_snapshots,
 )
 from .crlb import (
-    CrlbReport,
     crlb_fd,
     crlb_had,
     crlb_quantized,
@@ -26,7 +24,6 @@ from .crlb import (
     fim_single_source,
 )
 from .detect import (
-    DetectionResult,
     calibrate_threshold,
     glrt_statistic,
     maxmin_statistic,
@@ -51,7 +48,6 @@ from .mlnn import (
     train,
 )
 from .quantize import (
-    QuantizerConfig,
     distortion_factor,
     effective_snr,
     lloyd_max_codebook,

@@ -8,13 +8,9 @@ fully-digitally.  Directions are handled internally as direction-sines
 ``u = sin(theta)``; degrees appear only at I/O boundaries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ELEMENT = "element"
-ANALOG_COMBINED = "analog-combined"
-QUANTIZED = "quantized"
 
 CONSTANT_MODULUS = "constant-modulus"
 GAUSSIAN = "gaussian"
@@ -141,77 +137,16 @@ class EmitterScenario:
 
 @dataclass
 class SnapshotBatch:
-    """Complex baseband samples, channels x snapshots, tagged by stage."""
+    """Element-level complex baseband samples, channels x snapshots."""
 
     samples: np.ndarray
-    stage: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 2:
             raise ValueError("samples must be channels x snapshots")
-        if self.stage not in (ELEMENT, ANALOG_COMBINED, QUANTIZED):
-            raise ValueError(f"unknown stage {self.stage!r}")
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise ValueError("samples must be finite")
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass
-class AnalogWeights:
-    """Per-subarray unit-modulus phase weights, normalized by 1/sqrt(M).
-
-    ``weights`` has shape (k_sub, m_sub); subarray k's digital output is
-    ``w_k^H x_k``.  The 1/sqrt(M) normalization keeps combined noise power
-    equal to the element-level noise power.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.complex128)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be k_sub x m_sub")
-        m = self.weights.shape[1]
-        if not np.allclose(np.abs(self.weights), 1.0 / np.sqrt(m), atol=1e-12):
-            raise ValueError("every weight must have modulus 1/sqrt(m_sub)")
-
-    @property
-    def k_sub(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def m_sub(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def steered(cls, cfg: ArrayConfig, u_steer) -> "AnalogWeights":
-        """Weights pointing every subarray at direction-sine(s) ``u_steer``.
-
-        ``u_steer`` may be a scalar (all subarrays alike) or one value per
-        subarray.  Phases are local to each subarray, so the inter-subarray
-        phase of the combined channels stays on the virtual M*d grid.
-        """
-        u = np.broadcast_to(np.atleast_1d(np.asarray(u_steer, dtype=float)),
-                            (cfg.k_sub,)) if np.ndim(u_steer) == 0 else \
-            np.asarray(u_steer, dtype=float)
-        if u.shape != (cfg.k_sub,):
-            raise ValueError("u_steer must be scalar or one entry per subarray")
-        m = np.arange(cfg.m_sub)
-        w = np.exp(2j * np.pi * cfg.spacing * np.outer(u, m)) / np.sqrt(cfg.m_sub)
-        return cls(w)
-
-    @classmethod
-    def broadside(cls, cfg: ArrayConfig) -> "AnalogWeights":
-        return cls.steered(cfg, 0.0)
 
 
 def steering_vector(n_elements: int, u: float, spacing: float = 0.5) -> np.ndarray:
@@ -252,24 +187,34 @@ def synthesize_snapshots(cfg: ArrayConfig, scen: EmitterScenario,
         x += np.outer(steering_vector(n, u_q, cfg.spacing), s)
     sigma = np.sqrt(scen.noise_power / 2.0)
     x += sigma * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
-    return SnapshotBatch(x, ELEMENT)
+    return SnapshotBatch(x)
 
 
-def analog_combine(batch: SnapshotBatch, cfg: ArrayConfig,
-                   weights: AnalogWeights) -> SnapshotBatch:
+def analog_combine(samples: np.ndarray, cfg: ArrayConfig,
+                   u_steer=0.0) -> np.ndarray:
     """Apply per-subarray analog combining; FD antennas pass through.
+
+    ``samples`` is the element-level channels x snapshots array.  Every
+    subarray is steered at direction-sine ``u_steer``, a scalar (all
+    subarrays alike, broadside by default) or one value per subarray:
+    subarray k's output is ``w_k^H x_k`` with unit-modulus phases
+    ``w_k = exp(i 2 pi d m u_k) / sqrt(M)``.  The phases are local to each
+    subarray, so the inter-subarray phase of the combined channels stays on
+    the virtual M*d grid, and the 1/sqrt(M) normalization keeps combined
+    noise power equal to the element-level noise power.
 
     Output channels: k_sub combined subarray channels followed by the n_fd
     fully-digital element channels.
     """
-    if batch.stage != ELEMENT:
-        raise ValueError(f"analog_combine needs element-stage input, got {batch.stage!r}")
-    if batch.n_channels != cfg.n_total:
-        raise ValueError("batch channel count does not match array config")
-    if weights.k_sub != cfg.k_sub or weights.m_sub != cfg.m_sub:
-        raise ValueError("weights shape does not match subarray partition")
-    had = batch.samples[: cfg.n_had].reshape(cfg.k_sub, cfg.m_sub,
-                                             batch.n_snapshots)
-    combined = np.einsum("km,kmt->kt", weights.weights.conj(), had)
-    out = np.concatenate([combined, batch.samples[cfg.n_had:]], axis=0)
-    return SnapshotBatch(out, ANALOG_COMBINED)
+    if samples.shape[0] != cfg.n_total:
+        raise ValueError("sample row count does not match array config")
+    u = np.asarray(u_steer, dtype=float)
+    if u.ndim == 0:
+        u = np.full(cfg.k_sub, u)
+    elif u.shape != (cfg.k_sub,):
+        raise ValueError("u_steer must be scalar or one entry per subarray")
+    m = np.arange(cfg.m_sub)
+    w = np.exp(2j * np.pi * cfg.spacing * np.outer(u, m)) / np.sqrt(cfg.m_sub)
+    had = samples[: cfg.n_had].reshape(cfg.k_sub, cfg.m_sub, samples.shape[1])
+    combined = np.einsum("km,kmt->kt", w.conj(), had)
+    return np.concatenate([combined, samples[cfg.n_had:]], axis=0)

@@ -7,7 +7,6 @@ enter in degrees at the API boundary; bounds are returned in rad^2.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,27 +14,6 @@ from .arrays import ArrayConfig
 from .quantize import distortion_factor, effective_snr
 
 RAD2_TO_DEG2 = (180.0 / np.pi) ** 2
-
-
-@dataclass(frozen=True)
-class CrlbReport:
-    """One CRLB evaluation with its operating point."""
-
-    architecture: str
-    theta_deg: float
-    snr_db: float
-    n_snapshots: int
-    crlb_rad2: float
-    fd_proportion: float = 0.0
-    bits: float = math.inf
-
-    @property
-    def crlb_deg2(self) -> float:
-        return self.crlb_rad2 * RAD2_TO_DEG2
-
-    @property
-    def rmse_deg(self) -> float:
-        return math.sqrt(self.crlb_deg2)
 
 
 def fim_single_source(a_eff: np.ndarray, da_eff: np.ndarray,

@@ -6,8 +6,6 @@ absolute noise power.  Thresholds are calibrated empirically under H0
 rather than taken from closed forms.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
@@ -18,22 +16,6 @@ BATCH = 128
 
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    statistic: float
-    threshold: float
-    decision: bool  # True = H1
-    detector: str
-
-    def __post_init__(self):
-        if self.decision != (self.statistic > self.threshold):
-            raise ValueError("decision must equal statistic > threshold")
-
-
-def decide(statistic: float, threshold: float, detector: str) -> DetectionResult:
-    return DetectionResult(statistic, threshold, statistic > threshold, detector)
 
 
 def maxmin_statistic(eigs: np.ndarray) -> float:

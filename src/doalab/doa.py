@@ -10,12 +10,11 @@ snapshots from the provided generator, so trials parallelize with split
 streams.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrays import (
-    AnalogWeights,
     ArrayConfig,
     EmitterScenario,
     analog_combine,
@@ -74,19 +73,18 @@ def _require_single_emitter(scen: EmitterScenario):
         raise ConfigError("estimators handle exactly one emitter")
 
 
-def _one_snapshot(cfg, scen, rng, weights):
-    """One element-level snapshot pushed through the analog front end."""
-    single = EmitterScenario(scen.directions_deg, scen.powers, scen.noise_power,
-                             1, scen.signal_model)
-    return analog_combine(synthesize_snapshots(cfg, single, rng), cfg, weights)
+def _snapshot(cfg, scen1, rng, u_steer=0.0):
+    """One element-level snapshot of the one-snapshot scenario ``scen1``
+    pushed through the analog front end steered at ``u_steer``."""
+    return analog_combine(synthesize_snapshots(cfg, scen1, rng).samples, cfg,
+                          u_steer)
 
 
-def _had_candidates(cfg, scen, rng):
+def _had_candidates(cfg, scen1, rng):
     """Broadside snapshot -> Root-MUSIC on the subarray channels -> candidates."""
-    batch = _one_snapshot(cfg, scen, rng, AnalogWeights.broadside(cfg))
-    had = batch.samples[: cfg.k_sub]
+    had = _snapshot(cfg, scen1, rng)[: cfg.k_sub]
     u_hat = root_music(sample_covariance(had), 1, cfg.m_sub * cfg.spacing)[0]
-    return candidate_set(u_hat, cfg.m_sub, cfg.spacing), batch
+    return candidate_set(u_hat, cfg.m_sub, cfg.spacing)
 
 
 def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
@@ -100,11 +98,12 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
     if cfg.n_fd != 0:
         raise ConfigError("classic eliminator needs a pure HAD array")
     _require_single_emitter(scen)
-    cands, _ = _had_candidates(cfg, scen, rng)
+    scen1 = replace(scen, n_snapshots=1)
+    cands = _had_candidates(cfg, scen1, rng)
     powers = []
     for u_k in cands.candidates:
-        batch = _one_snapshot(cfg, scen, rng, AnalogWeights.steered(cfg, u_k))
-        powers.append(float(np.mean(np.abs(batch.samples[: cfg.k_sub]) ** 2)))
+        had = _snapshot(cfg, scen1, rng, u_k)[: cfg.k_sub]
+        powers.append(float(np.mean(np.abs(had) ** 2)))
     best = int(np.argmax(powers))
     u = float(cands.candidates[best])
     crlb = crlb_had(cfg, np.degrees(np.arcsin(u)), scen.snr_db, 1,
@@ -126,7 +125,8 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
     if cfg.n_fd != 0:
         raise ConfigError("fast eliminator needs a pure HAD array")
     _require_single_emitter(scen)
-    cands, _ = _had_candidates(cfg, scen, rng)
+    scen1 = replace(scen, n_snapshots=1)
+    cands = _had_candidates(cfg, scen1, rng)
     if cfg.k_sub < len(cands):
         raise ConfigError(
             f"{cfg.k_sub} subarrays cannot host {len(cands)} candidate subgroups")
@@ -134,8 +134,7 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
     steer = np.empty(cfg.k_sub)
     for j, grp in enumerate(groups):
         steer[list(grp)] = cands.candidates[j]
-    batch = _one_snapshot(cfg, scen, rng, AnalogWeights.steered(cfg, steer))
-    sub_power = np.abs(batch.samples[: cfg.k_sub, 0]) ** 2
+    sub_power = np.abs(_snapshot(cfg, scen1, rng, steer)[: cfg.k_sub, 0]) ** 2
     group_power = [float(np.mean(sub_power[list(grp)])) for grp in groups]
     best = int(np.argmax(group_power))
     u = float(cands.candidates[best])
@@ -173,11 +172,9 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     if cfg.n_fd < 2:
         raise ConfigError("two-layer estimator needs at least two FD channels")
     t = scen.n_snapshots
-    batch = analog_combine(synthesize_snapshots(cfg, scen, rng), cfg,
-                           AnalogWeights.broadside(cfg) if cfg.k_sub else
-                           AnalogWeights(np.zeros((0, cfg.m_sub))))
+    x = analog_combine(synthesize_snapshots(cfg, scen, rng).samples, cfg)
     flags = []
-    fd = batch.samples[cfg.k_sub:]
+    fd = x[cfg.k_sub:]
     u_fd = float(root_music(sample_covariance(fd), 1, cfg.spacing)[0])
     if abs(u_fd) > 1.0:
         u_fd = float(np.clip(u_fd, -1.0, 1.0))
@@ -190,7 +187,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
         return DoaEstimate(u_fd, METHOD_TLHAD, t, crlb_f, None,
                            ("fd-only", *flags))
 
-    had = batch.samples[: cfg.k_sub]
+    had = x[: cfg.k_sub]
     u_had = root_music(sample_covariance(had), 1, cfg.m_sub * cfg.spacing)[0]
     cands = candidate_set(u_had, cfg.m_sub, cfg.spacing)
     dist = np.abs(cands.candidates - u_fd)

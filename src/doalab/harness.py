@@ -50,7 +50,7 @@ from .mlnn import (
     save_model,
     select_architecture,
 )
-from .quantize import QuantizerConfig, performance_loss_db, quantize
+from .quantize import performance_loss_db, quantize
 from .rng import trial_rng
 from .spectral import root_music, sample_covariance
 
@@ -186,6 +186,18 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         raise ConfigError("workers must be at least 1")
     if values["scenario.signal_model"] not in (CONSTANT_MODULUS, GAUSSIAN):
         raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
+    try:
+        bits = _parse_list(values["quant.bits"], int)
+        emp_trials = int(values["quant.empirical_trials"])
+        eta_grid = _parse_list(values["rmse.eta_grid"])
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric value in [quant] or [rmse]: {exc}") from None
+    if any(b < 1 for b in bits):
+        raise ConfigError("quant bits must be integers of at least 1")
+    if emp_trials < 1:
+        raise ConfigError("quant empirical_trials must be at least 1")
+    if not all(0.0 < eta <= 1.0 for eta in eta_grid):
+        raise ConfigError("eta grid values must lie in (0, 1]")
     values["run.trials"] = str(trials)
     return ExperimentConfig(experiment, values, seed_val, trials,
                             values["run.out"], workers_val)
@@ -357,17 +369,17 @@ def _rmse_block(params, seed, trials):
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
     cfg_had = (ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
                if cfg.k_sub >= 1 else None)
+    scen_1, scen_t = (EmitterScenario.single_emitter(
+        theta_deg, snr_db, t, signal_model=signal_model) for t in (1, t_snap))
     runners = {
-        METHOD_CLASSIC: (had_root_music_classic, cfg_had, 1),
-        METHOD_FHAD: (fhad_root_music, cfg_had, 1),
-        METHOD_TLHAD: (tlhad_estimate, cfg, t_snap),
+        METHOD_CLASSIC: (had_root_music_classic, cfg_had, scen_1),
+        METHOD_FHAD: (fhad_root_music, cfg_had, scen_1),
+        METHOD_TLHAD: (tlhad_estimate, cfg, scen_t),
     }
     errors = np.empty((len(trials), len(methods)))
     for k, i in enumerate(trials):
         for j, m in enumerate(methods):
-            fn, mcfg, t = runners[m]
-            scen = EmitterScenario.single_emitter(theta_deg, snr_db, t,
-                                                  signal_model=signal_model)
+            fn, mcfg, scen = runners[m]
             est = fn(mcfg, scen, trial_rng(seed, i))
             errors[k, j] = est.angle_deg - theta_deg
     return errors
@@ -424,8 +436,6 @@ def run_rmse_eta(config: ExperimentConfig):
     rows = []
     with _pool(config.workers) as pmap:
         for eta in _parse_list(config["rmse.eta_grid"]):
-            if not 0.0 < eta <= 1.0:
-                raise ConfigError("eta grid values must lie in (0, 1]")
             cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
             if abs(cfg.fd_proportion - eta) > 1e-9:
                 warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
@@ -450,22 +460,20 @@ def _quant_block(params, seed, trials):
     unquantized one in column 1."""
     n_antennas, l_snap, theta_deg, snr_db, bits = params
     cfg = ArrayConfig.fully_digital(n_antennas)
-    q = QuantizerConfig.from_bits(bits) if bits != math.inf else None
+    scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
     errors = np.empty((len(trials), 2))
     for k, i in enumerate(trials):
-        scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(seed, i))
-        u_hat = root_music(sample_covariance(batch.samples), 1, cfg.spacing)[0]
-        qb = quantize(batch, q).samples if q is not None else batch.samples
-        uq = root_music(sample_covariance(qb), 1, cfg.spacing)[0]
+        x = synthesize_snapshots(cfg, scen, trial_rng(seed, i)).samples
+        u_hat = root_music(sample_covariance(x), 1, cfg.spacing)[0]
+        uq = root_music(sample_covariance(quantize(x, bits)), 1, cfg.spacing)[0]
         errors[k] = uq - u_true, u_hat - u_true
     return errors
 
 
 def run_loss_bits(config: ExperimentConfig):
     """AQNM loss formula versus bits, with an empirical Root-MUSIC column."""
-    bits_grid = [int(b) for b in _parse_list(config["quant.bits"], int)]
+    bits_grid = _parse_list(config["quant.bits"], int)
     n_ant = int(config["quant.n_antennas"])
     l_snap = int(config["quant.n_snapshots"])
     theta = float(config["scenario.theta_deg"])

@@ -7,12 +7,9 @@ quantizer as gain ``alpha = 1 - rho_b`` plus uncorrelated noise.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-from .arrays import ANALOG_COMBINED, ELEMENT, QUANTIZED, SnapshotBatch
 
 _codebook_cache: dict = {}
 
@@ -92,64 +89,31 @@ def distortion_factor(bits) -> float:
     return lloyd_max_codebook(int(bits))[2]
 
 
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Bit depth with its distortion factor rho and AQNM gain alpha."""
-
-    bits: float
-    rho: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.bits != math.inf:
-            if self.bits < 1:
-                raise ValueError("bits must be >= 1 or infinite")
-            if not 0.0 < self.rho < 1.0:
-                raise ValueError("rho must lie in (0, 1) for finite bits")
-        elif self.rho != 0.0:
-            raise ValueError("infinite bits means rho = 0")
-        if not np.isclose(self.alpha, 1.0 - self.rho):
-            raise ValueError("alpha must equal 1 - rho")
-
-    @classmethod
-    def from_bits(cls, bits) -> "QuantizerConfig":
-        rho = distortion_factor(bits)
-        return cls(float(bits), rho, 1.0 - rho)
-
-
 def _quantize_real(x: np.ndarray, levels: np.ndarray, thresholds: np.ndarray):
     return levels[np.digitize(x, thresholds)]
 
 
-def quantize(batch: SnapshotBatch, q: QuantizerConfig,
-             scale: np.ndarray | None = None) -> SnapshotBatch:
-    """Quantize real and imaginary parts with the Lloyd-Max codebook.
+def quantize(samples: np.ndarray, bits,
+             scale: np.ndarray | None = None) -> np.ndarray:
+    """Quantize real and imaginary parts with the b-bit Lloyd-Max codebook.
 
-    The codebook is scaled per channel by the RMS of the batch (per real
-    dimension), an automatic gain control matching the AQNM assumption.
-    Pass ``scale`` to reuse a fixed codebook scaling; the scale used is
-    stored in ``meta['quant_scale']``.  All-zero channels produce zeros and
-    are flagged in ``meta['degenerate_channels']``.
+    ``samples`` is a channels x snapshots array.  The codebook is scaled per
+    channel by the RMS of the samples (per real dimension), an automatic
+    gain control matching the AQNM assumption; pass ``scale`` to reuse a
+    fixed codebook scaling.  Channels whose scale is zero come out as
+    zeros.  ``bits = math.inf`` returns an unquantized copy.
     """
-    if batch.stage not in (ELEMENT, ANALOG_COMBINED):
-        raise ValueError(f"cannot quantize stage {batch.stage!r}")
-    if q.bits == math.inf:
-        return SnapshotBatch(batch.samples.copy(), QUANTIZED,
-                             dict(batch.meta, quant_scale=None))
-    levels, thresholds, _ = lloyd_max_codebook(int(q.bits))
-    x = batch.samples
+    if bits == math.inf:
+        return samples.copy()
+    levels, thresholds, _ = lloyd_max_codebook(int(bits))
     if scale is None:
-        scale = np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2.0)
+        scale = np.sqrt(np.mean(np.abs(samples) ** 2, axis=1) / 2.0)
     scale = np.asarray(scale, dtype=float)
-    degenerate = np.flatnonzero(scale <= 0.0)
     safe = np.where(scale > 0.0, scale, 1.0)[:, None]
-    out = safe * (_quantize_real(x.real / safe, levels, thresholds)
-                  + 1j * _quantize_real(x.imag / safe, levels, thresholds))
-    out[degenerate] = 0.0
-    meta = dict(batch.meta, quant_scale=scale)
-    if degenerate.size:
-        meta["degenerate_channels"] = tuple(int(i) for i in degenerate)
-    return SnapshotBatch(out, QUANTIZED, meta)
+    out = safe * (_quantize_real(samples.real / safe, levels, thresholds)
+                  + 1j * _quantize_real(samples.imag / safe, levels, thresholds))
+    out[scale <= 0.0] = 0.0
+    return out
 
 
 def effective_snr(snr_linear: float, alpha: float) -> float:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doalab.arrays import (
-    AnalogWeights,
     ArrayConfig,
     EmitterScenario,
     SnapshotBatch,
@@ -134,39 +133,46 @@ class TestAnalogCombine:
         # M=1: combining permutes nothing and scales by 1
         cfg = ArrayConfig(4, 1, 4, 0)
         scen = EmitterScenario.single_emitter(5.0, 10.0, 8)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(0))
-        out = analog_combine(batch, cfg, AnalogWeights.broadside(cfg))
-        np.testing.assert_allclose(out.samples, batch.samples)
+        x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
+        np.testing.assert_allclose(analog_combine(x, cfg), x)
 
     def test_stage_contract(self):
+        # the input must be element-level: a combined array has k_sub rows
         cfg = ArrayConfig(4, 2, 2, 0)
         scen = EmitterScenario.single_emitter(5.0, 10.0, 4)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(0))
-        out = analog_combine(batch, cfg, AnalogWeights.broadside(cfg))
-        assert out.stage == "analog-combined"
+        x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
+        out = analog_combine(x, cfg)
+        assert out.shape == (cfg.n_channels, 4)
         with pytest.raises(ValueError):
-            analog_combine(out, cfg, AnalogWeights.broadside(cfg))
+            analog_combine(out, cfg)
+
+    def test_steer_length_checked(self):
+        cfg = ArrayConfig.pure_had(8, 2)
+        x = np.zeros((8, 1), dtype=complex)
+        for u_steer in ([0.1], np.zeros(3), np.zeros((4, 1))):
+            with pytest.raises(ValueError):
+                analog_combine(x, cfg, u_steer)
+        assert analog_combine(x, cfg, np.zeros(4)).shape == (4, 1)
 
     def test_matched_steering_coherent_gain(self):
         u = 0.37
         cfg = ArrayConfig.pure_had(16, 4)
         scen = EmitterScenario((np.degrees(np.arcsin(u)),), (1.0,),
                                noise_power=1e-30, n_snapshots=3)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(2))
-        out = analog_combine(batch, cfg, AnalogWeights.steered(cfg, u))
+        x = synthesize_snapshots(cfg, scen, trial_rng(2)).samples
+        out = analog_combine(x, cfg, u)
         # channel k = sqrt(M) exp(i 2 pi d M k u) s(t) up to shared phase
         kk = np.arange(cfg.k_sub)
         expected = 2.0 * np.exp(2j * np.pi * 0.5 * 4 * kk * u)
         for t in range(3):
-            ratio = out.samples[:, t] / expected
+            ratio = out[:, t] / expected
             np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
     def test_noise_power_preserved(self):
         cfg = ArrayConfig.two_layer(16, 4, 0.25)
         scen = EmitterScenario.noise_only(12_000)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(11))
-        out = analog_combine(batch, cfg, AnalogWeights.steered(cfg, 0.33))
-        power = np.mean(np.abs(out.samples) ** 2, axis=1)
+        x = synthesize_snapshots(cfg, scen, trial_rng(11)).samples
+        power = np.mean(np.abs(analog_combine(x, cfg, 0.33)) ** 2, axis=1)
         np.testing.assert_allclose(power, 1.0, atol=4.0 / np.sqrt(12_000))
 
     @given(st.floats(-0.9, 0.9))
@@ -176,25 +182,25 @@ class TestAnalogCombine:
         cfg = ArrayConfig.pure_had(12, 3)
         scen = EmitterScenario((float(np.degrees(np.arcsin(u))),),
                                (1.0,), noise_power=1e-30, n_snapshots=1)
-        batch = synthesize_snapshots(cfg, scen, trial_rng(0))
-        out = analog_combine(batch, cfg, AnalogWeights.steered(cfg, u))
-        ratios = out.samples[1:, 0] / out.samples[:-1, 0]
+        x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
+        out = analog_combine(x, cfg, u)
+        ratios = out[1:, 0] / out[:-1, 0]
         np.testing.assert_allclose(
             ratios, np.exp(2j * np.pi * 3 * 0.5 * u), rtol=1e-8)
 
 
 class TestAnalogWeights:
-    def test_modulus_enforced(self):
-        with pytest.raises(ValueError):
-            AnalogWeights(np.ones((2, 4)))
-
     def test_steered_modulus(self):
+        # a unit impulse on element m reads out conj(w_m) on its own
+        # subarray's channel alone: every phase has modulus 1/sqrt(M)
         cfg = ArrayConfig.pure_had(8, 4)
-        w = AnalogWeights.steered(cfg, 0.4)
-        np.testing.assert_allclose(np.abs(w.weights), 0.5)
+        for u_steer in (0.4, [0.4, -0.7]):
+            w = analog_combine(np.eye(cfg.n_total, dtype=complex), cfg, u_steer)
+            assert np.all(np.count_nonzero(w, axis=0) == 1)
+            np.testing.assert_allclose(np.abs(w).sum(axis=0), 0.5)
 
 
 class TestSnapshotBatch:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            SnapshotBatch(np.array([[np.nan + 0j]]), "element")
+            SnapshotBatch(np.array([[np.nan + 0j]]))

@@ -5,8 +5,6 @@ import pytest
 
 from doalab.arrays import ArrayConfig
 from doalab.crlb import (
-    RAD2_TO_DEG2,
-    CrlbReport,
     crlb_fd,
     crlb_fd_closed_form,
     crlb_had,
@@ -152,10 +150,3 @@ class TestQuantizedBound:
     def test_monotone_in_bits(self):
         vals = [crlb_quantized(1.0, b, 0.0) for b in (1, 2, 3, 4, math.inf)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
-
-
-class TestCrlbReport:
-    def test_unit_conversions(self):
-        rep = CrlbReport("fd", 0.0, 0.0, 10, 1e-6)
-        assert rep.crlb_deg2 == pytest.approx(1e-6 * RAD2_TO_DEG2)
-        assert rep.rmse_deg == pytest.approx(math.sqrt(1e-6 * RAD2_TO_DEG2))

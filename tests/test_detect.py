@@ -5,7 +5,6 @@ from doalab.arrays import ArrayConfig, EmitterScenario
 from doalab.detect import (
     auc,
     calibrate_threshold,
-    decide,
     glrt_statistic,
     h0_statistics,
     maxmin_statistic,
@@ -48,13 +47,6 @@ class TestStatistics:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             glrt_statistic(np.array([2.0, 1.0]), "nope")
-
-
-class TestDecide:
-    def test_roundtrip(self):
-        r = decide(3.0, 2.0, "maxmin")
-        assert r.decision is True
-        assert decide(2.0, 2.0, "maxmin").decision is False
 
 
 class TestCalibration:

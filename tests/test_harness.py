@@ -324,3 +324,18 @@ class TestCli:
         rc = cli_main(["roc", "--config", cfg_path])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("loss-bits", "[quant]\nbits = 0\n"),
+        ("loss-bits", "[quant]\nbits = 1,2.5\n"),
+        ("loss-bits", "[quant]\nempirical_trials = 0\n"),
+        ("rmse-eta", "[rmse]\neta_grid = 0.25,1.5\n"),
+    ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one"])
+    def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
+        cfg_path = _write_config(tmp_path / "c.ini", "[run]\ntrials = 100\n" + text)
+        # rejected while loading, before any curve point runs
+        with pytest.raises(ConfigError):
+            load_config(experiment, cfg_path)
+        assert cli_main([experiment, "--config", cfg_path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err

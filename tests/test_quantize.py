@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doalab.arrays import SnapshotBatch
 from doalab.quantize import (
-    QuantizerConfig,
     distortion_factor,
     effective_snr,
     lloyd_max_codebook,
@@ -96,81 +94,60 @@ class TestLloydMax:
             distortion_factor(0.5)
 
 
-class TestQuantizerConfig:
-    def test_from_bits(self):
-        q = QuantizerConfig.from_bits(2)
-        assert q.alpha == pytest.approx(1.0 - q.rho)
-        assert q.rho == pytest.approx(RHO_TABLE[2], abs=2e-4)
-
-    def test_inconsistent_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(2, 0.1, 0.5)
-
-    def test_infinite(self):
-        q = QuantizerConfig.from_bits(math.inf)
-        assert q.rho == 0.0 and q.alpha == 1.0
-
-
 def _gaussian_batch(n_ch, n_t, seed=0, power=1.0):
     rng = trial_rng(seed)
-    x = np.sqrt(power / 2) * (rng.standard_normal((n_ch, n_t))
-                              + 1j * rng.standard_normal((n_ch, n_t)))
-    return SnapshotBatch(x, "element")
+    return np.sqrt(power / 2) * (rng.standard_normal((n_ch, n_t))
+                                 + 1j * rng.standard_normal((n_ch, n_t)))
+
+
+def _rms_scale(x):
+    return np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2)
 
 
 class TestQuantize:
     def test_empirical_distortion_matches_rho(self):
         # MC estimate of E|x - q(x)|^2 / E|x|^2 for Gaussian input
-        batch = _gaussian_batch(4, 100_000, seed=5)
+        x = _gaussian_batch(4, 100_000, seed=5)
         for b in (1, 2, 3):
-            q = QuantizerConfig.from_bits(b)
-            out = quantize(batch, q, scale=np.full(4, np.sqrt(0.5)))
-            err = np.mean(np.abs(out.samples - batch.samples) ** 2)
-            pwr = np.mean(np.abs(batch.samples) ** 2)
+            out = quantize(x, b, scale=np.full(4, np.sqrt(0.5)))
+            err = np.mean(np.abs(out - x) ** 2)
+            pwr = np.mean(np.abs(x) ** 2)
             assert err / pwr == pytest.approx(distortion_factor(b), rel=0.02)
 
     def test_aqnm_gain(self):
-        # E[q(x) x*] / E|x|^2 -> alpha for a centroid codebook
-        batch = _gaussian_batch(1, 400_000, seed=9)
+        # E[q(x) x*] / E|x|^2 -> alpha = 1 - rho for a centroid codebook
+        x = _gaussian_batch(1, 400_000, seed=9)
         for b in (1, 2, 3):
-            q = QuantizerConfig.from_bits(b)
-            out = quantize(batch, q, scale=np.full(1, np.sqrt(0.5)))
-            corr = np.mean(out.samples * np.conj(batch.samples)).real
-            pwr = np.mean(np.abs(batch.samples) ** 2)
-            assert corr / pwr == pytest.approx(q.alpha, abs=5e-3)
+            out = quantize(x, b, scale=np.full(1, np.sqrt(0.5)))
+            corr = np.mean(out * np.conj(x)).real
+            pwr = np.mean(np.abs(x) ** 2)
+            assert corr / pwr == pytest.approx(1.0 - distortion_factor(b), abs=5e-3)
 
     def test_one_bit_is_scaled_sign(self):
-        batch = _gaussian_batch(2, 64, seed=1)
-        out = quantize(batch, QuantizerConfig.from_bits(1))
-        scale = out.meta["quant_scale"]
-        expected = scale[:, None] * np.sqrt(2 / np.pi) * (
-            np.sign(batch.samples.real) + 1j * np.sign(batch.samples.imag))
-        np.testing.assert_allclose(out.samples, expected, atol=1e-12)
+        x = _gaussian_batch(2, 64, seed=1)
+        out = quantize(x, 1)
+        expected = _rms_scale(x)[:, None] * np.sqrt(2 / np.pi) * (
+            np.sign(x.real) + 1j * np.sign(x.imag))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_auto_scale_is_per_channel_rms(self):
-        batch = _gaussian_batch(3, 5000, seed=2, power=4.0)
-        out = quantize(batch, QuantizerConfig.from_bits(2))
-        rms = np.sqrt(np.mean(np.abs(batch.samples) ** 2, axis=1) / 2)
-        np.testing.assert_allclose(out.meta["quant_scale"], rms)
+        x = _gaussian_batch(3, 5000, seed=2, power=4.0)
+        np.testing.assert_array_equal(quantize(x, 2),
+                                      quantize(x, 2, scale=_rms_scale(x)))
+        assert not np.array_equal(quantize(x, 2),
+                                  quantize(x, 2, scale=np.ones(3)))
 
     def test_infinite_bits_passthrough(self):
-        batch = _gaussian_batch(2, 16)
-        out = quantize(batch, QuantizerConfig.from_bits(math.inf))
-        np.testing.assert_array_equal(out.samples, batch.samples)
-        assert out.stage == "quantized"
+        x = _gaussian_batch(2, 16)
+        out = quantize(x, math.inf)
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, x)
 
     def test_degenerate_channel_flagged(self):
         x = np.vstack([np.zeros(8), np.ones(8)]).astype(complex)
-        batch = SnapshotBatch(x, "element")
-        out = quantize(batch, QuantizerConfig.from_bits(2))
-        assert out.meta["degenerate_channels"] == (0,)
-        np.testing.assert_array_equal(out.samples[0], 0.0)
-
-    def test_stage_guard(self):
-        batch = _gaussian_batch(2, 16)
-        out = quantize(batch, QuantizerConfig.from_bits(2))
-        with pytest.raises(ValueError):
-            quantize(out, QuantizerConfig.from_bits(2))
+        out = quantize(x, 2)
+        np.testing.assert_array_equal(out[0], 0.0)
+        assert np.all(out[1] != 0.0)
 
 
 class TestEffectiveSnr:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from doalab import spectral
 from doalab.arrays import (
-    AnalogWeights,
     ArrayConfig,
     EmitterScenario,
     analog_combine,
@@ -235,12 +234,12 @@ def _miss_case(trial, snr_db, block):
     the wrong root: trial ``trial`` of the eta = 0.0625 array, theta = 15."""
     cfg = ArrayConfig.two_layer(64, 4, 0.0625)
     scen = EmitterScenario.single_emitter(15.0, snr_db, 1)
-    batch = analog_combine(
-        synthesize_snapshots(cfg, scen, trial_rng(242478359331798, trial)),
-        cfg, AnalogWeights.broadside(cfg))
+    x = analog_combine(
+        synthesize_snapshots(cfg, scen, trial_rng(242478359331798, trial)).samples,
+        cfg)
     if block == "had":
-        return sample_covariance(batch.samples[: cfg.k_sub]), cfg.m_sub * cfg.spacing
-    return sample_covariance(batch.samples[cfg.k_sub:]), cfg.spacing
+        return sample_covariance(x[: cfg.k_sub]), cfg.m_sub * cfg.spacing
+    return sample_covariance(x[cfg.k_sub:]), cfg.spacing
 
 
 class TestCertifiedRoot:
