@@ -108,6 +108,21 @@ SCHEMA = {
     },
 }
 
+# numeric settings with the values load_config accepts; anything else
+# would fail deep inside a run instead of as a config error
+BOUNDS = (
+    ("run.trials", int, lambda v: v >= 100, "at least 100"),
+    ("run.workers", int, lambda v: v >= 1, "at least 1"),
+    ("array.m_sub", int, lambda v: v >= 1, "at least 1"),
+    ("array.fd_proportion", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("array.spacing", float, lambda v: v > 0, "positive"),
+    ("scenario.n_snapshots", int, lambda v: v >= 1, "at least 1"),
+    ("scenario.t_snapshots", int, lambda v: v >= 1, "at least 1"),
+    ("quant.n_antennas", int, lambda v: v >= 2, "at least 2"),
+    ("quant.n_snapshots", int, lambda v: v >= 1, "at least 1"),
+    ("quant.empirical_trials", int, lambda v: v >= 1, "at least 1"),
+)
+
 DEFAULT_TRIALS = {
     "roc": 10_000,
     "rmse-snr": 2_000,
@@ -174,33 +189,26 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         values["run.out"] = str(out)
     if workers is not None:
         values["run.workers"] = str(workers)
+    values["run.trials"] = values["run.trials"] or str(DEFAULT_TRIALS[experiment])
     try:
         seed_val = int(values["run.seed"])
-        trials = int(values["run.trials"] or DEFAULT_TRIALS[experiment])
-        workers_val = int(values["run.workers"])
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in [run]: {exc}") from None
-    if trials < 100:
-        raise ConfigError("trial count must be at least 100")
-    if workers_val < 1:
-        raise ConfigError("workers must be at least 1")
-    if values["scenario.signal_model"] not in (CONSTANT_MODULUS, GAUSSIAN):
-        raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
-    try:
+        num = {key: conv(values[key]) for key, conv, _, _ in BOUNDS}
         bits = _parse_list(values["quant.bits"], int)
-        emp_trials = int(values["quant.empirical_trials"])
         eta_grid = _parse_list(values["rmse.eta_grid"])
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value in [quant] or [rmse]: {exc}") from None
+        raise ConfigError(f"bad numeric value: {exc}") from None
+    for key, _, accept, meaning in BOUNDS:
+        if not accept(num[key]):
+            raise ConfigError(f"{key} must be {meaning}, got {values[key]}")
+    if values["scenario.signal_model"] not in (CONSTANT_MODULUS, GAUSSIAN):
+        raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
     if any(b < 1 for b in bits):
         raise ConfigError("quant bits must be integers of at least 1")
-    if emp_trials < 1:
-        raise ConfigError("quant empirical_trials must be at least 1")
     if not all(0.0 < eta <= 1.0 for eta in eta_grid):
         raise ConfigError("eta grid values must lie in (0, 1]")
-    values["run.trials"] = str(trials)
-    return ExperimentConfig(experiment, values, seed_val, trials,
-                            values["run.out"], workers_val)
+    values["run.trials"] = str(num["run.trials"])
+    return ExperimentConfig(experiment, values, seed_val, num["run.trials"],
+                            values["run.out"], num["run.workers"])
 
 
 def _fmt(x) -> str:
@@ -292,9 +300,7 @@ def make_detection_dataset_factory(n_total, l_snapshots, snr_db,
                             workers, jitter_db, offset=n_h0)
         feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
-        return TrainingSet(feats, labels, dict(
-            n_total=n_total, l_snapshots=l_snapshots, snr_db=snr_db,
-            jitter_db=jitter_db, seed=seed))
+        return TrainingSet(feats, labels)
 
     return factory
 

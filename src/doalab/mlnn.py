@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import TrainingError
 from .rng import trial_rng
-from .spectral import CovarianceEstimate
 
 MODEL_FORMAT_VERSION = 1
 
@@ -169,11 +168,10 @@ def batch_loss(model: MlnnModel, features, labels, loss_kind=LOSS_MSE) -> float:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Eigenvalue features (rows) with binary labels and provenance."""
+    """Eigenvalue features (rows) with binary labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
@@ -203,14 +201,14 @@ class Hyper:
             raise ValueError("learning rate must be nonnegative")
 
 
-def eig_features(cov) -> np.ndarray:
+def eig_features(eigs) -> np.ndarray:
     """Eigenvalues sorted descending and normalized by their sum.
 
-    Accepts a CovarianceEstimate, a sorted eigenvalue vector, or a matrix
-    of them, one trial per row, normalized row by row.  The normalization
-    makes the detector blind to absolute noise power.
+    Accepts a sorted eigenvalue vector, or a matrix of them, one trial per
+    row, normalized row by row.  The normalization makes the detector blind
+    to absolute noise power.
     """
-    eigs = cov.eigenvalues if isinstance(cov, CovarianceEstimate) else np.asarray(cov, float)
+    eigs = np.asarray(eigs, float)
     total = eigs.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("degenerate covariance: nonpositive trace")
@@ -266,7 +264,6 @@ def standardization_from(data: TrainingSet):
     return center, scale
 
 
-DEFAULT_SHAPES = tuple((width,) * depth for depth in (1, 2, 3) for width in (16, 32, 64))
 STAGE1_SHAPE = (32,)
 
 

@@ -51,8 +51,9 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 100):
     is tridiagonal.  Stops once no level is more than ``tol`` from its
     centroid.
     """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    if not (float(bits).is_integer() and bits >= 1):
+        raise ValueError(f"bits must be a whole number >= 1, got {bits}")
+    bits = int(bits)
     if bits in _codebook_cache:
         return _codebook_cache[bits]
     from scipy.linalg import solve_banded
@@ -84,9 +85,7 @@ def distortion_factor(bits) -> float:
     """Minimum MSE of a b-bit Lloyd-Max quantizer for unit-variance Gaussian input."""
     if bits == math.inf:
         return 0.0
-    if bits < 1:
-        raise ValueError("bits must be >= 1 or infinite")
-    return lloyd_max_codebook(int(bits))[2]
+    return lloyd_max_codebook(bits)[2]
 
 
 def _quantize_real(x: np.ndarray, levels: np.ndarray, thresholds: np.ndarray):
@@ -105,7 +104,7 @@ def quantize(samples: np.ndarray, bits,
     """
     if bits == math.inf:
         return samples.copy()
-    levels, thresholds, _ = lloyd_max_codebook(int(bits))
+    levels, thresholds, _ = lloyd_max_codebook(bits)
     if scale is None:
         scale = np.sqrt(np.mean(np.abs(samples) ** 2, axis=1) / 2.0)
     scale = np.asarray(scale, dtype=float)

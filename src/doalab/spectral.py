@@ -9,31 +9,19 @@ from .errors import EstimationError
 
 @dataclass
 class CovarianceEstimate:
-    """Hermitian sample covariance with its sorted eigendecomposition.
-
-    Eigenvalues are sorted descending; eigenvector phases are fixed by
-    making the largest-magnitude component of each column real-positive,
-    so decompositions are deterministic.
-    """
+    """Hermitian sample covariance with its eigendecomposition, eigenvalues
+    sorted descending."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    n_snapshots: int
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vecs), axis=0)
-    ref = vecs[idx, np.arange(vecs.shape[1])]
-    phase = ref / np.where(np.abs(ref) > 0, np.abs(ref), 1.0)
-    return vecs / phase
-
-
-def sample_covariance(samples, n_snapshots: int | None = None) -> CovarianceEstimate:
+def sample_covariance(samples) -> CovarianceEstimate:
     """R_hat = (1/L) sum_t x(t) x(t)^H with eigendecomposition attached.
 
     Accepts a SnapshotBatch or a plain channels x snapshots array.
@@ -41,36 +29,27 @@ def sample_covariance(samples, n_snapshots: int | None = None) -> CovarianceEsti
     x = np.asarray(getattr(samples, "samples", samples), dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("need a channels x snapshots array with >= 1 snapshot")
-    l = x.shape[1]
-    r = x @ x.conj().T / l
+    r = x @ x.conj().T / x.shape[1]
     r = (r + r.conj().T) / 2.0  # enforce exact Hermitian symmetry
-    w, v = np.linalg.eigh(r)
-    order = np.argsort(w)[::-1]
-    return CovarianceEstimate(r, w[order], _fix_phases(v[:, order]),
-                              n_snapshots if n_snapshots is not None else l)
-
-
-def noise_projector(cov: CovarianceEstimate, n_sources: int) -> np.ndarray:
-    """Projector E_n E_n^H onto the noise subspace."""
-    en = cov.eigenvectors[:, n_sources:]
-    return en @ en.conj().T
+    w, v = np.linalg.eigh(r)  # ascending
+    return CovarianceEstimate(r, w[::-1], v[:, ::-1])
 
 
 def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray:
-    """Coefficients (highest degree first) of z^(P-1) * a(1/z)^H C a(z).
+    """Coefficients (highest degree first) of z^(P-1) * a(1/z)^H C a(z), with
+    C = I - E_s E_s^H the projector onto the noise subspace.
 
-    The coefficient of z^l is the sum of the l-th superdiagonal of C.  One
-    column sum gives them all: row i of C is written reversed into a row of
-    length 2P and read back with row length 2P-1, so entry (i, j) lands in
-    column P-1-(j-i).  The subdiagonal sums are taken as the conjugates of
-    the superdiagonal ones, since C is Hermitian; the polynomial is then
-    exactly self-reciprocal and real on the unit circle.
+    The coefficient of z^l is the sum of the l-th superdiagonal of C:
+    P delta_l minus the lag-l autocorrelation sum_i e[i] conj(e[i+l]) of
+    each signal eigenvector e.  The subdiagonal sums are taken as the
+    conjugates of the superdiagonal ones, since C is Hermitian; the
+    polynomial is then exactly self-reciprocal and real on the unit circle.
     """
-    c = noise_projector(cov, n_sources)
-    p = c.shape[0]
-    buf = np.zeros((p, 2 * p), dtype=complex)
-    buf[:, :p] = c[:, ::-1]
-    upper = buf.ravel()[: p * (2 * p - 1)].reshape(p, 2 * p - 1)[:, :p].sum(axis=0)
+    p = cov.dim
+    # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
+    upper = -sum(np.correlate(e, e, "full")[:p]
+                 for e in cov.eigenvectors[:, :n_sources].T)
+    upper[-1] += p
     return np.concatenate((upper[:-1], [upper[-1].real], np.conj(upper[-2::-1])))
 
 

@@ -330,7 +330,16 @@ class TestCli:
         ("loss-bits", "[quant]\nbits = 1,2.5\n"),
         ("loss-bits", "[quant]\nempirical_trials = 0\n"),
         ("rmse-eta", "[rmse]\neta_grid = 0.25,1.5\n"),
-    ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one"])
+        ("rmse-snr", "[array]\nm_sub = 0\n"),
+        ("rmse-snr", "[array]\nfd_proportion = 2\n"),
+        ("rmse-snr", "[array]\nspacing = 0\n"),
+        ("rmse-snr", "[scenario]\nt_snapshots = 0\n"),
+        ("roc", "[scenario]\nn_snapshots = 0\n"),
+        ("loss-bits", "[quant]\nn_antennas = 1\n"),
+        ("loss-bits", "[quant]\nn_snapshots = 0\n"),
+    ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
+            "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
+            "no-n-snapshots", "one-antenna", "no-quant-snapshots"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         cfg_path = _write_config(tmp_path / "c.ini", "[run]\ntrials = 100\n" + text)
         # rejected while loading, before any curve point runs

@@ -172,7 +172,7 @@ class TestTrainingSet:
 class TestEigFeatures:
     def test_sum_to_one(self):
         x = trial_rng(0).standard_normal((6, 40)) * (1 + 0j)
-        f = eig_features(sample_covariance(x))
+        f = eig_features(sample_covariance(x).eigenvalues)
         assert f.sum() == pytest.approx(1.0)
         assert np.all(np.diff(f) <= 1e-12)
 

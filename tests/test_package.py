@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import types
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import doalab
+from doalab.harness import load_config, run_loss_bits, run_rmse_snr
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(doalab.__path__))
 
@@ -25,15 +27,17 @@ def test_import_as_gives_the_module(name):
     assert scope["m"] is importlib.import_module(f"doalab.{name}")
 
 
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
 def _traced_functions():
     """(module, function) pairs the benchmark tracer wraps, read from the
     ``TRACED`` table of ``perfbench/spans.py`` without importing it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    for node in ast.parse(path.read_text()).body:
+    for node in ast.parse(SPANS.read_text()).body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "TRACED" for t in node.targets):
             return [(mod, fn) for mod, fn, _ in ast.literal_eval(node.value)]
-    raise AssertionError(f"no TRACED table in {path}")
+    raise AssertionError(f"no TRACED table in {SPANS}")
 
 
 def test_traced_functions_exist():
@@ -42,3 +46,28 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"doalab.{mod}"),
                                        fn, None))]
     assert not missing
+
+
+def test_tracer_runs_experiments(tmp_path):
+    # the tracer reads arguments and results of the functions it wraps (the
+    # channel count of root_music's covariance, the snapshot array, the
+    # estimates), so an interface change there breaks traced runs
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(
+        "[run]\ntrials = 100\nworkers = 1\n[scenario]\nsnr_db_list = 10\n"
+        "[quant]\nbits = 2\nn_antennas = 8\nn_snapshots = 20\n"
+        "snr_db_list = 0\nempirical_trials = 10\n")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run_rmse_snr(load_config("rmse-snr", str(cfg_path), out=str(tmp_path)))
+        run_loss_bits(load_config("loss-bits", str(cfg_path), out=str(tmp_path)))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for name in ("spectral.root_music.calls", "arrays.synthesize_snapshots.samples",
+                 "doa.tlhad_estimate.calls"):
+        assert metrics.get(name, 0) > 0, name

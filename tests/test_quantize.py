@@ -93,6 +93,12 @@ class TestLloydMax:
         with pytest.raises(ValueError):
             distortion_factor(0.5)
 
+    def test_fractional_bits_rejected(self):
+        # 2.5 bits must not be read as 2
+        assert distortion_factor(2.0) == distortion_factor(2)
+        with pytest.raises(ValueError):
+            distortion_factor(2.5)
+
 
 def _gaussian_batch(n_ch, n_t, seed=0, power=1.0):
     rng = trial_rng(seed)
@@ -122,6 +128,12 @@ class TestQuantize:
             corr = np.mean(out * np.conj(x)).real
             pwr = np.mean(np.abs(x) ** 2)
             assert corr / pwr == pytest.approx(1.0 - distortion_factor(b), abs=5e-3)
+
+    def test_fractional_bits_rejected(self):
+        x = _gaussian_batch(2, 16)
+        np.testing.assert_array_equal(quantize(x, 2.0), quantize(x, 2))
+        with pytest.raises(ValueError):
+            quantize(x, 2.5)
 
     def test_one_bit_is_scaled_sign(self):
         x = _gaussian_batch(2, 64, seed=1)
@@ -180,6 +192,10 @@ class TestEffectiveSnr:
 class TestPerformanceLoss:
     def test_infinite_bits_zero(self):
         assert performance_loss_db(math.inf, 0.0) == 0.0
+
+    def test_fractional_bits_rejected(self):
+        with pytest.raises(ValueError):
+            performance_loss_db(2.5, 0.0)
 
     def test_decreasing_in_bits(self):
         losses = [performance_loss_db(b, 0.0) for b in range(1, 7)]

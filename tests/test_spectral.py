@@ -15,7 +15,6 @@ from doalab.errors import EstimationError
 from doalab.rng import trial_rng
 from doalab.spectral import (
     music_spectrum_grid,
-    noise_projector,
     root_music,
     root_music_polynomial,
     sample_covariance,
@@ -27,6 +26,12 @@ def _snapshots(n, u_list, snr_db, l, seed=0):
     powers = tuple(10.0 ** (snr_db / 10.0) for _ in u_list)
     scen = EmitterScenario(theta, powers, n_snapshots=l)
     return synthesize_snapshots(ArrayConfig.fully_digital(n), scen, trial_rng(seed))
+
+
+def _noise_projector(cov, n_sources):
+    """E_n E_n^H from the noise eigenvectors: the oracle for the polynomial."""
+    en = cov.eigenvectors[:, n_sources:]
+    return en @ en.conj().T
 
 
 class TestSampleCovariance:
@@ -55,34 +60,15 @@ class TestSampleCovariance:
         v1 = sample_covariance(x).eigenvectors
         v2 = sample_covariance(x.copy()).eigenvectors
         np.testing.assert_array_equal(v1, v2)
-        # phase convention: largest-magnitude entry of each column is real-positive
-        idx = np.argmax(np.abs(v1), axis=0)
-        ref = v1[idx, np.arange(v1.shape[1])]
-        assert np.all(ref.real > 0) and np.all(np.abs(ref.imag) < 1e-12)
 
     def test_plain_array_accepted(self):
         rng = trial_rng(1)
         x = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
-        assert sample_covariance(x).n_snapshots == 10
+        assert sample_covariance(x).dim == 4
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             sample_covariance(np.zeros(4))
-
-
-class TestNoiseProjector:
-    def test_idempotent_and_rank(self):
-        cov = sample_covariance(_snapshots(8, [0.3], 10.0, 100))
-        c = noise_projector(cov, 1)
-        np.testing.assert_allclose(c @ c, c, atol=1e-10)
-        assert np.trace(c).real == pytest.approx(7.0)
-
-    def test_annihilates_steering_vector_noiseless(self):
-        u = 0.37
-        a = steering_vector(8, u)
-        x = np.outer(a, np.exp(2j * np.pi * trial_rng(0).random(12)))
-        c = noise_projector(sample_covariance(x), 1)
-        assert np.linalg.norm(c @ a) == pytest.approx(0.0, abs=1e-8)
 
 
 class TestRootMusicPolynomial:
@@ -101,11 +87,20 @@ class TestRootMusicPolynomial:
         for z in roots:
             assert np.min(np.abs(recip - z)) < 1e-6
 
+    def test_vanishes_at_source_noiseless(self):
+        u = 0.37
+        x = np.outer(steering_vector(8, u),
+                     np.exp(2j * np.pi * trial_rng(0).random(12)))
+        coeffs = root_music_polynomial(sample_covariance(x), 1)
+        assert abs(np.polyval(coeffs, np.exp(1j * np.pi * u))) == pytest.approx(
+            0.0, abs=1e-8)
+
     def test_matches_trace_sums(self):
-        # oracle: one np.trace per diagonal
-        for p, n_sources in ((5, 1), (16, 1), (33, 2)):
-            cov = sample_covariance(_snapshots(p, [0.1, -0.4][:n_sources], 0.0, 40))
-            c = noise_projector(cov, n_sources)
+        # oracle: one np.trace per diagonal of the noise projector
+        for p, n_sources, l in ((5, 1, 40), (16, 1, 40), (33, 2, 40),
+                                (64, 1, 40), (12, 1, 1)):
+            cov = sample_covariance(_snapshots(p, [0.1, -0.4][:n_sources], 0.0, l))
+            c = _noise_projector(cov, n_sources)
             traces = [np.trace(c, offset=l) for l in range(p - 1, -p, -1)]
             np.testing.assert_allclose(root_music_polynomial(cov, n_sources),
                                        traces, rtol=0, atol=1e-12)
@@ -117,7 +112,7 @@ class TestRootMusicPolynomial:
         for omega in (-2.0, 0.3, 1.1):
             z = np.exp(1j * omega)
             a = z ** np.arange(5)
-            direct = (a.conj() @ noise_projector(cov, 1) @ a).real
+            direct = (a.conj() @ _noise_projector(cov, 1) @ a).real
             poly = np.polyval(coeffs, z) / z ** 4
             assert poly.real == pytest.approx(direct, abs=1e-10)
 
@@ -193,7 +188,7 @@ class TestMusicSpectrumGrid:
     def test_matches_direct_evaluation(self):
         cov = sample_covariance(_snapshots(6, [0.2], 0.0, 40))
         u_grid, d = music_spectrum_grid(cov, 1, n_grid=512)
-        c = noise_projector(cov, 1)
+        c = _noise_projector(cov, 1)
         for j in (0, 100, 317, 511):
             a = steering_vector(6, u_grid[j])
             assert d[j] == pytest.approx((a.conj() @ c @ a).real, abs=1e-9)
