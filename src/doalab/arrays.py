@@ -8,6 +8,7 @@ fully-digitally.  Directions are handled internally as direction-sines
 ``u = sin(theta)``; degrees appear only at I/O boundaries.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,10 @@ class EmitterScenario:
             if not -90.0 < d < 90.0:
                 raise ValueError("directions must lie strictly inside (-90, 90) degrees")
         for p in self.powers:
-            if not p > 0:
-                raise ValueError("emitter powers must be positive")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
+            if not 0 < p < math.inf:
+                raise ValueError("emitter powers must be positive and finite")
+        if not 0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be positive and finite")
         if self.n_snapshots < 1:
             raise ValueError("need at least one snapshot")
         if self.signal_model not in (CONSTANT_MODULUS, GAUSSIAN):

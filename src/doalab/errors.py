@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class EstimationError(RuntimeError):
-    """A DOA estimator could not produce a valid estimate."""
+    """A DOA estimate or a detection trial's eigenvalues could not be computed."""
 
 
 class TrainingError(RuntimeError):

@@ -29,7 +29,15 @@ from .arrays import (
     synthesize_snapshots,
 )
 from .crlb import RAD2_TO_DEG2, crlb_had, crlb_tlhad
-from .detect import BATCH, glrt_statistic, maxmin_statistic, roc_points, trial_eigs
+from .detect import (
+    BATCH,
+    GLRT_MAX_OVER_MEAN,
+    GLRT_SPHERICITY,
+    glrt_statistic,
+    maxmin_statistic,
+    roc_points,
+    trial_eigs,
+)
 from .doa import (
     METHOD_CLASSIC,
     METHOD_FHAD,
@@ -113,15 +121,23 @@ SCHEMA = {
 BOUNDS = (
     ("run.trials", int, lambda v: v >= 100, "at least 100"),
     ("run.workers", int, lambda v: v >= 1, "at least 1"),
+    ("array.n_total", int, lambda v: v >= 2, "at least 2"),
     ("array.m_sub", int, lambda v: v >= 1, "at least 1"),
     ("array.fd_proportion", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("array.spacing", float, lambda v: v > 0, "positive"),
+    ("scenario.snr_db", float, math.isfinite, "finite"),
+    ("scenario.theta_deg", float, lambda v: -90.0 < v < 90.0, "in (-90, 90)"),
     ("scenario.n_snapshots", int, lambda v: v >= 1, "at least 1"),
     ("scenario.t_snapshots", int, lambda v: v >= 1, "at least 1"),
     ("quant.n_antennas", int, lambda v: v >= 2, "at least 2"),
     ("quant.n_snapshots", int, lambda v: v >= 1, "at least 1"),
     ("quant.empirical_trials", int, lambda v: v >= 1, "at least 1"),
+    ("mlnn.snr_jitter_db", float, lambda v: 0.0 <= v < math.inf,
+     "finite and nonnegative"),
 )
+
+# SNR lists, in dB; every value must be finite
+SNR_LISTS = ("scenario.snr_db_list", "rmse.eta_snr_db_list", "quant.snr_db_list")
 
 DEFAULT_TRIALS = {
     "roc": 10_000,
@@ -195,20 +211,37 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         num = {key: conv(values[key]) for key, conv, _, _ in BOUNDS}
         bits = _parse_list(values["quant.bits"], int)
         eta_grid = _parse_list(values["rmse.eta_grid"])
+        snr_lists = {key: _parse_list(values[key]) for key in SNR_LISTS}
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from None
     for key, _, accept, meaning in BOUNDS:
         if not accept(num[key]):
             raise ConfigError(f"{key} must be {meaning}, got {values[key]}")
+    for key, snrs in snr_lists.items():
+        if not all(map(math.isfinite, snrs)):
+            raise ConfigError(f"{key} values must be finite, got {values[key]}")
     if values["scenario.signal_model"] not in (CONSTANT_MODULUS, GAUSSIAN):
         raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
+    if values["detect.glrt_form"] not in (GLRT_MAX_OVER_MEAN, GLRT_SPHERICITY):
+        raise ConfigError(f"unknown GLRT form {values['detect.glrt_form']!r}")
     if any(b < 1 for b in bits):
         raise ConfigError("quant bits must be integers of at least 1")
     if not all(0.0 < eta <= 1.0 for eta in eta_grid):
         raise ConfigError("eta grid values must lie in (0, 1]")
     values["run.trials"] = str(num["run.trials"])
-    return ExperimentConfig(experiment, values, seed_val, num["run.trials"],
-                            values["run.out"], num["run.workers"])
+    config = ExperimentConfig(experiment, values, seed_val, num["run.trials"],
+                              values["run.out"], num["run.workers"])
+    # the subarray partition couples several keys, so only the arrays built
+    # from all of them can tell whether they fit together
+    try:
+        config.array_config()
+        if experiment == "rmse-eta":
+            for eta in eta_grid:
+                ArrayConfig.two_layer(num["array.n_total"], num["array.m_sub"],
+                                      eta, num["array.spacing"])
+    except ValueError as exc:
+        raise ConfigError(f"[array] settings do not fit together: {exc}") from None
+    return config
 
 
 def _fmt(x) -> str:
@@ -261,15 +294,18 @@ def _rms(x) -> float:
 
 def _detection_block(params, seed, trials):
     n_total, l_snapshots, snr_db, jitter_db, hypothesis = params
+    # the eigenvalue law does not depend on the direction (trial_eigs), so
+    # every emitter sits at broadside
+    if hypothesis == 0:
+        scen = EmitterScenario.noise_only(l_snapshots)
+    else:
+        scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots)
 
     def scen_for(rng):
-        if hypothesis == 0:
-            return EmitterScenario.noise_only(l_snapshots)
-        theta = rng.uniform(-90.0, 90.0)
-        # keep strictly inside the open interval
-        theta = min(max(theta, -89.999), 89.999)
-        snr = snr_db + (rng.uniform(-jitter_db, jitter_db) if jitter_db else 0.0)
-        return EmitterScenario.single_emitter(theta, snr, l_snapshots)
+        if hypothesis == 0 or not jitter_db:
+            return scen
+        snr = snr_db + rng.uniform(-jitter_db, jitter_db)
+        return EmitterScenario.single_emitter(0.0, snr, l_snapshots)
 
     return trial_eigs(ArrayConfig.fully_digital(n_total), scen_for, seed,
                       trials.start, trials.stop)
@@ -347,8 +383,8 @@ def run_roc(config: ExperimentConfig, model=None):
     scores = {}
     for tag, eigs in (("h0", e0), ("h1", e1)):
         scores[tag] = {
-            "glrt": np.array([glrt_statistic(e, glrt_form) for e in eigs]),
-            "r-maxev-minev": np.array([maxmin_statistic(e) for e in eigs]),
+            "glrt": glrt_statistic(eigs, glrt_form),
+            "r-maxev-minev": maxmin_statistic(eigs),
             "mlnn": forward(model, eig_features(eigs)),
         }
     rows = []

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import TrainingError
 from .rng import trial_rng
@@ -28,18 +29,9 @@ LOSS_MSE = "mse"
 LOSS_CROSS_ENTROPY = "cross-entropy"
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _act(z, kind):
     if kind == SIGMOID:
-        return _sigmoid(z)
+        return expit(z)
     if kind == TANH:
         return np.tanh(z)
     if kind == RELU:

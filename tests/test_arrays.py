@@ -57,6 +57,18 @@ class TestEmitterScenario:
         scen = EmitterScenario.noise_only(16)
         assert scen.n_emitters == 0
 
+    @pytest.mark.parametrize("powers,noise_power", [
+        ((np.inf,), 1.0), ((np.nan,), 1.0), ((1.0,), np.inf),
+        ((1.0,), np.nan), ((), np.inf)])
+    def test_non_finite_powers_rejected(self, powers, noise_power):
+        with pytest.raises(ValueError):
+            EmitterScenario((0.0,) * len(powers), powers, noise_power)
+
+    def test_overflowing_snr_rejected(self):
+        # 1e400 dB parses as an infinite SNR
+        with pytest.raises(ValueError):
+            EmitterScenario.single_emitter(0.0, float("1e400"), 16)
+
 
 class TestSteeringVector:
     def test_broadside_all_ones(self):

@@ -1,7 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from doalab.arrays import ArrayConfig, EmitterScenario
+from doalab.arrays import (
+    CONSTANT_MODULUS,
+    GAUSSIAN,
+    ArrayConfig,
+    EmitterScenario,
+    synthesize_snapshots,
+)
 from doalab.detect import (
     auc,
     calibrate_threshold,
@@ -11,7 +20,10 @@ from doalab.detect import (
     pd_at_fap,
     roc_curve,
     roc_points,
+    trial_eigs,
 )
+from doalab.errors import EstimationError
+from doalab.rng import trial_rng
 
 
 class TestStatistics:
@@ -47,6 +59,32 @@ class TestStatistics:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             glrt_statistic(np.array([2.0, 1.0]), "nope")
+
+    def test_vector_input_gives_float(self):
+        eigs = np.array([4.0, 2.0, 1.0])
+        for value in (maxmin_statistic(eigs), glrt_statistic(eigs),
+                      glrt_statistic(eigs, "sphericity")):
+            assert type(value) is float
+
+    def test_rows_match_per_row(self):
+        # random descending rows, with degenerate ones: a zero smallest
+        # eigenvalue, an all-zero row and a negative rounding residue
+        rng = np.random.default_rng(3)
+        eigs = -np.sort(-rng.gamma(2.0, size=(60, 7)), axis=1)
+        eigs[5, -1] = 0.0
+        eigs[11] = 0.0
+        eigs[17, -2:] = -1e-17
+        cases = [(maxmin_statistic, [5, 11, 17]),
+                 (lambda e: glrt_statistic(e, "max-over-mean"), [11]),
+                 (lambda e: glrt_statistic(e, "sphericity"), [5, 11, 17])]
+        for fn, degenerate in cases:
+            rows = fn(eigs)
+            each = np.array([fn(e) for e in eigs])
+            assert rows.shape == (60,)
+            assert np.flatnonzero(np.isinf(rows)).tolist() == degenerate
+            assert np.flatnonzero(np.isinf(each)).tolist() == degenerate
+            fin = np.isfinite(each)
+            np.testing.assert_allclose(rows[fin], each[fin], rtol=1e-12, atol=0)
 
 
 class TestCalibration:
@@ -168,3 +206,126 @@ class TestRocCurve:
                                       ArrayConfig.fully_digital(n), 1.0, l,
                                       2000, 8))
         assert med == pytest.approx(edge_ratio, rel=0.15)
+
+
+# --- the sampler against the direct path ------------------------------------
+
+def direct_snapshots(cfg, scen, seed, trials):
+    """Element-level snapshots of each trial, synthesised from its own stream."""
+    return [synthesize_snapshots(cfg, scen, trial_rng(seed, i)).samples
+            for i in trials]
+
+
+def direct_eigs(cfg, scen, seed, n_trials, block=100):
+    """The direct path ``trial_eigs`` replaces: descending eigenvalues of
+    the sample covariance X X^H / L of synthesised snapshots, decomposed
+    ``block`` trials at a time."""
+    out = []
+    for lo in range(0, n_trials, block):
+        xs = np.stack(direct_snapshots(cfg, scen, seed,
+                                       range(lo, min(lo + block, n_trials))))
+        covs = xs @ xs.conj().transpose(0, 2, 1) / xs.shape[2]
+        out.append(np.linalg.eigvalsh(covs)[:, ::-1])
+    return np.concatenate(out)
+
+
+def law_statistics(eigs, rank):
+    """Summaries of the ``rank`` leading (nonzero) eigenvalues per trial."""
+    top = eigs[:, :rank]
+    mean = top.mean(axis=1)
+    return {
+        "max": top[:, 0],
+        "min": top[:, -1],
+        "max/mean": top[:, 0] / mean,
+        "sphericity": mean / np.exp(np.log(top).mean(axis=1)),
+    }
+
+
+# seeded samples of LAW_TRIALS trials per side; each two-sample test passes
+# above ALPHA (the floor of scipy's Anderson-Darling p-value)
+LAW_TRIALS = 1000
+ALPHA = 1e-3
+
+
+def assert_same_law(a, b, what):
+    ks = stats.ks_2samp(a, b).pvalue
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p-value capped
+        ad = stats.anderson_ksamp([a, b], variant="midrank").pvalue
+    assert ks > ALPHA and ad > ALPHA, f"{what}: KS p={ks:.2g}, AD p={ad:.2g}"
+
+
+# (N, L, SNR dB or None for noise only, signal model, noise power);
+# (64, 16) has L < N
+LAW_CASES = [
+    (8, 16, None, None, 2.5),
+    (8, 16, 0.0, CONSTANT_MODULUS, 1.0),
+    (8, 16, -3.0, GAUSSIAN, 2.5),
+    (8, 200, None, None, 1.0),
+    (8, 200, -10.0, GAUSSIAN, 1.0),
+    (64, 16, None, None, 0.5),
+    (64, 16, -5.0, CONSTANT_MODULUS, 0.5),
+    (64, 200, None, None, 1.0),
+    (64, 200, -15.0, CONSTANT_MODULUS, 1.0),
+    (64, 200, -20.0, GAUSSIAN, 1.0),
+]
+
+
+class TestTrialEigsLaw:
+    @pytest.mark.parametrize("n,l,snr_db,model,noise_power", LAW_CASES)
+    def test_matches_direct_synthesis(self, n, l, snr_db, model, noise_power):
+        cfg = ArrayConfig.fully_digital(n)
+        if snr_db is None:
+            scen = EmitterScenario.noise_only(l, noise_power)
+        else:
+            scen = EmitterScenario.single_emitter(20.0, snr_db, l, noise_power,
+                                                  model)
+        want = direct_eigs(cfg, scen, 31, LAW_TRIALS)
+        got = trial_eigs(cfg, lambda rng: scen, 32, 0, LAW_TRIALS)
+        rank = min(n, l)
+        # L < N leaves N - L eigenvalues that are exactly zero
+        assert np.all(got[:, rank:] == 0.0) and np.all(got[:, :rank] > 0.0)
+        want_stats, got_stats = (law_statistics(e, rank) for e in (want, got))
+        for name in want_stats:
+            assert_same_law(want_stats[name], got_stats[name], name)
+
+    @pytest.mark.parametrize("snr_db", [None, 0.0], ids=["h0", "h1"])
+    def test_one_snapshot_is_the_squared_norm(self, snr_db):
+        cfg = ArrayConfig.fully_digital(8)
+        scen = (EmitterScenario.noise_only(1, 1.5) if snr_db is None else
+                EmitterScenario.single_emitter(-40.0, snr_db, 1, 1.5))
+        norms = [np.sum(np.abs(x) ** 2)
+                 for x in direct_snapshots(cfg, scen, 41, range(LAW_TRIALS))]
+        got = trial_eigs(cfg, lambda rng: scen, 42, 0, LAW_TRIALS)
+        assert np.all(got[:, 1:] == 0.0)
+        assert_same_law(np.array(norms), got[:, 0], "|x|^2")
+
+    def test_direction_free(self):
+        # the law depends on the direction only through |a|^2 = N, so the
+        # same streams give the same eigenvalues at every angle
+        cfg = ArrayConfig.fully_digital(8)
+        rows = [trial_eigs(cfg, lambda rng, t=theta:
+                           EmitterScenario.single_emitter(t, 0.0, 16), 5, 0, 20)
+                for theta in (-70.0, 0.0, 35.0)]
+        np.testing.assert_array_equal(rows[0], rows[1])
+        np.testing.assert_array_equal(rows[0], rows[2])
+
+    def test_hybrid_array_rejected(self):
+        cfg = ArrayConfig.two_layer(16, 4, 0.25)
+        scen = EmitterScenario.noise_only(8)
+        with pytest.raises(ValueError):
+            trial_eigs(cfg, lambda rng: scen, 0, 0, 2)
+
+    def test_two_emitters_rejected(self):
+        scen = EmitterScenario((10.0, -20.0), (1.0, 1.0), 1.0, 8)
+        with pytest.raises(ValueError):
+            trial_eigs(ArrayConfig.fully_digital(8), lambda rng: scen, 0, 0, 2)
+
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf",
+                            lambda d, e, **kw: (d, 3))
+        scen = EmitterScenario.noise_only(16)
+        with pytest.raises(EstimationError):
+            trial_eigs(ArrayConfig.fully_digital(8), lambda rng: scen, 0, 0, 2)

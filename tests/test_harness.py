@@ -337,9 +337,25 @@ class TestCli:
         ("roc", "[scenario]\nn_snapshots = 0\n"),
         ("loss-bits", "[quant]\nn_antennas = 1\n"),
         ("loss-bits", "[quant]\nn_snapshots = 0\n"),
+        ("train-mlnn", "[scenario]\nsnr_db = 1e400\n"),
+        ("train-mlnn", "[scenario]\nsnr_db = nan\n"),
+        ("rmse-snr", "[scenario]\nsnr_db_list = 0,inf\n"),
+        ("rmse-eta", "[rmse]\neta_snr_db_list = nan\n"),
+        ("loss-bits", "[quant]\nsnr_db_list = -inf\n"),
+        ("rmse-snr", "[array]\nm_sub = 100\n"),
+        ("rmse-snr", "[array]\nn_total = 1\n"),
+        ("rmse-eta", "[array]\nn_total = 10\nfd_proportion = 0.5\n"),
+        ("rmse-snr", "[scenario]\ntheta_deg = 95\n"),
+        ("roc", "[detect]\nglrt_form = nope\n"),
+        ("train-mlnn", "[mlnn]\nsnr_jitter_db = nan\n"),
+        ("train-mlnn", "[mlnn]\nsnr_jitter_db = inf\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
-            "no-n-snapshots", "one-antenna", "no-quant-snapshots"])
+            "no-n-snapshots", "one-antenna", "no-quant-snapshots",
+            "snr-overflows", "snr-nan", "snr-list-inf", "eta-snr-list-nan",
+            "quant-snr-list-inf", "m-sub-above-n-total", "n-total-one",
+            "eta-grid-partition", "theta-out-of-range", "unknown-glrt-form",
+            "jitter-nan", "jitter-inf"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         cfg_path = _write_config(tmp_path / "c.ini", "[run]\ntrials = 100\n" + text)
         # rejected while loading, before any curve point runs

@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -25,6 +27,17 @@ def test_import_as_gives_the_module(name):
     exec(f"import doalab.{name} as m", scope)
     assert isinstance(scope["m"], types.ModuleType)
     assert scope["m"] is importlib.import_module(f"doalab.{name}")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg takes tens of milliseconds to import; modules that need
+    # it import it inside the functions that use it, so that every process
+    # that only imports doalab starts fast
+    code = "import doalab, sys; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(doalab.__file__).parents[1]).stdout
+    assert out.strip() == "False"
 
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
