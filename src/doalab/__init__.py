@@ -24,10 +24,9 @@ from .crlb import (
     fim_single_source,
 )
 from .detect import (
-    calibrate_threshold,
+    decision_threshold,
     glrt_statistic,
     maxmin_statistic,
-    roc_curve,
 )
 from .doa import (
     CandidateSet,
@@ -42,7 +41,6 @@ from .errors import ConfigError, EstimationError, TrainingError
 from .mlnn import (
     MlnnModel,
     TrainingSet,
-    decision_threshold,
     eig_features,
     select_architecture,
     train,

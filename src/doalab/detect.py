@@ -1,14 +1,15 @@
-"""Classical eigenvalue-based emitter detection: statistics, Monte Carlo
-threshold calibration, and ROC curves.
+"""Eigenvalue-based emitter detection: detection-trial eigenvalues, the
+classical statistics, the H0 threshold rule and ROC staircases.
 
 Both statistics are scale-invariant, so the detectors are blind to the
-absolute noise power.  Thresholds are calibrated empirically under H0
-rather than taken from closed forms.
+absolute noise power.  Every detector, the neural one included, takes its
+threshold from ``decision_threshold`` on its own H0 scores rather than
+from a closed form.
 """
 
 import numpy as np
 
-from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
+from .arrays import CONSTANT_MODULUS, ArrayConfig
 from .errors import EstimationError
 from .rng import trial_rng
 
@@ -17,6 +18,9 @@ BATCH = 128
 
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
+
+# H0 scores a threshold needs above it, on average
+TAIL_SCORES = 10
 
 
 def maxmin_statistic(eigs: np.ndarray):
@@ -135,27 +139,16 @@ def trial_eigs(cfg: ArrayConfig, scen_for, seed: int, start: int,
     return out
 
 
-def h0_statistics(statistic_fn, cfg: ArrayConfig, noise_power: float,
-                  n_snapshots: int, n_trials: int, master_seed: int) -> np.ndarray:
-    """Statistic values over noise-only Monte Carlo trials (one stream each)."""
-    scen = EmitterScenario.noise_only(n_snapshots, noise_power)
-    eigs = trial_eigs(cfg, lambda rng: scen, master_seed, 0, n_trials)
-    return np.array([statistic_fn(e) for e in eigs])
-
-
-def calibrate_threshold(statistic_fn, cfg: ArrayConfig, noise_power: float,
-                        n_snapshots: int, target_fap: float, n_trials: int,
-                        master_seed: int) -> float:
-    """Empirical (1 - target_fap) quantile of the statistic under H0."""
+def decision_threshold(h0_scores, target_fap: float) -> float:
+    """Threshold with false-alarm probability ``target_fap``: the
+    (1 - target_fap) quantile of a detector's H0 scores, taken at an
+    observed score.  Needs at least ``TAIL_SCORES / target_fap`` scores."""
     if not 0.0 < target_fap < 1.0:
         raise ValueError("target_fap must lie in (0, 1)")
-    if n_trials < 100.0 / target_fap:
+    if len(h0_scores) < TAIL_SCORES / target_fap:
         raise ValueError(
-            f"{n_trials} trials cannot resolve a {target_fap} tail; "
-            f"need at least {int(np.ceil(100.0 / target_fap))}")
-    scores = h0_statistics(statistic_fn, cfg, noise_power, n_snapshots,
-                           n_trials, master_seed)
-    return float(np.quantile(scores, 1.0 - target_fap, method="higher"))
+            f"{len(h0_scores)} H0 scores cannot resolve a {target_fap} tail")
+    return float(np.quantile(h0_scores, 1.0 - target_fap, method="higher"))
 
 
 def roc_points(h0_scores: np.ndarray, h1_scores: np.ndarray) -> np.ndarray:
@@ -173,21 +166,6 @@ def roc_points(h0_scores: np.ndarray, h1_scores: np.ndarray) -> np.ndarray:
     pts = np.column_stack([fap, pd])
     pts = np.vstack([[0.0, 0.0], pts, [1.0, 1.0]])
     return np.unique(pts, axis=0)
-
-
-def roc_curve(score_fn, scenario_h1: EmitterScenario, cfg: ArrayConfig,
-              n_trials: int, master_seed: int) -> np.ndarray:
-    """ROC of ``score_fn`` (eigenvalues -> score) for H0 vs ``scenario_h1``.
-
-    H0 and H1 trials use disjoint trial streams from the same master seed.
-    """
-    if n_trials < 1000:
-        raise ValueError("need at least 1000 trials per hypothesis")
-    s0 = h0_statistics(score_fn, cfg, scenario_h1.noise_power,
-                       scenario_h1.n_snapshots, n_trials, master_seed)
-    e1 = trial_eigs(cfg, lambda rng: scenario_h1, master_seed, n_trials,
-                    2 * n_trials)
-    return roc_points(s0, [score_fn(e) for e in e1])
 
 
 def auc(points: np.ndarray) -> float:

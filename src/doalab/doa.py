@@ -93,7 +93,9 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
 
     Consumes 1 + |candidates| snapshots (M + 1 when the candidate lattice
     is full); the estimate is the candidate whose steered snapshot shows
-    maximum average combined power.
+    maximum average combined power.  It carries no bound (``crlb_rad2`` is
+    None); ``crlb.crlb_had`` with ``analog_steer_u=0`` gives the broadside
+    one.
     """
     if cfg.n_fd != 0:
         raise ConfigError("classic eliminator needs a pure HAD array")
@@ -105,10 +107,8 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
         had = _snapshot(cfg, scen1, rng, u_k)[: cfg.k_sub]
         powers.append(float(np.mean(np.abs(had) ** 2)))
     best = int(np.argmax(powers))
-    u = float(cands.candidates[best])
-    crlb = crlb_had(cfg, np.degrees(np.arcsin(u)), scen.snr_db, 1,
-                    analog_steer_u=0.0)
-    return DoaEstimate(u, METHOD_CLASSIC, 1 + len(cands), crlb, cands)
+    return DoaEstimate(float(cands.candidates[best]), METHOD_CLASSIC,
+                       1 + len(cands), candidates=cands)
 
 
 def _subgroups(k_sub: int, n_groups: int):
@@ -121,7 +121,8 @@ def _subgroups(k_sub: int, n_groups: int):
 
 def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
                     rng: np.random.Generator) -> DoaEstimate:
-    """Two-snapshot eliminator: subarray subgroups steer at distinct candidates."""
+    """Two-snapshot eliminator: subarray subgroups steer at distinct
+    candidates.  Like the classic one, it carries no bound."""
     if cfg.n_fd != 0:
         raise ConfigError("fast eliminator needs a pure HAD array")
     _require_single_emitter(scen)
@@ -137,10 +138,8 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
     sub_power = np.abs(_snapshot(cfg, scen1, rng, steer)[: cfg.k_sub, 0]) ** 2
     group_power = [float(np.mean(sub_power[list(grp)])) for grp in groups]
     best = int(np.argmax(group_power))
-    u = float(cands.candidates[best])
-    crlb = crlb_had(cfg, np.degrees(np.arcsin(u)), scen.snr_db, 1,
-                    analog_steer_u=0.0)
-    return DoaEstimate(u, METHOD_FHAD, 2, crlb, cands)
+    return DoaEstimate(float(cands.candidates[best]), METHOD_FHAD, 2,
+                       candidates=cands)
 
 
 def combine_estimates(u_a: float, crlb_a: float, u_b: float, crlb_b: float):

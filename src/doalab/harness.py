@@ -8,13 +8,13 @@ every trial draws from its own counter-based stream keyed by
 (seed, trial index), and aggregation is ordered by trial index.
 """
 
+import configparser
 import csv
 import hashlib
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from configparser import ConfigParser
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +33,8 @@ from .detect import (
     BATCH,
     GLRT_MAX_OVER_MEAN,
     GLRT_SPHERICITY,
+    TAIL_SCORES,
+    decision_threshold,
     glrt_statistic,
     maxmin_statistic,
     roc_points,
@@ -49,9 +51,9 @@ from .doa import (
 )
 from .errors import ConfigError
 from .mlnn import (
+    ACTIVATIONS,
     Hyper,
     TrainingSet,
-    decision_threshold,
     eig_features,
     forward,
     load_model,
@@ -132,6 +134,12 @@ BOUNDS = (
     ("quant.n_antennas", int, lambda v: v >= 2, "at least 2"),
     ("quant.n_snapshots", int, lambda v: v >= 1, "at least 1"),
     ("quant.empirical_trials", int, lambda v: v >= 1, "at least 1"),
+    ("mlnn.search_size", int, lambda v: v >= 2, "at least 2"),
+    ("mlnn.final_ratio", float, lambda v: 5.0 <= v <= 10.0, "in [5, 10]"),
+    ("mlnn.learning_rate", float, lambda v: 0.0 <= v < math.inf,
+     "finite and nonnegative"),
+    ("mlnn.batch_size", int, lambda v: v >= 1, "at least 1"),
+    ("mlnn.epochs", int, lambda v: v >= 1, "at least 1"),
     ("mlnn.snr_jitter_db", float, lambda v: 0.0 <= v < math.inf,
      "finite and nonnegative"),
 )
@@ -146,6 +154,9 @@ DEFAULT_TRIALS = {
     "loss-bits": 500,
     "train-mlnn": 10_000,  # validation trials for threshold calibration
 }
+
+# false-alarm probabilities train-mlnn stores thresholds for
+THRESHOLD_FAPS = (0.01, 0.1)
 
 
 @dataclass
@@ -180,6 +191,10 @@ def _parse_list(text, conv=float):
     return tuple(conv(x.strip()) for x in str(text).split(",") if x.strip())
 
 
+def _parse_shapes(text):
+    return tuple(_parse_list(s, int) for s in str(text).split("|") if s.strip())
+
+
 def load_config(experiment: str, path=None, seed=None, out=None,
                 workers=None) -> ExperimentConfig:
     """Read a sectioned key=value file, apply defaults, reject unknowns."""
@@ -188,17 +203,20 @@ def load_config(experiment: str, path=None, seed=None, out=None,
     values = {f"{sec}.{key}": val for sec, keys in SCHEMA.items()
               for key, val in keys.items()}
     if path is not None:
-        parser = ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        for sec in parser.sections():
-            if sec not in SCHEMA:
-                raise ConfigError(f"unknown config section [{sec}]")
-            for key, val in parser.items(sec):
-                if key not in SCHEMA[sec]:
-                    raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                values[f"{sec}.{key}"] = val
+        parser = configparser.ConfigParser()
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+            for sec in parser.sections():
+                if sec not in SCHEMA:
+                    raise ConfigError(f"unknown config section [{sec}]")
+                for key, val in parser.items(sec):
+                    if key not in SCHEMA[sec]:
+                        raise ConfigError(
+                            f"unknown key {key!r} in section [{sec}]")
+                    values[f"{sec}.{key}"] = val
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
     if seed is not None:
         values["run.seed"] = str(seed)
     if out is not None:
@@ -212,6 +230,7 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         bits = _parse_list(values["quant.bits"], int)
         eta_grid = _parse_list(values["rmse.eta_grid"])
         snr_lists = {key: _parse_list(values[key]) for key in SNR_LISTS}
+        shapes = _parse_shapes(values["mlnn.shapes"])
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from None
     for key, _, accept, meaning in BOUNDS:
@@ -228,6 +247,17 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         raise ConfigError("quant bits must be integers of at least 1")
     if not all(0.0 < eta <= 1.0 for eta in eta_grid):
         raise ConfigError("eta grid values must lie in (0, 1]")
+    activations = _parse_list(values["mlnn.activations"], str)
+    if not activations or not set(activations) <= set(ACTIVATIONS):
+        raise ConfigError(f"mlnn.activations must be drawn from {ACTIVATIONS}, "
+                          f"got {values['mlnn.activations']!r}")
+    if not shapes or not all(shape and min(shape) >= 1 for shape in shapes):
+        raise ConfigError("mlnn.shapes must be positive layer widths, got "
+                          f"{values['mlnn.shapes']!r}")
+    floor = TAIL_SCORES / min(THRESHOLD_FAPS)  # for the thresholds' H0 scores
+    if experiment == "train-mlnn" and num["run.trials"] < floor:
+        raise ConfigError(f"train-mlnn needs run.trials of at least "
+                          f"{math.ceil(floor)}, got {values['run.trials']}")
     values["run.trials"] = str(num["run.trials"])
     config = ExperimentConfig(experiment, values, seed_val, num["run.trials"],
                               values["run.out"], num["run.workers"])
@@ -351,9 +381,7 @@ def train_mlnn_model(config: ExperimentConfig, workers=None):
     jitter = float(config["mlnn.snr_jitter_db"])
     factory = make_detection_dataset_factory(
         n_total, l_snap, snr_db, jitter, workers or config.workers)
-    shapes = tuple(
-        tuple(int(w) for w in shape.split(","))
-        for shape in config["mlnn.shapes"].split("|") if shape.strip())
+    shapes = _parse_shapes(config["mlnn.shapes"])
     hyper = Hyper(float(config["mlnn.learning_rate"]),
                   int(config["mlnn.batch_size"]),
                   int(config["mlnn.epochs"]), config.seed)
@@ -450,7 +478,7 @@ def run_rmse_snr(config: ExperimentConfig):
         for snr_db in _parse_list(config["scenario.snr_db_list"]):
             rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, pmap)
             # the HAD eliminators estimate from a broadside snapshot, so their
-            # bound is the broadside one that doa.py attaches to the estimates
+            # bound is the broadside one
             sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1,
                                           analog_steer_u=0.0) * RAD2_TO_DEG2)
             sqrt_crlb = {
@@ -550,10 +578,8 @@ def run_train_mlnn(config: ExperimentConfig):
         # threshold calibration on fresh H0 validation scores
         e0 = detection_eigs(n_total, l_snap, float(config["scenario.snr_db"]),
                             0, config.trials, config.seed + 7, pmap)
-    feats = eig_features(e0)
-    thresholds = {
-        fap: decision_threshold(model, feats, fap) for fap in (0.01, 0.1)
-    }
+    scores = forward(model, eig_features(e0))
+    thresholds = {fap: decision_threshold(scores, fap) for fap in THRESHOLD_FAPS}
     model.metadata = dict(model.metadata, thresholds={
         str(fap): tau for fap, tau in thresholds.items()})
     os.makedirs(config.out_dir, exist_ok=True)
@@ -573,7 +599,10 @@ def run_train_mlnn(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig, model_path=None):
     """Dispatch one experiment; returns the primary output path."""
     if config.experiment == "roc":
-        model = load_model(model_path) if model_path else None
+        try:
+            model = load_model(model_path) if model_path else None
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"cannot load model {model_path}: {exc}") from None
         return run_roc(config, model)[0]
     if config.experiment == "rmse-snr":
         return run_rmse_snr(config)[0]

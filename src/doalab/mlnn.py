@@ -335,17 +335,6 @@ def select_architecture(candidate_activations, candidate_shapes,
     return model, report
 
 
-def decision_threshold(model: MlnnModel, h0_features, target_fap: float) -> float:
-    """(1 - target_fap) quantile of the model's scores on H0 examples."""
-    if not 0.0 < target_fap < 1.0:
-        raise ValueError("target_fap must lie in (0, 1)")
-    h0_features = np.atleast_2d(np.asarray(h0_features, dtype=float))
-    if len(h0_features) < 10.0 / target_fap:
-        raise ValueError("too few H0 examples to resolve the target FAP")
-    scores = forward(model, h0_features)
-    return float(np.quantile(scores, 1.0 - target_fap, method="higher"))
-
-
 def save_model(model: MlnnModel, path) -> None:
     """Versioned JSON dump; floats round-trip bit-exactly."""
     doc = dict(

@@ -6,13 +6,20 @@ realizations, so the whole suite runs in a few minutes on one core.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
 from doalab.crlb import crlb_fd, crlb_fd_closed_form
-from doalab.detect import glrt_statistic, maxmin_statistic, pd_at_fap, roc_points
+from doalab.detect import (
+    decision_threshold,
+    glrt_statistic,
+    maxmin_statistic,
+    pd_at_fap,
+    roc_points,
+)
 from doalab.doa import (
     candidate_set,
     fhad_root_music,
@@ -88,16 +95,15 @@ def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):
     fresh_eigs = detection_eigs(64, 200, -20.0, 0, n_trials, SEED + 13)
     fresh_feats = fresh_eigs / fresh_eigs.sum(axis=1, keepdims=True)
     fresh = {
-        "glrt": np.array([glrt_statistic(e, "sphericity") for e in fresh_eigs]),
-        "r-maxev-minev": np.array([maxmin_statistic(e) for e in fresh_eigs]),
+        "glrt": glrt_statistic(fresh_eigs, "sphericity"),
+        "r-maxev-minev": maxmin_statistic(fresh_eigs),
         "mlnn": forward(mlnn_model, fresh_feats),
     }
     ok = True
     for target in (0.01, 0.1):
         half = 2.576 * math.sqrt(target * (1 - target) / n_trials)
         for det, fresh_scores in fresh.items():
-            tau = float(np.quantile(scores["h0"][det], 1 - target,
-                                    method="higher"))
+            tau = decision_threshold(scores["h0"][det], target)
             fap = float(np.mean(fresh_scores > tau))
             inside = abs(fap - target) <= half
             print(f"\n  {det} @ target {target}: fresh FAP {fap:.4f} "
@@ -244,7 +250,7 @@ def test_criterion_8_numerical_hygiene():
 
 def test_criterion_9_reproducibility(roc_runs, tmp_path_factory):
     path1, path2, _ = roc_runs
-    ok = open(path1).read() == open(path2).read()
+    ok = Path(path1).read_text() == Path(path2).read_text()
 
     # same seed, same worker count: byte-identical CSV
     cfg_file = tmp_path_factory.mktemp("cfg") / "r.ini"
@@ -253,6 +259,6 @@ def test_criterion_9_reproducibility(roc_runs, tmp_path_factory):
     for tag in ("x", "y"):
         config = load_config("rmse-snr", str(cfg_file), seed=SEED,
                              out=str(tmp_path_factory.mktemp(tag)))
-        outs.append(open(run_rmse_snr(config)[0]).read())
+        outs.append(Path(run_rmse_snr(config)[0]).read_text())
     ok = ok and outs[0] == outs[1]
     _report(9, "byte-identical reruns and worker-count invariance", ok)

@@ -13,17 +13,30 @@ from doalab.arrays import (
 )
 from doalab.detect import (
     auc,
-    calibrate_threshold,
+    decision_threshold,
     glrt_statistic,
-    h0_statistics,
     maxmin_statistic,
     pd_at_fap,
-    roc_curve,
     roc_points,
     trial_eigs,
 )
 from doalab.errors import EstimationError
+from doalab.mlnn import forward, init_model
 from doalab.rng import trial_rng
+
+
+def h0_eigs(cfg, n_snapshots, noise_power, seed, n_trials):
+    """Eigenvalues of noise-only trials [0, n_trials)."""
+    scen = EmitterScenario.noise_only(n_snapshots, noise_power)
+    return trial_eigs(cfg, lambda rng: scen, seed, 0, n_trials)
+
+
+def roc_of(statistic, scen_h1, cfg, n_trials, seed):
+    """ROC of ``statistic`` for H0 trials [0, n) against ``scen_h1`` trials
+    [n, 2n) of the same seed."""
+    e0 = h0_eigs(cfg, scen_h1.n_snapshots, scen_h1.noise_power, seed, n_trials)
+    e1 = trial_eigs(cfg, lambda rng: scen_h1, seed, n_trials, 2 * n_trials)
+    return roc_points(statistic(e0), statistic(e1))
 
 
 class TestStatistics:
@@ -91,31 +104,54 @@ class TestCalibration:
     def test_fap_achieved(self):
         # threshold calibrated at FAP 0.05 on one seed holds on a fresh seed
         cfg = ArrayConfig.fully_digital(8)
-        tau = calibrate_threshold(maxmin_statistic, cfg, 1.0, 16, 0.05,
-                                  4000, master_seed=11)
-        fresh = h0_statistics(maxmin_statistic, cfg, 1.0, 16, 4000,
-                              master_seed=12)
+        tau = decision_threshold(
+            maxmin_statistic(h0_eigs(cfg, 16, 1.0, 11, 4000)), 0.05)
+        fresh = maxmin_statistic(h0_eigs(cfg, 16, 1.0, 12, 4000))
         fap = np.mean(fresh > tau)
         se = np.sqrt(0.05 * 0.95 / 4000)
         assert fap == pytest.approx(0.05, abs=4 * se)
 
     def test_trial_budget_contract(self):
         cfg = ArrayConfig.fully_digital(4)
+        scores = maxmin_statistic(h0_eigs(cfg, 8, 1.0, 0, 500))
         with pytest.raises(ValueError):
-            calibrate_threshold(maxmin_statistic, cfg, 1.0, 8, 0.01, 500, 0)
+            decision_threshold(scores, 0.01)
 
     def test_threshold_scale_free(self):
         # scale-invariant statistics: noise power must not move the threshold
         cfg = ArrayConfig.fully_digital(6)
-        t1 = calibrate_threshold(maxmin_statistic, cfg, 1.0, 12, 0.1, 1000, 3)
-        t2 = calibrate_threshold(maxmin_statistic, cfg, 25.0, 12, 0.1, 1000, 3)
+        t1 = decision_threshold(
+            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
+        t2 = decision_threshold(
+            maxmin_statistic(h0_eigs(cfg, 12, 25.0, 3, 1000)), 0.1)
         assert t1 == pytest.approx(t2, rel=1e-12)
 
     def test_deterministic(self):
         cfg = ArrayConfig.fully_digital(6)
-        a = calibrate_threshold(maxmin_statistic, cfg, 1.0, 12, 0.1, 1000, 3)
-        b = calibrate_threshold(maxmin_statistic, cfg, 1.0, 12, 0.1, 1000, 3)
+        a = decision_threshold(
+            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
+        b = decision_threshold(
+            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
         assert a == b
+
+
+class TestThreshold:
+    def test_quantile_semantics(self):
+        m = init_model((2, 8, 1), ("tanh",), 0)
+        h0 = trial_rng(1).standard_normal((2000, 2))
+        tau = decision_threshold(forward(m, h0), 0.1)
+        fap = np.mean(forward(m, h0) > tau)
+        assert fap <= 0.1
+
+    def test_too_few_examples(self):
+        m = init_model((2, 8, 1), ("tanh",), 0)
+        with pytest.raises(ValueError):
+            decision_threshold(forward(m, np.zeros((50, 2))), 0.01)
+
+    def test_fap_outside_unit_interval(self):
+        for fap in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                decision_threshold(np.arange(10_000.0), fap)
 
 
 class TestRocPoints:
@@ -154,7 +190,7 @@ class TestRocPoints:
 def rocs():
     cfg = ArrayConfig.fully_digital(16)
     scen = EmitterScenario.single_emitter(10.0, -8.0, 32)
-    return {name: roc_curve(fn, scen, cfg, 2000, master_seed=21)
+    return {name: roc_of(fn, scen, cfg, 2000, seed=21)
             for name, fn in [("maxmin", maxmin_statistic),
                              ("glrt", glrt_statistic)]}
 
@@ -164,16 +200,10 @@ class TestRocCurve:
         for pts in rocs.values():
             assert auc(pts) > 0.6
 
-    def test_trial_minimum_enforced(self):
-        cfg = ArrayConfig.fully_digital(4)
-        scen = EmitterScenario.single_emitter(0.0, 0.0, 8)
-        with pytest.raises(ValueError):
-            roc_curve(maxmin_statistic, scen, cfg, 500, 0)
-
     def test_strong_signal_saturates(self):
         cfg = ArrayConfig.fully_digital(8)
         scen = EmitterScenario.single_emitter(5.0, 20.0, 16)
-        pts = roc_curve(maxmin_statistic, scen, cfg, 1000, 1)
+        pts = roc_of(maxmin_statistic, scen, cfg, 1000, 1)
         assert pd_at_fap(pts, 0.01) == pytest.approx(1.0, abs=1e-3)
 
     def test_pd_grows_with_snr(self):
@@ -181,17 +211,15 @@ class TestRocCurve:
         pds = []
         for snr in (-12.0, -8.0, -4.0):
             scen = EmitterScenario.single_emitter(10.0, snr, 32)
-            pds.append(pd_at_fap(roc_curve(maxmin_statistic, scen, cfg,
-                                           2000, 5), 0.1))
+            pds.append(pd_at_fap(roc_of(maxmin_statistic, scen, cfg, 2000, 5),
+                                 0.1))
         assert pds[0] < pds[1] < pds[2]
 
     def test_h0_statistic_distribution_tightens_with_snapshots(self):
         # more snapshots concentrate eigenvalues: median maxmin ratio falls
         cfg = ArrayConfig.fully_digital(8)
-        m_small = np.median(h0_statistics(maxmin_statistic, cfg, 1.0, 16,
-                                          500, 2))
-        m_large = np.median(h0_statistics(maxmin_statistic, cfg, 1.0, 256,
-                                          500, 2))
+        m_small = np.median(maxmin_statistic(h0_eigs(cfg, 16, 1.0, 2, 500)))
+        m_large = np.median(maxmin_statistic(h0_eigs(cfg, 256, 1.0, 2, 500)))
         assert m_large < m_small
 
     def test_h0_maxmin_median_near_asymptotic_edge_ratio(self):
@@ -202,9 +230,8 @@ class TestRocCurve:
         n, l = 64, 200
         c = np.sqrt(n / l)
         edge_ratio = ((1 + c) / (1 - c)) ** 2
-        med = np.median(h0_statistics(maxmin_statistic,
-                                      ArrayConfig.fully_digital(n), 1.0, l,
-                                      2000, 8))
+        med = np.median(maxmin_statistic(
+            h0_eigs(ArrayConfig.fully_digital(n), l, 1.0, 8, 2000)))
         assert med == pytest.approx(edge_ratio, rel=0.15)
 
 

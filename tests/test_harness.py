@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,13 +152,13 @@ class TestRmseSnr:
                                            out=str(tmp_path / "a"), workers=1))
         out2, _ = run_rmse_snr(load_config("rmse-snr", cfg_path,
                                            out=str(tmp_path / "b"), workers=2))
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
     def test_rows_and_header(self, tmp_path):
         cfg_path = _write_config(tmp_path / "c.ini", SMALL_RMSE)
         path, rows = run_rmse_snr(load_config("rmse-snr", cfg_path,
                                               out=str(tmp_path / "o")))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "snr_db,method,rmse_deg,sqrt_crlb_deg,trials,seed,digest"
         assert len(lines) == 1 + 3  # one SNR point, three methods
         for _, _, rmse, bound, *_ in rows:
@@ -171,7 +172,8 @@ class TestRmseSnr:
         cfg_had = ArrayConfig.pure_had(32, 4)  # the HAD part of 40 / 4 / 0.2
         want = math.sqrt(crlb_had(cfg_had, 15.0, 10.0, 1, analog_steer_u=0.0)
                          * RAD2_TO_DEG2)
-        rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+        rows = [line.split(",")
+                for line in Path(path).read_text().splitlines()[1:]]
         had = [float(r[3]) for r in rows
                if r[1] in ("had-root-music", "fhad-root-music")]
         assert len(had) == 2
@@ -266,7 +268,7 @@ class TestTrainMlnn:
 
     def test_report_covers_stages(self, mlnn_outputs):
         _, _, report_path, _ = mlnn_outputs
-        lines = open(report_path).read().splitlines()
+        lines = Path(report_path).read_text().splitlines()
         assert lines[0].startswith("stage,activation,shape,val_loss")
         stages = [line.split(",")[0] for line in lines[1:]]
         assert "3" in stages
@@ -276,7 +278,7 @@ class TestTrainMlnn:
         cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
         config = load_config("roc", str(cfg_path), out=str(tmp_path / "roc"))
         path, scores = run_roc(config, model=model)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "fap,pd,detector,snr_db,n,l,trials,seed"
         detectors = {line.split(",")[2] for line in lines[1:]}
         assert detectors == {"glrt", "r-maxev-minev", "mlnn"}
@@ -317,7 +319,7 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert rc == 0
         assert out.endswith("loss_bits.csv")
-        assert "seed" in open(out).readline()
+        assert "seed" in Path(out).read_text().splitlines()[0]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")
@@ -349,18 +351,48 @@ class TestCli:
         ("roc", "[detect]\nglrt_form = nope\n"),
         ("train-mlnn", "[mlnn]\nsnr_jitter_db = nan\n"),
         ("train-mlnn", "[mlnn]\nsnr_jitter_db = inf\n"),
+        ("train-mlnn", "[run]\ntrials = 500\n"),
+        ("train-mlnn", "[mlnn]\nbatch_size = 0\n"),
+        ("train-mlnn", "[mlnn]\nsearch_size = 0\n"),
+        ("train-mlnn", "[mlnn]\nsearch_size = 1\n"),
+        ("train-mlnn", "[mlnn]\nlearning_rate = nan\n"),
+        ("train-mlnn", "[mlnn]\nfinal_ratio = 20\n"),
+        ("train-mlnn", "[mlnn]\nepochs = -1\n"),
+        ("train-mlnn", "[mlnn]\nactivations = swish\n"),
+        ("train-mlnn", "[mlnn]\nshapes = 4,x\n"),
+        ("train-mlnn", "[mlnn]\nshapes = 4|0\n"),
+        ("train-mlnn", "[mlnn]\nepochs = 5\nepochs = 6\n"),
+        ("train-mlnn", "[mlnn]\nepochs\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
             "snr-overflows", "snr-nan", "snr-list-inf", "eta-snr-list-nan",
             "quant-snr-list-inf", "m-sub-above-n-total", "n-total-one",
             "eta-grid-partition", "theta-out-of-range", "unknown-glrt-form",
-            "jitter-nan", "jitter-inf"])
+            "jitter-nan", "jitter-inf", "mlnn-trials-below-1000",
+            "batch-size-zero", "search-size-zero", "search-size-one",
+            "learning-rate-nan", "final-ratio-twenty", "epochs-negative",
+            "unknown-activation", "shape-not-int", "shape-zero-width",
+            "key-given-twice", "key-without-value"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
-        cfg_path = _write_config(tmp_path / "c.ini", "[run]\ntrials = 100\n" + text)
+        # a case that sets [run] itself goes without the trial-count prefix
+        if not text.startswith("[run]"):
+            text = "[run]\ntrials = 1000\n" + text
+        cfg_path = _write_config(tmp_path / "c.ini", text)
         # rejected while loading, before any curve point runs
         with pytest.raises(ConfigError):
             load_config(experiment, cfg_path)
         assert cli_main([experiment, "--config", cfg_path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '{"format_version": 99}', '{"format_version": 1}',
+    ], ids=["missing", "bad-json", "unsupported-format", "missing-keys"])
+    def test_unreadable_model_exit_code(self, tmp_path, capsys, content):
+        model = tmp_path / "model.json"
+        if content is not None:
+            model.write_text(content)
+        assert cli_main(["roc", "--model", str(model),
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from doalab.mlnn import (
     MlnnModel,
     TrainingSet,
     batch_loss,
-    decision_threshold,
     eig_features,
     forward,
     init_model,
@@ -215,20 +214,6 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_architecture(("tanh",), ((8,),), lambda n, s: _xor_set(n, s),
                                 seed=0, final_ratio=20.0)
-
-
-class TestThreshold:
-    def test_quantile_semantics(self):
-        m = init_model((2, 8, 1), ("tanh",), 0)
-        h0 = trial_rng(1).standard_normal((2000, 2))
-        tau = decision_threshold(m, h0, 0.1)
-        fap = np.mean(forward(m, h0) > tau)
-        assert fap <= 0.1
-
-    def test_too_few_examples(self):
-        m = init_model((2, 8, 1), ("tanh",), 0)
-        with pytest.raises(ValueError):
-            decision_threshold(m, np.zeros((50, 2)), 0.01)
 
 
 class TestSerialization:
