@@ -81,18 +81,16 @@ def crlb_fd_closed_form(n_antennas: int, theta_deg: float, snr_db: float,
 
 
 def crlb_had(cfg: ArrayConfig, theta_deg: float, snr_db: float,
-             t_snapshots: int, analog_steer_u: float | None = None) -> float:
+             t_snapshots: int, analog_steer_u: float = 0.0) -> float:
     """CRLB (rad^2) for the K-channel HAD part of ``cfg``.
 
-    ``analog_steer_u`` is the common subarray steering direction-sine;
-    ``None`` means matched to the true angle (best case).  An analog null
-    (|g| = 0) yields an infinite bound.
+    ``analog_steer_u`` is the common subarray steering direction-sine
+    (broadside by default; ``sin(theta)`` gives the matched, best-case
+    bound).  An analog null (|g| = 0) yields an infinite bound.
     """
     if cfg.k_sub < 2:
         raise ValueError("HAD CRLB needs at least two subarray channels")
-    theta = math.radians(theta_deg)
-    steer = math.sin(theta) if analog_steer_u is None else analog_steer_u
-    a, da, g = _had_vectors(cfg, theta, steer)
+    a, da, g = _had_vectors(cfg, math.radians(theta_deg), analog_steer_u)
     if abs(g) < 1e-12:
         return math.inf
     return _crlb_from_fim(

@@ -9,7 +9,7 @@ from a closed form.
 
 import numpy as np
 
-from .arrays import CONSTANT_MODULUS, ArrayConfig
+from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
 from .errors import EstimationError
 from .rng import trial_rng
 
@@ -64,14 +64,12 @@ def glrt_statistic(eigs: np.ndarray, form: str = GLRT_MAX_OVER_MEAN):
     return float(out) if out.ndim == 0 else out
 
 
-def trial_eigs(cfg: ArrayConfig, scen_for, seed: int, start: int,
-               stop: int) -> np.ndarray:
+def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, seed: int,
+               start: int, stop: int) -> np.ndarray:
     """Descending sample-covariance eigenvalues of trials [start, stop), one
     row per trial, drawn from their exact distribution without synthesising
     snapshots.
 
-    ``scen_for(rng)`` builds a trial's scenario from that trial's own
-    stream, so it may draw (say) a random SNR before the eigenvalues.
     The array must be fully digital and the scenario hold at most one
     emitter.
 
@@ -101,29 +99,26 @@ def trial_eigs(cfg: ArrayConfig, scen_for, seed: int, start: int,
     # ``import doalab``
     from scipy.linalg.lapack import dsterf
 
-    n = cfg.n_total
+    n, l = cfg.n_total, scen.n_snapshots
     if cfg.n_fd != n:
         raise ValueError("detection trials need a fully digital array")
-    shapes_for = {}  # snapshots -> Gamma shapes of B_kk^2, then B_{k+1,k}^2
+    if scen.n_emitters > 1:
+        raise ValueError("detection trials hold at most one emitter")
+    m, n_sub = min(n, l), min(l, n - 1)
+    # Gamma shapes of B_kk^2, then B_{k+1,k}^2; a signal takes one degree
+    # of freedom from B_11^2
+    shapes = np.concatenate([l - np.arange(m), n - 1 - np.arange(n_sub)])
+    shapes = shapes.astype(float)
+    if scen.n_emitters:
+        shapes[0] -= 1.0
+        p = scen.powers[0] / scen.noise_power
     out = np.zeros((stop - start, n))
     for row, i in enumerate(range(start, stop)):
         rng = trial_rng(seed, i)
-        scen = scen_for(rng)
-        if scen.n_emitters > 1:
-            raise ValueError("detection trials hold at most one emitter")
-        l = scen.n_snapshots
-        m, n_sub = min(n, l), min(l, n - 1)
-        if l not in shapes_for:
-            shapes_for[l] = np.concatenate(
-                [l - np.arange(m), n - 1 - np.arange(n_sub)]).astype(float)
-        shapes = shapes_for[l]
         if scen.n_emitters:
-            p = scen.powers[0] / scen.noise_power
             energy = p * (l if scen.signal_model == CONSTANT_MODULUS
                           else rng.standard_gamma(l))
             c = np.sqrt(0.5) * rng.standard_normal(2)
-            shapes = shapes.copy()
-            shapes[0] -= 1.0
         sq = rng.standard_gamma(shapes)
         if scen.n_emitters:
             sq[0] += (np.sqrt(n * energy) + c[0]) ** 2 + c[1] ** 2

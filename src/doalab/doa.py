@@ -94,8 +94,7 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
     Consumes 1 + |candidates| snapshots (M + 1 when the candidate lattice
     is full); the estimate is the candidate whose steered snapshot shows
     maximum average combined power.  It carries no bound (``crlb_rad2`` is
-    None); ``crlb.crlb_had`` with ``analog_steer_u=0`` gives the broadside
-    one.
+    None); ``crlb.crlb_had`` gives the broadside one.
     """
     if cfg.n_fd != 0:
         raise ConfigError("classic eliminator needs a pure HAD array")
@@ -194,7 +193,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     u_star = float(cands.candidates[near[np.argmin(np.abs(cands.candidates[near]))]])
 
     crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
-                      scen.snr_db, t, analog_steer_u=0.0)
+                      scen.snr_db, t)
     if np.isinf(crlb_h):
         u, var = u_fd, crlb_f
         flags.append("analog-null")

@@ -90,7 +90,6 @@ SCHEMA = {
         "signal_model": CONSTANT_MODULUS,
     },
     "detect": {
-        "target_fap": "0.1",
         # sphericity reproduces the published detector ordering; the
         # max-over-mean form is available here as well
         "glrt_form": "sphericity",
@@ -114,7 +113,6 @@ SCHEMA = {
         "learning_rate": "0.3",
         "batch_size": "64",
         "epochs": "40",
-        "snr_jitter_db": "0",
     },
 }
 
@@ -140,8 +138,6 @@ BOUNDS = (
      "finite and nonnegative"),
     ("mlnn.batch_size", int, lambda v: v >= 1, "at least 1"),
     ("mlnn.epochs", int, lambda v: v >= 1, "at least 1"),
-    ("mlnn.snr_jitter_db", float, lambda v: 0.0 <= v < math.inf,
-     "finite and nonnegative"),
 )
 
 # SNR lists, in dB; every value must be finite
@@ -323,47 +319,39 @@ def _rms(x) -> float:
 
 
 def _detection_block(params, seed, trials):
-    n_total, l_snapshots, snr_db, jitter_db, hypothesis = params
+    n_total, l_snapshots, snr_db, hypothesis = params
     # the eigenvalue law does not depend on the direction (trial_eigs), so
     # every emitter sits at broadside
     if hypothesis == 0:
         scen = EmitterScenario.noise_only(l_snapshots)
     else:
         scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots)
-
-    def scen_for(rng):
-        if hypothesis == 0 or not jitter_db:
-            return scen
-        snr = snr_db + rng.uniform(-jitter_db, jitter_db)
-        return EmitterScenario.single_emitter(0.0, snr, l_snapshots)
-
-    return trial_eigs(ArrayConfig.fully_digital(n_total), scen_for, seed,
+    return trial_eigs(ArrayConfig.fully_digital(n_total), scen, seed,
                       trials.start, trials.stop)
 
 
 def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
-                   workers=1, jitter_db=0.0, offset=0):
+                   workers=1, offset=0):
     """Eigenvalue matrix for H0 or H1 detection trials (one stream each).
 
     ``workers`` is a process count or the map of a run's pool (``_pool``).
     """
-    params = (n_total, l_snapshots, snr_db, jitter_db, hypothesis)
+    params = (n_total, l_snapshots, snr_db, hypothesis)
     with _pool(workers) as pmap:
         return _monte_carlo(_detection_block, params, n_trials, seed, pmap,
                             math.ceil(n_trials / BATCH), offset)
 
 
-def make_detection_dataset_factory(n_total, l_snapshots, snr_db,
-                                   jitter_db=0.0, workers=1):
+def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
     """Factory(n, seed) -> balanced TrainingSet of normalized eig features."""
 
     def factory(n_examples, seed):
         n_h1 = n_examples // 2
         n_h0 = n_examples - n_h1
         e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed,
-                            workers, jitter_db)
+                            workers)
         e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed,
-                            workers, jitter_db, offset=n_h0)
+                            workers, offset=n_h0)
         feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
         return TrainingSet(feats, labels)
@@ -378,9 +366,8 @@ def train_mlnn_model(config: ExperimentConfig, workers=None):
     n_total = int(config["array.n_total"])
     l_snap = int(config["scenario.n_snapshots"])
     snr_db = float(config["scenario.snr_db"])
-    jitter = float(config["mlnn.snr_jitter_db"])
     factory = make_detection_dataset_factory(
-        n_total, l_snap, snr_db, jitter, workers or config.workers)
+        n_total, l_snap, snr_db, workers or config.workers)
     shapes = _parse_shapes(config["mlnn.shapes"])
     hyper = Hyper(float(config["mlnn.learning_rate"]),
                   int(config["mlnn.batch_size"]),
@@ -400,6 +387,9 @@ def run_roc(config: ExperimentConfig, model=None):
     l_snap = int(config["scenario.n_snapshots"])
     snr_db = float(config["scenario.snr_db"])
     trials = config.trials
+    if model is not None and model.layer_sizes[0] != n_total:
+        raise ConfigError(f"the model takes {model.layer_sizes[0]} eigenvalues "
+                          f"but [array] n_total is {n_total}")
     with _pool(config.workers) as pmap:
         if model is None:
             model, _ = train_mlnn_model(config, pmap)
@@ -479,8 +469,8 @@ def run_rmse_snr(config: ExperimentConfig):
             rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, pmap)
             # the HAD eliminators estimate from a broadside snapshot, so their
             # bound is the broadside one
-            sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1,
-                                          analog_steer_u=0.0) * RAD2_TO_DEG2)
+            sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1)
+                                 * RAD2_TO_DEG2)
             sqrt_crlb = {
                 METHOD_CLASSIC: sqrt_had,
                 METHOD_FHAD: sqrt_had,

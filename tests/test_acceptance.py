@@ -35,7 +35,7 @@ from doalab.harness import (
     run_roc,
     train_mlnn_model,
 )
-from doalab.mlnn import forward, init_model
+from doalab.mlnn import eig_features, forward, init_model
 from doalab.quantize import distortion_factor, performance_loss_db
 from doalab.rng import trial_rng
 from doalab.spectral import music_spectrum_grid, root_music, sample_covariance
@@ -93,11 +93,10 @@ def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):
     _, _, scores = roc_runs
     n_trials = len(scores["h0"]["mlnn"])
     fresh_eigs = detection_eigs(64, 200, -20.0, 0, n_trials, SEED + 13)
-    fresh_feats = fresh_eigs / fresh_eigs.sum(axis=1, keepdims=True)
     fresh = {
         "glrt": glrt_statistic(fresh_eigs, "sphericity"),
         "r-maxev-minev": maxmin_statistic(fresh_eigs),
-        "mlnn": forward(mlnn_model, fresh_feats),
+        "mlnn": forward(mlnn_model, eig_features(fresh_eigs)),
     }
     ok = True
     for target in (0.01, 0.1):
@@ -211,14 +210,14 @@ def test_criterion_8_numerical_hygiene():
         m = init_model((6, 8, 1), (act,), 3)
         x = rng.standard_normal((16, 6)) + 0.1
         y = (rng.random(16) > 0.5).astype(float)
-        _, gw, _ = _forward_backward(m, x, y, "mse")
+        _, gw, _ = _forward_backward(m, x, y)
         eps = 1e-6
         for li in range(len(m.weights)):
             idx = (0, 0)
             m.weights[li][idx] += eps
-            lp, _, _ = _forward_backward(m, x, y, "mse")
+            lp, _, _ = _forward_backward(m, x, y)
             m.weights[li][idx] -= 2 * eps
-            lm, _, _ = _forward_backward(m, x, y, "mse")
+            lm, _, _ = _forward_backward(m, x, y)
             m.weights[li][idx] += eps
             num = (lp - lm) / (2 * eps)
             scale = max(abs(num), 1e-8)

@@ -68,7 +68,8 @@ class TestHadBound:
         # bound equals a K-element ULA at spacing M*d with snr M*snr
         cfg = ArrayConfig.pure_had(64, 4)
         theta, snr_db, t = 25.0, -10.0, 50
-        got = crlb_had(cfg, theta, snr_db, t)
+        got = crlb_had(cfg, theta, snr_db, t,
+                       analog_steer_u=math.sin(math.radians(theta)))
         ref = crlb_fd_closed_form(cfg.k_sub, theta, snr_db + 10 * np.log10(4),
                                   t, spacing=4 * 0.5)
         assert got == pytest.approx(ref, rel=1e-10)
@@ -82,7 +83,8 @@ class TestHadBound:
 
     def test_mismatch_never_beats_matched(self):
         cfg = ArrayConfig.pure_had(32, 4)
-        matched = crlb_had(cfg, 20.0, 0.0, 10)
+        matched = crlb_had(cfg, 20.0, 0.0, 10,
+                           analog_steer_u=math.sin(math.radians(20.0)))
         for steer in (-0.5, 0.0, 0.2, 0.6):
             assert crlb_had(cfg, 20.0, 0.0, 10, analog_steer_u=steer) >= \
                 matched * (1 - 1e-12)

@@ -1,15 +1,19 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from doalab import harness
 from doalab.arrays import ArrayConfig
 from doalab.cli import main as cli_main
 from doalab.crlb import RAD2_TO_DEG2, crlb_had
 from doalab.errors import ConfigError
 from doalab.harness import (
     DEFAULT_TRIALS,
+    SCHEMA,
+    ExperimentConfig,
     detection_eigs,
     load_config,
     make_detection_dataset_factory,
@@ -21,6 +25,7 @@ from doalab.harness import (
     run_train_mlnn,
     train_mlnn_model,
 )
+from doalab.mlnn import init_model, save_model
 from doalab.quantize import performance_loss_db
 
 
@@ -349,8 +354,8 @@ class TestCli:
         ("rmse-eta", "[array]\nn_total = 10\nfd_proportion = 0.5\n"),
         ("rmse-snr", "[scenario]\ntheta_deg = 95\n"),
         ("roc", "[detect]\nglrt_form = nope\n"),
-        ("train-mlnn", "[mlnn]\nsnr_jitter_db = nan\n"),
-        ("train-mlnn", "[mlnn]\nsnr_jitter_db = inf\n"),
+        ("train-mlnn", "[mlnn]\nsnr_jitter_db = 1\n"),
+        ("roc", "[detect]\ntarget_fap = 0.1\n"),
         ("train-mlnn", "[run]\ntrials = 500\n"),
         ("train-mlnn", "[mlnn]\nbatch_size = 0\n"),
         ("train-mlnn", "[mlnn]\nsearch_size = 0\n"),
@@ -369,7 +374,7 @@ class TestCli:
             "snr-overflows", "snr-nan", "snr-list-inf", "eta-snr-list-nan",
             "quant-snr-list-inf", "m-sub-above-n-total", "n-total-one",
             "eta-grid-partition", "theta-out-of-range", "unknown-glrt-form",
-            "jitter-nan", "jitter-inf", "mlnn-trials-below-1000",
+            "snr-jitter-unknown", "target-fap-unknown", "mlnn-trials-below-1000",
             "batch-size-zero", "search-size-zero", "search-size-one",
             "learning-rate-nan", "final-ratio-twenty", "epochs-negative",
             "unknown-activation", "shape-not-int", "shape-zero-width",
@@ -396,3 +401,45 @@ class TestCli:
         assert cli_main(["roc", "--model", str(model),
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_inputs,edit", [
+        (64, lambda doc: doc),
+        (16, lambda doc: [1, 2]),
+        (16, lambda doc: dict(doc, weights=[doc["weights"][0][:-1],
+                                            doc["weights"][1]])),
+        (16, lambda doc: dict(doc, layer_sizes=64)),
+    ], ids=["other-n-total", "not-an-object", "weights-row-dropped",
+            "layer-sizes-not-list"])
+    def test_misfit_model_exit_code(self, tmp_path, capsys, monkeypatch,
+                                    n_inputs, edit):
+        # refused when the model loads, before any detection trial runs
+        monkeypatch.setattr(harness, "detection_eigs", lambda *args, **kw:
+                            pytest.fail("a detection trial ran"))
+        model = tmp_path / "model.json"
+        save_model(init_model((n_inputs, 4, 1), ("sigmoid",), 0), model)
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        cfg_path = _write_config(tmp_path / "c.ini",
+                                 "[run]\ntrials = 200\n[array]\nn_total = 16\n")
+        assert cli_main(["roc", "--config", cfg_path, "--model", str(model),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    # a key that no experiment reads would change only the digest
+    read = set()
+    getitem = ExperimentConfig.__getitem__
+
+    def recording(self, key):
+        read.add(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", recording)
+    cases = dict(INVARIANCE_CASES, **{"rmse-snr": (SMALL_RMSE, ())})
+    for experiment, (text, _) in cases.items():
+        cfg_path = _write_config(tmp_path / f"{experiment}.ini", text)
+        run_experiment(load_config(experiment, cfg_path,
+                                   out=str(tmp_path / experiment)))
+    keys = {f"{sec}.{key}" for sec, section in SCHEMA.items() if sec != "run"
+            for key in section}
+    assert keys - read == set()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from doalab.mlnn import (
     Hyper,
     MlnnModel,
     TrainingSet,
-    batch_loss,
     eig_features,
     forward,
     init_model,
@@ -42,6 +43,16 @@ class TestModelBasics:
     def test_activation_count_checked(self):
         with pytest.raises(ValueError):
             init_model((4, 8, 1), (), 0)
+
+    def test_array_shapes_checked(self):
+        m = init_model((4, 8, 1), ("relu",), 0, input_center=np.zeros(4))
+        for bad in (dict(weights=[m.weights[0][:-1], m.weights[1]]),
+                    dict(weights=m.weights[:1]),
+                    dict(biases=[m.biases[0][:-1], m.biases[1]]),
+                    dict(input_center=np.zeros(3)),
+                    dict(input_scale=np.ones(5))):
+            with pytest.raises(ValueError):
+                dataclasses.replace(m, **bad)
 
     def test_glorot_bounds(self):
         m = init_model((10, 20, 1), ("tanh",), 3)
@@ -84,24 +95,24 @@ class TestModelBasics:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("loss", ["mse", "cross-entropy"])
-    @pytest.mark.parametrize("act", ["sigmoid", "tanh", "relu"])
-    def test_numeric_gradient_check(self, loss, act):
+    @pytest.mark.parametrize("act", ["sigmoid", "tanh", "relu"],
+                             ids=["sigmoid-mse", "tanh-mse", "relu-mse"])
+    def test_numeric_gradient_check(self, act):
         from doalab.mlnn import _forward_backward
 
         rng = trial_rng(4)
         m = init_model((3, 5, 1), (act,), 8)
         x = rng.standard_normal((12, 3)) + 0.1  # keep relu off its kink
         y = (rng.random(12) > 0.5).astype(float)
-        _, gw, gb = _forward_backward(m, x, y, loss)
+        _, gw, gb = _forward_backward(m, x, y)
         eps = 1e-6
         for li in range(len(m.weights)):
             w = m.weights[li]
             for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
                 w[idx] += eps
-                lp, _, _ = _forward_backward(m, x, y, loss)
+                lp, _, _ = _forward_backward(m, x, y)
                 w[idx] -= 2 * eps
-                lm, _, _ = _forward_backward(m, x, y, loss)
+                lm, _, _ = _forward_backward(m, x, y)
                 w[idx] += eps
                 num = (lp - lm) / (2 * eps)
                 assert gw[li][idx] == pytest.approx(num, abs=1e-6)
@@ -145,14 +156,6 @@ class TestTrain:
         with pytest.raises(TrainingError) as exc:
             train(m, data, Hyper(epochs=10, seed=0))
         assert isinstance(exc.value.loss_history, list)
-
-    def test_cross_entropy_also_learns(self):
-        data = _xor_set()
-        m = init_model((2, 16, 1), ("tanh",), 0)
-        trained, history = train(m, data, Hyper(epochs=60, seed=1,
-                                                loss="cross-entropy"))
-        acc = np.mean((forward(trained, data.features) > 0.5) == (data.labels > 0.5))
-        assert acc > 0.95
 
 
 class TestTrainingSet:
