@@ -195,27 +195,30 @@ def analog_combine(samples: np.ndarray, cfg: ArrayConfig,
                    u_steer=0.0) -> np.ndarray:
     """Apply per-subarray analog combining; FD antennas pass through.
 
-    ``samples`` is the element-level channels x snapshots array.  Every
-    subarray is steered at direction-sine ``u_steer``, a scalar (all
-    subarrays alike, broadside by default) or one value per subarray:
-    subarray k's output is ``w_k^H x_k`` with unit-modulus phases
-    ``w_k = exp(i 2 pi d m u_k) / sqrt(M)``.  The phases are local to each
-    subarray, so the inter-subarray phase of the combined channels stays on
-    the virtual M*d grid, and the 1/sqrt(M) normalization keeps combined
-    noise power equal to the element-level noise power.
+    ``samples`` is the element-level channels x snapshots array, or a
+    stack of them (..., channels, snapshots).  Every subarray is steered
+    at direction-sine ``u_steer``: a scalar (all subarrays of every array
+    alike, broadside by default), one value per subarray, or one value per
+    subarray of each array in the stack.  Subarray k's output is
+    ``w_k^H x_k`` with unit-modulus phases ``w_k = exp(i 2 pi d m u_k) /
+    sqrt(M)``.  The phases are local to each subarray, so the
+    inter-subarray phase of the combined channels stays on the virtual M*d
+    grid, and the 1/sqrt(M) normalization keeps combined noise power equal
+    to the element-level noise power.
 
     Output channels: k_sub combined subarray channels followed by the n_fd
     fully-digital element channels.
     """
-    if samples.shape[0] != cfg.n_total:
+    if samples.ndim < 2 or samples.shape[-2] != cfg.n_total:
         raise ValueError("sample row count does not match array config")
+    lead, t = samples.shape[:-2], samples.shape[-1]
     u = np.asarray(u_steer, dtype=float)
     if u.ndim == 0:
         u = np.full(cfg.k_sub, u)
-    elif u.shape != (cfg.k_sub,):
+    elif u.shape not in ((cfg.k_sub,), lead + (cfg.k_sub,)):
         raise ValueError("u_steer must be scalar or one entry per subarray")
     m = np.arange(cfg.m_sub)
-    w = np.exp(2j * np.pi * cfg.spacing * np.outer(u, m)) / np.sqrt(cfg.m_sub)
-    had = samples[: cfg.n_had].reshape(cfg.k_sub, cfg.m_sub, samples.shape[1])
-    combined = np.einsum("km,kmt->kt", w.conj(), had)
-    return np.concatenate([combined, samples[cfg.n_had:]], axis=0)
+    w = np.exp(2j * np.pi * cfg.spacing * u[..., None] * m) / np.sqrt(cfg.m_sub)
+    had = samples[..., : cfg.n_had, :].reshape(lead + (cfg.k_sub, cfg.m_sub, t))
+    combined = np.einsum("...km,...kmt->...kt", w.conj(), had)
+    return np.concatenate([combined, samples[..., cfg.n_had:, :]], axis=-2)

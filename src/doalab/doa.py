@@ -7,9 +7,13 @@ with CRLB-weighted combining, and the combiner itself.
 
 All estimators consume a scenario with exactly one emitter and draw their
 snapshots from the provided generator, so trials parallelize with split
-streams.
+streams.  The two HAD eliminators also come in a form over a stack of
+trials (``*_rows``), one generator per trial, which draws the same values
+in the same order as the per-trial form and roots all trials' Root-MUSIC
+polynomials in one search; the per-trial forms stay as their oracles.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +26,12 @@ from .arrays import (
 )
 from .crlb import crlb_fd, crlb_had
 from .errors import ConfigError
-from .spectral import root_music, sample_covariance
+from .spectral import (
+    root_music,
+    root_music_rows,
+    sample_covariance,
+    signal_vectors,
+)
 
 METHOD_CLASSIC = "had-root-music"
 METHOD_FHAD = "fhad-root-music"
@@ -139,6 +148,91 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
     best = int(np.argmax(group_power))
     return DoaEstimate(float(cands.candidates[best]), METHOD_FHAD, 2,
                        candidates=cands)
+
+
+def max_candidates(m_sub: int, spacing: float) -> int:
+    """The most candidates ``candidate_set`` can return: every
+    congruence class modulo 1/(M d) meets [-1, 1) at most ceil(2 M d)
+    times."""
+    if m_sub * spacing < 1.0:
+        return 1
+    return math.ceil(2.0 * m_sub * spacing - 1e-9)
+
+
+def _candidate_rows(u_hat, m_sub, spacing):
+    """``candidate_set`` of each entry of ``u_hat``, as rows padded with NaN."""
+    sets = [candidate_set(u, m_sub, spacing).candidates for u in u_hat]
+    rows = np.full((len(sets), max(map(len, sets), default=0)), np.nan)
+    for row, cands in zip(rows, sets):
+        row[: len(cands)] = cands
+    return rows
+
+
+def _broadside_candidate_rows(cfg, scen1, rngs):
+    """``_had_candidates`` for a stack of trials: each trial's broadside
+    snapshot, then one Root-MUSIC search over all trials."""
+    x = np.stack([synthesize_snapshots(cfg, scen1, rng).samples for rng in rngs])
+    had = analog_combine(x, cfg)[:, : cfg.k_sub]
+    u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
+    return _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
+
+
+def _pick(cands, power):
+    """The candidate of largest power per row; padding never wins."""
+    power = np.where(np.isnan(cands), -np.inf, power)
+    chosen = np.argmax(power, axis=1)
+    return cands[np.arange(len(cands)), chosen], chosen, cands
+
+
+def had_root_music_classic_rows(cfg: ArrayConfig, scen: EmitterScenario,
+                                rngs):
+    """``had_root_music_classic`` for a stack of trials, one generator each.
+
+    Returns (u, chosen, candidates): per trial the estimate, the index of
+    the chosen candidate, and the candidates as a row padded with NaN.
+    """
+    if cfg.n_fd != 0:
+        raise ConfigError("classic eliminator needs a pure HAD array")
+    _require_single_emitter(scen)
+    scen1 = replace(scen, n_snapshots=1)
+    cands = _broadside_candidate_rows(cfg, scen1, rngs)
+    x = np.zeros(cands.shape + (cfg.n_total, 1), dtype=complex)
+    for b, rng in enumerate(rngs):
+        for j in range(np.count_nonzero(~np.isnan(cands[b]))):
+            x[b, j] = synthesize_snapshots(cfg, scen1, rng).samples
+    steer = np.repeat(np.nan_to_num(cands)[..., None], cfg.k_sub, axis=-1)
+    had = analog_combine(x, cfg, steer)[..., : cfg.k_sub, 0]
+    return _pick(cands, np.mean(np.abs(had) ** 2, axis=-1))
+
+
+def fhad_root_music_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
+    """``fhad_root_music`` for a stack of trials, one generator each.
+
+    Returns (u, chosen, candidates) as ``had_root_music_classic_rows``.
+    """
+    if cfg.n_fd != 0:
+        raise ConfigError("fast eliminator needs a pure HAD array")
+    _require_single_emitter(scen)
+    scen1 = replace(scen, n_snapshots=1)
+    cands = _broadside_candidate_rows(cfg, scen1, rngs)
+    counts = np.count_nonzero(~np.isnan(cands), axis=1)
+    if cfg.k_sub < cands.shape[1]:
+        raise ConfigError(f"{cfg.k_sub} subarrays cannot host "
+                          f"{cands.shape[1]} candidate subgroups")
+    x = np.stack([synthesize_snapshots(cfg, scen1, rng).samples for rng in rngs])
+    groups = {k: _subgroups(cfg.k_sub, k) for k in np.unique(counts)}
+    steer = np.empty((len(cands), cfg.k_sub))
+    for k, grps in groups.items():
+        of = np.repeat(np.arange(k), [len(g) for g in grps])  # subarray -> group
+        steer[counts == k] = cands[counts == k][:, of]
+    sub_power = np.abs(analog_combine(x, cfg, steer)[:, : cfg.k_sub, 0]) ** 2
+    group_power = np.zeros(cands.shape)
+    for k, grps in groups.items():
+        rows = np.flatnonzero(counts == k)
+        for j, grp in enumerate(grps):
+            group_power[rows, j] = np.mean(sub_power[rows, grp.start:grp.stop],
+                                           axis=1)
+    return _pick(cands, group_power)
 
 
 def combine_estimates(u_a: float, crlb_a: float, u_b: float, crlb_b: float):

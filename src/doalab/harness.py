@@ -45,8 +45,9 @@ from .doa import (
     METHOD_FHAD,
     METHOD_TLHAD,
     broadside_gain_ok,
-    fhad_root_music,
-    had_root_music_classic,
+    fhad_root_music_rows,
+    had_root_music_classic_rows,
+    max_candidates,
     tlhad_estimate,
 )
 from .errors import ConfigError
@@ -62,7 +63,7 @@ from .mlnn import (
 )
 from .quantize import performance_loss_db, quantize
 from .rng import trial_rng
-from .spectral import root_music, sample_covariance
+from .spectral import root_music_rows, signal_vectors
 
 EXPERIMENTS = ("roc", "rmse-snr", "rmse-eta", "loss-bits", "train-mlnn")
 
@@ -260,14 +261,31 @@ def load_config(experiment: str, path=None, seed=None, out=None,
     # the subarray partition couples several keys, so only the arrays built
     # from all of them can tell whether they fit together
     try:
-        config.array_config()
-        if experiment == "rmse-eta":
-            for eta in eta_grid:
-                ArrayConfig.two_layer(num["array.n_total"], num["array.m_sub"],
+        cfg = config.array_config()
+        etas = [ArrayConfig.two_layer(num["array.n_total"], num["array.m_sub"],
                                       eta, num["array.spacing"])
+                for eta in (eta_grid if experiment == "rmse-eta" else ())]
     except ValueError as exc:
         raise ConfigError(f"[array] settings do not fit together: {exc}") from None
+    # so do the estimators' needs, which would otherwise fail in a trial
+    if experiment == "rmse-snr":
+        _check_estimators(cfg, eliminators=True)
+    for arr in etas:
+        _check_estimators(arr, eliminators=False)
     return config
+
+
+def _check_estimators(cfg: ArrayConfig, eliminators: bool):
+    """Raise ConfigError unless the two-layer estimator, and with
+    ``eliminators`` also the HAD eliminators, can run on ``cfg``."""
+    where = f"at fd_proportion {cfg.fd_proportion:g}"
+    if cfg.n_fd < 2:
+        raise ConfigError(f"the two-layer estimator needs 2 FD antennas, "
+                          f"got {cfg.n_fd} {where}")
+    need = max(2, max_candidates(cfg.m_sub, cfg.spacing))
+    if eliminators and cfg.k_sub < need:
+        raise ConfigError(f"the HAD eliminators need {need} subarrays (one per "
+                          f"candidate, at least 2), got {cfg.k_sub} {where}")
 
 
 def _fmt(x) -> str:
@@ -423,25 +441,26 @@ def _rmse_block(params, seed, trials):
     """Paired DOA errors (degrees) at one SNR point, one column per method.
 
     The classic and fast eliminators run on the HAD subsystem of the
-    configured array; the two-layer estimator sees the full array.  All
-    methods share the trial stream, so snapshot realizations are paired.
+    configured array, over the whole block at once; the two-layer
+    estimator sees the full array, one trial at a time.  All methods share
+    the trial stream, so snapshot realizations are paired.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
-    cfg_had = (ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
-               if cfg.k_sub >= 1 else None)
-    scen_1, scen_t = (EmitterScenario.single_emitter(
-        theta_deg, snr_db, t, signal_model=signal_model) for t in (1, t_snap))
-    runners = {
-        METHOD_CLASSIC: (had_root_music_classic, cfg_had, scen_1),
-        METHOD_FHAD: (fhad_root_music, cfg_had, scen_1),
-        METHOD_TLHAD: (tlhad_estimate, cfg, scen_t),
-    }
+    eliminators = {METHOD_CLASSIC: had_root_music_classic_rows,
+                   METHOD_FHAD: fhad_root_music_rows}
     errors = np.empty((len(trials), len(methods)))
-    for k, i in enumerate(trials):
-        for j, m in enumerate(methods):
-            fn, mcfg, scen = runners[m]
-            est = fn(mcfg, scen, trial_rng(seed, i))
-            errors[k, j] = est.angle_deg - theta_deg
+    for j, m in enumerate(methods):
+        if m == METHOD_TLHAD:
+            scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
+                                                  signal_model=signal_model)
+            u = [tlhad_estimate(cfg, scen, trial_rng(seed, i)).u for i in trials]
+        else:
+            scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
+                                                  signal_model=signal_model)
+            cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
+            u = eliminators[m](cfg_had, scen,
+                               [trial_rng(seed, i) for i in trials])[0]
+        errors[:, j] = np.degrees(np.arcsin(u)) - theta_deg
     return errors
 
 
@@ -517,18 +536,17 @@ def run_rmse_eta(config: ExperimentConfig):
 
 def _quant_block(params, seed, trials):
     """Root-MUSIC errors in u: the quantized estimate in column 0, the
-    unquantized one in column 1."""
+    unquantized one in column 1.  The block's trials are stacked, so both
+    columns come from one search each."""
     n_antennas, l_snap, theta_deg, snr_db, bits = params
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
-    errors = np.empty((len(trials), 2))
-    for k, i in enumerate(trials):
-        x = synthesize_snapshots(cfg, scen, trial_rng(seed, i)).samples
-        u_hat = root_music(sample_covariance(x), 1, cfg.spacing)[0]
-        uq = root_music(sample_covariance(quantize(x, bits)), 1, cfg.spacing)[0]
-        errors[k] = uq - u_true, u_hat - u_true
-    return errors
+    x = np.stack([synthesize_snapshots(cfg, scen, trial_rng(seed, i)).samples
+                  for i in trials])
+    u_hat = root_music_rows(signal_vectors(x), cfg.spacing)
+    uq = root_music_rows(signal_vectors(quantize(x, bits)), cfg.spacing)
+    return np.column_stack((uq - u_true, u_hat - u_true))
 
 
 def run_loss_bits(config: ExperimentConfig):

@@ -96,19 +96,20 @@ def quantize(samples: np.ndarray, bits,
              scale: np.ndarray | None = None) -> np.ndarray:
     """Quantize real and imaginary parts with the b-bit Lloyd-Max codebook.
 
-    ``samples`` is a channels x snapshots array.  The codebook is scaled per
-    channel by the RMS of the samples (per real dimension), an automatic
-    gain control matching the AQNM assumption; pass ``scale`` to reuse a
-    fixed codebook scaling.  Channels whose scale is zero come out as
-    zeros.  ``bits = math.inf`` returns an unquantized copy.
+    ``samples`` is a channels x snapshots array, or a stack of them
+    (..., channels, snapshots).  The codebook is scaled per channel by the
+    RMS of the samples (per real dimension), an automatic gain control
+    matching the AQNM assumption; pass ``scale`` to reuse a fixed codebook
+    scaling.  Channels whose scale is zero come out as zeros.
+    ``bits = math.inf`` returns an unquantized copy.
     """
     if bits == math.inf:
         return samples.copy()
     levels, thresholds, _ = lloyd_max_codebook(bits)
     if scale is None:
-        scale = np.sqrt(np.mean(np.abs(samples) ** 2, axis=1) / 2.0)
-    scale = np.asarray(scale, dtype=float)
-    safe = np.where(scale > 0.0, scale, 1.0)[:, None]
+        scale = np.sqrt(np.mean(np.abs(samples) ** 2, axis=-1) / 2.0)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), samples.shape[:-1])
+    safe = np.where(scale > 0.0, scale, 1.0)[..., None]
     out = safe * (_quantize_real(samples.real / safe, levels, thresholds)
                   + 1j * _quantize_real(samples.imag / safe, levels, thresholds))
     out[scale <= 0.0] = 0.0

@@ -1,5 +1,6 @@
 """Sample covariance, Hermitian eigendecomposition, and Root-MUSIC."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,33 @@ def sample_covariance(samples) -> CovarianceEstimate:
     x = np.asarray(getattr(samples, "samples", samples), dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("need a channels x snapshots array with >= 1 snapshot")
-    r = x @ x.conj().T / x.shape[1]
-    r = (r + r.conj().T) / 2.0  # enforce exact Hermitian symmetry
+    r = _covariances(x)
     w, v = np.linalg.eigh(r)  # ascending
     return CovarianceEstimate(r, w[::-1], v[:, ::-1])
+
+
+def _covariances(x: np.ndarray) -> np.ndarray:
+    """x x^H / T for each channels x snapshots array of a stack (..., P, T)."""
+    r = x @ np.swapaxes(x.conj(), -1, -2) / x.shape[-1]
+    return (r + np.swapaxes(r.conj(), -1, -2)) / 2.0  # exactly Hermitian
+
+
+def _null_polynomials(vectors: np.ndarray) -> np.ndarray:
+    """Root-MUSIC coefficients, one row per stack of signal eigenvectors.
+
+    ``vectors`` is (B, S, P): S orthonormal signal eigenvectors of each of
+    B covariances.  Row b holds the coefficients (highest degree first)
+    of z^(P-1) * a(1/z)^H C a(z), with C = I - E_s E_s^H the projector
+    onto the noise subspace of stack b.
+    """
+    p = vectors.shape[-1]
+    upper = np.zeros((len(vectors), p), dtype=complex)
+    for row, stack in zip(upper, vectors):
+        for e in stack:
+            # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
+            row -= np.correlate(e, e, "full")[:p]
+    upper[:, -1] = p + upper[:, -1].real
+    return np.concatenate((upper, np.conj(upper[:, -2::-1])), axis=1)
 
 
 def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray:
@@ -45,19 +69,17 @@ def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray
     conjugates of the superdiagonal ones, since C is Hermitian; the
     polynomial is then exactly self-reciprocal and real on the unit circle.
     """
-    p = cov.dim
-    # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
-    upper = -sum(np.correlate(e, e, "full")[:p]
-                 for e in cov.eigenvectors[:, :n_sources].T)
-    upper[-1] += p
-    return np.concatenate((upper[:-1], [upper[-1].real], np.conj(upper[-2::-1])))
+    signal = cov.eigenvectors[:, :n_sources].T
+    return _null_polynomials(signal[None])[0]
 
 
-# From this channel count up, the one-source root comes from the certified
-# search (``_certified_root``).  Per call on one-snapshot covariances (one
-# BLAS thread, 2.1 GHz Xeon) the two paths tie near P = 12 at about 0.37 ms;
-# the companion eigensolve takes 0.15 ms at P = 8 and 0.55 ms at P = 14,
-# the search about 0.33 ms at both.
+# From this channel count up, a single covariance's one-source root comes
+# from the certified search (``_certified_roots``).  Per call on
+# one-snapshot covariances (one BLAS thread, 2.1 GHz Xeon) the two paths
+# tie near P = 12 at about 0.37 ms; the companion eigensolve takes 0.15 ms
+# at P = 8 and 0.55 ms at P = 14, the search about 0.33 ms at both.
+# Stacks of covariances (``root_music_rows``) share the search's fixed
+# cost and take it at every channel count.
 CERTIFIED_MIN_DIM = 13
 _MAX_ITER = 40
 # rounds of ring starts after the start at the deepest spectral minimum
@@ -99,12 +121,31 @@ def _closest_first(z: np.ndarray) -> np.ndarray:
     return np.lexsort((np.abs(np.angle(z)), -np.abs(z)))
 
 
+def _closest(z: np.ndarray) -> np.ndarray:
+    """Per row of ``z``, the entry ``_closest_first`` puts first."""
+    if z.shape[1] == 1:
+        return z[:, 0]
+    r = np.abs(z)
+    phase = np.where(r == r.max(axis=1, keepdims=True), np.abs(np.angle(z)),
+                     np.inf)
+    return z[np.arange(len(z)), phase.argmin(axis=1)]
+
+
 def _pow2_at_least(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def _deepest_minimum_start(a: np.ndarray):
-    """A start for the root below the deepest minimum of the null spectrum.
+@functools.lru_cache(maxsize=16)
+def _conj_unit_roots(k: int) -> np.ndarray:
+    """exp(-2 pi i j / k) for j = 0 .. k-1, read-only."""
+    w = np.exp(-2j * np.pi / k * np.arange(k))
+    w.flags.writeable = False
+    return w
+
+
+def _deepest_minimum_start(a: np.ndarray) -> np.ndarray:
+    """Per row of ``a``, a start for the root below the deepest minimum of
+    the null spectrum.
 
     The spectrum d(w) is sampled on an FFT grid.  A parabola through each
     local minimum and its two neighbours gives the depth d0 and curvature
@@ -112,134 +153,173 @@ def _deepest_minimum_start(a: np.ndarray):
     s = sqrt(2 d0 / d2) inside the circle.  The minimum with the smallest
     such s wins.
     """
-    p = (len(a) + 1) // 2
+    p = (a.shape[1] + 1) // 2
     m = _pow2_at_least(8 * p)
     # d(w_j) = sum_l c_l e^{i l w_j}, c_{-l} = conj(c_l), c_l = a[p - 1 + l]
-    d = m * np.fft.irfft(a[p - 1:], m)
-    left = np.concatenate((d[-1:], d[:-1]))
-    right = np.concatenate((d[1:], d[:1]))
-    j = np.flatnonzero((d < left) & (d <= right))
-    curv = left[j] - 2.0 * d[j] + right[j]
+    d = m * np.fft.irfft(a[:, p - 1:], m, axis=1)
+    left = np.concatenate((d[:, -1:], d[:, :-1]), axis=1)
+    right = np.concatenate((d[:, 1:], d[:, :1]), axis=1)
+    curv = left - 2.0 * d + right
     curv = np.where(curv > 0.0, curv, np.inf)
-    depth = d[j] - 0.125 * (right[j] - left[j]) ** 2 / curv
+    depth = d - 0.125 * (right - left) ** 2 / curv
     sigma = np.sqrt(np.maximum(2.0 * depth / curv, 0.0))
-    i = int(np.argmin(sigma))
-    shift = 0.5 * (left[j[i]] - right[j[i]]) / curv[i]
+    sigma[~((d < left) & (d <= right))] = np.inf  # local minima only
+    rows = np.arange(len(d))
+    j = sigma.argmin(axis=1)
+    shift = 0.5 * (left[rows, j] - right[rows, j]) / curv[rows, j]
     step = 2.0 * np.pi / m
-    return np.exp(step * (-sigma[i] + 1j * (j[i] + shift)))
+    return np.exp(step * (-sigma[rows, j] + 1j * (j + shift)))
 
 
 def _laguerre(a: np.ndarray, z: np.ndarray):
     """Laguerre's iteration (Newton's with a second-order correction) from
-    every start at once.
+    every start of every row at once.
 
-    Roots pair up as (z, 1/conj(z)), so every iterate is mirrored into the
-    closed unit disk, where sum |a_k| bounds the terms of g.  A start has
-    converged once |g| is at rounding level against that bound; the step
-    taken from there polishes the root.  Returns the roots, or None when a
-    start does not converge.
+    Row b of ``a`` holds a polynomial (ascending) and row b of ``z`` its
+    starts.  Roots pair up as (z, 1/conj(z)), so every iterate is mirrored
+    into the closed unit disk, where sum |a_k| bounds the terms of g.  A
+    start has converged once |g| is at rounding level against that bound;
+    the step taken from there polishes the root, and the start then stays
+    put.  Returns the roots and a mask of the rows whose every start
+    converged to a finite root.
     """
-    n = len(a) - 1
+    n = a.shape[1] - 1
     k = np.arange(n + 1)
     # g, g' and g'' as linear forms in the powers z^0 .. z^n
-    forms = np.zeros((n + 1, 3), dtype=complex)
-    forms[:, 0] = a
-    forms[:-1, 1] = a[1:] * k[1:]
-    forms[:-2, 2] = a[2:] * (k[2:] * (k[2:] - 1))
-    tol = 4.0 * n * _EPS * np.sum(np.abs(a))
-    z = np.array(z, dtype=complex, ndmin=1)
+    forms = np.zeros((len(a), n + 1, 3), dtype=complex)
+    forms[:, :, 0] = a
+    forms[:, :-1, 1] = a[:, 1:] * k[1:]
+    forms[:, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
+    tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
+    z = np.array(z, dtype=complex)
+    shape = z.shape
+    lane_row = np.repeat(np.arange(shape[0]), shape[1])
+    if shape[1] > 1:  # one lane per start, with its row's forms and tolerance
+        forms, tol = forms[lane_row], tol[lane_row]
+    z = z.ravel()
     active = np.arange(z.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
             zi = z[active]
-            pw = np.empty((zi.size, n + 1), dtype=complex)
-            pw[:, 0] = 1.0
-            pw[:, 1:] = zi[:, None]
-            g, d1, d2 = (np.cumprod(pw, axis=1, out=pw) @ forms).T
+            pw = np.empty((zi.size, 1, n + 1), dtype=complex)
+            pw[:, 0, 0] = 1.0
+            pw[:, 0, 1:] = zi[:, None]
+            g, d1, d2 = (np.cumprod(pw, axis=2, out=pw) @ forms[active])[:, 0].T
             grad = d1 / g
             hess = grad * grad - d2 / g
             root = np.sqrt((n - 1) * (n * hess - grad * grad))
-            den = np.where(np.abs(grad + root) >= np.abs(grad - root),
-                           grad + root, grad - root)
+            plus, minus = grad + root, grad - root
+            den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             step = zi - n / den
             z[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
-            active = active[np.abs(g) > tol]
+            active = active[np.abs(g) > tol[active]]
             if active.size == 0:
                 break
-    if active.size or not np.all(np.isfinite(z)):
-        return None
-    return z
+    z = z.reshape(shape)
+    ok = np.isfinite(z).all(axis=1)
+    ok[lane_row[active]] = False
+    return z, ok
 
 
-def _certified(a: np.ndarray, best: complex) -> bool:
-    """Argument-principle count of the zeros inside |z| = r1 < |best|.
+def _certified(a: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Per row, whether an argument-principle count of the zeros inside
+    |z| = r1 < |best| certifies ``best`` as the root closest to the unit
+    circle.
 
     The polynomial has P-1 zeros inside the unit circle, so ``best`` is
     the one closest to it exactly when P-2 zeros lie inside a circle just
-    within it.  The polynomial is sampled on that circle by FFT, with
-    ``best`` and its mirror divided out so that the count only has to
-    resolve the other roots.  A wrong count fails at once.  A right count
-    is refined fourfold while a phase step exceeds ``_CERT_MAX_STEP``; a
-    circle still undersampled at ``_CERT_MAX_SAMPLES_PER_DEGREE`` per
-    degree, or a sample at rounding level, fails the certificate.
+    within it.  The polynomial is sampled on that circle by FFT, with the
+    phase of ``best`` and its mirror taken out so that the count only has
+    to resolve the other roots.  A wrong count fails at once.  A right
+    count is refined fourfold, on the rows that need it, while a phase
+    step exceeds ``_CERT_MAX_STEP``; a circle still undersampled at
+    ``_CERT_MAX_SAMPLES_PER_DEGREE`` per degree, or a sample at rounding
+    level, fails the certificate.  A row with ``best`` at 0 or not finite
+    fails it too.
     """
-    n = len(a) - 1
-    r1 = abs(best) * (1.0 - _CERT_INSET)
-    if not r1 > 0.0:
-        return False
+    n = a.shape[1] - 1
+    out = np.zeros(len(a), dtype=bool)
+    rows = np.arange(len(a))  # the rows still counted
+    r1 = np.abs(best)[:, None] * (1.0 - _CERT_INSET)
     scaled = a * r1 ** np.arange(n + 1)
-    floor = 1e3 * _EPS * np.sum(np.abs(scaled))
-    # (z - best)(z - mirror) on the same circle, as a polynomial in w = z / r1
-    b, m = best / r1, 1.0 / (np.conj(best) * r1)
-    pair = np.array([b * m, -(b + m), 1.0])
-    k = _pow2_at_least(16 * n)
-    while k <= _CERT_MAX_SAMPLES_PER_DEGREE * n:
-        h = np.fft.ifft(scaled, k)  # g(r1 w) / k at the k-th roots of unity
-        if k * np.min(np.abs(h)) <= floor:
-            return False
-        h /= np.fft.ifft(pair, k)
-        ratio = np.roll(h, -1)
-        ratio /= h
-        steps = np.angle(ratio)
-        count = round(float(np.sum(steps)) / (2.0 * np.pi))
-        # a wrong count fails at once, resolved or not; only a right
-        # count on an undersampled circle is worth refining
-        if count != n // 2 - 1 or np.max(np.abs(steps)) <= _CERT_MAX_STEP:
-            return count == n // 2 - 1
-        k *= 4
-    return False
+    floor = 1e3 * _EPS * np.abs(scaled).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the conjugates of best and its mirror on the circle, in w = z / r1
+        conj_b = np.conj(best)[:, None] / r1
+        conj_m = 1.0 / (best[:, None] * r1)
+        k = _pow2_at_least(16 * n)
+        while k <= _CERT_MAX_SAMPLES_PER_DEGREE * n:
+            # g(r1 w) / k at the k-th roots of unity w
+            h = np.fft.ifft(scaled, k, axis=1)
+            live = k * np.abs(h).min(axis=1) > floor
+            # times conj((w - b)(w - m)) at the same w, with b = best / r1
+            # and m its mirror: the phase of g over the pair
+            conj_w = _conj_unit_roots(k)
+            h *= (conj_w - conj_b) * (conj_w - conj_m)
+            steps = np.angle(np.concatenate((h[:, 1:], h[:, :1]), axis=1)
+                             * h.conj())
+            live &= np.rint(steps.sum(axis=1) / (2.0 * np.pi)) == n // 2 - 1
+            # a wrong count fails at once, resolved or not; only a right
+            # count on an undersampled circle is worth refining
+            resolved = np.abs(steps).max(axis=1) <= _CERT_MAX_STEP
+            out[rows] = live & resolved
+            live &= ~resolved
+            if not live.any():
+                break
+            rows, scaled, floor, conj_b, conj_m = (
+                rows[live], scaled[live], floor[live], conj_b[live], conj_m[live])
+            k *= 4
+    return out
 
 
-def _certified_root(coeffs: np.ndarray):
-    """The single-source Root-MUSIC root without the companion matrix.
+def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Per row of ``coeffs`` (highest degree first), the single-source
+    Root-MUSIC root without the companion matrix, or NaN.
 
     Laguerre's iteration runs from the start below the deepest minimum of
     the null spectrum; a root outside the unit circle is mirrored to
-    1/conj(z).  The root is returned only under the certificate that no
-    other root lies as close to the circle (``_certified``).  Otherwise
-    any closer root lies between the best root so far and the unit
-    circle, so up to ``_RING_ROUNDS`` rounds start from a ring of 2(P-1)
-    points halfway across that annulus, and the closest root found is
-    certified again.  Returns None when a start does not converge or no
-    round is certified.
+    1/conj(z).  The root is kept only under the certificate that no other
+    root lies as close to the circle (``_certified``).  Otherwise any
+    closer root lies between the best root so far and the unit circle, so
+    up to ``_RING_ROUNDS`` rounds start from a ring of 2(P-1) points
+    halfway across that annulus, and the closest root found is certified
+    again.  Each round runs only on the rows still uncertified.  A row is
+    NaN when its leading coefficient is zero, a start does not converge
+    or no round is certified.
     """
-    a = coeffs[::-1]  # ascending: a[k] multiplies z^k
-    n = len(a) - 1
-    if a[-1] == 0:
-        return None
-    starts, best = _deepest_minimum_start(a), None
+    best = np.full(len(coeffs), np.nan, dtype=complex)
+    rows = np.flatnonzero(coeffs[:, 0] != 0)
+    a = coeffs[rows, ::-1]  # ascending: a[:, k] multiplies z^k
+    n = a.shape[1] - 1
+    starts, kept = _deepest_minimum_start(a)[:, None], None
     for _ in range(_RING_ROUNDS + 1):
-        found = _laguerre(a, starts)
-        if found is None:
-            return None
-        if best is not None:
-            found = np.append(found, best)
-        best = found[_closest_first(found)[0]]
-        if _certified(a, best):
-            return best
-        starts = (0.5 * (1.0 + abs(best))
+        found, ok = _laguerre(a, starts)
+        kept = _closest(found if kept is None else
+                        np.concatenate((found, kept), axis=1))
+        done = ok & _certified(a, kept)
+        best[rows[done]] = kept[done]
+        going = ok & ~done
+        if not going.any():
+            break
+        rows, a, kept = rows[going], a[going], kept[going, None]
+        starts = (0.5 * (1.0 + np.abs(kept))
                   * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n))
-    return None
+    return best
+
+
+def _one_source_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Per row of ``coeffs``, the root inside the unit circle closest to it:
+    from the certified search, or else from the companion matrix."""
+    z = _certified_roots(coeffs)
+    for i in np.flatnonzero(np.isnan(z)):
+        z[i] = _companion_roots(coeffs[i], 1)[0]
+    return z
+
+
+def _direction_sines(roots: np.ndarray, spacing: float) -> np.ndarray:
+    phases = np.angle(roots)
+    phases[phases >= np.pi] = -np.pi  # keep the interval half-open
+    return phases / (2.0 * np.pi * spacing)
 
 
 def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
@@ -254,10 +334,11 @@ def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
     comes from a Newton-type search seeded at the deepest minimum of the
     null spectrum, and is accepted only under an argument-principle
     certificate that no other root lies closer to the circle (see
-    ``_certified_root``).  Every other case, and any uncertified search,
-    roots the polynomial through the companion-matrix eigenvalues
-    (``np.roots``).  The two paths agree to rounding: |du| <= 1e-12 over
-    the seeded corpus of the tests.
+    ``_certified_roots``); this is the search of ``root_music_rows`` on
+    one row.  Every other case, and any uncertified search, roots the
+    polynomial through the companion-matrix eigenvalues (``np.roots``).
+    The two paths agree to rounding: |du| <= 1e-12 over the seeded corpus
+    of the tests.
 
     With ``spacing > 0.5`` the result is ambiguous by construction; callers
     expand it to a candidate set.
@@ -267,17 +348,51 @@ def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
     if not spacing > 0:
         raise ValueError("spacing must be positive")
     coeffs = root_music_polynomial(cov, n_sources)
-    chosen = None
     if n_sources == 1 and cov.dim >= CERTIFIED_MIN_DIM:
-        best = _certified_root(coeffs)
-        if best is not None:
-            chosen = np.array([best])
-    if chosen is None:
+        chosen = _one_source_roots(coeffs[None])
+    else:
         chosen = _companion_roots(coeffs, n_sources)
-    phases = np.angle(chosen)
-    phases[phases >= np.pi] = -np.pi  # keep the interval half-open
-    u = phases / (2.0 * np.pi * spacing)
-    return np.sort(u)
+    return np.sort(_direction_sines(chosen, spacing))
+
+
+def signal_vectors(samples: np.ndarray) -> np.ndarray:
+    """The principal eigenvector of each sample covariance of a stack of
+    channels x snapshots arrays (B, P, T), as rows (B, P).
+
+    With one snapshot the covariance x x^H has rank one and its
+    eigenvector is x / |x|, so no covariance is formed.  Otherwise the
+    covariances of ``sample_covariance`` are decomposed by one stacked
+    ``eigh``.  The phase of each vector is arbitrary.
+    """
+    x = np.asarray(samples, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[2] < 1:
+        raise ValueError("need a trials x channels x snapshots array")
+    if x.shape[2] == 1:
+        v = x[:, :, 0]
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.linalg.eigh(_covariances(x))[1][:, :, -1]
+
+
+def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
+    """One-source Root-MUSIC direction-sines of a stack of trials.
+
+    Row b of ``vectors`` (B, P) is the signal eigenvector of trial b's
+    covariance (``signal_vectors``); the result is the B direction-sines
+    that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  Every
+    row goes through the certified search at once, whatever P, and only
+    the rows it leaves uncertified are rooted one at a time through the
+    companion matrix.  Each row's arithmetic depends on that row alone,
+    so the result does not depend on which rows share the stack.
+    """
+    v = np.asarray(vectors, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError("need a trials x channels array with >= 2 channels")
+    if not spacing > 0:
+        raise ValueError("spacing must be positive")
+    if len(v) == 0:
+        return np.empty(0)
+    return _direction_sines(_one_source_roots(_null_polynomials(v[:, None])),
+                            spacing)
 
 
 def music_spectrum_grid(cov: CovarianceEstimate, n_sources: int,

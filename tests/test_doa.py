@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from doalab import spectral
 from doalab.arrays import ArrayConfig, EmitterScenario
 from doalab.doa import (
     broadside_gain_ok,
     candidate_set,
     combine_estimates,
     fhad_root_music,
+    fhad_root_music_rows,
     had_root_music_classic,
+    had_root_music_classic_rows,
+    max_candidates,
     tlhad_estimate,
 )
 from doalab.errors import ConfigError
@@ -210,6 +214,102 @@ class TestCandidateReliability:
             hits = sum(abs(run(trial_rng(900, i)).u - u_true) < 0.25
                        for i in range(n_trials))
             assert hits / n_trials >= floor, name
+
+
+def _nearest(cands, u):
+    return int(np.argmin(np.abs(cands - u)))
+
+
+ELIMINATORS = {"classic": (had_root_music_classic_rows, had_root_music_classic),
+               "fhad": (fhad_root_music_rows, fhad_root_music)}
+
+
+class TestEliminatorRows:
+    """The stacked eliminators against their per-trial oracles."""
+
+    @pytest.mark.parametrize("name", sorted(ELIMINATORS))
+    @pytest.mark.parametrize("spacing", [0.5, 0.6])
+    @pytest.mark.parametrize("snr_db", [0.0, -5.0, -10.0])
+    def test_matches_oracle(self, name, spacing, snr_db):
+        # same candidates, same choice and the same estimate to 1e-12 in
+        # every trial, so the same wrong-candidate count
+        rows, oracle = ELIMINATORS[name]
+        cfg = ArrayConfig.pure_had(48, 4, spacing)
+        scen = _scen(15.0, snr_db)
+        u_true = np.sin(np.radians(15.0))
+        n = 100
+        u, chosen, cands = rows(cfg, scen, [trial_rng(61, i) for i in range(n)])
+        wrong = {"rows": 0, "oracle": 0}
+        for i in range(n):
+            est = oracle(cfg, scen, trial_rng(61, i))
+            ref = est.candidates.candidates
+            row = cands[i][~np.isnan(cands[i])]
+            assert row.shape == ref.shape
+            assert np.max(np.abs(row - ref)) <= 1e-12
+            assert chosen[i] == _nearest(ref, est.u)
+            assert abs(u[i] - est.u) <= 1e-12
+            wrong["rows"] += _nearest(row, u[i]) != _nearest(row, u_true)
+            wrong["oracle"] += _nearest(ref, est.u) != _nearest(ref, u_true)
+        assert wrong["rows"] == wrong["oracle"]
+
+    @pytest.mark.parametrize("name", sorted(ELIMINATORS))
+    @pytest.mark.parametrize("spacing,snr_db", [
+        (0.5, 10.0), (0.6, 0.0), (0.5, -10.0), (0.6, -10.0)])
+    def test_independent_of_block_split(self, name, spacing, snr_db,
+                                        monkeypatch):
+        # the harness splits trials into blocks by worker count, so each
+        # trial's result must not depend on which trials share its block
+        rows = ELIMINATORS[name][0]
+        cfg = ArrayConfig.pure_had(48, 4, spacing)
+        scen = _scen(15.0, snr_db)
+        n = 40
+        seen = {"rings": 0, "fallbacks": 0}
+        laguerre, companion = spectral._laguerre, spectral._companion_roots
+
+        def spy_laguerre(a, z):
+            seen["rings"] += z.shape[1] > 1
+            return laguerre(a, z)
+
+        def spy_companion(coeffs, n_sources):
+            seen["fallbacks"] += 1
+            return companion(coeffs, n_sources)
+
+        monkeypatch.setattr(spectral, "_laguerre", spy_laguerre)
+        monkeypatch.setattr(spectral, "_companion_roots", spy_companion)
+        whole = rows(cfg, scen, [trial_rng(62, i) for i in range(n)])
+        if snr_db == -10.0:  # the block reaches ring rounds and the fallback
+            assert seen["rings"] and seen["fallbacks"]
+        counts = np.count_nonzero(~np.isnan(whole[2]), axis=1)
+        if spacing == 0.6:  # ragged candidate counts within the block
+            assert set(counts) == {4, 5}
+        for bounds in ((0, 7, 19, n), tuple(range(n + 1))):
+            parts = [rows(cfg, scen, [trial_rng(62, i) for i in range(a, b)])
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+            np.testing.assert_array_equal(
+                np.concatenate([part[0] for part in parts]), whole[0])
+            np.testing.assert_array_equal(
+                np.concatenate([part[1] for part in parts]), whole[1])
+            cands = [row for part in parts for row in part[2]]
+            for row, ref in zip(cands, whole[2]):
+                np.testing.assert_array_equal(row[~np.isnan(row)],
+                                              ref[~np.isnan(ref)])
+
+    def test_fast_needs_enough_subarrays(self):
+        with pytest.raises(ConfigError):
+            fhad_root_music_rows(ArrayConfig.pure_had(8, 4), _scen(10.0, 20.0),
+                                 [trial_rng(0)])
+
+    def test_rejects_fd_antennas(self):
+        for rows, _ in ELIMINATORS.values():
+            with pytest.raises(ConfigError):
+                rows(ArrayConfig(8, 2, 3, 2), _scen(0.0, 0.0), [trial_rng(0)])
+
+    @pytest.mark.parametrize("m_sub,spacing", [
+        (1, 0.5), (4, 0.5), (4, 0.6), (3, 0.7), (2, 1.0)])
+    def test_max_candidates_bounds_every_set(self, m_sub, spacing):
+        sizes = {len(candidate_set(u, m_sub, spacing))
+                 for u in np.linspace(-1.0, 1.0, 2001)}
+        assert max(sizes) == max_candidates(m_sub, spacing)
 
 
 class TestBroadsideGainGuard:

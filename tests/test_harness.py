@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from doalab import harness
-from doalab.arrays import ArrayConfig
+from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
 from doalab.cli import main as cli_main
 from doalab.crlb import RAD2_TO_DEG2, crlb_had
 from doalab.errors import ConfigError
@@ -26,7 +26,9 @@ from doalab.harness import (
     train_mlnn_model,
 )
 from doalab.mlnn import init_model, save_model
-from doalab.quantize import performance_loss_db
+from doalab.quantize import performance_loss_db, quantize
+from doalab.rng import trial_rng
+from doalab.spectral import root_music, sample_covariance
 
 
 def _write_config(path, text):
@@ -246,6 +248,48 @@ class TestLossBits:
         assert row[3] == pytest.approx(row[2], abs=2.0)
 
 
+class TestStackedBlocks:
+    """Blocks that stack their trials: the result of a trial must not depend
+    on which trials share its block, since the block split follows the
+    worker count."""
+
+    SPLITS = ((0, 11, 12, 30), tuple(range(31)))
+
+    @pytest.mark.parametrize("params", [
+        (12, 20, 15.0, 0.0, 2), (12, 20, 15.0, -10.0, 1),
+        (32, 50, 15.0, 0.0, 3), (12, 1, 15.0, -10.0, 2),
+        (8, 20, 15.0, 10.0, math.inf)],
+        ids=["p12-0dB-2bit", "p12-minus10dB-1bit", "p32-t50-3bit",
+             "p12-t1-minus10dB", "p8-unquantized"])
+    def test_quant_block(self, params):
+        whole = harness._quant_block(params, 5, range(30))
+        for bounds in self.SPLITS:
+            parts = [harness._quant_block(params, 5, range(a, b))
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        # the per-trial Root-MUSIC path is the oracle
+        n_ant, l_snap, theta, snr_db, bits = params
+        cfg = ArrayConfig.fully_digital(n_ant)
+        scen = EmitterScenario.single_emitter(theta, snr_db, l_snap)
+        u_true = math.sin(math.radians(theta))
+        for i, row in enumerate(whole):
+            x = synthesize_snapshots(cfg, scen, trial_rng(5, i)).samples
+            ref = (root_music(sample_covariance(quantize(x, bits)), 1)[0],
+                   root_music(sample_covariance(x), 1)[0])
+            np.testing.assert_allclose(row + u_true, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spacing,snr_db", [(0.5, 10.0), (0.6, -10.0)])
+    def test_rmse_block(self, spacing, snr_db):
+        cfg = ArrayConfig.two_layer(40, 4, 0.2, spacing)
+        params = (cfg, 15.0, snr_db, 1, "constant-modulus",
+                  ("had-root-music", "fhad-root-music", "tlhad"))
+        whole = harness._rmse_block(params, 6, range(30))
+        for bounds in self.SPLITS:
+            parts = [harness._rmse_block(params, 6, range(a, b))
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
 @pytest.fixture(scope="module")
 def mlnn_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("mlnn")
@@ -368,6 +412,13 @@ class TestCli:
         ("train-mlnn", "[mlnn]\nshapes = 4|0\n"),
         ("train-mlnn", "[mlnn]\nepochs = 5\nepochs = 6\n"),
         ("train-mlnn", "[mlnn]\nepochs\n"),
+        ("rmse-snr", "[array]\nfd_proportion = 1.0\n"),
+        ("rmse-snr", "[array]\nfd_proportion = 0\n"),
+        ("rmse-snr", "[array]\nn_total = 13\nm_sub = 4\nfd_proportion = 0.077\n"),
+        ("rmse-snr", "[array]\nn_total = 16\nm_sub = 4\nfd_proportion = 0.25\n"),
+        ("rmse-snr", "[array]\nn_total = 12\nm_sub = 8\nfd_proportion = 0.34\n"
+                     "spacing = 0.1\n"),
+        ("rmse-eta", "[rmse]\neta_grid = 0.25,0.01\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
@@ -378,7 +429,9 @@ class TestCli:
             "batch-size-zero", "search-size-zero", "search-size-one",
             "learning-rate-nan", "final-ratio-twenty", "epochs-negative",
             "unknown-activation", "shape-not-int", "shape-zero-width",
-            "key-given-twice", "key-without-value"])
+            "key-given-twice", "key-without-value", "fd-proportion-one",
+            "no-fd-block", "one-fd-antenna", "fewer-subarrays-than-candidates",
+            "one-subarray", "eta-fd-block-under-two"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         # a case that sets [run] itself goes without the trial-count prefix
         if not text.startswith("[run]"):
