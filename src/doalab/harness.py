@@ -320,16 +320,28 @@ def _pool(workers):
             yield pool.map
 
 
-def _monte_carlo(block_fn, params, n, seed, pmap, n_blocks, offset=0):
-    """Rows of ``block_fn(params, seed, trials)`` for trials [offset, offset + n),
-    split into ``n_blocks`` ranges of trial indices mapped by ``pmap``.
+def _monte_carlo(block_fn, points, n, seed, pmap, n_blocks, offset=0):
+    """Per curve point ``params`` of ``points``, the rows of
+    ``block_fn(params, seed, trials)`` for trials [offset, offset + n).
 
-    Every trial draws from its own stream and the rows come back in trial
-    order, so the result does not depend on how blocks meet workers.
+    Each point's trials are split into ``n_blocks`` ranges of trial
+    indices, and the blocks of every point go through one ``pmap`` call,
+    so workers wait at no barrier between points.  Every trial draws from
+    its own stream and the rows come back in trial order, so the result
+    does not depend on how blocks meet workers.
     """
     bounds = offset + np.linspace(0, n, n_blocks + 1).astype(int)
     blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    return np.concatenate(list(pmap(partial(block_fn, params, seed), blocks)))
+    tasks = [(params, trials) for params in points for trials in blocks]
+    rows = list(pmap(partial(_run_block, block_fn, seed), tasks))
+    return [np.concatenate(rows[i:i + len(blocks)])
+            for i in range(0, len(rows), len(blocks))]
+
+
+def _run_block(block_fn, seed, task):
+    """One task of ``_monte_carlo``: a curve point's block of trials."""
+    params, trials = task
+    return block_fn(params, seed, trials)
 
 
 def _rms(x) -> float:
@@ -356,8 +368,8 @@ def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
     """
     params = (n_total, l_snapshots, snr_db, hypothesis)
     with _pool(workers) as pmap:
-        return _monte_carlo(_detection_block, params, n_trials, seed, pmap,
-                            math.ceil(n_trials / BATCH), offset)
+        return _monte_carlo(_detection_block, [params], n_trials, seed, pmap,
+                            math.ceil(n_trials / BATCH), offset)[0]
 
 
 def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
@@ -464,12 +476,15 @@ def _rmse_block(params, seed, trials):
     return errors
 
 
-def _run_rmse_point(config, cfg, theta_deg, snr_db, methods, pmap):
-    params = (cfg, theta_deg, snr_db, int(config["scenario.t_snapshots"]),
-              config["scenario.signal_model"], methods)
+def _rmse_curve(config, points, theta_deg, methods, pmap):
+    """Per curve point (cfg, snr_db) of ``points``, the RMSE of each method
+    in degrees, from one Monte Carlo map over all points."""
+    params = [(cfg, theta_deg, snr_db, int(config["scenario.t_snapshots"]),
+               config["scenario.signal_model"], methods)
+              for cfg, snr_db in points]
     errors = _monte_carlo(_rmse_block, params, config.trials, config.seed,
                           pmap, 4 * config.workers)
-    return {m: _rms(errors[:, j]) for j, m in enumerate(methods)}
+    return [{m: _rms(e[:, j]) for j, m in enumerate(methods)} for e in errors]
 
 
 def run_rmse_snr(config: ExperimentConfig):
@@ -482,23 +497,24 @@ def run_rmse_snr(config: ExperimentConfig):
             f"theta={theta} sits in a broadside analog null; pick another angle")
     cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
     methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
-    rows = []
+    snrs = _parse_list(config["scenario.snr_db_list"])
     with _pool(config.workers) as pmap:
-        for snr_db in _parse_list(config["scenario.snr_db_list"]):
-            rmse = _run_rmse_point(config, cfg, theta, snr_db, methods, pmap)
-            # the HAD eliminators estimate from a broadside snapshot, so their
-            # bound is the broadside one
-            sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1)
-                                 * RAD2_TO_DEG2)
-            sqrt_crlb = {
-                METHOD_CLASSIC: sqrt_had,
-                METHOD_FHAD: sqrt_had,
-                METHOD_TLHAD: math.sqrt(
-                    crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
-            }
-            for m in methods:
-                rows.append((snr_db, m, rmse[m], sqrt_crlb[m], config.trials,
-                             config.seed, config.digest))
+        curve = _rmse_curve(config, [(cfg, snr_db) for snr_db in snrs], theta,
+                            methods, pmap)
+    rows = []
+    for snr_db, rmse in zip(snrs, curve):
+        # the HAD eliminators estimate from a broadside snapshot, so their
+        # bound is the broadside one
+        sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1) * RAD2_TO_DEG2)
+        sqrt_crlb = {
+            METHOD_CLASSIC: sqrt_had,
+            METHOD_FHAD: sqrt_had,
+            METHOD_TLHAD: math.sqrt(
+                crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
+        }
+        for m in methods:
+            rows.append((snr_db, m, rmse[m], sqrt_crlb[m], config.trials,
+                         config.seed, config.digest))
     path = os.path.join(config.out_dir, "rmse_snr.csv")
     _write_csv(path, ["snr_db", "method", "rmse_deg", "sqrt_crlb_deg",
                       "trials", "seed", "digest"], rows)
@@ -512,20 +528,21 @@ def run_rmse_eta(config: ExperimentConfig):
     spacing = float(config["array.spacing"])
     theta = float(config["scenario.theta_deg"])
     t_snap = int(config["scenario.t_snapshots"])
-    rows = []
+    points = []
+    for eta in _parse_list(config["rmse.eta_grid"]):
+        cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
+        if abs(cfg.fd_proportion - eta) > 1e-9:
+            warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
+                          stacklevel=2)
+        points += [(cfg, snr_db)
+                   for snr_db in _parse_list(config["rmse.eta_snr_db_list"])]
     with _pool(config.workers) as pmap:
-        for eta in _parse_list(config["rmse.eta_grid"]):
-            cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
-            if abs(cfg.fd_proportion - eta) > 1e-9:
-                warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
-                              stacklevel=2)
-            for snr_db in _parse_list(config["rmse.eta_snr_db_list"]):
-                rmse = _run_rmse_point(config, cfg, theta, snr_db,
-                                       (METHOD_TLHAD,), pmap)
-                bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap)
-                                  * RAD2_TO_DEG2)
-                rows.append((cfg.fd_proportion, snr_db, rmse[METHOD_TLHAD],
-                             bound, config.trials, config.seed, config.digest))
+        curve = _rmse_curve(config, points, theta, (METHOD_TLHAD,), pmap)
+    rows = []
+    for (cfg, snr_db), rmse in zip(points, curve):
+        bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2)
+        rows.append((cfg.fd_proportion, snr_db, rmse[METHOD_TLHAD], bound,
+                     config.trials, config.seed, config.digest))
     path = os.path.join(config.out_dir, "rmse_eta.csv")
     _write_csv(path, ["eta", "snr_db", "rmse_deg", "sqrt_crlb_deg", "trials",
                       "seed", "digest"], rows)
@@ -556,19 +573,19 @@ def run_loss_bits(config: ExperimentConfig):
     l_snap = int(config["quant.n_snapshots"])
     theta = float(config["scenario.theta_deg"])
     emp_trials = int(config["quant.empirical_trials"])
-    rows = []
+    points = [(n_ant, l_snap, theta, snr_db, bits)
+              for snr_db in _parse_list(config["quant.snr_db_list"])
+              for bits in [*bits_grid, math.inf]]
     with _pool(config.workers) as pmap:
-        for snr_db in _parse_list(config["quant.snr_db_list"]):
-            for bits in [*bits_grid, math.inf]:
-                loss_db = performance_loss_db(bits, snr_db)
-                errors = _monte_carlo(
-                    _quant_block, (n_ant, l_snap, theta, snr_db, bits),
-                    emp_trials, config.seed, pmap, 2 * config.workers)
-                rmse_q, rmse_u = _rms(errors[:, 0]), _rms(errors[:, 1])
-                empirical_db = 20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0 else 0.0
-                rows.append(("inf" if bits == math.inf else bits, snr_db,
-                             loss_db, empirical_db, emp_trials, config.seed,
-                             config.digest))
+        curve = _monte_carlo(_quant_block, points, emp_trials, config.seed,
+                             pmap, 2 * config.workers)
+    rows = []
+    for (*_, snr_db, bits), errors in zip(points, curve):
+        rmse_q, rmse_u = _rms(errors[:, 0]), _rms(errors[:, 1])
+        empirical_db = 20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0 else 0.0
+        rows.append(("inf" if bits == math.inf else bits, snr_db,
+                     performance_loss_db(bits, snr_db), empirical_db,
+                     emp_trials, config.seed, config.digest))
     path = os.path.join(config.out_dir, "loss_bits.csv")
     _write_csv(path, ["bits", "snr_db", "loss_db_formula", "loss_db_empirical",
                       "trials", "seed", "digest"], rows)

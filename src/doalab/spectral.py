@@ -31,8 +31,31 @@ def sample_covariance(samples) -> CovarianceEstimate:
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("need a channels x snapshots array with >= 1 snapshot")
     r = _covariances(x)
+    if x.shape[1] == 1:
+        return CovarianceEstimate(r, *_rank_one_eigh(x[:, 0]))
     w, v = np.linalg.eigh(r)  # ascending
     return CovarianceEstimate(r, w[::-1], v[:, ::-1])
+
+
+def _rank_one_eigh(x: np.ndarray):
+    """Eigenpairs of x x^H, eigenvalues descending, without ``eigh``.
+
+    The one nonzero eigenvalue |x|^2 belongs to v = x / |x| (e_1 when x
+    is 0).  The Householder reflector H = I - w w^H / (1 + |v_1|), with
+    w = v + e^{i arg v_1} e_1, maps e_1 to a unit multiple of v, so its
+    other columns are an orthonormal basis of the complement of v, the
+    eigenvectors of 0.  Column 0 is then set to v itself.
+    """
+    p = len(x)
+    norm = np.linalg.norm(x)
+    v = x / norm if norm > 0 else np.eye(1, p, dtype=complex)[0]
+    w = v.copy()
+    w[0] += np.exp(1j * np.angle(v[0]))
+    vectors = np.eye(p, dtype=complex) - np.outer(w, w.conj()) / (1.0 + abs(v[0]))
+    vectors[:, 0] = v
+    values = np.zeros(p)
+    values[0] = norm * norm
+    return values, vectors
 
 
 def _covariances(x: np.ndarray) -> np.ndarray:
@@ -82,8 +105,8 @@ def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray
 # cost and take it at every channel count.
 CERTIFIED_MIN_DIM = 13
 _MAX_ITER = 40
-# rounds of ring starts after the start at the deepest spectral minimum
-_RING_ROUNDS = 3
+# the second round starts this far from the origin, inside the unit circle
+_RESTART_RADIUS = 1.0 - 1e-3
 # the certificate circle sits this fraction inside the chosen root
 _CERT_INSET = 1e-6
 # largest phase step between certificate samples that counts as resolved
@@ -121,16 +144,6 @@ def _closest_first(z: np.ndarray) -> np.ndarray:
     return np.lexsort((np.abs(np.angle(z)), -np.abs(z)))
 
 
-def _closest(z: np.ndarray) -> np.ndarray:
-    """Per row of ``z``, the entry ``_closest_first`` puts first."""
-    if z.shape[1] == 1:
-        return z[:, 0]
-    r = np.abs(z)
-    phase = np.where(r == r.max(axis=1, keepdims=True), np.abs(np.angle(z)),
-                     np.inf)
-    return z[np.arange(len(z)), phase.argmin(axis=1)]
-
-
 def _pow2_at_least(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
@@ -143,15 +156,14 @@ def _conj_unit_roots(k: int) -> np.ndarray:
     return w
 
 
-def _deepest_minimum_start(a: np.ndarray) -> np.ndarray:
-    """Per row of ``a``, a start for the root below the deepest minimum of
-    the null spectrum.
+def _spectrum_minima(a: np.ndarray):
+    """Per row of ``a``, the local minima of the null spectrum.
 
     The spectrum d(w) is sampled on an FFT grid.  A parabola through each
-    local minimum and its two neighbours gives the depth d0 and curvature
-    d2 there, and the quadratic model of d(w + i s) puts a root at
-    s = sqrt(2 d0 / d2) inside the circle.  The minimum with the smallest
-    such s wins.
+    local minimum and its two neighbours gives its phase, the depth d0 and
+    the curvature d2 there, and the quadratic model of d(w + i s) puts a
+    root at s = sqrt(2 d0 / d2) inside the circle.  Returns (phase, s),
+    both (B, grid), with s infinite off the local minima.
     """
     p = (a.shape[1] + 1) // 2
     m = _pow2_at_least(8 * p)
@@ -164,24 +176,22 @@ def _deepest_minimum_start(a: np.ndarray) -> np.ndarray:
     depth = d - 0.125 * (right - left) ** 2 / curv
     sigma = np.sqrt(np.maximum(2.0 * depth / curv, 0.0))
     sigma[~((d < left) & (d <= right))] = np.inf  # local minima only
-    rows = np.arange(len(d))
-    j = sigma.argmin(axis=1)
-    shift = 0.5 * (left[rows, j] - right[rows, j]) / curv[rows, j]
+    shift = 0.5 * (left - right) / curv
     step = 2.0 * np.pi / m
-    return np.exp(step * (-sigma[rows, j] + 1j * (j + shift)))
+    return step * (np.arange(m) + shift), step * sigma
 
 
 def _laguerre(a: np.ndarray, z: np.ndarray):
-    """Laguerre's iteration (Newton's with a second-order correction) from
-    every start of every row at once.
+    """Laguerre's iteration (Newton's with a second-order correction) on
+    every row at once.
 
-    Row b of ``a`` holds a polynomial (ascending) and row b of ``z`` its
-    starts.  Roots pair up as (z, 1/conj(z)), so every iterate is mirrored
-    into the closed unit disk, where sum |a_k| bounds the terms of g.  A
-    start has converged once |g| is at rounding level against that bound;
-    the step taken from there polishes the root, and the start then stays
-    put.  Returns the roots and a mask of the rows whose every start
-    converged to a finite root.
+    Row j of ``a`` holds a polynomial (ascending) and ``z[j]`` its start.
+    Roots pair up as (z, 1/conj(z)), so every iterate is mirrored into the
+    closed unit disk, where sum |a_k| bounds the terms of g.  A start has
+    converged once |g| is at rounding level against that bound; the step
+    taken from there polishes the root, and the start then stays put.
+    Returns the roots and a mask of the rows that converged to a finite
+    root.
     """
     n = a.shape[1] - 1
     k = np.arange(n + 1)
@@ -192,11 +202,6 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     forms[:, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
     tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
     z = np.array(z, dtype=complex)
-    shape = z.shape
-    lane_row = np.repeat(np.arange(shape[0]), shape[1])
-    if shape[1] > 1:  # one lane per start, with its row's forms and tolerance
-        forms, tol = forms[lane_row], tol[lane_row]
-    z = z.ravel()
     active = np.arange(z.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
@@ -215,30 +220,33 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
             active = active[np.abs(g) > tol[active]]
             if active.size == 0:
                 break
-    z = z.reshape(shape)
-    ok = np.isfinite(z).all(axis=1)
-    ok[lane_row[active]] = False
+    ok = np.isfinite(z)
+    ok[active] = False
     return z, ok
 
 
-def _certified(a: np.ndarray, best: np.ndarray) -> np.ndarray:
+def _certified(a: np.ndarray, best: np.ndarray):
     """Per row, whether an argument-principle count of the zeros inside
     |z| = r1 < |best| certifies ``best`` as the root closest to the unit
-    circle.
+    circle, or proves that a closer root exists.
 
     The polynomial has P-1 zeros inside the unit circle, so ``best`` is
     the one closest to it exactly when P-2 zeros lie inside a circle just
     within it.  The polynomial is sampled on that circle by FFT, with the
     phase of ``best`` and its mirror taken out so that the count only has
-    to resolve the other roots.  A wrong count fails at once.  A right
-    count is refined fourfold, on the rows that need it, while a phase
-    step exceeds ``_CERT_MAX_STEP``; a circle still undersampled at
-    ``_CERT_MAX_SAMPLES_PER_DEGREE`` per degree, or a sample at rounding
-    level, fails the certificate.  A row with ``best`` at 0 or not finite
-    fails it too.
+    to resolve the other roots.  The circle is refined fourfold, on the
+    rows that need it, while a phase step exceeds ``_CERT_MAX_STEP``, up
+    to ``_CERT_MAX_SAMPLES_PER_DEGREE`` per degree: a count on an
+    undersampled circle decides nothing, right or wrong.  Returns
+    (certified, closer).  A row is certified when its count is right and
+    resolved.  It is marked closer when its count on the finest circle is
+    wrong, which a resolved count proves and an unresolved one suggests:
+    a closer root is worth searching for.  A row with a sample at
+    rounding level, or with ``best`` at 0 or not finite, is neither.
     """
     n = a.shape[1] - 1
-    out = np.zeros(len(a), dtype=bool)
+    certified = np.zeros(len(a), dtype=bool)
+    closer = np.zeros(len(a), dtype=bool)
     rows = np.arange(len(a))  # the rows still counted
     r1 = np.abs(best)[:, None] * (1.0 - _CERT_INSET)
     scaled = a * r1 ** np.arange(n + 1)
@@ -258,18 +266,17 @@ def _certified(a: np.ndarray, best: np.ndarray) -> np.ndarray:
             h *= (conj_w - conj_b) * (conj_w - conj_m)
             steps = np.angle(np.concatenate((h[:, 1:], h[:, :1]), axis=1)
                              * h.conj())
-            live &= np.rint(steps.sum(axis=1) / (2.0 * np.pi)) == n // 2 - 1
-            # a wrong count fails at once, resolved or not; only a right
-            # count on an undersampled circle is worth refining
-            resolved = np.abs(steps).max(axis=1) <= _CERT_MAX_STEP
-            out[rows] = live & resolved
+            right = np.rint(steps.sum(axis=1) / (2.0 * np.pi)) == n // 2 - 1
+            resolved = live & (np.abs(steps).max(axis=1) <= _CERT_MAX_STEP)
+            certified[rows] = resolved & right
+            closer[rows] = live & ~right
             live &= ~resolved
             if not live.any():
                 break
             rows, scaled, floor, conj_b, conj_m = (
                 rows[live], scaled[live], floor[live], conj_b[live], conj_m[live])
             k *= 4
-    return out
+    return certified, closer
 
 
 def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -279,31 +286,40 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     Laguerre's iteration runs from the start below the deepest minimum of
     the null spectrum; a root outside the unit circle is mirrored to
     1/conj(z).  The root is kept only under the certificate that no other
-    root lies as close to the circle (``_certified``).  Otherwise any
-    closer root lies between the best root so far and the unit circle, so
-    up to ``_RING_ROUNDS`` rounds start from a ring of 2(P-1) points
-    halfway across that annulus, and the closest root found is certified
-    again.  Each round runs only on the rows still uncertified.  A row is
-    NaN when its leading coefficient is zero, a start does not converge
-    or no round is certified.
+    root lies as close to the circle (``_certified``).  On the rows whose
+    count shows a closer root instead, a second round starts from every
+    local minimum of the sampled spectrum, just inside the circle at
+    ``_RESTART_RADIUS``, and the closest root found in either round is
+    certified again.  A row is NaN when its leading coefficient is zero,
+    its first start does not converge, its first count is right but
+    unresolved (a second root lies about as close to the circle), or the
+    second round is not certified either.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
     a = coeffs[rows, ::-1]  # ascending: a[:, k] multiplies z^k
-    n = a.shape[1] - 1
-    starts, kept = _deepest_minimum_start(a)[:, None], None
-    for _ in range(_RING_ROUNDS + 1):
-        found, ok = _laguerre(a, starts)
-        kept = _closest(found if kept is None else
-                        np.concatenate((found, kept), axis=1))
-        done = ok & _certified(a, kept)
-        best[rows[done]] = kept[done]
-        going = ok & ~done
-        if not going.any():
-            break
-        rows, a, kept = rows[going], a[going], kept[going, None]
-        starts = (0.5 * (1.0 + np.abs(kept))
-                  * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n))
+    phase, sigma = _spectrum_minima(a)
+    j = sigma.argmin(axis=1)
+    lane = np.arange(len(a))
+    first, ok = _laguerre(a, np.exp(-sigma[lane, j] + 1j * phase[lane, j]))
+    certified, closer = _certified(a, first)
+    done = ok & certified
+    best[rows[done]] = first[done]
+    again = np.flatnonzero(ok & closer)
+    if again.size == 0:
+        return best
+    # one lane per local minimum of each row searched again, then the
+    # first round's root as one more lane of its row
+    owner, col = np.nonzero(np.isfinite(sigma[again]))
+    found, ok = _laguerre(a[again[owner]], _RESTART_RADIUS
+                          * np.exp(1j * phase[again[owner], col]))
+    lanes = np.concatenate((np.where(ok, found, np.nan), first[again]))
+    owner = np.concatenate((owner, np.arange(again.size)))
+    # per row, the lane that ``_closest_first`` puts first
+    order = np.lexsort((np.abs(np.angle(lanes)), -np.abs(lanes), owner))
+    kept = lanes[order[np.searchsorted(owner[order], np.arange(again.size))]]
+    done = _certified(a[again], kept)[0]
+    best[rows[again[done]]] = kept[done]
     return best
 
 

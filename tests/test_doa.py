@@ -263,11 +263,11 @@ class TestEliminatorRows:
         cfg = ArrayConfig.pure_had(48, 4, spacing)
         scen = _scen(15.0, snr_db)
         n = 40
-        seen = {"rings": 0, "fallbacks": 0}
+        seen = {"rounds": 0, "fallbacks": 0}
         laguerre, companion = spectral._laguerre, spectral._companion_roots
 
         def spy_laguerre(a, z):
-            seen["rings"] += z.shape[1] > 1
+            seen["rounds"] += 1
             return laguerre(a, z)
 
         def spy_companion(coeffs, n_sources):
@@ -277,8 +277,8 @@ class TestEliminatorRows:
         monkeypatch.setattr(spectral, "_laguerre", spy_laguerre)
         monkeypatch.setattr(spectral, "_companion_roots", spy_companion)
         whole = rows(cfg, scen, [trial_rng(62, i) for i in range(n)])
-        if snr_db == -10.0:  # the block reaches ring rounds and the fallback
-            assert seen["rings"] and seen["fallbacks"]
+        if snr_db == -10.0:  # the block reaches a second round and the fallback
+            assert seen["rounds"] == 2 and seen["fallbacks"]
         counts = np.count_nonzero(~np.isnan(whole[2]), axis=1)
         if spacing == 0.6:  # ragged candidate counts within the block
             assert set(counts) == {4, 5}

@@ -358,6 +358,48 @@ def test_worker_count_invariance(tmp_path, experiment):
     assert runs[0] == runs[1]
 
 
+class _CountingPool:
+    """A stand-in for the worker pool whose map takes exactly one function
+    and one iterable, as perfbench's traced pool does, and counts calls."""
+
+    calls = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        type(self).calls += 1
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("experiment,run,output", [
+    ("rmse-snr", run_rmse_snr, "rmse_snr.csv"),
+    ("rmse-eta", run_rmse_eta, "rmse_eta.csv"),
+    ("loss-bits", run_loss_bits, "loss_bits.csv"),
+])
+def test_one_map_per_run(tmp_path, monkeypatch, experiment, run, output):
+    # every curve point's blocks go through one map call, with each task
+    # as the map's one argument; the bytes match the in-process map
+    text = (SMALL_RMSE.replace("snr_db_list = 10", "snr_db_list = 0,10")
+            + "[rmse]\neta_grid = 0.5,1.0\neta_snr_db_list = -10,10\n"
+            + SMALL_BITS.replace("snr_db_list = 0", "snr_db_list = 0,10"))
+    cfg_path = _write_config(tmp_path / "c.ini", text)
+    run(load_config(experiment, cfg_path, out=str(tmp_path / "map")))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "calls", 0)
+    run(load_config(experiment, cfg_path, out=str(tmp_path / "pool"),
+                    workers=2))
+    assert _CountingPool.calls == 1
+    assert ((tmp_path / "pool" / output).read_bytes()
+            == (tmp_path / "map" / output).read_bytes())
+
+
 class TestCli:
     def test_loss_bits_end_to_end(self, tmp_path, capsys):
         text = ("[quant]\nbits = 1\nn_antennas = 8\nn_snapshots = 20\n"
