@@ -97,6 +97,52 @@ def crlb_had(cfg: ArrayConfig, theta_deg: float, snr_db: float,
         fim_single_source(a, da, t_snapshots, 10.0 ** (snr_db / 10.0)))
 
 
+def _crlb_from_fim_rows(j: np.ndarray) -> np.ndarray:
+    """``_crlb_from_fim`` of each entry of ``j``."""
+    with np.errstate(divide="ignore"):
+        return np.where(j > 1e-300, 1.0 / j, math.inf)
+
+
+def crlb_fd_rows(n_antennas: int, theta_deg, snr_db: float,
+                 t_snapshots: int, spacing: float = 0.5) -> np.ndarray:
+    """``crlb_fd`` at each direction of the array ``theta_deg``.
+
+    The derivative of the steering vector carries theta only through the
+    factor cos(theta), so J(theta) = cos^2(theta) J(0).
+    """
+    a, da = _fd_vectors(n_antennas, 0.0, spacing)
+    j0 = fim_single_source(a, da, t_snapshots, 10.0 ** (snr_db / 10.0))
+    cos = np.cos(np.radians(theta_deg))
+    return _crlb_from_fim_rows(cos * cos * j0)
+
+
+def crlb_had_rows(cfg: ArrayConfig, theta_deg, snr_db: float,
+                  t_snapshots: int) -> np.ndarray:
+    """``crlb_had`` with broadside steering at each direction of the array
+    ``theta_deg``.
+
+    The effective steering vector is g(u) b(u).  The dg/du term of its
+    derivative is parallel to it, so the gain nuisance projects it out, and
+    the projected b'(u) has a norm that does not depend on u.  That leaves
+    J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b
+    alone.  An analog null (|g| < 1e-12) yields an infinite bound.
+    """
+    if cfg.k_sub < 2:
+        raise ValueError("HAD CRLB needs at least two subarray channels")
+    theta = np.radians(np.asarray(theta_deg, dtype=float))
+    u = np.sin(theta)
+    d, m, k = cfg.spacing, cfg.m_sub, cfg.k_sub
+    mm = np.arange(m)
+    g = np.sum(np.exp(2j * np.pi * d * mm * u[..., None]), axis=-1) / math.sqrt(m)
+    kk = np.arange(k)
+    j_b = fim_single_source(np.ones(k), 2j * np.pi * d * m * kk, t_snapshots,
+                            10.0 ** (snr_db / 10.0))
+    cos = np.cos(theta)
+    gain = np.abs(g)
+    return _crlb_from_fim_rows(
+        np.where(gain < 1e-12, 0.0, cos * cos * gain * gain * j_b))
+
+
 def crlb_tlhad(cfg: ArrayConfig, theta_deg: float, snr_db: float,
                t_snapshots: int, analog_steer_u: float = 0.0) -> float:
     """CRLB (rad^2) of the two-layer receiver: J_total = J_HAD + J_FD.

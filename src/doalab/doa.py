@@ -7,10 +7,11 @@ with CRLB-weighted combining, and the combiner itself.
 
 All estimators consume a scenario with exactly one emitter and draw their
 snapshots from the provided generator, so trials parallelize with split
-streams.  The two HAD eliminators also come in a form over a stack of
-trials (``*_rows``), one generator per trial, which draws the same values
-in the same order as the per-trial form and roots all trials' Root-MUSIC
-polynomials in one search; the per-trial forms stay as their oracles.
+streams.  Each of the three estimators also comes in a form over a stack
+of trials (``*_rows``), one generator per trial, which draws the same
+values in the same order as the per-trial form and roots all trials'
+Root-MUSIC polynomials of a channel block in one search; the per-trial
+forms stay as their oracles.
 """
 
 import math
@@ -24,7 +25,7 @@ from .arrays import (
     analog_combine,
     synthesize_snapshots,
 )
-from .crlb import crlb_fd, crlb_had
+from .crlb import crlb_fd, crlb_fd_rows, crlb_had, crlb_had_rows
 from .errors import ConfigError
 from .spectral import (
     root_music,
@@ -36,6 +37,10 @@ from .spectral import (
 METHOD_CLASSIC = "had-root-music"
 METHOD_FHAD = "fhad-root-music"
 METHOD_TLHAD = "tlhad"
+
+# the flags a two-layer estimate can carry, in the order it lists them;
+# the columns of the flag rows of ``tlhad_estimate_rows``
+TLHAD_FLAGS = ("fd-only", "fd-clamped", "analog-null", "clamped")
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,24 @@ def max_candidates(m_sub: int, spacing: float) -> int:
 
 
 def _candidate_rows(u_hat, m_sub, spacing):
-    """``candidate_set`` of each entry of ``u_hat``, as rows padded with NaN."""
-    sets = [candidate_set(u, m_sub, spacing).candidates for u in u_hat]
-    rows = np.full((len(sets), max(map(len, sets), default=0)), np.nan)
-    for row, cands in zip(rows, sets):
-        row[: len(cands)] = cands
-    return rows
+    """``candidate_set`` of each entry of ``u_hat``, as rows padded with NaN.
+
+    Evaluates the float expressions of ``candidate_set`` on arrays, so each
+    row holds the same bits.
+    """
+    u = np.asarray(u_hat, dtype=float)[:, None]
+    if m_sub * spacing < 1.0:
+        return u.copy()
+    period = 1.0 / (m_sub * spacing)
+    k_lo = np.ceil((-1.0 - u) / period - 1e-12)
+    k_hi = np.floor((1.0 - u) / period - 1e-12)
+    k = k_lo + np.arange(int(np.max(k_hi - k_lo, initial=0)) + 1)
+    cands = u + period * k
+    keep = (k <= k_hi) & (cands >= -1.0 - 1e-12) & (cands < 1.0 - 1e-12)
+    # a row keeps a contiguous run of its lattice points; move it to the front
+    order = np.argsort(~keep, axis=1, kind="stable")
+    rows = np.take_along_axis(np.where(keep, cands, np.nan), order, axis=1)
+    return rows[:, : np.max(keep.sum(axis=1), initial=0)]
 
 
 def _broadside_candidate_rows(cfg, scen1, rngs):
@@ -235,17 +252,20 @@ def fhad_root_music_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     return _pick(cands, group_power)
 
 
-def combine_estimates(u_a: float, crlb_a: float, u_b: float, crlb_b: float):
-    """Inverse-variance (minimum-variance) combination of two estimates.
+def combine_estimates(u_a, crlb_a, u_b, crlb_b):
+    """Inverse-variance (minimum-variance) combination of two estimates,
+    elementwise over arrays.
 
     Returns (u_combined, variance_combined).  Weighting is by inverse CRLB;
-    weighting directly by the CRLBs would favor the worse estimator.
+    weighting directly by the CRLBs would favor the worse estimator.  An
+    infinite CRLB gives its estimate weight 0.
     """
-    if not (crlb_a > 0 and crlb_b > 0):
+    crlb_a = np.asarray(crlb_a, dtype=float)
+    crlb_b = np.asarray(crlb_b, dtype=float)
+    if not (np.all(crlb_a > 0) and np.all(crlb_b > 0)):
         raise ValueError("CRLBs must be positive")
-    ja = 0.0 if np.isinf(crlb_a) else 1.0 / crlb_a
-    jb = 0.0 if np.isinf(crlb_b) else 1.0 / crlb_b
-    if ja + jb == 0.0:
+    ja, jb = 1.0 / crlb_a, 1.0 / crlb_b
+    if np.any(ja + jb == 0.0):
         raise ValueError("both estimators carry no information")
     w_a = ja / (ja + jb)
     return w_a * u_a + (1.0 - w_a) * u_b, 1.0 / (ja + jb)
@@ -297,6 +317,53 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
         u = float(np.clip(u, -1.0, 1.0))
         flags.append("clamped")
     return DoaEstimate(float(u), METHOD_TLHAD, t, var, cands, tuple(flags))
+
+
+def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
+    """``tlhad_estimate`` for a stack of trials, one generator each.
+
+    Returns (u, chosen, candidates, flags): per trial the estimate, the
+    index of the HAD candidate nearest the FD estimate, the candidates as a
+    row padded with NaN, and a boolean row marking which of
+    ``TLHAD_FLAGS`` the per-trial form attaches.  Without a HAD estimate
+    (fewer than two subarrays) every trial is "fd-only", ``candidates`` has
+    no columns and ``chosen`` is -1.
+    """
+    _require_single_emitter(scen)
+    if cfg.n_fd < 2:
+        raise ConfigError("two-layer estimator needs at least two FD channels")
+    t = scen.n_snapshots
+    x = analog_combine(np.stack([synthesize_snapshots(cfg, scen, rng).samples
+                                 for rng in rngs]), cfg)
+    flags = np.zeros((len(x), len(TLHAD_FLAGS)), dtype=bool)
+    fd_only, fd_clamped, analog_null, clamped = flags.T
+    u_fd = root_music_rows(signal_vectors(x[:, cfg.k_sub:]), cfg.spacing)
+    fd_clamped[:] = np.abs(u_fd) > 1.0
+    u_fd = np.clip(u_fd, -1.0, 1.0)
+    if cfg.k_sub < 2:
+        fd_only[:] = True
+        return u_fd, np.full(len(x), -1), np.empty((len(x), 0)), flags
+    crlb_f = crlb_fd_rows(cfg.n_fd, np.degrees(np.arcsin(u_fd)), scen.snr_db,
+                          t, cfg.spacing)
+
+    u_had = root_music_rows(signal_vectors(x[:, : cfg.k_sub]),
+                            cfg.m_sub * cfg.spacing)
+    cands = _candidate_rows(u_had, cfg.m_sub, cfg.spacing)
+    dist = np.abs(cands - u_fd[:, None])
+    dist[np.isnan(dist)] = np.inf
+    near = dist - dist.min(axis=1, keepdims=True) <= 1e-12
+    chosen = np.argmin(np.where(near, np.abs(cands), np.inf), axis=1)
+    u_star = cands[np.arange(len(cands)), chosen]
+
+    crlb_h = crlb_had_rows(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
+                           scen.snr_db, t)
+    analog_null[:] = np.isinf(crlb_h)
+    u = u_fd.copy()
+    live = ~analog_null
+    u[live] = combine_estimates(u_star[live], crlb_h[live], u_fd[live],
+                                crlb_f[live])[0]
+    clamped[:] = np.abs(u) > 1.0
+    return np.clip(u, -1.0, 1.0), chosen, cands, flags
 
 
 def broadside_gain_ok(cfg: ArrayConfig, u: float, floor: float = 0.1) -> bool:

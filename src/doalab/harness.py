@@ -48,7 +48,7 @@ from .doa import (
     fhad_root_music_rows,
     had_root_music_classic_rows,
     max_candidates,
-    tlhad_estimate,
+    tlhad_estimate_rows,
 )
 from .errors import ConfigError
 from .mlnn import (
@@ -452,26 +452,23 @@ def run_roc(config: ExperimentConfig, model=None):
 def _rmse_block(params, seed, trials):
     """Paired DOA errors (degrees) at one SNR point, one column per method.
 
-    The classic and fast eliminators run on the HAD subsystem of the
-    configured array, over the whole block at once; the two-layer
-    estimator sees the full array, one trial at a time.  All methods share
-    the trial stream, so snapshot realizations are paired.
+    The classic and fast eliminators see the HAD subsystem of the
+    configured array and one snapshot; the two-layer estimator sees the
+    full array and the configured snapshot count.  Each method runs over
+    the whole block at once.  All methods share the trial stream, so
+    snapshot realizations are paired.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
-    eliminators = {METHOD_CLASSIC: had_root_music_classic_rows,
-                   METHOD_FHAD: fhad_root_music_rows}
+    cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
+    runs = {METHOD_CLASSIC: (had_root_music_classic_rows, cfg_had, 1),
+            METHOD_FHAD: (fhad_root_music_rows, cfg_had, 1),
+            METHOD_TLHAD: (tlhad_estimate_rows, cfg, t_snap)}
     errors = np.empty((len(trials), len(methods)))
     for j, m in enumerate(methods):
-        if m == METHOD_TLHAD:
-            scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
-                                                  signal_model=signal_model)
-            u = [tlhad_estimate(cfg, scen, trial_rng(seed, i)).u for i in trials]
-        else:
-            scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
-                                                  signal_model=signal_model)
-            cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
-            u = eliminators[m](cfg_had, scen,
-                               [trial_rng(seed, i) for i in trials])[0]
+        estimate_rows, arr, t = runs[m]
+        scen = EmitterScenario.single_emitter(theta_deg, snr_db, t,
+                                              signal_model=signal_model)
+        u = estimate_rows(arr, scen, [trial_rng(seed, i) for i in trials])[0]
         errors[:, j] = np.degrees(np.arcsin(u)) - theta_deg
     return errors
 

@@ -113,6 +113,12 @@ _CERT_INSET = 1e-6
 _CERT_MAX_STEP = np.pi / 4
 _CERT_MAX_SAMPLES_PER_DEGREE = 512
 _EPS = np.finfo(float).eps
+# rows of ``root_music_rows`` searched at once, times P^2.  A row's
+# second round holds a Laguerre lane of 2P - 1 coefficients per spectrum
+# minimum, up to P - 1 of them, so the working memory of one search grows
+# as rows * P^2: 32 rows at P = 64 peak near 21 MiB.  Per row the search
+# costs the same from a few dozen rows up.
+_SEARCH_ROWS_TIMES_P2 = 1 << 17
 
 
 def _companion_roots(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
@@ -394,11 +400,12 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
 
     Row b of ``vectors`` (B, P) is the signal eigenvector of trial b's
     covariance (``signal_vectors``); the result is the B direction-sines
-    that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  Every
-    row goes through the certified search at once, whatever P, and only
-    the rows it leaves uncertified are rooted one at a time through the
-    companion matrix.  Each row's arithmetic depends on that row alone,
-    so the result does not depend on which rows share the stack.
+    that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  The
+    rows go through the certified search together, whatever P, in chunks
+    of ``_SEARCH_ROWS_TIMES_P2 // P^2`` rows that bound its memory, and
+    only the rows it leaves uncertified are rooted one at a time through
+    the companion matrix.  Each row's arithmetic depends on that row
+    alone, so the result does not depend on which rows share the stack.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] < 2:
@@ -407,8 +414,11 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
         raise ValueError("spacing must be positive")
     if len(v) == 0:
         return np.empty(0)
-    return _direction_sines(_one_source_roots(_null_polynomials(v[:, None])),
-                            spacing)
+    coeffs = _null_polynomials(v[:, None])
+    step = max(1, _SEARCH_ROWS_TIMES_P2 // v.shape[1] ** 2)
+    roots = [_one_source_roots(coeffs[i:i + step])
+             for i in range(0, len(coeffs), step)]
+    return _direction_sines(np.concatenate(roots), spacing)
 
 
 def music_spectrum_grid(cov: CovarianceEstimate, n_sources: int,

@@ -7,7 +7,9 @@ from doalab.arrays import ArrayConfig
 from doalab.crlb import (
     crlb_fd,
     crlb_fd_closed_form,
+    crlb_fd_rows,
     crlb_had,
+    crlb_had_rows,
     crlb_quantized,
     crlb_tlhad,
     fim_single_source,
@@ -137,6 +139,43 @@ class TestTwoLayerBound:
         # one subarray and one FD antenna: no part can estimate alone
         cfg = ArrayConfig(5, 4, 1, 1)
         assert crlb_tlhad(cfg, 0.0, 0.0, 10) == math.inf
+
+
+class TestRowBounds:
+    """The closed-form array bounds against the scalar projection forms."""
+
+    @staticmethod
+    def _grid(cfg):
+        # every degree, plus the broadside-beam nulls u = j / (M d)
+        nulls = np.arange(1, math.floor(cfg.m_sub * cfg.spacing) + 1) / (
+            cfg.m_sub * cfg.spacing)
+        return np.concatenate((np.linspace(-90.0, 90.0, 181),
+                               np.degrees(np.arcsin(np.r_[nulls, -nulls]))))
+
+    @staticmethod
+    def _assert_match(got, ref):
+        fin = np.isfinite(ref)
+        np.testing.assert_array_equal(np.isfinite(got), fin)
+        assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * ref[fin])
+
+    @pytest.mark.parametrize("cfg", [
+        ArrayConfig(64, 4, 12, 16), ArrayConfig.two_layer(40, 4, 0.2, 0.6),
+        ArrayConfig.two_layer(64, 4, 0.25, 0.6), ArrayConfig(34, 3, 10, 4)],
+        ids=["paper", "d0.6", "d0.6-64", "m3"])
+    @pytest.mark.parametrize("snr_db,t", [(-10.0, 1), (0.0, 10), (10.0, 200)])
+    def test_match_scalar(self, cfg, snr_db, t):
+        theta = self._grid(cfg)
+        fd = crlb_fd_rows(cfg.n_fd, theta, snr_db, t, cfg.spacing)
+        had = crlb_had_rows(cfg, theta, snr_db, t)
+        self._assert_match(fd, np.array([
+            crlb_fd(cfg.n_fd, x, snr_db, t, cfg.spacing) for x in theta]))
+        ref = np.array([crlb_had(cfg, x, snr_db, t) for x in theta])
+        self._assert_match(had, ref)
+        assert np.isinf(ref).any()  # the analog nulls are on the grid
+
+    def test_had_needs_two_channels(self):
+        with pytest.raises(ValueError):
+            crlb_had_rows(ArrayConfig.pure_had(4, 4), np.zeros(3), 0.0, 10)
 
 
 class TestQuantizedBound:

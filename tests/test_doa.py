@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from doalab import spectral
-from doalab.arrays import ArrayConfig, EmitterScenario
+from doalab import doa, spectral
+from doalab.arrays import (
+    CONSTANT_MODULUS,
+    GAUSSIAN,
+    ArrayConfig,
+    EmitterScenario,
+)
 from doalab.doa import (
+    TLHAD_FLAGS,
+    _candidate_rows,
     broadside_gain_ok,
     candidate_set,
     combine_estimates,
@@ -13,13 +20,15 @@ from doalab.doa import (
     had_root_music_classic_rows,
     max_candidates,
     tlhad_estimate,
+    tlhad_estimate_rows,
 )
 from doalab.errors import ConfigError
 from doalab.rng import trial_rng
 
 
-def _scen(theta_deg, snr_db, t=1):
-    return EmitterScenario.single_emitter(theta_deg, snr_db, t)
+def _scen(theta_deg, snr_db, t=1, model=CONSTANT_MODULUS):
+    return EmitterScenario.single_emitter(theta_deg, snr_db, t,
+                                          signal_model=model)
 
 
 class TestCandidateSet:
@@ -310,6 +319,145 @@ class TestEliminatorRows:
         sizes = {len(candidate_set(u, m_sub, spacing))
                  for u in np.linspace(-1.0, 1.0, 2001)}
         assert max(sizes) == max_candidates(m_sub, spacing)
+
+
+class TestCandidateRows:
+    @pytest.mark.parametrize("m_sub,spacing", [
+        (4, 0.5), (4, 0.6), (1, 0.5), (3, 0.7), (2, 1.0)])
+    def test_matches_candidate_set_bitwise(self, m_sub, spacing):
+        period = 1.0 / (m_sub * spacing)
+        lattice = -1.0 + period * np.arange(-2, 2 * m_sub + 3)
+        u = np.concatenate((
+            np.random.default_rng(63).uniform(-1.0, 1.0, 500),
+            [-1.0, 1.0, 0.0, -0.0, -1.0 + 1e-13, 1.0 - 1e-13], lattice,
+            np.nextafter(lattice, np.inf), np.nextafter(lattice, -np.inf)))
+        rows = _candidate_rows(u, m_sub, spacing)
+        sets = [candidate_set(x, m_sub, spacing).candidates for x in u]
+        assert rows.shape == (len(u), max(map(len, sets)))
+        for row, ref in zip(rows, sets):
+            assert row[: len(ref)].tobytes() == ref.tobytes()
+            assert np.isnan(row[len(ref):]).all()
+        if m_sub * spacing < 1.0:  # nothing to expand
+            assert rows.shape[1] == 1
+        if spacing == 0.6:  # ragged counts
+            assert set(map(len, sets)) == {4, 5}
+
+
+def _flag_names(row):
+    return tuple(name for name, on in zip(TLHAD_FLAGS, row) if on)
+
+
+def _tlhad_cases():
+    # (array, SNR in dB, snapshots, signal model): every eta of the default
+    # grid, then the degenerate and non-default settings
+    paper = ArrayConfig.two_layer(64, 4, 0.25)
+    grid = [pytest.param(ArrayConfig.two_layer(64, 4, eta), snr_db, 1,
+                         CONSTANT_MODULUS, id=f"eta{eta:g}-{snr_db:g}dB")
+            for eta in (0.0625, 0.25, 0.5, 0.75, 1.0)
+            for snr_db in (-10.0, 0.0, 10.0)]
+    return grid + [
+        pytest.param(ArrayConfig(8, 4, 1, 4), 10.0, 1, CONSTANT_MODULUS,
+                     id="k1-fd-only"),
+        pytest.param(ArrayConfig.two_layer(64, 4, 0.25, 0.6), 0.0, 1,
+                     CONSTANT_MODULUS, id="spacing0.6"),
+        pytest.param(paper, 0.0, 10, CONSTANT_MODULUS, id="T10"),
+        pytest.param(paper, 0.0, 1, GAUSSIAN, id="gaussian"),
+    ]
+
+
+class TestTlhadRows:
+    """The stacked two-layer estimator against its per-trial oracle."""
+
+    @pytest.mark.parametrize("cfg,snr_db,t,model", _tlhad_cases())
+    def test_matches_oracle(self, cfg, snr_db, t, model):
+        # the same flags, candidates and choice, and the same estimate to
+        # 1e-12 in every trial, so the same wrong-candidate count
+        scen = _scen(15.0, snr_db, t, model)
+        u_true = np.sin(np.radians(15.0))
+        n = 40
+        u, chosen, cands, flags = tlhad_estimate_rows(
+            cfg, scen, [trial_rng(64, i) for i in range(n)])
+        assert flags.shape == (n, len(TLHAD_FLAGS)) and flags.dtype == bool
+        wrong = {"rows": 0, "oracle": 0}
+        for i in range(n):
+            est = tlhad_estimate(cfg, scen, trial_rng(64, i))
+            assert _flag_names(flags[i]) == est.flags
+            assert abs(u[i] - est.u) <= 1e-12
+            if est.candidates is None:
+                assert chosen[i] == -1 and cands.shape[1] == 0
+                continue
+            ref = est.candidates.candidates
+            row = cands[i][~np.isnan(cands[i])]
+            assert row.shape == ref.shape
+            assert np.max(np.abs(row - ref)) <= 1e-12
+            assert chosen[i] == _nearest(ref, est.u)
+            wrong["rows"] += _nearest(row, u[i]) != _nearest(row, u_true)
+            wrong["oracle"] += _nearest(ref, est.u) != _nearest(ref, u_true)
+        assert wrong["rows"] == wrong["oracle"]
+        if cfg.k_sub < 2:
+            assert flags[:, 0].all()
+
+    @pytest.mark.parametrize("cfg,snr_db", [
+        (ArrayConfig.two_layer(64, 4, 0.25), 10.0),
+        (ArrayConfig.two_layer(64, 4, 0.25, 0.6), -10.0),
+        (ArrayConfig.two_layer(64, 4, 0.75), -10.0),
+        (ArrayConfig(8, 4, 1, 4), 0.0)])
+    def test_independent_of_block_split(self, cfg, snr_db):
+        # the harness splits trials into blocks by worker count, so each
+        # trial's result must not depend on which trials share its block
+        scen = _scen(15.0, snr_db)
+        n = 30
+        whole = tlhad_estimate_rows(cfg, scen,
+                                    [trial_rng(65, i) for i in range(n)])
+        for bounds in ((0, 7, 19, n), tuple(range(n + 1))):
+            parts = [tlhad_estimate_rows(
+                cfg, scen, [trial_rng(65, i) for i in range(a, b)])
+                for a, b in zip(bounds[:-1], bounds[1:])]
+            for k in (0, 1, 3):  # u, chosen, flags
+                np.testing.assert_array_equal(
+                    np.concatenate([part[k] for part in parts]), whole[k])
+            cands = [row for part in parts for row in part[2]]
+            for row, ref in zip(cands, whole[2]):
+                np.testing.assert_array_equal(row[~np.isnan(row)],
+                                              ref[~np.isnan(ref)])
+
+    def test_needs_fd_block(self):
+        for cfg in (ArrayConfig.pure_had(64, 4), ArrayConfig(9, 4, 2, 1)):
+            with pytest.raises(ConfigError):
+                tlhad_estimate(cfg, _scen(0.0, 0.0), trial_rng(0))
+            with pytest.raises(ConfigError):
+                tlhad_estimate_rows(cfg, _scen(0.0, 0.0), [trial_rng(0)])
+
+    def test_rejects_two_emitters(self):
+        scen = EmitterScenario((0.0, 10.0), (1.0, 1.0))
+        with pytest.raises(ConfigError):
+            tlhad_estimate_rows(ArrayConfig(64, 4, 12, 16), scen, [trial_rng(0)])
+
+    @pytest.mark.parametrize("fd_bound,had_bound", [
+        (0.0, 1e-4), (1e-4, 0.0), (np.inf, np.inf), (np.inf, 1e-4)])
+    def test_degenerate_bounds_like_oracle(self, fd_bound, had_bound,
+                                           monkeypatch):
+        # a zero bound makes combine_estimates raise in both forms; an
+        # infinite HAD bound takes the FD estimate alone ("analog-null")
+        # before any combining, so both infinite raises in neither
+        monkeypatch.setattr(doa, "crlb_fd", lambda *a, **k: fd_bound)
+        monkeypatch.setattr(doa, "crlb_had", lambda *a, **k: had_bound)
+        monkeypatch.setattr(doa, "crlb_fd_rows",
+                            lambda n, theta, *a: np.full(len(theta), fd_bound))
+        monkeypatch.setattr(doa, "crlb_had_rows",
+                            lambda cfg, theta, *a: np.full(len(theta), had_bound))
+        cfg = ArrayConfig(64, 4, 12, 16)
+        scen = _scen(15.0, 10.0)
+        if 0.0 in (fd_bound, had_bound):
+            with pytest.raises(ValueError):
+                tlhad_estimate(cfg, scen, trial_rng(66))
+            with pytest.raises(ValueError):
+                tlhad_estimate_rows(cfg, scen, [trial_rng(66)])
+            return
+        est = tlhad_estimate(cfg, scen, trial_rng(66))
+        u, _, _, flags = tlhad_estimate_rows(cfg, scen, [trial_rng(66)])
+        assert _flag_names(flags[0]) == est.flags
+        assert abs(u[0] - est.u) <= 1e-12
 
 
 class TestBroadsideGainGuard:

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import doalab
+from doalab.arrays import ArrayConfig, EmitterScenario
 from doalab.harness import load_config, run_loss_bits, run_rmse_snr
+from doalab.rng import trial_rng
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(doalab.__path__))
 
@@ -64,7 +66,10 @@ def test_traced_functions_exist():
 def test_tracer_runs_experiments(tmp_path):
     # the tracer reads arguments and results of the functions it wraps (the
     # channel count of root_music's covariance, the snapshot array, the
-    # estimates), so an interface change there breaks traced runs
+    # estimates), so an interface change there breaks traced runs.  The
+    # experiments run the stacked estimators, so the per-trial two-layer
+    # estimator, and the scalar root_music under it, are called once
+    # through the module attribute the tracer wrapped
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -78,6 +83,9 @@ def test_tracer_runs_experiments(tmp_path):
     try:
         run_rmse_snr(load_config("rmse-snr", str(cfg_path), out=str(tmp_path)))
         run_loss_bits(load_config("loss-bits", str(cfg_path), out=str(tmp_path)))
+        importlib.import_module("doalab.doa").tlhad_estimate(
+            ArrayConfig(64, 4, 12, 16),
+            EmitterScenario.single_emitter(15.0, 10.0, 1), trial_rng(0))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()

@@ -377,6 +377,28 @@ class TestCertifiedRoot:
         assert max(rounds) <= 2
         assert rounds.count(2) >= len(rounds) / 2
 
+    def test_rows_searched_in_chunks(self, monkeypatch):
+        # root_music_rows splits a stack into searches of
+        # _SEARCH_ROWS_TIMES_P2 // P^2 rows, which bounds their memory;
+        # every row still comes out as a one-row search gives it
+        cfg = ArrayConfig.fully_digital(64)
+        step = spectral._SEARCH_ROWS_TIMES_P2 // 64 ** 2
+        scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
+        v = signal_vectors(np.stack([synthesize_snapshots(
+            cfg, scen, trial_rng(4243, i)).samples for i in range(2 * step + 6)]))
+        sizes = []
+        search = spectral._one_source_roots
+
+        def counted(coeffs):
+            sizes.append(len(coeffs))
+            return search(coeffs)
+
+        monkeypatch.setattr(spectral, "_one_source_roots", counted)
+        u = root_music_rows(v)
+        assert sizes == [step, step, 6]
+        for row, u_i in zip(v, u):
+            assert root_music_rows(row[None])[0] == u_i
+
     @pytest.mark.parametrize("trial,snr_db,block", [
         (41, -10.0, "had"),  # P = 15 at spacing 2, chosen root |z| = 0.71
         (51, 0.0, "fd"),  # P = 4, chosen root |z| = 0.21
