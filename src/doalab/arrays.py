@@ -170,25 +170,57 @@ def subarray_gain(m_sub: int, spacing: float, u: float, u_steer: float) -> compl
     return complex(np.sum(np.exp(2j * np.pi * spacing * m * (u - u_steer))) / np.sqrt(m_sub))
 
 
+def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
+                             reps=1) -> np.ndarray:
+    """Element-level snapshot sets of a stack of trials, one generator each.
+
+    Returns a complex (trials, R, n_total, n_snapshots) array.  Trial b
+    draws ``reps[b]`` sets from ``rngs[b]`` (``reps`` may also be one count
+    for every trial), each in the order of one ``synthesize_snapshots``
+    call: the waveform of every emitter (uniform phases, or a Gaussian
+    real/imaginary pair), then the real and the imaginary noise.  R is the
+    largest count; a trial's sets past its own count are zero.  The draws
+    fill preallocated buffers and the arithmetic runs once on the stack
+    with the per-trial float expressions, so set r of trial b holds the
+    bits of the (r+1)-th of successive per-trial calls on ``rngs[b]``.
+    """
+    n, t, q = cfg.n_total, scen.n_snapshots, scen.n_emitters
+    reps = np.broadcast_to(np.asarray(reps, dtype=int), (len(rngs),))
+    shape = (len(rngs), int(reps.max(initial=0)))
+    gaussian = scen.signal_model == GAUSSIAN
+    wave = np.zeros(shape + (q, 2 if gaussian else 1, t))
+    noise = np.zeros(shape + (2, n, t))
+    for b, rng in enumerate(rngs):
+        for r in range(reps[b]):
+            if q:  # every emitter's waveform draws come before the noise
+                (rng.standard_normal if gaussian else rng.random)(out=wave[b, r])
+            rng.standard_normal(out=noise[b, r])
+    x = np.zeros(shape + (n, t), dtype=np.complex128)
+    for j, (u_q, p_q) in enumerate(zip(scen.direction_sines, scen.powers)):
+        if gaussian:
+            s = np.sqrt(p_q / 2.0) * (wave[:, :, j, 0] + 1j * wave[:, :, j, 1])
+        else:
+            s = np.sqrt(p_q) * np.exp(2j * np.pi * wave[:, :, j, 0])
+        x += steering_vector(n, u_q, cfg.spacing)[:, None] * s[..., None, :]
+    sigma = np.sqrt(scen.noise_power / 2.0)
+    x += sigma * (noise[:, :, 0] + 1j * noise[:, :, 1])
+    x[np.arange(shape[1]) >= reps[:, None]] = 0.0
+    if not np.all(np.isfinite(x.view(np.float64))):
+        raise ValueError("samples must be finite")
+    return x
+
+
 def synthesize_snapshots(cfg: ArrayConfig, scen: EmitterScenario,
                          rng: np.random.Generator) -> SnapshotBatch:
-    """Element-level snapshots: sum of steered emitter signals plus noise.
+    """Element-level snapshots of one trial: sum of steered emitter signals
+    plus noise.
 
     Noise is circular complex Gaussian with per-entry variance
     ``scen.noise_power``; emitter waveforms are unit-modulus with uniform
-    random phase (default) or complex Gaussian.  Deterministic given rng.
+    random phase (default) or complex Gaussian.  Deterministic given rng;
+    the one-set case of ``synthesize_snapshot_rows``.
     """
-    n, t = cfg.n_total, scen.n_snapshots
-    x = np.zeros((n, t), dtype=np.complex128)
-    for u_q, p_q in zip(scen.direction_sines, scen.powers):
-        if scen.signal_model == CONSTANT_MODULUS:
-            s = np.sqrt(p_q) * np.exp(2j * np.pi * rng.random(t))
-        else:
-            s = np.sqrt(p_q / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
-        x += np.outer(steering_vector(n, u_q, cfg.spacing), s)
-    sigma = np.sqrt(scen.noise_power / 2.0)
-    x += sigma * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
-    return SnapshotBatch(x)
+    return SnapshotBatch(synthesize_snapshot_rows(cfg, scen, [rng])[0, 0])
 
 
 def analog_combine(samples: np.ndarray, cfg: ArrayConfig,

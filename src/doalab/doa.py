@@ -7,9 +7,11 @@ with CRLB-weighted combining, and the combiner itself.
 
 All estimators consume a scenario with exactly one emitter and draw their
 snapshots from the provided generator, so trials parallelize with split
-streams.  Each of the three estimators also comes in a form over a stack
-of trials (``*_rows``), one generator per trial, which draws the same
-values in the same order as the per-trial form and roots all trials'
+streams.  Each of the three estimators also runs over a stack of trials,
+one generator per trial: ``had_eliminator_rows`` gives both eliminators
+from shared draws and ``tlhad_estimate_rows`` the two-layer estimate.
+They draw the same values in the same order as the per-trial forms, as
+one stacked array (``synthesize_snapshot_rows``), and root all trials'
 Root-MUSIC polynomials of a channel block in one search; the per-trial
 forms stay as their oracles.
 """
@@ -23,6 +25,7 @@ from .arrays import (
     ArrayConfig,
     EmitterScenario,
     analog_combine,
+    synthesize_snapshot_rows,
     synthesize_snapshots,
 )
 from .crlb import crlb_fd, crlb_fd_rows, crlb_had, crlb_had_rows
@@ -185,15 +188,6 @@ def _candidate_rows(u_hat, m_sub, spacing):
     return rows[:, : np.max(keep.sum(axis=1), initial=0)]
 
 
-def _broadside_candidate_rows(cfg, scen1, rngs):
-    """``_had_candidates`` for a stack of trials: each trial's broadside
-    snapshot, then one Root-MUSIC search over all trials."""
-    x = np.stack([synthesize_snapshots(cfg, scen1, rng).samples for rng in rngs])
-    had = analog_combine(x, cfg)[:, : cfg.k_sub]
-    u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
-    return _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
-
-
 def _pick(cands, power):
     """The candidate of largest power per row; padding never wins."""
     power = np.where(np.isnan(cands), -np.inf, power)
@@ -201,55 +195,50 @@ def _pick(cands, power):
     return cands[np.arange(len(cands)), chosen], chosen, cands
 
 
-def had_root_music_classic_rows(cfg: ArrayConfig, scen: EmitterScenario,
-                                rngs):
-    """``had_root_music_classic`` for a stack of trials, one generator each.
+def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
+    """The classic and the fast eliminator for a stack of trials, one
+    generator each.
 
-    Returns (u, chosen, candidates): per trial the estimate, the index of
-    the chosen candidate, and the candidates as a row padded with NaN.
+    Returns (classic, fast), each (u, chosen, candidates): per trial the
+    estimate, the index of the chosen candidate, and the candidates as a
+    row padded with NaN.  Each trial draws what ``had_root_music_classic``
+    draws: a broadside snapshot, searched once for all trials, then one
+    snapshot per candidate.  ``fhad_root_music`` on a generator of the same
+    stream draws the same broadside snapshot and, as its steered one, the
+    classic eliminator's first candidate snapshot, so both eliminators
+    share every draw.
     """
     if cfg.n_fd != 0:
-        raise ConfigError("classic eliminator needs a pure HAD array")
+        raise ConfigError("HAD eliminators need a pure HAD array")
     _require_single_emitter(scen)
     scen1 = replace(scen, n_snapshots=1)
-    cands = _broadside_candidate_rows(cfg, scen1, rngs)
-    x = np.zeros(cands.shape + (cfg.n_total, 1), dtype=complex)
-    for b, rng in enumerate(rngs):
-        for j in range(np.count_nonzero(~np.isnan(cands[b]))):
-            x[b, j] = synthesize_snapshots(cfg, scen1, rng).samples
-    steer = np.repeat(np.nan_to_num(cands)[..., None], cfg.k_sub, axis=-1)
-    had = analog_combine(x, cfg, steer)[..., : cfg.k_sub, 0]
-    return _pick(cands, np.mean(np.abs(had) ** 2, axis=-1))
-
-
-def fhad_root_music_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
-    """``fhad_root_music`` for a stack of trials, one generator each.
-
-    Returns (u, chosen, candidates) as ``had_root_music_classic_rows``.
-    """
-    if cfg.n_fd != 0:
-        raise ConfigError("fast eliminator needs a pure HAD array")
-    _require_single_emitter(scen)
-    scen1 = replace(scen, n_snapshots=1)
-    cands = _broadside_candidate_rows(cfg, scen1, rngs)
+    x = synthesize_snapshot_rows(cfg, scen1, rngs)[:, 0]
+    had = analog_combine(x, cfg)[:, : cfg.k_sub]
+    u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
+    cands = _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
     counts = np.count_nonzero(~np.isnan(cands), axis=1)
     if cfg.k_sub < cands.shape[1]:
         raise ConfigError(f"{cfg.k_sub} subarrays cannot host "
                           f"{cands.shape[1]} candidate subgroups")
-    x = np.stack([synthesize_snapshots(cfg, scen1, rng).samples for rng in rngs])
+    x = synthesize_snapshot_rows(cfg, scen1, rngs, counts)
+
+    steer = np.repeat(np.nan_to_num(cands)[..., None], cfg.k_sub, axis=-1)
+    had = analog_combine(x, cfg, steer)[..., : cfg.k_sub, 0]
+    classic = _pick(cands, np.mean(np.abs(had) ** 2, axis=-1))
+
     groups = {k: _subgroups(cfg.k_sub, k) for k in np.unique(counts)}
     steer = np.empty((len(cands), cfg.k_sub))
     for k, grps in groups.items():
         of = np.repeat(np.arange(k), [len(g) for g in grps])  # subarray -> group
         steer[counts == k] = cands[counts == k][:, of]
-    sub_power = np.abs(analog_combine(x, cfg, steer)[:, : cfg.k_sub, 0]) ** 2
+    sub_power = np.abs(analog_combine(x[:, 0], cfg, steer)[:, : cfg.k_sub, 0]) ** 2
     group_power = np.zeros(cands.shape)
     for k, grps in groups.items():
         rows = np.flatnonzero(counts == k)
         for j, grp in enumerate(grps):
             group_power[rows, j] = np.mean(sub_power[rows, grp.start:grp.stop],
                                            axis=1)
-    return _pick(cands, group_power)
+    return classic, _pick(cands, group_power)
 
 
 def combine_estimates(u_a, crlb_a, u_b, crlb_b):
@@ -333,8 +322,7 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     if cfg.n_fd < 2:
         raise ConfigError("two-layer estimator needs at least two FD channels")
     t = scen.n_snapshots
-    x = analog_combine(np.stack([synthesize_snapshots(cfg, scen, rng).samples
-                                 for rng in rngs]), cfg)
+    x = analog_combine(synthesize_snapshot_rows(cfg, scen, rngs)[:, 0], cfg)
     flags = np.zeros((len(x), len(TLHAD_FLAGS)), dtype=bool)
     fd_only, fd_clamped, analog_null, clamped = flags.T
     u_fd = root_music_rows(signal_vectors(x[:, cfg.k_sub:]), cfg.spacing)

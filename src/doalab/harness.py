@@ -26,7 +26,7 @@ from .arrays import (
     GAUSSIAN,
     ArrayConfig,
     EmitterScenario,
-    synthesize_snapshots,
+    synthesize_snapshot_rows,
 )
 from .crlb import RAD2_TO_DEG2, crlb_had, crlb_tlhad
 from .detect import (
@@ -45,8 +45,7 @@ from .doa import (
     METHOD_FHAD,
     METHOD_TLHAD,
     broadside_gain_ok,
-    fhad_root_music_rows,
-    had_root_music_classic_rows,
+    had_eliminator_rows,
     max_candidates,
     tlhad_estimate_rows,
 )
@@ -140,6 +139,11 @@ BOUNDS = (
     ("mlnn.batch_size", int, lambda v: v >= 1, "at least 1"),
     ("mlnn.epochs", int, lambda v: v >= 1, "at least 1"),
 )
+
+# ADC resolutions [quant] bits accepts: the Lloyd-Max solve takes a
+# fraction of a second at 16 bits, but fails after 24 s at 20 bits and
+# cannot allocate its 2**64 levels at 64 bits
+MAX_BITS = 16
 
 # SNR lists, in dB; every value must be finite
 SNR_LISTS = ("scenario.snr_db_list", "rmse.eta_snr_db_list", "quant.snr_db_list")
@@ -240,8 +244,9 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
     if values["detect.glrt_form"] not in (GLRT_MAX_OVER_MEAN, GLRT_SPHERICITY):
         raise ConfigError(f"unknown GLRT form {values['detect.glrt_form']!r}")
-    if any(b < 1 for b in bits):
-        raise ConfigError("quant bits must be integers of at least 1")
+    if not all(1 <= b <= MAX_BITS for b in bits):
+        raise ConfigError(f"quant bits must be integers in [1, {MAX_BITS}], "
+                          f"got {values['quant.bits']}")
     if not all(0.0 < eta <= 1.0 for eta in eta_grid):
         raise ConfigError("eta grid values must lie in (0, 1]")
     activations = _parse_list(values["mlnn.activations"], str)
@@ -456,20 +461,26 @@ def _rmse_block(params, seed, trials):
     configured array and one snapshot; the two-layer estimator sees the
     full array and the configured snapshot count.  Each method runs over
     the whole block at once.  All methods share the trial stream, so
-    snapshot realizations are paired.
+    snapshot realizations are paired; the two eliminators share one
+    generator per trial, since they draw the same snapshots.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
-    cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
-    runs = {METHOD_CLASSIC: (had_root_music_classic_rows, cfg_had, 1),
-            METHOD_FHAD: (fhad_root_music_rows, cfg_had, 1),
-            METHOD_TLHAD: (tlhad_estimate_rows, cfg, t_snap)}
+    u = {}
+    if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
+        cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
+        scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
+                                              signal_model=signal_model)
+        classic, fast = had_eliminator_rows(
+            cfg_had, scen, [trial_rng(seed, i) for i in trials])
+        u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
+    if METHOD_TLHAD in methods:
+        scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
+                                              signal_model=signal_model)
+        u[METHOD_TLHAD] = tlhad_estimate_rows(
+            cfg, scen, [trial_rng(seed, i) for i in trials])[0]
     errors = np.empty((len(trials), len(methods)))
     for j, m in enumerate(methods):
-        estimate_rows, arr, t = runs[m]
-        scen = EmitterScenario.single_emitter(theta_deg, snr_db, t,
-                                              signal_model=signal_model)
-        u = estimate_rows(arr, scen, [trial_rng(seed, i) for i in trials])[0]
-        errors[:, j] = np.degrees(np.arcsin(u)) - theta_deg
+        errors[:, j] = np.degrees(np.arcsin(u[m])) - theta_deg
     return errors
 
 
@@ -556,8 +567,8 @@ def _quant_block(params, seed, trials):
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
-    x = np.stack([synthesize_snapshots(cfg, scen, trial_rng(seed, i)).samples
-                  for i in trials])
+    x = synthesize_snapshot_rows(cfg, scen,
+                                 [trial_rng(seed, i) for i in trials])[:, 0]
     u_hat = root_music_rows(signal_vectors(x), cfg.spacing)
     uq = root_music_rows(signal_vectors(quantize(x, bits)), cfg.spacing)
     return np.column_stack((uq - u_true, u_hat - u_true))

@@ -4,15 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doalab.arrays import (
+    CONSTANT_MODULUS,
+    GAUSSIAN,
     ArrayConfig,
     EmitterScenario,
     SnapshotBatch,
     analog_combine,
     steering_vector,
     subarray_gain,
+    synthesize_snapshot_rows,
     synthesize_snapshots,
 )
 from doalab.rng import trial_rng
+
+
+def synthesize_oracle(cfg, scen, rng):
+    """One trial's element-level snapshots, drawn and summed per emitter:
+    the per-trial synthesis that ``synthesize_snapshot_rows`` stacks."""
+    n, t = cfg.n_total, scen.n_snapshots
+    x = np.zeros((n, t), dtype=np.complex128)
+    for u_q, p_q in zip(scen.direction_sines, scen.powers):
+        if scen.signal_model == CONSTANT_MODULUS:
+            s = np.sqrt(p_q) * np.exp(2j * np.pi * rng.random(t))
+        else:
+            s = np.sqrt(p_q / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
+        x += np.outer(steering_vector(n, u_q, cfg.spacing), s)
+    sigma = np.sqrt(scen.noise_power / 2.0)
+    x += sigma * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+    return x
 
 
 class TestArrayConfig:
@@ -138,6 +157,83 @@ class TestSynthesize:
         x = synthesize_snapshots(ArrayConfig.fully_digital(1), scen,
                                  trial_rng(1)).samples
         assert np.mean(np.abs(x) ** 2) == pytest.approx(3.0, rel=0.05)
+
+
+SCENARIOS = {
+    "noise-only": ((), ()),
+    "two-emitters": ((15.0, -40.0), (2.0, 0.5)),
+}
+
+
+class TestSynthesizeRows:
+    """The stacked synthesis against successive per-trial oracle draws,
+    bit for bit."""
+
+    @staticmethod
+    def _scen(name, t, model):
+        directions, powers = SCENARIOS[name]
+        return EmitterScenario(directions, powers, 1.3, t, model)
+
+    @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
+    @pytest.mark.parametrize("t", [1, 10])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_oracle(self, model, t, name):
+        cfg = ArrayConfig.two_layer(20, 4, 0.2, 0.6)
+        scen = self._scen(name, t, model)
+        reps = [2, 0, 3, 1, 3, 2]  # ragged: shorter trials are zero-padded
+        x = synthesize_snapshot_rows(cfg, scen,
+                                     [trial_rng(8, i) for i in range(6)], reps)
+        assert x.shape == (6, 3, cfg.n_total, t) and x.dtype == np.complex128
+        for i, n_sets in enumerate(reps):
+            rng = trial_rng(8, i)
+            for r in range(n_sets):
+                assert x[i, r].tobytes() == synthesize_oracle(cfg, scen, rng).tobytes()
+            assert not np.any(x[i, n_sets:])
+
+    @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
+    def test_one_set_per_trial(self, model):
+        # the per-trial call and the default count are the one-set case
+        cfg = ArrayConfig.pure_had(12, 3)
+        scen = self._scen("two-emitters", 4, model)
+        x = synthesize_snapshot_rows(cfg, scen, [trial_rng(9, i) for i in range(3)])
+        assert x.shape == (3, 1, 12, 4)
+        for i in range(3):
+            ref = synthesize_oracle(cfg, scen, trial_rng(9, i)).tobytes()
+            assert x[i, 0].tobytes() == ref
+            assert synthesize_snapshots(cfg, scen, trial_rng(9, i)).samples.tobytes() == ref
+
+    @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
+    def test_independent_of_block_split(self, model):
+        cfg = ArrayConfig.fully_digital(8)
+        scen = self._scen("two-emitters", 3, model)
+        reps = np.array([1, 4, 2, 0, 3, 1, 2, 4, 1, 2])
+        whole = synthesize_snapshot_rows(
+            cfg, scen, [trial_rng(10, i) for i in range(10)], reps)
+        for bounds in ((0, 3, 4, 10), tuple(range(11))):
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                part = synthesize_snapshot_rows(
+                    cfg, scen, [trial_rng(10, i) for i in range(a, b)], reps[a:b])
+                width = part.shape[1]
+                assert width == reps[a:b].max()
+                assert part.tobytes() == whole[a:b, :width].tobytes()
+                assert not np.any(whole[a:b, width:])
+
+    def test_nonfinite_rejected(self):
+        class NanStream:
+            """Stands in for a generator whose draws are not finite."""
+
+            def random(self, out):
+                out[...] = 0.5
+
+            def standard_normal(self, out):
+                out[...] = np.nan
+
+        cfg = ArrayConfig.fully_digital(4)
+        scen = EmitterScenario.single_emitter(10.0, 0.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_snapshot_rows(cfg, scen, [trial_rng(0), NanStream()])
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_snapshots(cfg, scen, NanStream())
 
 
 class TestAnalogCombine:

@@ -15,9 +15,8 @@ from doalab.doa import (
     candidate_set,
     combine_estimates,
     fhad_root_music,
-    fhad_root_music_rows,
+    had_eliminator_rows,
     had_root_music_classic,
-    had_root_music_classic_rows,
     max_candidates,
     tlhad_estimate,
     tlhad_estimate_rows,
@@ -229,12 +228,19 @@ def _nearest(cands, u):
     return int(np.argmin(np.abs(cands - u)))
 
 
-ELIMINATORS = {"classic": (had_root_music_classic_rows, had_root_music_classic),
-               "fhad": (fhad_root_music_rows, fhad_root_music)}
+# the position of each eliminator in what ``had_eliminator_rows`` returns,
+# and its per-trial oracle
+ELIMINATORS = {"classic": (0, had_root_music_classic),
+               "fhad": (1, fhad_root_music)}
 
 
 class TestEliminatorRows:
     """The stacked eliminators against their per-trial oracles."""
+
+    @staticmethod
+    def _rows(name):
+        index = ELIMINATORS[name][0]
+        return lambda cfg, scen, rngs: had_eliminator_rows(cfg, scen, rngs)[index]
 
     @pytest.mark.parametrize("name", sorted(ELIMINATORS))
     @pytest.mark.parametrize("spacing", [0.5, 0.6])
@@ -242,7 +248,7 @@ class TestEliminatorRows:
     def test_matches_oracle(self, name, spacing, snr_db):
         # same candidates, same choice and the same estimate to 1e-12 in
         # every trial, so the same wrong-candidate count
-        rows, oracle = ELIMINATORS[name]
+        rows, oracle = self._rows(name), ELIMINATORS[name][1]
         cfg = ArrayConfig.pure_had(48, 4, spacing)
         scen = _scen(15.0, snr_db)
         u_true = np.sin(np.radians(15.0))
@@ -268,7 +274,7 @@ class TestEliminatorRows:
                                         monkeypatch):
         # the harness splits trials into blocks by worker count, so each
         # trial's result must not depend on which trials share its block
-        rows = ELIMINATORS[name][0]
+        rows = self._rows(name)
         cfg = ArrayConfig.pure_had(48, 4, spacing)
         scen = _scen(15.0, snr_db)
         n = 40
@@ -305,13 +311,13 @@ class TestEliminatorRows:
 
     def test_fast_needs_enough_subarrays(self):
         with pytest.raises(ConfigError):
-            fhad_root_music_rows(ArrayConfig.pure_had(8, 4), _scen(10.0, 20.0),
-                                 [trial_rng(0)])
+            had_eliminator_rows(ArrayConfig.pure_had(8, 4), _scen(10.0, 20.0),
+                                [trial_rng(0)])
 
     def test_rejects_fd_antennas(self):
-        for rows, _ in ELIMINATORS.values():
-            with pytest.raises(ConfigError):
-                rows(ArrayConfig(8, 2, 3, 2), _scen(0.0, 0.0), [trial_rng(0)])
+        with pytest.raises(ConfigError):
+            had_eliminator_rows(ArrayConfig(8, 2, 3, 2), _scen(0.0, 0.0),
+                                [trial_rng(0)])
 
     @pytest.mark.parametrize("m_sub,spacing", [
         (1, 0.5), (4, 0.5), (4, 0.6), (3, 0.7), (2, 1.0)])

@@ -290,6 +290,41 @@ class TestStackedBlocks:
             np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
+class TestBlockDraws:
+    """The estimation blocks draw every trial's snapshots as one stack, and
+    the two HAD eliminators share a generator per trial."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_trial_synthesis(self, monkeypatch):
+        from doalab import arrays, doa
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a block drew snapshots one trial at a time")
+
+        for module in (arrays, doa, harness):
+            monkeypatch.setattr(module, "synthesize_snapshots", refuse,
+                                raising=False)
+
+    @pytest.mark.parametrize("methods,per_trial", [
+        (("had-root-music", "fhad-root-music", "tlhad"), 2), (("tlhad",), 1)],
+        ids=["rmse-snr", "rmse-eta"])
+    def test_rmse_block_generators(self, monkeypatch, methods, per_trial):
+        opened = []
+
+        def counting_rng(seed, index=0):
+            opened.append(index)
+            return trial_rng(seed, index)
+
+        monkeypatch.setattr(harness, "trial_rng", counting_rng)
+        cfg = ArrayConfig.two_layer(64, 4, 0.25)
+        harness._rmse_block((cfg, 15.0, 5.0, 1, "constant-modulus", methods),
+                            3, range(10, 22))
+        assert sorted(opened) == sorted(per_trial * list(range(10, 22)))
+
+    def test_quant_block_stacked(self):
+        assert harness._quant_block((8, 20, 15.0, 0.0, 3), 3, range(5)).shape == (5, 2)
+
+
 @pytest.fixture(scope="module")
 def mlnn_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("mlnn")
@@ -461,6 +496,8 @@ class TestCli:
         ("rmse-snr", "[array]\nn_total = 12\nm_sub = 8\nfd_proportion = 0.34\n"
                      "spacing = 0.1\n"),
         ("rmse-eta", "[rmse]\neta_grid = 0.25,0.01\n"),
+        ("loss-bits", "[quant]\nbits = 1,20\n"),
+        ("loss-bits", "[quant]\nbits = 64\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
@@ -473,7 +510,8 @@ class TestCli:
             "unknown-activation", "shape-not-int", "shape-zero-width",
             "key-given-twice", "key-without-value", "fd-proportion-one",
             "no-fd-block", "one-fd-antenna", "fewer-subarrays-than-candidates",
-            "one-subarray", "eta-fd-block-under-two"])
+            "one-subarray", "eta-fd-block-under-two", "bits-twenty",
+            "bits-sixty-four"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         # a case that sets [run] itself goes without the trial-count prefix
         if not text.startswith("[run]"):
