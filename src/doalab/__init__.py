@@ -19,7 +19,6 @@ from .arrays import (
 from .crlb import (
     crlb_fd,
     crlb_had,
-    crlb_quantized,
     crlb_tlhad,
     fim_single_source,
 )

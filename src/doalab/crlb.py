@@ -1,5 +1,5 @@
 """Fisher information and Cramer-Rao lower bounds for FD, HAD, and
-two-layer architectures, plus the AQNM quantization penalty.
+two-layer architectures.
 
 All bounds use the conditional (deterministic-signal) FIM in projection
 form; the closed-form FD ULA expression serves as the test oracle.  Angles
@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .arrays import ArrayConfig
-from .quantize import distortion_factor, effective_snr
 
 RAD2_TO_DEG2 = (180.0 / np.pi) ** 2
 
@@ -164,11 +163,3 @@ def crlb_tlhad(cfg: ArrayConfig, theta_deg: float, snr_db: float,
         j_total += fim_single_source(a, da, t_snapshots, snr)
     return _crlb_from_fim(j_total)
 
-
-def crlb_quantized(crlb_ideal: float, bits, snr_db: float) -> float:
-    """Scale an ideal CRLB by the AQNM performance-loss factor."""
-    if bits == math.inf:
-        return crlb_ideal
-    alpha = 1.0 - distortion_factor(bits)
-    snr = 10.0 ** (snr_db / 10.0)
-    return crlb_ideal * snr / effective_snr(snr, alpha)

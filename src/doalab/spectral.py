@@ -1,4 +1,12 @@
-"""Sample covariance, Hermitian eigendecomposition, and Root-MUSIC."""
+"""Sample covariance, Hermitian eigendecomposition, and Root-MUSIC.
+
+Two paths.  ``sample_covariance`` and ``root_music`` are the textbook
+per-covariance reference: ``np.linalg.eigh``, then the companion-matrix
+roots (``np.roots``).  ``signal_vectors`` and ``root_music_rows`` estimate
+one source for a whole stack of trials through a certified Newton-type
+search (``_certified_roots``).  The two share no eigensolver and no root
+finder, so the reference checks the search.
+"""
 
 import functools
 from dataclasses import dataclass
@@ -25,37 +33,15 @@ class CovarianceEstimate:
 def sample_covariance(samples) -> CovarianceEstimate:
     """R_hat = (1/L) sum_t x(t) x(t)^H with eigendecomposition attached.
 
-    Accepts a SnapshotBatch or a plain channels x snapshots array.
+    Accepts a SnapshotBatch or a plain channels x snapshots array; the
+    eigenpairs come from ``np.linalg.eigh`` whatever the snapshot count.
     """
     x = np.asarray(getattr(samples, "samples", samples), dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("need a channels x snapshots array with >= 1 snapshot")
     r = _covariances(x)
-    if x.shape[1] == 1:
-        return CovarianceEstimate(r, *_rank_one_eigh(x[:, 0]))
     w, v = np.linalg.eigh(r)  # ascending
     return CovarianceEstimate(r, w[::-1], v[:, ::-1])
-
-
-def _rank_one_eigh(x: np.ndarray):
-    """Eigenpairs of x x^H, eigenvalues descending, without ``eigh``.
-
-    The one nonzero eigenvalue |x|^2 belongs to v = x / |x| (e_1 when x
-    is 0).  The Householder reflector H = I - w w^H / (1 + |v_1|), with
-    w = v + e^{i arg v_1} e_1, maps e_1 to a unit multiple of v, so its
-    other columns are an orthonormal basis of the complement of v, the
-    eigenvectors of 0.  Column 0 is then set to v itself.
-    """
-    p = len(x)
-    norm = np.linalg.norm(x)
-    v = x / norm if norm > 0 else np.eye(1, p, dtype=complex)[0]
-    w = v.copy()
-    w[0] += np.exp(1j * np.angle(v[0]))
-    vectors = np.eye(p, dtype=complex) - np.outer(w, w.conj()) / (1.0 + abs(v[0]))
-    vectors[:, 0] = v
-    values = np.zeros(p)
-    values[0] = norm * norm
-    return values, vectors
 
 
 def _covariances(x: np.ndarray) -> np.ndarray:
@@ -96,14 +82,6 @@ def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray
     return _null_polynomials(signal[None])[0]
 
 
-# From this channel count up, a single covariance's one-source root comes
-# from the certified search (``_certified_roots``).  Per call on
-# one-snapshot covariances (one BLAS thread, 2.1 GHz Xeon) the two paths
-# tie near P = 12 at about 0.37 ms; the companion eigensolve takes 0.15 ms
-# at P = 8 and 0.55 ms at P = 14, the search about 0.33 ms at both.
-# Stacks of covariances (``root_music_rows``) share the search's fixed
-# cost and take it at every channel count.
-CERTIFIED_MIN_DIM = 13
 _MAX_ITER = 40
 # the second round starts this far from the origin, inside the unit circle
 _RESTART_RADIUS = 1.0 - 1e-3
@@ -352,15 +330,9 @@ def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
     the smaller |phase|), and maps each root phase phi to
     ``u = phi / (2 pi spacing)`` in [-1/(2 spacing), 1/(2 spacing)).
 
-    For one source with ``P >= CERTIFIED_MIN_DIM`` channels the root
-    comes from a Newton-type search seeded at the deepest minimum of the
-    null spectrum, and is accepted only under an argument-principle
-    certificate that no other root lies closer to the circle (see
-    ``_certified_roots``); this is the search of ``root_music_rows`` on
-    one row.  Every other case, and any uncertified search, roots the
-    polynomial through the companion-matrix eigenvalues (``np.roots``).
-    The two paths agree to rounding: |du| <= 1e-12 over the seeded corpus
-    of the tests.
+    The roots are the companion-matrix eigenvalues (``np.roots``) at
+    every channel and source count.  This is the reference that the
+    certified search of ``root_music_rows`` is checked against.
 
     With ``spacing > 0.5`` the result is ambiguous by construction; callers
     expand it to a candidate set.
@@ -369,11 +341,7 @@ def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
         raise ValueError("n_sources must be smaller than the channel count")
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    coeffs = root_music_polynomial(cov, n_sources)
-    if n_sources == 1 and cov.dim >= CERTIFIED_MIN_DIM:
-        chosen = _one_source_roots(coeffs[None])
-    else:
-        chosen = _companion_roots(coeffs, n_sources)
+    chosen = _companion_roots(root_music_polynomial(cov, n_sources), n_sources)
     return np.sort(_direction_sines(chosen, spacing))
 
 

@@ -10,11 +10,9 @@ from doalab.crlb import (
     crlb_fd_rows,
     crlb_had,
     crlb_had_rows,
-    crlb_quantized,
     crlb_tlhad,
     fim_single_source,
 )
-from doalab.quantize import distortion_factor, effective_snr
 
 
 class TestFdBound:
@@ -177,17 +175,3 @@ class TestRowBounds:
         with pytest.raises(ValueError):
             crlb_had_rows(ArrayConfig.pure_had(4, 4), np.zeros(3), 0.0, 10)
 
-
-class TestQuantizedBound:
-    def test_infinite_bits_identity(self):
-        assert crlb_quantized(1e-4, math.inf, 0.0) == 1e-4
-
-    def test_loss_factor(self):
-        snr_db = 0.0
-        alpha = 1.0 - distortion_factor(1)
-        expected = 1.0 / effective_snr(1.0, alpha)
-        assert crlb_quantized(1.0, 1, snr_db) == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_in_bits(self):
-        vals = [crlb_quantized(1.0, b, 0.0) for b in (1, 2, 3, 4, math.inf)]
-        assert all(x > y for x, y in zip(vals, vals[1:]))

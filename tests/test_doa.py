@@ -466,6 +466,26 @@ class TestTlhadRows:
         assert abs(u[0] - est.u) <= 1e-12
 
 
+class TestOraclesIndependent:
+    """The per-trial estimators are the oracles of the stacked ones, so
+    they must not root through the certified search they check."""
+
+    @pytest.mark.parametrize("estimate,cfg", [
+        (tlhad_estimate, ArrayConfig.two_layer(64, 4, 0.25)),
+        (tlhad_estimate, ArrayConfig.two_layer(64, 4, 1.0)),
+        (had_root_music_classic, ArrayConfig.pure_had(64, 4)),
+        (fhad_root_music, ArrayConfig.pure_had(64, 4)),
+    ], ids=["tlhad-eta0.25", "tlhad-eta1", "classic", "fhad"])
+    def test_no_certified_search(self, estimate, cfg, monkeypatch):
+        def search(coeffs):
+            raise AssertionError("the per-trial chain reached the search")
+
+        monkeypatch.setattr(spectral, "_certified_roots", search)
+        scen = _scen(15.0, -10.0)
+        for i in range(5):
+            assert np.isfinite(estimate(cfg, scen, trial_rng(67, i)).u)
+
+
 class TestBroadsideGainGuard:
     def test_broadside_ok(self):
         assert broadside_gain_ok(ArrayConfig.pure_had(16, 4), 0.0)
