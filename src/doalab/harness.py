@@ -560,18 +560,22 @@ def run_rmse_eta(config: ExperimentConfig):
 # --- quantization ----------------------------------------------------------
 
 def _quant_block(params, seed, trials):
-    """Root-MUSIC errors in u: the quantized estimate in column 0, the
-    unquantized one in column 1.  The block's trials are stacked, so both
-    columns come from one search each."""
+    """Root-MUSIC errors in u at one SNR: one column per bit depth of
+    ``bits``, then the unquantized estimate in the last column.  Each
+    trial's snapshots are drawn once and the unquantized stack is rooted
+    once; every bit depth quantizes that same draw, so the columns are
+    paired, and the block's trials are stacked, so every column comes from
+    one search."""
     n_antennas, l_snap, theta_deg, snr_db, bits = params
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
     x = synthesize_snapshot_rows(cfg, scen,
                                  [trial_rng(seed, i) for i in trials])[:, 0]
-    u_hat = root_music_rows(signal_vectors(x), cfg.spacing)
-    uq = root_music_rows(signal_vectors(quantize(x, bits)), cfg.spacing)
-    return np.column_stack((uq - u_true, u_hat - u_true))
+    u = [root_music_rows(signal_vectors(quantize(x, b)), cfg.spacing)
+         for b in bits]
+    u.append(root_music_rows(signal_vectors(x), cfg.spacing))
+    return np.column_stack(u) - u_true
 
 
 def run_loss_bits(config: ExperimentConfig):
@@ -581,19 +585,23 @@ def run_loss_bits(config: ExperimentConfig):
     l_snap = int(config["quant.n_snapshots"])
     theta = float(config["scenario.theta_deg"])
     emp_trials = int(config["quant.empirical_trials"])
-    points = [(n_ant, l_snap, theta, snr_db, bits)
-              for snr_db in _parse_list(config["quant.snr_db_list"])
-              for bits in [*bits_grid, math.inf]]
+    snrs = _parse_list(config["quant.snr_db_list"])
+    points = [(n_ant, l_snap, theta, snr_db, tuple(bits_grid))
+              for snr_db in snrs]
     with _pool(config.workers) as pmap:
         curve = _monte_carlo(_quant_block, points, emp_trials, config.seed,
                              pmap, 2 * config.workers)
     rows = []
-    for (*_, snr_db, bits), errors in zip(points, curve):
-        rmse_q, rmse_u = _rms(errors[:, 0]), _rms(errors[:, 1])
-        empirical_db = 20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0 else 0.0
-        rows.append(("inf" if bits == math.inf else bits, snr_db,
-                     performance_loss_db(bits, snr_db), empirical_db,
-                     emp_trials, config.seed, config.digest))
+    for snr_db, errors in zip(snrs, curve):
+        rmse_u = _rms(errors[:, -1])
+        # the unquantized row compares the last column with itself
+        for bits, column in zip([*bits_grid, math.inf], errors.T):
+            rmse_q = _rms(column)
+            empirical_db = (20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0
+                            else 0.0)
+            rows.append(("inf" if bits == math.inf else bits, snr_db,
+                         performance_loss_db(bits, snr_db), empirical_db,
+                         emp_trials, config.seed, config.digest))
     path = os.path.join(config.out_dir, "loss_bits.csv")
     _write_csv(path, ["bits", "snr_db", "loss_db_formula", "loss_db_empirical",
                       "trials", "seed", "digest"], rows)

@@ -89,8 +89,10 @@ _RESTART_RADIUS = 1.0 - 1e-3
 _CERT_INSET = 1e-6
 # largest phase step between certificate samples that counts as resolved
 _CERT_MAX_STEP = np.pi / 4
-_CERT_MAX_SAMPLES_PER_DEGREE = 512
 _EPS = np.finfo(float).eps
+# a certificate sample below this fraction of sum |a_k| r1^k is at
+# rounding level
+_CERT_FLOOR = 1e3 * _EPS
 # rows of ``root_music_rows`` searched at once, times P^2.  A row's
 # second round holds a Laguerre lane of 2P - 1 coefficients per spectrum
 # minimum, up to P - 1 of them, so the working memory of one search grows
@@ -218,49 +220,80 @@ def _certified(a: np.ndarray, best: np.ndarray):
     the one closest to it exactly when P-2 zeros lie inside a circle just
     within it.  The polynomial is sampled on that circle by FFT, with the
     phase of ``best`` and its mirror taken out so that the count only has
-    to resolve the other roots.  The circle is refined fourfold, on the
-    rows that need it, while a phase step exceeds ``_CERT_MAX_STEP``, up
-    to ``_CERT_MAX_SAMPLES_PER_DEGREE`` per degree: a count on an
-    undersampled circle decides nothing, right or wrong.  Returns
-    (certified, closer).  A row is certified when its count is right and
-    resolved.  It is marked closer when its count on the finest circle is
-    wrong, which a resolved count proves and an unresolved one suggests:
-    a closer root is worth searching for.  A row with a sample at
-    rounding level, or with ``best`` at 0 or not finite, is neither.
+    to resolve the other roots.  A count on an undersampled circle decides
+    nothing, right or wrong, so every sample interval whose phase step
+    exceeds ``_CERT_MAX_STEP`` is then bisected, and only those: the
+    midpoints of all rows are evaluated together, round by round, until
+    every step is resolved.  This is the adaptive argument-principle count
+    of Ying & Katz (Numer. Math. 53, 1988).  An interval needs no finer
+    split than ``_CERT_FLOOR / n``: a zero closer to the circle than that
+    puts the samples beside it at rounding level, which the floor test
+    catches.  Returns (certified, closer).  A row is certified when its
+    count is right and resolved.  It is marked closer when its count is
+    wrong, which a resolved count proves and an unresolved one suggests: a
+    closer root is worth searching for.  A row with a sample at rounding
+    level, or with ``best`` at 0 or not finite, is neither.
     """
     n = a.shape[1] - 1
-    certified = np.zeros(len(a), dtype=bool)
-    closer = np.zeros(len(a), dtype=bool)
-    rows = np.arange(len(a))  # the rows still counted
     r1 = np.abs(best)[:, None] * (1.0 - _CERT_INSET)
     scaled = a * r1 ** np.arange(n + 1)
-    floor = 1e3 * _EPS * np.abs(scaled).sum(axis=1)
+    floor = _CERT_FLOOR * np.abs(scaled).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the conjugates of best and its mirror on the circle, in w = z / r1
         conj_b = np.conj(best)[:, None] / r1
         conj_m = 1.0 / (best[:, None] * r1)
         k = _pow2_at_least(16 * n)
-        while k <= _CERT_MAX_SAMPLES_PER_DEGREE * n:
-            # g(r1 w) / k at the k-th roots of unity w
-            h = np.fft.ifft(scaled, k, axis=1)
-            live = k * np.abs(h).min(axis=1) > floor
-            # times conj((w - b)(w - m)) at the same w, with b = best / r1
-            # and m its mirror: the phase of g over the pair
-            conj_w = _conj_unit_roots(k)
-            h *= (conj_w - conj_b) * (conj_w - conj_m)
-            steps = np.angle(np.concatenate((h[:, 1:], h[:, :1]), axis=1)
-                             * h.conj())
-            right = np.rint(steps.sum(axis=1) / (2.0 * np.pi)) == n // 2 - 1
-            resolved = live & (np.abs(steps).max(axis=1) <= _CERT_MAX_STEP)
-            certified[rows] = resolved & right
-            closer[rows] = live & ~right
-            live &= ~resolved
-            if not live.any():
-                break
-            rows, scaled, floor, conj_b, conj_m = (
-                rows[live], scaled[live], floor[live], conj_b[live], conj_m[live])
-            k *= 4
-    return certified, closer
+        # the pass's three (rows, k) arrays are one allocation, written in
+        # place: with a fresh temporary for each step, every call freed
+        # enough for the C heap to be trimmed and faulted back in, about
+        # a tenth of an rmse-snr run at the paper array
+        h, pair, nxt = np.empty((3, len(a), k), dtype=complex)
+        # g(r1 w) / k at the k-th roots of unity w
+        np.fft.ifft(scaled, k, axis=1, out=h)
+        live = k * np.abs(h).min(axis=1) > floor
+        # times conj((w - b)(w - m)) at the same w, with b = best / r1
+        # and m its mirror: the phase of g over the pair
+        conj_w = _conj_unit_roots(k)
+        np.subtract(conj_w, conj_b, out=pair)
+        h *= np.multiply(pair, np.subtract(conj_w, conj_m, out=nxt), out=pair)
+        # the phase step from each sample to the next
+        nxt[:, :-1] = h[:, 1:]
+        nxt[:, -1] = h[:, 0]
+        steps = np.angle(np.multiply(nxt, np.conjugate(h, out=pair), out=nxt))
+        turns = steps.sum(axis=1)
+        # the intervals still too coarse: row, left phase, end values, step
+        coarse = np.abs(steps) > _CERT_MAX_STEP
+        rows = np.flatnonzero(live & coarse.any(axis=1))
+        row, j = np.nonzero(coarse[rows])
+        row = rows[row]
+        width = 2.0 * np.pi / k
+        left, step = width * j, steps[row, j]
+        ends = h[row, j], h[row, (j + 1) % k]
+        while row.size and width > _CERT_FLOOR / n:
+            width /= 2.0
+            mid = left + width
+            # g(r1 w) at every midpoint w, from its powers w^0 .. w^n
+            pw = np.empty((mid.size, n + 1), dtype=complex)
+            pw[:, 0] = 1.0
+            pw[:, 1:] = np.exp(1j * mid)[:, None]
+            g = np.einsum("ij,ij->i", scaled[row], np.cumprod(pw, axis=1, out=pw))
+            live[row[np.abs(g) <= floor[row]]] = False
+            conj_w = np.conj(pw[:, 1])
+            g *= (conj_w - conj_b[row, 0]) * (conj_w - conj_m[row, 0])
+            # each interval becomes its two halves, left halves first
+            halves = np.angle(g * ends[0].conj()), np.angle(ends[1] * g.conj())
+            turns += np.bincount(row, halves[0] + halves[1] - step, len(a))
+            row, left = np.concatenate((row, row)), np.concatenate((left, mid))
+            step = np.concatenate(halves)
+            ends = (np.concatenate((ends[0], g)), np.concatenate((g, ends[1])))
+            # of which only the live rows' coarse ones are split again
+            keep = live[row] & (np.abs(step) > _CERT_MAX_STEP)
+            row, left, step = row[keep], left[keep], step[keep]
+            ends = ends[0][keep], ends[1][keep]
+    resolved = live.copy()
+    resolved[row] = False
+    right = np.rint(turns / (2.0 * np.pi)) == n // 2 - 1
+    return resolved & right, live & ~right
 
 
 def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -275,9 +308,10 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     local minimum of the sampled spectrum, just inside the circle at
     ``_RESTART_RADIUS``, and the closest root found in either round is
     certified again.  A row is NaN when its leading coefficient is zero,
-    its first start does not converge, its first count is right but
-    unresolved (a second root lies about as close to the circle), or the
-    second round is not certified either.
+    its first start does not converge, a certificate sample of its first
+    root sits at rounding level, or the second round is not certified
+    either.  A second root near the circle costs a few bisections of the
+    arcs beside it and no longer leaves a row uncertified.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
@@ -350,16 +384,20 @@ def signal_vectors(samples: np.ndarray) -> np.ndarray:
     channels x snapshots arrays (B, P, T), as rows (B, P).
 
     With one snapshot the covariance x x^H has rank one and its
-    eigenvector is x / |x|, so no covariance is formed.  Otherwise the
-    covariances of ``sample_covariance`` are decomposed by one stacked
-    ``eigh``.  The phase of each vector is arbitrary.
+    eigenvector is x / |x|, so no covariance is formed; an all-zero
+    snapshot gets the last unit vector, which ``eigh`` returns for a zero
+    covariance.  Otherwise the covariances of ``sample_covariance`` are
+    decomposed by one stacked ``eigh``.  The phase of each vector is
+    arbitrary.
     """
     x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 3 or x.shape[2] < 1:
         raise ValueError("need a trials x channels x snapshots array")
     if x.shape[2] == 1:
-        v = x[:, :, 0]
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+        norm = np.linalg.norm(x[:, :, 0], axis=1, keepdims=True)
+        v = x[:, :, 0] / np.where(norm > 0.0, norm, 1.0)
+        v[norm[:, 0] == 0.0, -1] = 1.0
+        return v
     return np.linalg.eigh(_covariances(x))[1][:, :, -1]
 
 
@@ -371,9 +409,11 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  The
     rows go through the certified search together, whatever P, in chunks
     of ``_SEARCH_ROWS_TIMES_P2 // P^2`` rows that bound its memory, and
-    only the rows it leaves uncertified are rooted one at a time through
-    the companion matrix.  Each row's arithmetic depends on that row
-    alone, so the result does not depend on which rows share the stack.
+    only the rows it leaves uncertified (``_certified_roots``: a zero
+    leading coefficient, a start that does not converge, a certificate
+    sample at rounding level) are rooted one at a time through the
+    companion matrix.  Each row's arithmetic depends on that row alone,
+    so the result does not depend on which rows share the stack.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] < 2:

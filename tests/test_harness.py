@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from doalab import harness
-from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
+from doalab.arrays import (
+    ArrayConfig,
+    EmitterScenario,
+    synthesize_snapshot_rows,
+    synthesize_snapshots,
+)
 from doalab.cli import main as cli_main
 from doalab.crlb import RAD2_TO_DEG2, crlb_had
 from doalab.errors import ConfigError
@@ -28,7 +33,12 @@ from doalab.harness import (
 from doalab.mlnn import init_model, save_model
 from doalab.quantize import performance_loss_db, quantize
 from doalab.rng import trial_rng
-from doalab.spectral import root_music, sample_covariance
+from doalab.spectral import (
+    root_music,
+    root_music_rows,
+    sample_covariance,
+    signal_vectors,
+)
 
 
 def _write_config(path, text):
@@ -248,6 +258,21 @@ class TestLossBits:
         assert row[3] == pytest.approx(row[2], abs=2.0)
 
 
+def _quant_block_oracle(params, seed, trials):
+    """The loss-bits block as it was before it shared one draw across bit
+    depths: one bit depth per call, the quantized error in column 0 and
+    the unquantized one in column 1."""
+    n_antennas, l_snap, theta_deg, snr_db, bits = params
+    cfg = ArrayConfig.fully_digital(n_antennas)
+    scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
+    u_true = math.sin(math.radians(theta_deg))
+    x = synthesize_snapshot_rows(cfg, scen,
+                                 [trial_rng(seed, i) for i in trials])[:, 0]
+    u_hat = root_music_rows(signal_vectors(x), cfg.spacing)
+    uq = root_music_rows(signal_vectors(quantize(x, bits)), cfg.spacing)
+    return np.column_stack((uq - u_true, u_hat - u_true))
+
+
 class TestStackedBlocks:
     """Blocks that stack their trials: the result of a trial must not depend
     on which trials share its block, since the block split follows the
@@ -256,26 +281,35 @@ class TestStackedBlocks:
     SPLITS = ((0, 11, 12, 30), tuple(range(31)))
 
     @pytest.mark.parametrize("params", [
-        (12, 20, 15.0, 0.0, 2), (12, 20, 15.0, -10.0, 1),
-        (32, 50, 15.0, 0.0, 3), (12, 1, 15.0, -10.0, 2),
-        (8, 20, 15.0, 10.0, math.inf)],
+        (12, 20, 15.0, 0.0, (2, 1, 8)), (12, 20, 15.0, -10.0, (1,)),
+        (32, 50, 15.0, 0.0, (3, 5)), (12, 1, 15.0, -10.0, (2,)),
+        (8, 20, 15.0, 10.0, ())],
         ids=["p12-0dB-2bit", "p12-minus10dB-1bit", "p32-t50-3bit",
              "p12-t1-minus10dB", "p8-unquantized"])
     def test_quant_block(self, params):
         whole = harness._quant_block(params, 5, range(30))
+        assert whole.shape == (30, len(params[4]) + 1)
         for bounds in self.SPLITS:
             parts = [harness._quant_block(params, 5, range(a, b))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
-        # the per-trial Root-MUSIC path is the oracle
-        n_ant, l_snap, theta, snr_db, bits = params
+        # one bit depth per block is the oracle, bit for bit: every bit
+        # depth's column, and the unquantized column, which the infinite
+        # bit depth gives in both of its columns
+        *rest, bits = params
+        for j, b in enumerate([*bits, math.inf]):
+            ref = _quant_block_oracle((*rest, b), 5, range(30))
+            np.testing.assert_array_equal(whole[:, j], ref[:, 0])
+            np.testing.assert_array_equal(whole[:, -1], ref[:, 1])
+        # the per-trial Root-MUSIC path is the oracle of the search
+        n_ant, l_snap, theta, snr_db = rest
         cfg = ArrayConfig.fully_digital(n_ant)
         scen = EmitterScenario.single_emitter(theta, snr_db, l_snap)
         u_true = math.sin(math.radians(theta))
         for i, row in enumerate(whole):
             x = synthesize_snapshots(cfg, scen, trial_rng(5, i)).samples
-            ref = (root_music(sample_covariance(quantize(x, bits)), 1)[0],
-                   root_music(sample_covariance(x), 1)[0])
+            ref = [root_music(sample_covariance(quantize(x, b)), 1)[0]
+                   for b in [*bits, math.inf]]
             np.testing.assert_allclose(row + u_true, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spacing,snr_db", [(0.5, 10.0), (0.6, -10.0)])
@@ -322,7 +356,23 @@ class TestBlockDraws:
         assert sorted(opened) == sorted(per_trial * list(range(10, 22)))
 
     def test_quant_block_stacked(self):
-        assert harness._quant_block((8, 20, 15.0, 0.0, 3), 3, range(5)).shape == (5, 2)
+        assert harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, range(5)).shape == (5, 2)
+
+    def test_loss_bits_one_draw_per_snr(self, tmp_path, monkeypatch):
+        # every bit depth of an SNR quantizes the same draw, so each trial's
+        # generator opens once per SNR, not once per bit point
+        opened = []
+
+        def counting_rng(seed, index=0):
+            opened.append(index)
+            return trial_rng(seed, index)
+
+        monkeypatch.setattr(harness, "trial_rng", counting_rng)
+        cfg_path = _write_config(tmp_path / "c.ini", SMALL_BITS.replace(
+            "snr_db_list = 0", "snr_db_list = 0,10").replace(
+            "empirical_trials = 100", "empirical_trials = 12"))
+        run_loss_bits(load_config("loss-bits", cfg_path, out=str(tmp_path)))
+        assert sorted(opened) == sorted(2 * list(range(12)))
 
 
 @pytest.fixture(scope="module")
