@@ -13,9 +13,6 @@ from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
 from .errors import EstimationError
 from .rng import trial_rng
 
-# detection trials per Monte Carlo block
-BATCH = 128
-
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
 

@@ -30,7 +30,6 @@ from .arrays import (
 )
 from .crlb import RAD2_TO_DEG2, crlb_had, crlb_tlhad
 from .detect import (
-    BATCH,
     GLRT_MAX_OVER_MEAN,
     GLRT_SPHERICITY,
     TAIL_SCORES,
@@ -158,6 +157,12 @@ DEFAULT_TRIALS = {
 
 # false-alarm probabilities train-mlnn stores thresholds for
 THRESHOLD_FAPS = (0.01, 0.1)
+
+# the first stream index of the ROC's trials, at the config seed.  MLNN
+# training and threshold calibration draw their trials from the indices
+# below their trial counts, so the ROC never scores a trial the network
+# was trained or calibrated on.
+ROC_STREAMS = 1 << 62
 
 
 @dataclass
@@ -309,36 +314,54 @@ def _write_csv(path, header, rows):
     return path
 
 
+# samples (trials x channels x snapshots) one Monte Carlo block holds at
+# most: 2 MiB of complex snapshots
+BLOCK_SAMPLES = 1 << 17
+
+
+@dataclass(frozen=True)
+class _Pool:
+    """The map a run's trial blocks go through, with the worker count
+    behind it, which sizes the blocks (``_monte_carlo``)."""
+
+    map: object
+    workers: int
+
+
 @contextmanager
 def _pool(workers):
-    """Yield the map a run's trial blocks go through: the built-in ``map``
-    for one worker, else the map of one process pool that lives until the
-    context exits.  ``workers`` may already be such a map, held by the
-    enclosing run; it is passed through, so a run opens at most one pool.
+    """Yield the ``_Pool`` of a run: the built-in ``map`` for one worker,
+    else the map of one process pool that lives until the context exits.
+    ``workers`` may already be such a ``_Pool``, held by the enclosing run;
+    it is passed through, so a run opens at most one pool.
     """
-    if callable(workers):
+    if isinstance(workers, _Pool):
         yield workers
     elif workers <= 1:
-        yield map
+        yield _Pool(map, 1)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
+            yield _Pool(pool.map, workers)
 
 
-def _monte_carlo(block_fn, points, n, seed, pmap, n_blocks, offset=0):
+def _monte_carlo(block_fn, points, n, seed, pool, trial_size, offset=0):
     """Per curve point ``params`` of ``points``, the rows of
     ``block_fn(params, seed, trials)`` for trials [offset, offset + n).
 
-    Each point's trials are split into ``n_blocks`` ranges of trial
-    indices, and the blocks of every point go through one ``pmap`` call,
-    so workers wait at no barrier between points.  Every trial draws from
-    its own stream and the rows come back in trial order, so the result
-    does not depend on how blocks meet workers.
+    Each point's trials are split into ranges of trial indices, one block
+    per worker of ``pool``, or more where a block would hold over
+    ``BLOCK_SAMPLES`` samples at ``trial_size`` samples a trial.  The
+    blocks of every point go through one ``pool.map`` call, so workers
+    wait at no barrier between points.  Every trial draws from its own
+    stream and the rows come back in trial order, so the result does not
+    depend on how blocks meet workers.
     """
-    bounds = offset + np.linspace(0, n, n_blocks + 1).astype(int)
+    per_block = max(1, BLOCK_SAMPLES // trial_size)
+    k = max(pool.workers, math.ceil(n / per_block))
+    bounds = [offset + n * i // k for i in range(k + 1)]
     blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     tasks = [(params, trials) for params in points for trials in blocks]
-    rows = list(pmap(partial(_run_block, block_fn, seed), tasks))
+    rows = list(pool.map(partial(_run_block, block_fn, seed), tasks))
     return [np.concatenate(rows[i:i + len(blocks)])
             for i in range(0, len(rows), len(blocks))]
 
@@ -369,12 +392,13 @@ def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
                    workers=1, offset=0):
     """Eigenvalue matrix for H0 or H1 detection trials (one stream each).
 
-    ``workers`` is a process count or the map of a run's pool (``_pool``).
+    ``workers`` is a process count or a run's ``_Pool``.  A block holds
+    each trial's ``n_total`` eigenvalues; no snapshots are drawn.
     """
     params = (n_total, l_snapshots, snr_db, hypothesis)
-    with _pool(workers) as pmap:
-        return _monte_carlo(_detection_block, [params], n_trials, seed, pmap,
-                            math.ceil(n_trials / BATCH), offset)[0]
+    with _pool(workers) as pool:
+        return _monte_carlo(_detection_block, [params], n_trials, seed, pool,
+                            n_total, offset)[0]
 
 
 def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
@@ -417,7 +441,8 @@ def train_mlnn_model(config: ExperimentConfig, workers=None):
 
 
 def run_roc(config: ExperimentConfig, model=None):
-    """ROC CSV for GLRT, R-MaxEV-MinEV, and the MLNN on paired realizations."""
+    """ROC CSV for GLRT, R-MaxEV-MinEV, and the MLNN on paired realizations,
+    drawn from the streams at ``ROC_STREAMS`` onwards."""
     n_total = int(config["array.n_total"])
     l_snap = int(config["scenario.n_snapshots"])
     snr_db = float(config["scenario.snr_db"])
@@ -425,13 +450,13 @@ def run_roc(config: ExperimentConfig, model=None):
     if model is not None and model.layer_sizes[0] != n_total:
         raise ConfigError(f"the model takes {model.layer_sizes[0]} eigenvalues "
                           f"but [array] n_total is {n_total}")
-    with _pool(config.workers) as pmap:
+    with _pool(config.workers) as pool:
         if model is None:
-            model, _ = train_mlnn_model(config, pmap)
+            model, _ = train_mlnn_model(config, pool)
         e0 = detection_eigs(n_total, l_snap, snr_db, 0, trials, config.seed,
-                            pmap)
+                            pool, offset=ROC_STREAMS)
         e1 = detection_eigs(n_total, l_snap, snr_db, 1, trials, config.seed,
-                            pmap, offset=trials)
+                            pool, offset=ROC_STREAMS + trials)
     glrt_form = config["detect.glrt_form"]
     scores = {}
     for tag, eigs in (("h0", e0), ("h1", e1)):
@@ -461,37 +486,47 @@ def _rmse_block(params, seed, trials):
     configured array and one snapshot; the two-layer estimator sees the
     full array and the configured snapshot count.  Each method runs over
     the whole block at once.  All methods share the trial stream, so
-    snapshot realizations are paired; the two eliminators share one
-    generator per trial, since they draw the same snapshots.
+    snapshot realizations are paired.  Each trial's generator is built
+    once: the two eliminators share it, since they draw the same
+    snapshots, and it is rewound to its start for the two-layer estimator.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
+    rngs = [trial_rng(seed, i) for i in trials]
     u = {}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
+        starts = [rng.bit_generator.state for rng in rngs]
         cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
                                               signal_model=signal_model)
-        classic, fast = had_eliminator_rows(
-            cfg_had, scen, [trial_rng(seed, i) for i in trials])
+        classic, fast = had_eliminator_rows(cfg_had, scen, rngs)
         u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
+        for rng, state in zip(rngs, starts):
+            rng.bit_generator.state = state
     if METHOD_TLHAD in methods:
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
                                               signal_model=signal_model)
-        u[METHOD_TLHAD] = tlhad_estimate_rows(
-            cfg, scen, [trial_rng(seed, i) for i in trials])[0]
+        u[METHOD_TLHAD] = tlhad_estimate_rows(cfg, scen, rngs)[0]
     errors = np.empty((len(trials), len(methods)))
     for j, m in enumerate(methods):
         errors[:, j] = np.degrees(np.arcsin(u[m])) - theta_deg
     return errors
 
 
-def _rmse_curve(config, points, theta_deg, methods, pmap):
+def _rmse_curve(config, points, theta_deg, methods, pool):
     """Per curve point (cfg, snr_db) of ``points``, the RMSE of each method
     in degrees, from one Monte Carlo map over all points."""
-    params = [(cfg, theta_deg, snr_db, int(config["scenario.t_snapshots"]),
+    t_snap = int(config["scenario.t_snapshots"])
+    params = [(cfg, theta_deg, snr_db, t_snap,
                config["scenario.signal_model"], methods)
               for cfg, snr_db in points]
+    # the samples a trial holds at once: the two-layer estimator's
+    # snapshots, or the eliminators' broadside and candidate snapshots
+    sizes = [cfg.n_total * t_snap for cfg, _ in points]
+    if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
+        sizes += [cfg.n_had * (1 + max_candidates(cfg.m_sub, cfg.spacing))
+                  for cfg, _ in points]
     errors = _monte_carlo(_rmse_block, params, config.trials, config.seed,
-                          pmap, 4 * config.workers)
+                          pool, max(sizes))
     return [{m: _rms(e[:, j]) for j, m in enumerate(methods)} for e in errors]
 
 
@@ -506,9 +541,9 @@ def run_rmse_snr(config: ExperimentConfig):
     cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
     methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
     snrs = _parse_list(config["scenario.snr_db_list"])
-    with _pool(config.workers) as pmap:
+    with _pool(config.workers) as pool:
         curve = _rmse_curve(config, [(cfg, snr_db) for snr_db in snrs], theta,
-                            methods, pmap)
+                            methods, pool)
     rows = []
     for snr_db, rmse in zip(snrs, curve):
         # the HAD eliminators estimate from a broadside snapshot, so their
@@ -544,8 +579,8 @@ def run_rmse_eta(config: ExperimentConfig):
                           stacklevel=2)
         points += [(cfg, snr_db)
                    for snr_db in _parse_list(config["rmse.eta_snr_db_list"])]
-    with _pool(config.workers) as pmap:
-        curve = _rmse_curve(config, points, theta, (METHOD_TLHAD,), pmap)
+    with _pool(config.workers) as pool:
+        curve = _rmse_curve(config, points, theta, (METHOD_TLHAD,), pool)
     rows = []
     for (cfg, snr_db), rmse in zip(points, curve):
         bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2)
@@ -588,9 +623,9 @@ def run_loss_bits(config: ExperimentConfig):
     snrs = _parse_list(config["quant.snr_db_list"])
     points = [(n_ant, l_snap, theta, snr_db, tuple(bits_grid))
               for snr_db in snrs]
-    with _pool(config.workers) as pmap:
+    with _pool(config.workers) as pool:
         curve = _monte_carlo(_quant_block, points, emp_trials, config.seed,
-                             pmap, 2 * config.workers)
+                             pool, n_ant * l_snap)
     rows = []
     for snr_db, errors in zip(snrs, curve):
         rmse_u = _rms(errors[:, -1])
@@ -614,11 +649,11 @@ def run_train_mlnn(config: ExperimentConfig):
     """Architecture selection, final training, and threshold calibration."""
     n_total = int(config["array.n_total"])
     l_snap = int(config["scenario.n_snapshots"])
-    with _pool(config.workers) as pmap:
-        model, report = train_mlnn_model(config, pmap)
+    with _pool(config.workers) as pool:
+        model, report = train_mlnn_model(config, pool)
         # threshold calibration on fresh H0 validation scores
         e0 = detection_eigs(n_total, l_snap, float(config["scenario.snr_db"]),
-                            0, config.trials, config.seed + 7, pmap)
+                            0, config.trials, config.seed + 7, pool)
     scores = forward(model, eig_features(e0))
     thresholds = {fap: decision_threshold(scores, fap) for fap in THRESHOLD_FAPS}
     model.metadata = dict(model.metadata, thresholds={

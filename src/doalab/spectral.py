@@ -93,12 +93,15 @@ _EPS = np.finfo(float).eps
 # a certificate sample below this fraction of sum |a_k| r1^k is at
 # rounding level
 _CERT_FLOOR = 1e3 * _EPS
-# rows of ``root_music_rows`` searched at once, times P^2.  A row's
-# second round holds a Laguerre lane of 2P - 1 coefficients per spectrum
-# minimum, up to P - 1 of them, so the working memory of one search grows
-# as rows * P^2: 32 rows at P = 64 peak near 21 MiB.  Per row the search
-# costs the same from a few dozen rows up.
-_SEARCH_ROWS_TIMES_P2 = 1 << 17
+# rows of ``root_music_rows`` searched at once, times P.  A row's second
+# round holds a Laguerre lane of 2P - 1 coefficients per spectrum
+# minimum, up to P - 1 of them, each with its own copy of its row's
+# coefficients and forms, so at low SNR the working memory of a search
+# grows as rows * P^2: at -10 dB, 16 rows at P = 64 peak near 11 MiB and
+# 32 rows near 21 MiB.  At high SNR the certificate's FFT samples, rows *
+# 32P of them, hold the most.  Capping rows * P bounds both: 16 rows at
+# P = 64, 85 at P = 12.
+_SEARCH_ROWS_TIMES_P = 1 << 10
 
 
 def _companion_roots(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
@@ -408,7 +411,7 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     covariance (``signal_vectors``); the result is the B direction-sines
     that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  The
     rows go through the certified search together, whatever P, in chunks
-    of ``_SEARCH_ROWS_TIMES_P2 // P^2`` rows that bound its memory, and
+    of ``_SEARCH_ROWS_TIMES_P // P`` rows that bound its memory, and
     only the rows it leaves uncertified (``_certified_roots``: a zero
     leading coefficient, a start that does not converge, a certificate
     sample at rounding level) are rooted one at a time through the
@@ -423,7 +426,7 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     if len(v) == 0:
         return np.empty(0)
     coeffs = _null_polynomials(v[:, None])
-    step = max(1, _SEARCH_ROWS_TIMES_P2 // v.shape[1] ** 2)
+    step = max(1, _SEARCH_ROWS_TIMES_P // v.shape[1])
     roots = [_one_source_roots(coeffs[i:i + step])
              for i in range(0, len(coeffs), step)]
     return _direction_sines(np.concatenate(roots), spacing)

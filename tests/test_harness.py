@@ -339,10 +339,12 @@ class TestBlockDraws:
             monkeypatch.setattr(module, "synthesize_snapshots", refuse,
                                 raising=False)
 
-    @pytest.mark.parametrize("methods,per_trial", [
-        (("had-root-music", "fhad-root-music", "tlhad"), 2), (("tlhad",), 1)],
+    @pytest.mark.parametrize("methods", [
+        ("had-root-music", "fhad-root-music", "tlhad"), ("tlhad",)],
         ids=["rmse-snr", "rmse-eta"])
-    def test_rmse_block_generators(self, monkeypatch, methods, per_trial):
+    def test_rmse_block_generators(self, monkeypatch, methods):
+        # one generator per trial: the eliminators share it, and the
+        # two-layer estimator gets it rewound to its start
         opened = []
 
         def counting_rng(seed, index=0):
@@ -353,7 +355,7 @@ class TestBlockDraws:
         cfg = ArrayConfig.two_layer(64, 4, 0.25)
         harness._rmse_block((cfg, 15.0, 5.0, 1, "constant-modulus", methods),
                             3, range(10, 22))
-        assert sorted(opened) == sorted(per_trial * list(range(10, 22)))
+        assert opened == list(range(10, 22))
 
     def test_quant_block_stacked(self):
         assert harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, range(5)).shape == (5, 2)
@@ -435,12 +437,12 @@ def test_worker_count_invariance(tmp_path, experiment):
     text, outputs = INVARIANCE_CASES[experiment]
     cfg_path = _write_config(tmp_path / "c.ini", text)
     runs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
         run_experiment(load_config(experiment, cfg_path, out=str(out),
                                    workers=workers))
         runs.append([(out / name).read_bytes() for name in outputs])
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 class _CountingPool:
@@ -483,6 +485,96 @@ def test_one_map_per_run(tmp_path, monkeypatch, experiment, run, output):
     assert _CountingPool.calls == 1
     assert ((tmp_path / "pool" / output).read_bytes()
             == (tmp_path / "map" / output).read_bytes())
+
+
+BLOCK_PLAN_CASES = dict(INVARIANCE_CASES, **{"rmse-snr": (
+    SMALL_RMSE.replace("snr_db_list = 10", "snr_db_list = 0,10"), ())})
+
+
+def _mapped_points(monkeypatch):
+    """Record every block the harness maps, as (params, seed, trials), with
+    the worker pool mapped in-process so every worker count is seen, and
+    return a function that groups them into curve points: per params and
+    seed, each run of contiguous trial ranges is one point's blocks."""
+    blocks = []
+    for name in ("_rmse_block", "_quant_block", "_detection_block"):
+        def recorded(params, seed, trials, block_fn=getattr(harness, name)):
+            blocks.append((repr(params), seed, trials))
+            return block_fn(params, seed, trials)
+
+        monkeypatch.setattr(harness, name, recorded)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+
+    def points():
+        grouped = []
+        for params, seed, trials in sorted(
+                blocks, key=lambda b: (b[0], b[1], b[2].start)):
+            last = grouped[-1][-1] if grouped else None
+            if last and last[:2] == (params, seed) and last[2].stop == trials.start:
+                grouped[-1].append((params, seed, trials))
+            else:
+                grouped.append([(params, seed, trials)])
+        return [[trials for _, _, trials in point] for point in grouped]
+
+    return points
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("experiment", sorted(BLOCK_PLAN_CASES))
+def test_block_plan_one_block_per_worker(tmp_path, monkeypatch, experiment,
+                                         workers):
+    # each curve point of a small run is one block per worker, of sizes
+    # differing by at most one trial
+    points = _mapped_points(monkeypatch)
+    cfg_path = _write_config(tmp_path / "c.ini", BLOCK_PLAN_CASES[experiment][0])
+    run_experiment(load_config(experiment, cfg_path, out=str(tmp_path),
+                               workers=workers))
+    assert points()
+    for blocks in points():
+        sizes = [len(trials) for trials in blocks]
+        assert len(blocks) == workers
+        assert max(sizes) - min(sizes) <= 1
+
+
+def test_block_plan_splits_over_budget(tmp_path, monkeypatch):
+    # the default loss-bits point (500 trials x 32 antennas x 50 snapshots)
+    # is over one block's sample budget, so even one worker splits it
+    blocks = []
+
+    def recorded(params, seed, trials):
+        blocks.append(trials)
+        return np.ones((len(trials), len(params[-1]) + 1))
+
+    monkeypatch.setattr(harness, "_quant_block", recorded)
+    config = load_config("loss-bits", out=str(tmp_path))
+    run_loss_bits(config)
+    per_point = len(blocks) // len(harness._parse_list(config["quant.snr_db_list"]))
+    assert per_point >= 4
+    assert max(map(len, blocks)) * 32 * 50 <= harness.BLOCK_SAMPLES
+
+
+def test_roc_trials_disjoint_from_training(tmp_path, monkeypatch):
+    # the ROC scores the neural detector on trials it was neither trained
+    # nor calibrated on: train-mlnn and roc at one seed share no stream
+    from doalab import detect
+
+    drawn = []
+
+    def recording_rng(seed, index=0):
+        drawn[-1].add((seed, index))
+        return trial_rng(seed, index)
+
+    monkeypatch.setattr(detect, "trial_rng", recording_rng)
+    cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
+    drawn.append(set())
+    _, _, model = run_train_mlnn(load_config("train-mlnn", cfg_path,
+                                             out=str(tmp_path / "t")))
+    drawn.append(set())
+    config = load_config("roc", cfg_path, out=str(tmp_path / "r"))
+    run_roc(config, model=model)
+    training, roc = drawn
+    assert len(roc) == 2 * config.trials
+    assert not training & roc
 
 
 class TestCli:

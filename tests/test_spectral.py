@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,10 +380,10 @@ class TestCertifiedRoot:
 
     def test_rows_searched_in_chunks(self, monkeypatch):
         # root_music_rows splits a stack into searches of
-        # _SEARCH_ROWS_TIMES_P2 // P^2 rows, which bounds their memory;
+        # _SEARCH_ROWS_TIMES_P // P rows, which bounds their memory;
         # every row still comes out as a one-row search gives it
         cfg = ArrayConfig.fully_digital(64)
-        step = spectral._SEARCH_ROWS_TIMES_P2 // 64 ** 2
+        step = spectral._SEARCH_ROWS_TIMES_P // 64
         scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
         v = signal_vectors(np.stack([synthesize_snapshots(
             cfg, scen, trial_rng(4243, i)).samples for i in range(2 * step + 6)]))
@@ -449,6 +451,23 @@ class TestCertifiedRoot:
     def test_more_sources_use_companion_roots(self):
         cov = sample_covariance(_snapshots(20, [-0.3, 0.4], 10.0, 50))
         np.testing.assert_allclose(root_music(cov, 2), [-0.3, 0.4], atol=5e-3)
+
+    def test_search_memory_bounded(self):
+        # 200 rows at P = 64 and -10 dB, where most rows take a second
+        # round with a Laguerre lane per spectrum minimum: 16-row searches
+        # peak near 11 MiB, 32-row ones near 21 MiB
+        cfg = ArrayConfig.fully_digital(64)
+        scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
+        v = signal_vectors(synthesize_snapshot_rows(
+            cfg, scen, [trial_rng(4243, i) for i in range(200)])[:, 0])
+        root_music_rows(v[:2])  # fills the unit-root caches
+        tracemalloc.start()
+        try:
+            root_music_rows(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestSignalVectors:
