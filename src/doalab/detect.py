@@ -11,7 +11,7 @@ import numpy as np
 
 from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
 from .errors import EstimationError
-from .rng import trial_rng
+from .rng import blank_rng, rekey
 
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
@@ -109,25 +109,36 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, seed: int,
     if scen.n_emitters:
         shapes[0] -= 1.0
         p = scen.powers[0] / scen.noise_power
-    out = np.zeros((stop - start, n))
+    # row b holds trial b's squared entries: B_kk^2 in columns [0, m),
+    # B_{k+1,k}^2 from column m on, then zeros up to 2m
+    sq = np.zeros((stop - start, 2 * m))
+    rng = blank_rng()
     for row, i in enumerate(range(start, stop)):
-        rng = trial_rng(seed, i)
+        rekey(rng, seed, i)
         if scen.n_emitters:
             energy = p * (l if scen.signal_model == CONSTANT_MODULUS
                           else rng.standard_gamma(l))
             c = np.sqrt(0.5) * rng.standard_normal(2)
-        sq = rng.standard_gamma(shapes)
+        rng.standard_gamma(shapes, out=sq[row, :len(shapes)])
         if scen.n_emitters:
-            sq[0] += (np.sqrt(n * energy) + c[0]) ** 2 + c[1] ** 2
-        d2, e2 = sq[:m], np.zeros(m)
-        e2[:n_sub] = sq[m:]
-        # f2py wants one off-diagonal slot even for a 1 x 1 matrix
-        off = np.sqrt(e2[:-1] * d2[1:]) if m > 1 else np.zeros(1)
-        vals, info = dsterf(d2 + e2, off, overwrite_d=1, overwrite_e=1)
+            # a scalar expression per trial: the square of a numpy scalar
+            # goes through pow(), which an array square does not match
+            sq[row, 0] += (np.sqrt(n * energy) + c[0]) ** 2 + c[1] ** 2
+    # the tridiagonal B^T B of every trial, written over its draws: the
+    # diagonal d2 + e2 and the off-diagonal sqrt(e2 d2[1:])
+    d2, e2 = sq[:, :m], sq[:, m:]
+    # f2py wants one off-diagonal slot even for a 1 x 1 matrix
+    off = e2[:, :-1] * d2[:, 1:] if m > 1 else np.zeros((len(sq), 1))
+    np.sqrt(off, out=off)
+    d2 += e2
+    for row, i in enumerate(range(start, stop)):
+        vals, info = dsterf(d2[row], off[row], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise EstimationError(
                 f"dsterf failed on detection trial {i} (info={info})")
-        out[row, :m] = vals[::-1] * (scen.noise_power / l)
+        d2[row] = vals
+    out = np.zeros((stop - start, n))
+    out[:, :m] = d2[:, ::-1] * (scen.noise_power / l)
     return out
 
 

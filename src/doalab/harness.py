@@ -60,7 +60,7 @@ from .mlnn import (
     select_architecture,
 )
 from .quantize import performance_loss_db, quantize
-from .rng import trial_rng
+from .rng import rekey, trial_rngs
 from .spectral import root_music_rows, signal_vectors
 
 EXPERIMENTS = ("roc", "rmse-snr", "rmse-eta", "loss-bits", "train-mlnn")
@@ -242,6 +242,12 @@ def load_config(experiment: str, path=None, seed=None, out=None,
     for key, _, accept, meaning in BOUNDS:
         if not accept(num[key]):
             raise ConfigError(f"{key} must be {meaning}, got {values[key]}")
+    # an empty curve list would run no curve point, or only the
+    # unquantized rows of loss-bits, which compare a column with itself
+    for key, items in (*snr_lists.items(), ("rmse.eta_grid", eta_grid),
+                       ("quant.bits", bits)):
+        if not items:
+            raise ConfigError(f"{key} must list at least one value")
     for key, snrs in snr_lists.items():
         if not all(map(math.isfinite, snrs)):
             raise ConfigError(f"{key} values must be finite, got {values[key]}")
@@ -486,22 +492,22 @@ def _rmse_block(params, seed, trials):
     configured array and one snapshot; the two-layer estimator sees the
     full array and the configured snapshot count.  Each method runs over
     the whole block at once.  All methods share the trial stream, so
-    snapshot realizations are paired.  Each trial's generator is built
-    once: the two eliminators share it, since they draw the same
-    snapshots, and it is rewound to its start for the two-layer estimator.
+    snapshot realizations are paired.  Each trial's stream is keyed once
+    from the process's pooled generators (``trial_rngs``): the two
+    eliminators share it, since they draw the same snapshots, and it is
+    re-keyed to its start for the two-layer estimator.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
-    rngs = [trial_rng(seed, i) for i in trials]
+    rngs = trial_rngs(seed, trials)
     u = {}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
-        starts = [rng.bit_generator.state for rng in rngs]
         cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
                                               signal_model=signal_model)
         classic, fast = had_eliminator_rows(cfg_had, scen, rngs)
         u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
-        for rng, state in zip(rngs, starts):
-            rng.bit_generator.state = state
+        for rng, i in zip(rngs, trials):
+            rekey(rng, seed, i)
     if METHOD_TLHAD in methods:
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
                                               signal_model=signal_model)
@@ -605,8 +611,7 @@ def _quant_block(params, seed, trials):
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
-    x = synthesize_snapshot_rows(cfg, scen,
-                                 [trial_rng(seed, i) for i in trials])[:, 0]
+    x = synthesize_snapshot_rows(cfg, scen, trial_rngs(seed, trials))[:, 0]
     u = [root_music_rows(signal_vectors(quantize(x, b)), cfg.spacing)
          for b in bits]
     u.append(root_music_rows(signal_vectors(x), cfg.spacing))

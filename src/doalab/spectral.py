@@ -58,14 +58,19 @@ def _null_polynomials(vectors: np.ndarray) -> np.ndarray:
     of z^(P-1) * a(1/z)^H C a(z), with C = I - E_s E_s^H the projector
     onto the noise subspace of stack b.
     """
-    p = vectors.shape[-1]
-    upper = np.zeros((len(vectors), p), dtype=complex)
-    for row, stack in zip(upper, vectors):
-        for e in stack:
-            # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
-            row -= np.correlate(e, e, "full")[:p]
-    upper[:, -1] = p + upper[:, -1].real
-    return np.concatenate((upper, np.conj(upper[:, -2::-1])), axis=1)
+    # contiguous rows: on eigh's strided eigenvector columns, np.vecdot
+    # sums in another order than on rows, and the last bits change
+    v = np.ascontiguousarray(vectors, dtype=complex)
+    p = v.shape[-1]
+    coeffs = np.zeros((len(v), 2 * p - 1), dtype=complex)
+    for s in range(v.shape[1]):
+        for lag in range(p):
+            # sum_i e[i] conj(e[i + lag]) over every row at once: the
+            # dot that np.correlate(e, e, "full")[p - 1 - lag] takes
+            coeffs[:, p - 1 - lag] -= np.vecdot(v[:, s, lag:], v[:, s, :p - lag])
+    coeffs[:, p - 1] = p + coeffs[:, p - 1].real
+    coeffs[:, p:] = np.conj(coeffs[:, p - 2::-1])
+    return coeffs
 
 
 def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray:
@@ -97,10 +102,11 @@ _CERT_FLOOR = 1e3 * _EPS
 # round holds a Laguerre lane of 2P - 1 coefficients per spectrum
 # minimum, up to P - 1 of them, each with its own copy of its row's
 # coefficients and forms, so at low SNR the working memory of a search
-# grows as rows * P^2: at -10 dB, 16 rows at P = 64 peak near 11 MiB and
-# 32 rows near 21 MiB.  At high SNR the certificate's FFT samples, rows *
-# 32P of them, hold the most.  Capping rows * P bounds both: 16 rows at
-# P = 64, 85 at P = 12.
+# grows as rows * P^2, though the lanes gather their forms again only
+# when half of them have converged, not on every iteration.  At high SNR
+# the certificate's FFT samples, rows * 16P to rows * 32P of them, hold
+# the most.  Capping rows * P bounds both: 16 rows at P = 64, 85 at
+# P = 12.
 _SEARCH_ROWS_TIMES_P = 1 << 10
 
 
@@ -181,6 +187,10 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     taken from there polishes the root, and the start then stays put.
     Returns the roots and a mask of the rows that converged to a finite
     root.
+
+    The forms of g, g' and g'' are gathered for the rows still iterating
+    only once half of the rows they hold have converged; until then the
+    converged rows are evaluated too, and their values dropped.
     """
     n = a.shape[1] - 1
     k = np.arange(n + 1)
@@ -192,13 +202,16 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
     z = np.array(z, dtype=complex)
     active = np.arange(z.size)
+    # ``forms`` holds the rows ``held``; active row j is its row pos[j]
+    held, pos = active, active
+    buf = np.empty((z.size, 1, n + 1), dtype=complex)
+    buf[:, 0, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
             zi = z[active]
-            pw = np.empty((zi.size, 1, n + 1), dtype=complex)
-            pw[:, 0, 0] = 1.0
-            pw[:, 0, 1:] = zi[:, None]
-            g, d1, d2 = (np.cumprod(pw, axis=2, out=pw) @ forms[active])[:, 0].T
+            pw = buf[:held.size]  # its column 0 stays 1 under cumprod
+            pw[:, 0, 1:] = z[held, None]
+            g, d1, d2 = (np.cumprod(pw, axis=2, out=pw) @ forms)[pos, 0].T
             grad = d1 / g
             hess = grad * grad - d2 / g
             root = np.sqrt((n - 1) * (n * hess - grad * grad))
@@ -206,9 +219,12 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
             den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             step = zi - n / den
             z[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
-            active = active[np.abs(g) > tol[active]]
+            going = np.abs(g) > tol[active]
+            active, pos = active[going], pos[going]
             if active.size == 0:
                 break
+            if 2 * active.size <= held.size:
+                forms, held, pos = forms[pos], active, np.arange(active.size)
     ok = np.isfinite(z)
     ok[active] = False
     return z, ok
@@ -221,11 +237,12 @@ def _certified(a: np.ndarray, best: np.ndarray):
 
     The polynomial has P-1 zeros inside the unit circle, so ``best`` is
     the one closest to it exactly when P-2 zeros lie inside a circle just
-    within it.  The polynomial is sampled on that circle by FFT, with the
-    phase of ``best`` and its mirror taken out so that the count only has
-    to resolve the other roots.  A count on an undersampled circle decides
-    nothing, right or wrong, so every sample interval whose phase step
-    exceeds ``_CERT_MAX_STEP`` is then bisected, and only those: the
+    within it.  The polynomial is sampled on that circle by FFT, at the
+    first power of two of at least 8n samples, with the phase of ``best``
+    and its mirror taken out so that the count only has to resolve the
+    other roots.  A count on an undersampled circle decides nothing, right
+    or wrong, so every sample interval whose phase step exceeds
+    ``_CERT_MAX_STEP`` is then bisected, and only those: the
     midpoints of all rows are evaluated together, round by round, until
     every step is resolved.  This is the adaptive argument-principle count
     of Ying & Katz (Numer. Math. 53, 1988).  An interval needs no finer
@@ -245,7 +262,7 @@ def _certified(a: np.ndarray, best: np.ndarray):
         # the conjugates of best and its mirror on the circle, in w = z / r1
         conj_b = np.conj(best)[:, None] / r1
         conj_m = 1.0 / (best[:, None] * r1)
-        k = _pow2_at_least(16 * n)
+        k = _pow2_at_least(8 * n)
         # the pass's three (rows, k) arrays are one allocation, written in
         # place: with a fresh temporary for each step, every call freed
         # enough for the C heap to be trimmed and faulted back in, about

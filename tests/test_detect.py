@@ -21,6 +21,7 @@ from doalab.detect import (
     trial_eigs,
 )
 from doalab.errors import EstimationError
+from doalab.harness import ROC_STREAMS
 from doalab.mlnn import forward, init_model
 from doalab.rng import trial_rng
 
@@ -356,3 +357,69 @@ class TestTrialEigsLaw:
         scen = EmitterScenario.noise_only(16)
         with pytest.raises(EstimationError):
             trial_eigs(ArrayConfig.fully_digital(8), scen, 0, 0, 2)
+
+
+# --- the block sampler against its per-trial form -----------------------------
+
+def trial_eigs_oracle(cfg, scen, seed, start, stop):
+    """``trial_eigs`` one trial at a time: a fresh ``trial_rng`` per trial,
+    and each trial's bidiagonal built and solved on its own."""
+    from scipy.linalg.lapack import dsterf
+
+    n, l = cfg.n_total, scen.n_snapshots
+    m, n_sub = min(n, l), min(l, n - 1)
+    shapes = np.concatenate([l - np.arange(m), n - 1 - np.arange(n_sub)])
+    shapes = shapes.astype(float)
+    if scen.n_emitters:
+        shapes[0] -= 1.0
+        p = scen.powers[0] / scen.noise_power
+    out = np.zeros((stop - start, n))
+    for row, i in enumerate(range(start, stop)):
+        rng = trial_rng(seed, i)
+        if scen.n_emitters:
+            energy = p * (l if scen.signal_model == CONSTANT_MODULUS
+                          else rng.standard_gamma(l))
+            c = np.sqrt(0.5) * rng.standard_normal(2)
+        sq = rng.standard_gamma(shapes)
+        if scen.n_emitters:
+            sq[0] += (np.sqrt(n * energy) + c[0]) ** 2 + c[1] ** 2
+        d2, e2 = sq[:m], np.zeros(m)
+        e2[:n_sub] = sq[m:]
+        off = np.sqrt(e2[:-1] * d2[1:]) if m > 1 else np.zeros(1)
+        vals, info = dsterf(d2 + e2, off, overwrite_d=1, overwrite_e=1)
+        assert info == 0
+        out[row, :m] = vals[::-1] * (scen.noise_power / l)
+    return out
+
+
+# (N, L, SNR dB or None for noise only, signal model, seed, start, stop):
+# trial 815 at seed 20240901 is where a block-wide square of the signal
+# term differs from the per-trial one in the last bit
+ORACLE_CASES = [
+    (64, 200, None, None, 20240901, 0, 40),
+    (64, 200, -20.0, CONSTANT_MODULUS, 20240901, 800, 830),
+    (64, 200, -20.0, GAUSSIAN, 7, 0, 40),
+    (64, 16, -5.0, CONSTANT_MODULUS, 8, 0, 40),
+    (8, 3, None, None, 9, 0, 40),
+    (2, 10, 0.0, CONSTANT_MODULUS, 10, 0, 40),
+    (2, 1, 0.0, GAUSSIAN, 11, 0, 40),
+    (64, 200, None, None, 101, ROC_STREAMS - 5, ROC_STREAMS + 25),
+    (64, 200, -20.0, CONSTANT_MODULUS, 101, ROC_STREAMS + 500,
+     ROC_STREAMS + 530),
+]
+
+
+@pytest.mark.parametrize("n,l,snr_db,model,seed,start,stop", ORACLE_CASES,
+                         ids=["h0", "h1-trial815", "gaussian", "l-below-n",
+                              "n8-l3", "n2", "n2-one-snapshot", "roc-h0",
+                              "roc-h1"])
+def test_trial_eigs_matches_per_trial_oracle(n, l, snr_db, model, seed,
+                                             start, stop):
+    cfg = ArrayConfig.fully_digital(n)
+    if snr_db is None:
+        scen = EmitterScenario.noise_only(l, 0.5)
+    else:
+        scen = EmitterScenario.single_emitter(20.0, snr_db, l, 1.0, model)
+    got = trial_eigs(cfg, scen, seed, start, stop)
+    want = trial_eigs_oracle(cfg, scen, seed, start, stop)
+    assert got.tobytes() == want.tobytes()

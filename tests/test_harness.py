@@ -14,6 +14,7 @@ from doalab.arrays import (
 )
 from doalab.cli import main as cli_main
 from doalab.crlb import RAD2_TO_DEG2, crlb_had
+from doalab.doa import had_eliminator_rows, tlhad_estimate_rows
 from doalab.errors import ConfigError
 from doalab.harness import (
     DEFAULT_TRIALS,
@@ -32,7 +33,7 @@ from doalab.harness import (
 )
 from doalab.mlnn import init_model, save_model
 from doalab.quantize import performance_loss_db, quantize
-from doalab.rng import trial_rng
+from doalab.rng import rekey, trial_rng, trial_rngs
 from doalab.spectral import (
     root_music,
     root_music_rows,
@@ -322,6 +323,16 @@ class TestStackedBlocks:
             parts = [harness._rmse_block(params, 6, range(a, b))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
+        # with a fresh trial_rng per trial and method, bit for bit
+        cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
+        scen = EmitterScenario.single_emitter(15.0, snr_db, 1)
+        classic, fast = had_eliminator_rows(
+            cfg_had, scen, [trial_rng(6, i) for i in range(30)])
+        tlhad = tlhad_estimate_rows(cfg, scen,
+                                    [trial_rng(6, i) for i in range(30)])[0]
+        for col, u in zip(whole.T, (classic[0], fast[0], tlhad)):
+            np.testing.assert_array_equal(
+                col, np.degrees(np.arcsin(u)) - 15.0)
 
 
 class TestBlockDraws:
@@ -347,15 +358,41 @@ class TestBlockDraws:
         # two-layer estimator gets it rewound to its start
         opened = []
 
-        def counting_rng(seed, index=0):
-            opened.append(index)
-            return trial_rng(seed, index)
+        def counting_rngs(seed, trials):
+            opened.extend(trials)
+            return trial_rngs(seed, trials)
 
-        monkeypatch.setattr(harness, "trial_rng", counting_rng)
+        monkeypatch.setattr(harness, "trial_rngs", counting_rngs)
         cfg = ArrayConfig.two_layer(64, 4, 0.25)
         harness._rmse_block((cfg, 15.0, 5.0, 1, "constant-modulus", methods),
                             3, range(10, 22))
         assert opened == list(range(10, 22))
+
+    @pytest.mark.parametrize("block", [
+        lambda trials: harness._rmse_block(
+            (ArrayConfig.two_layer(64, 4, 0.25), 15.0, 5.0, 1,
+             "constant-modulus", ("had-root-music", "fhad-root-music",
+                                  "tlhad")), 3, trials),
+        lambda trials: harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, trials),
+        lambda trials: harness._detection_block((16, 20, -5.0, 1), 3, trials),
+    ], ids=["rmse", "quant", "detect"])
+    def test_no_generator_built_per_trial(self, monkeypatch, block):
+        # a block re-keys generators it already holds: once the process's
+        # pool holds a block's worth, it builds at most one Philox,
+        # however many trials it holds
+        trial_rngs(0, range(120))
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        for n in (1, 40, 120):
+            built.clear()
+            block(range(n))
+            assert len(built) <= 1
 
     def test_quant_block_stacked(self):
         assert harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, range(5)).shape == (5, 2)
@@ -365,11 +402,11 @@ class TestBlockDraws:
         # generator opens once per SNR, not once per bit point
         opened = []
 
-        def counting_rng(seed, index=0):
-            opened.append(index)
-            return trial_rng(seed, index)
+        def counting_rngs(seed, trials):
+            opened.extend(trials)
+            return trial_rngs(seed, trials)
 
-        monkeypatch.setattr(harness, "trial_rng", counting_rng)
+        monkeypatch.setattr(harness, "trial_rngs", counting_rngs)
         cfg_path = _write_config(tmp_path / "c.ini", SMALL_BITS.replace(
             "snr_db_list = 0", "snr_db_list = 0,10").replace(
             "empirical_trials = 100", "empirical_trials = 12"))
@@ -560,11 +597,11 @@ def test_roc_trials_disjoint_from_training(tmp_path, monkeypatch):
 
     drawn = []
 
-    def recording_rng(seed, index=0):
+    def recording_rekey(rng, seed, index):
         drawn[-1].add((seed, index))
-        return trial_rng(seed, index)
+        return rekey(rng, seed, index)
 
-    monkeypatch.setattr(detect, "trial_rng", recording_rng)
+    monkeypatch.setattr(detect, "rekey", recording_rekey)
     cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
     drawn.append(set())
     _, _, model = run_train_mlnn(load_config("train-mlnn", cfg_path,
@@ -640,6 +677,11 @@ class TestCli:
         ("rmse-eta", "[rmse]\neta_grid = 0.25,0.01\n"),
         ("loss-bits", "[quant]\nbits = 1,20\n"),
         ("loss-bits", "[quant]\nbits = 64\n"),
+        ("rmse-snr", "[scenario]\nsnr_db_list =\n"),
+        ("rmse-eta", "[rmse]\neta_grid =\n"),
+        ("rmse-eta", "[rmse]\neta_snr_db_list = ,\n"),
+        ("loss-bits", "[quant]\nsnr_db_list =\n"),
+        ("loss-bits", "[quant]\nbits =\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
@@ -653,7 +695,8 @@ class TestCli:
             "key-given-twice", "key-without-value", "fd-proportion-one",
             "no-fd-block", "one-fd-antenna", "fewer-subarrays-than-candidates",
             "one-subarray", "eta-fd-block-under-two", "bits-twenty",
-            "bits-sixty-four"])
+            "bits-sixty-four", "snr-list-empty", "eta-grid-empty",
+            "eta-snr-list-empty", "quant-snr-list-empty", "bits-empty"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         # a case that sets [run] itself goes without the trial-count prefix
         if not text.startswith("[run]"):

@@ -39,6 +39,53 @@ def _noise_projector(cov, n_sources):
     return en @ en.conj().T
 
 
+def null_polynomials_oracle(vectors):
+    """``spectral._null_polynomials`` one row at a time, one
+    ``np.correlate`` per signal eigenvector."""
+    p = vectors.shape[-1]
+    upper = np.zeros((len(vectors), p), dtype=complex)
+    for row, stack in zip(upper, vectors):
+        for e in stack:
+            # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
+            row -= np.correlate(e, e, "full")[:p]
+    upper[:, -1] = p + upper[:, -1].real
+    return np.concatenate((upper, np.conj(upper[:, -2::-1])), axis=1)
+
+
+def laguerre_oracle(a, z):
+    """``spectral._laguerre`` with the forms and powers of the rows still
+    iterating gathered afresh on every iteration."""
+    n = a.shape[1] - 1
+    k = np.arange(n + 1)
+    forms = np.zeros((len(a), n + 1, 3), dtype=complex)
+    forms[:, :, 0] = a
+    forms[:, :-1, 1] = a[:, 1:] * k[1:]
+    forms[:, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
+    tol = 4.0 * n * spectral._EPS * np.abs(a).sum(axis=1)
+    z = np.array(z, dtype=complex)
+    active = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(spectral._MAX_ITER):
+            zi = z[active]
+            pw = np.empty((zi.size, 1, n + 1), dtype=complex)
+            pw[:, 0, 0] = 1.0
+            pw[:, 0, 1:] = zi[:, None]
+            g, d1, d2 = (np.cumprod(pw, axis=2, out=pw) @ forms[active])[:, 0].T
+            grad = d1 / g
+            hess = grad * grad - d2 / g
+            root = np.sqrt((n - 1) * (n * hess - grad * grad))
+            plus, minus = grad + root, grad - root
+            den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+            step = zi - n / den
+            z[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
+            active = active[np.abs(g) > tol[active]]
+            if active.size == 0:
+                break
+    ok = np.isfinite(z)
+    ok[active] = False
+    return z, ok
+
+
 class TestSampleCovariance:
     def test_hermitian_and_psd(self):
         cov = sample_covariance(_snapshots(8, [0.3], 0.0, 50))
@@ -144,6 +191,20 @@ class TestRootMusicPolynomial:
             direct = (a.conj() @ _noise_projector(cov, 1) @ a).real
             poly = np.polyval(coeffs, z) / z ** 4
             assert poly.real == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_null_polynomials_match_correlate(self, n_sources):
+        # bit for bit against one np.correlate per row and vector, on
+        # contiguous rows and on eigh's strided eigenvector columns
+        rng = trial_rng(5150)
+        for p in range(max(2, n_sources + 1), 65):
+            x = rng.standard_normal((6, p, 3)) + 1j * rng.standard_normal((6, p, 3))
+            cols = np.linalg.eigh(x @ x.conj().transpose(0, 2, 1))[1]
+            signal = cols[:, :, -n_sources:].transpose(0, 2, 1)
+            assert not signal.flags.c_contiguous
+            for v in (signal, signal.copy()):
+                got = spectral._null_polynomials(v)
+                assert got.tobytes() == null_polynomials_oracle(v).tobytes()
 
 
 class TestRootMusic:
@@ -274,6 +335,32 @@ def _groups(items, key):
     return groups.values()
 
 
+@pytest.fixture(scope="module")
+def block_9001():
+    """Signal eigenvectors and null polynomials of a low-SNR TLHAD FD block:
+    trials 0-199 of seed 9001, eta = 1 (P = 64), -10 dB, ten of whose
+    rows are near-tied."""
+    cfg = ArrayConfig.two_layer(64, 4, 1.0)
+    scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
+    x = synthesize_snapshot_rows(
+        cfg, scen, [trial_rng(9001, i) for i in range(200)])[:, 0]
+    v = signal_vectors(analog_combine(x, cfg)[:, cfg.k_sub:])
+    return v, spectral._null_polynomials(v[:, None])
+
+
+def _search_stacks(corpus, block):
+    """The corpus's polynomials, one stack per P, and ``block``'s, in the
+    chunks ``root_music_rows`` searches at once."""
+    stacks = [np.array([corpus[i][6] for i in idx])
+              for idx in _groups(corpus, lambda c: c[0])]
+    stacks.append(block[1])
+    for coeffs in stacks:
+        p = (coeffs.shape[1] + 1) // 2
+        step = spectral._SEARCH_ROWS_TIMES_P // p
+        for i in range(0, len(coeffs), step):
+            yield coeffs[i:i + step]
+
+
 class TestCertifiedRoot:
     """The one-source search against the companion-matrix oracle."""
 
@@ -400,16 +487,11 @@ class TestCertifiedRoot:
         for row, u_i in zip(v, u):
             assert root_music_rows(row[None])[0] == u_i
 
-    def test_near_tied_rows_certified(self, monkeypatch):
+    def test_near_tied_rows_certified(self, monkeypatch, block_9001):
         # on near-tied rows a second root lies 3e-5 to 2e-4 inside the
         # closest one; bisecting the arcs beside it resolves the count
         # where the root lies, so no row needs the companion matrix
-        cfg = ArrayConfig.two_layer(64, 4, 1.0)
-        scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
-        x = synthesize_snapshot_rows(
-            cfg, scen, [trial_rng(9001, i) for i in range(200)])[:, 0]
-        v = signal_vectors(analog_combine(x, cfg)[:, cfg.k_sub:])
-        coeffs = spectral._null_polynomials(v[:, None])
+        v, coeffs = block_9001
         near, ref = [], []
         for i, row in enumerate(coeffs):
             roots = np.roots(row)
@@ -427,6 +509,51 @@ class TestCertifiedRoot:
         u = root_music_rows(v[near])
         for u_i, z in zip(u, ref):
             assert _du(np.exp(1j * np.pi * u_i), z, 0.5) <= 1e-12
+
+    def test_laguerre_matches_oracle(self, corpus, block_9001, monkeypatch):
+        # every Laguerre call of both rounds, bit for bit against the
+        # form that gathers the rows still iterating on every iteration
+        laguerre = spectral._laguerre
+        lanes = []
+
+        def both(a, z):
+            got = laguerre(a, z)
+            want = laguerre_oracle(a, z)
+            assert got[0].tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(got[1], want[1])
+            lanes.append(len(a))
+            return got
+
+        monkeypatch.setattr(spectral, "_laguerre", both)
+        for coeffs in _search_stacks(corpus, block_9001):
+            spectral._certified_roots(coeffs)
+        # the second round ran, with many lanes per row
+        assert max(lanes) > spectral._SEARCH_ROWS_TIMES_P // 64
+
+    def test_certificate_first_pass_density(self, corpus, block_9001,
+                                            monkeypatch):
+        # the first pass samples 8n points; every verdict is the one a
+        # first pass of 16n points gives, near-tied rows included
+        certified = spectral._certified
+        pow2 = spectral._pow2_at_least
+        verdicts = []
+
+        def both(a, best):
+            got = certified(a, best)
+            n = a.shape[1] - 1
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_pow2_at_least", lambda _: pow2(16 * n))
+                dense = certified(a, best)
+            for mask, want in zip(got, dense):
+                np.testing.assert_array_equal(mask, want)
+            verdicts.append(got[0] | got[1])
+            return got
+
+        monkeypatch.setattr(spectral, "_certified", both)
+        for coeffs in _search_stacks(corpus, block_9001):
+            spectral._certified_roots(coeffs)
+        decided = np.concatenate(verdicts)
+        assert decided.mean() > 0.9
 
     @pytest.mark.parametrize("trial,snr_db,block", [
         (41, -10.0, "had"),  # P = 15 at spacing 2, chosen root |z| = 0.71
