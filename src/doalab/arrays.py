@@ -171,27 +171,25 @@ def subarray_gain(m_sub: int, spacing: float, u: float, u_steer: float) -> compl
 
 
 def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
-                             reps=1) -> np.ndarray:
+                             sets=1) -> np.ndarray:
     """Element-level snapshot sets of a stack of trials, one generator each.
 
-    Returns a complex (trials, R, n_total, n_snapshots) array.  Trial b
-    draws ``reps[b]`` sets from ``rngs[b]`` (``reps`` may also be one count
-    for every trial), each in the order of one ``synthesize_snapshots``
-    call: the waveform of every emitter (uniform phases, or a Gaussian
-    real/imaginary pair), then the real and the imaginary noise.  R is the
-    largest count; a trial's sets past its own count are zero.  The draws
-    fill preallocated buffers and the arithmetic runs once on the stack
-    with the per-trial float expressions, so set r of trial b holds the
-    bits of the (r+1)-th of successive per-trial calls on ``rngs[b]``.
+    Returns a complex (trials, sets, n_total, n_snapshots) array.  Each
+    trial draws its ``sets`` sets from its generator, in one pass over
+    ``rngs``, each set in the order of one ``synthesize_snapshots`` call:
+    the waveform of every emitter (uniform phases, or a Gaussian
+    real/imaginary pair), then the real and the imaginary noise.  The
+    draws fill preallocated buffers and the arithmetic runs once on the
+    stack with the per-trial float expressions, so set r of trial b holds
+    the bits of the (r+1)-th of successive per-trial calls on its stream.
     """
     n, t, q = cfg.n_total, scen.n_snapshots, scen.n_emitters
-    reps = np.broadcast_to(np.asarray(reps, dtype=int), (len(rngs),))
-    shape = (len(rngs), int(reps.max(initial=0)))
+    shape = (len(rngs), sets)
     gaussian = scen.signal_model == GAUSSIAN
-    wave = np.zeros(shape + (q, 2 if gaussian else 1, t))
-    noise = np.zeros(shape + (2, n, t))
+    wave = np.empty(shape + (q, 2 if gaussian else 1, t))
+    noise = np.empty(shape + (2, n, t))
     for b, rng in enumerate(rngs):
-        for r in range(reps[b]):
+        for r in range(sets):
             if q:  # every emitter's waveform draws come before the noise
                 (rng.standard_normal if gaussian else rng.random)(out=wave[b, r])
             rng.standard_normal(out=noise[b, r])
@@ -204,7 +202,6 @@ def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
         x += steering_vector(n, u_q, cfg.spacing)[:, None] * s[..., None, :]
     sigma = np.sqrt(scen.noise_power / 2.0)
     x += sigma * (noise[:, :, 0] + 1j * noise[:, :, 1])
-    x[np.arange(shape[1]) >= reps[:, None]] = 0.0
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ValueError("samples must be finite")
     return x

@@ -11,7 +11,6 @@ import numpy as np
 
 from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
 from .errors import EstimationError
-from .rng import blank_rng, rekey
 
 GLRT_MAX_OVER_MEAN = "max-over-mean"
 GLRT_SPHERICITY = "sphericity"
@@ -61,11 +60,10 @@ def glrt_statistic(eigs: np.ndarray, form: str = GLRT_MAX_OVER_MEAN):
     return float(out) if out.ndim == 0 else out
 
 
-def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, seed: int,
-               start: int, stop: int) -> np.ndarray:
-    """Descending sample-covariance eigenvalues of trials [start, stop), one
-    row per trial, drawn from their exact distribution without synthesising
-    snapshots.
+def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
+    """Descending sample-covariance eigenvalues of a stack of trials, one
+    generator and one row each, drawn from their exact distribution without
+    synthesising snapshots.
 
     The array must be fully digital and the scenario hold at most one
     emitter.
@@ -111,10 +109,8 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, seed: int,
         p = scen.powers[0] / scen.noise_power
     # row b holds trial b's squared entries: B_kk^2 in columns [0, m),
     # B_{k+1,k}^2 from column m on, then zeros up to 2m
-    sq = np.zeros((stop - start, 2 * m))
-    rng = blank_rng()
-    for row, i in enumerate(range(start, stop)):
-        rekey(rng, seed, i)
+    sq = np.zeros((len(rngs), 2 * m))
+    for row, rng in enumerate(rngs):
         if scen.n_emitters:
             energy = p * (l if scen.signal_model == CONSTANT_MODULUS
                           else rng.standard_gamma(l))
@@ -131,13 +127,13 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, seed: int,
     off = e2[:, :-1] * d2[:, 1:] if m > 1 else np.zeros((len(sq), 1))
     np.sqrt(off, out=off)
     d2 += e2
-    for row, i in enumerate(range(start, stop)):
+    for row in range(len(sq)):
         vals, info = dsterf(d2[row], off[row], overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise EstimationError(
-                f"dsterf failed on detection trial {i} (info={info})")
+                f"dsterf failed on detection block row {row} (info={info})")
         d2[row] = vals
-    out = np.zeros((stop - start, n))
+    out = np.zeros((len(sq), n))
     out[:, :m] = d2[:, ::-1] * (scen.noise_power / l)
     return out
 

@@ -73,11 +73,14 @@ class DoaEstimate:
 
 
 def candidate_set(u_hat: float, m_sub: int, spacing: float) -> CandidateSet:
-    """All direction-sines in [-1, 1) congruent to ``u_hat`` modulo 1/(M d)."""
-    if m_sub * spacing < 1.0:
-        # virtual spacing below half-wavelength: no ambiguity to expand
-        return CandidateSet(u_hat, np.array([u_hat]), 1.0 / (m_sub * spacing))
+    """All direction-sines in [-1, 1) congruent to ``u_hat`` modulo 1/(M d).
+
+    The inter-subarray phase wraps only once M d exceeds 1/2; up to there
+    ``u_hat``, clipped to [-1, 1], is the one candidate.
+    """
     period = 1.0 / (m_sub * spacing)
+    if 2.0 * m_sub * spacing <= 1.0:
+        return CandidateSet(u_hat, np.array([np.clip(u_hat, -1.0, 1.0)]), period)
     k_lo = int(np.ceil((-1.0 - u_hat) / period - 1e-12))
     k_hi = int(np.floor((1.0 - u_hat) / period - 1e-12))
     cands = u_hat + period * np.arange(k_lo, k_hi + 1)
@@ -162,7 +165,7 @@ def max_candidates(m_sub: int, spacing: float) -> int:
     """The most candidates ``candidate_set`` can return: every
     congruence class modulo 1/(M d) meets [-1, 1) at most ceil(2 M d)
     times."""
-    if m_sub * spacing < 1.0:
+    if 2.0 * m_sub * spacing <= 1.0:
         return 1
     return math.ceil(2.0 * m_sub * spacing - 1e-9)
 
@@ -174,8 +177,8 @@ def _candidate_rows(u_hat, m_sub, spacing):
     row holds the same bits.
     """
     u = np.asarray(u_hat, dtype=float)[:, None]
-    if m_sub * spacing < 1.0:
-        return u.copy()
+    if 2.0 * m_sub * spacing <= 1.0:
+        return np.clip(u, -1.0, 1.0)
     period = 1.0 / (m_sub * spacing)
     k_lo = np.ceil((-1.0 - u) / period - 1e-12)
     k_hi = np.floor((1.0 - u) / period - 1e-12)
@@ -206,21 +209,24 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     snapshot per candidate.  ``fhad_root_music`` on a generator of the same
     stream draws the same broadside snapshot and, as its steered one, the
     classic eliminator's first candidate snapshot, so both eliminators
-    share every draw.
+    share every draw.  Every trial's stream is read in one pass, for as
+    many snapshots as the most candidates need; a trial with fewer
+    candidates leaves its last ones unused.
     """
     if cfg.n_fd != 0:
         raise ConfigError("HAD eliminators need a pure HAD array")
     _require_single_emitter(scen)
     scen1 = replace(scen, n_snapshots=1)
-    x = synthesize_snapshot_rows(cfg, scen1, rngs)[:, 0]
-    had = analog_combine(x, cfg)[:, : cfg.k_sub]
+    x = synthesize_snapshot_rows(
+        cfg, scen1, rngs, 1 + max_candidates(cfg.m_sub, cfg.spacing))
+    had = analog_combine(x[:, 0], cfg)[:, : cfg.k_sub]
     u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
     cands = _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
     counts = np.count_nonzero(~np.isnan(cands), axis=1)
     if cfg.k_sub < cands.shape[1]:
         raise ConfigError(f"{cfg.k_sub} subarrays cannot host "
                           f"{cands.shape[1]} candidate subgroups")
-    x = synthesize_snapshot_rows(cfg, scen1, rngs, counts)
+    x = x[:, 1: 1 + cands.shape[1]]
 
     steer = np.repeat(np.nan_to_num(cands)[..., None], cfg.k_sub, axis=-1)
     had = analog_combine(x, cfg, steer)[..., : cfg.k_sub, 0]

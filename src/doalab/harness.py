@@ -60,7 +60,7 @@ from .mlnn import (
     select_architecture,
 )
 from .quantize import performance_loss_db, quantize
-from .rng import rekey, trial_rngs
+from .rng import TrialStreams
 from .spectral import root_music_rows, signal_vectors
 
 EXPERIMENTS = ("roc", "rmse-snr", "rmse-eta", "loss-bits", "train-mlnn")
@@ -229,6 +229,9 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         values["run.out"] = str(out)
     if workers is not None:
         values["run.workers"] = str(workers)
+    if experiment == "loss-bits" and values["run.trials"]:
+        raise ConfigError("loss-bits does not read [run] trials; its trial "
+                          "count is [quant] empirical_trials")
     values["run.trials"] = values["run.trials"] or str(DEFAULT_TRIALS[experiment])
     try:
         seed_val = int(values["run.seed"])
@@ -352,7 +355,8 @@ def _pool(workers):
 
 def _monte_carlo(block_fn, points, n, seed, pool, trial_size, offset=0):
     """Per curve point ``params`` of ``points``, the rows of
-    ``block_fn(params, seed, trials)`` for trials [offset, offset + n).
+    ``block_fn(params, streams)`` for the ``TrialStreams`` of trials
+    [offset, offset + n) at ``seed``.
 
     Each point's trials are split into ranges of trial indices, one block
     per worker of ``pool``, or more where a block would hold over
@@ -375,14 +379,14 @@ def _monte_carlo(block_fn, points, n, seed, pool, trial_size, offset=0):
 def _run_block(block_fn, seed, task):
     """One task of ``_monte_carlo``: a curve point's block of trials."""
     params, trials = task
-    return block_fn(params, seed, trials)
+    return block_fn(params, TrialStreams(seed, trials))
 
 
 def _rms(x) -> float:
     return float(np.sqrt(np.mean(x ** 2)))
 
 
-def _detection_block(params, seed, trials):
+def _detection_block(params, streams):
     n_total, l_snapshots, snr_db, hypothesis = params
     # the eigenvalue law does not depend on the direction (trial_eigs), so
     # every emitter sits at broadside
@@ -390,8 +394,7 @@ def _detection_block(params, seed, trials):
         scen = EmitterScenario.noise_only(l_snapshots)
     else:
         scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots)
-    return trial_eigs(ArrayConfig.fully_digital(n_total), scen, seed,
-                      trials.start, trials.stop)
+    return trial_eigs(ArrayConfig.fully_digital(n_total), scen, streams)
 
 
 def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
@@ -485,34 +488,29 @@ def run_roc(config: ExperimentConfig, model=None):
 
 # --- rmse ------------------------------------------------------------------
 
-def _rmse_block(params, seed, trials):
+def _rmse_block(params, streams):
     """Paired DOA errors (degrees) at one SNR point, one column per method.
 
     The classic and fast eliminators see the HAD subsystem of the
     configured array and one snapshot; the two-layer estimator sees the
     full array and the configured snapshot count.  Each method runs over
     the whole block at once.  All methods share the trial stream, so
-    snapshot realizations are paired.  Each trial's stream is keyed once
-    from the process's pooled generators (``trial_rngs``): the two
-    eliminators share it, since they draw the same snapshots, and it is
-    re-keyed to its start for the two-layer estimator.
+    snapshot realizations are paired: the eliminators read each stream in
+    one pass, and the two-layer estimator reads it again from its start.
     """
     cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
-    rngs = trial_rngs(seed, trials)
     u = {}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
         cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
                                               signal_model=signal_model)
-        classic, fast = had_eliminator_rows(cfg_had, scen, rngs)
+        classic, fast = had_eliminator_rows(cfg_had, scen, streams)
         u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
-        for rng, i in zip(rngs, trials):
-            rekey(rng, seed, i)
     if METHOD_TLHAD in methods:
         scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
                                               signal_model=signal_model)
-        u[METHOD_TLHAD] = tlhad_estimate_rows(cfg, scen, rngs)[0]
-    errors = np.empty((len(trials), len(methods)))
+        u[METHOD_TLHAD] = tlhad_estimate_rows(cfg, scen, streams)[0]
+    errors = np.empty((len(streams), len(methods)))
     for j, m in enumerate(methods):
         errors[:, j] = np.degrees(np.arcsin(u[m])) - theta_deg
     return errors
@@ -600,7 +598,7 @@ def run_rmse_eta(config: ExperimentConfig):
 
 # --- quantization ----------------------------------------------------------
 
-def _quant_block(params, seed, trials):
+def _quant_block(params, streams):
     """Root-MUSIC errors in u at one SNR: one column per bit depth of
     ``bits``, then the unquantized estimate in the last column.  Each
     trial's snapshots are drawn once and the unquantized stack is rooted
@@ -611,7 +609,7 @@ def _quant_block(params, seed, trials):
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
     u_true = math.sin(math.radians(theta_deg))
-    x = synthesize_snapshot_rows(cfg, scen, trial_rngs(seed, trials))[:, 0]
+    x = synthesize_snapshot_rows(cfg, scen, streams)[:, 0]
     u = [root_music_rows(signal_vectors(quantize(x, b)), cfg.spacing)
          for b in bits]
     u.append(root_music_rows(signal_vectors(x), cfg.spacing))

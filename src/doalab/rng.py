@@ -8,17 +8,13 @@ counter-based (Salmon et al., SC'11), so a stream is fixed by its key
 alone: ``rekey`` points an existing Philox generator at the start of the
 stream of (seed, index) by setting its key, counter and buffer state, and
 it then draws the same bits as ``trial_rng(seed, index)`` at a tenth of
-the cost.  ``trial_rngs`` re-keys a per-process pool of generators for a
-block of trials; the generators it returns stay valid until the next
-``trial_rngs`` call in the process, which re-keys the same objects.
+the cost.  ``TrialStreams`` hands a block of trials their streams through
+one generator, re-keyed to each trial in turn.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-# generators handed out by ``trial_rngs``, grown to the largest block
-_POOL = []
 
 
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
@@ -50,20 +46,26 @@ def rekey(rng: np.random.Generator, master_seed: int,
     return rng
 
 
-def blank_rng() -> np.random.Generator:
-    """A Philox generator to be re-keyed before use: its fixed seed spares
-    the OS entropy that a seedless one would read and ``rekey`` discard."""
-    return np.random.Generator(np.random.Philox(0))
+class TrialStreams:
+    """The streams of the trials ``trials`` at ``master_seed``, in order.
 
-
-def trial_rngs(master_seed: int, trials) -> list:
-    """Generators for the trials of ``trials``, in order, each drawing what
-    ``trial_rng(master_seed, i)`` would draw.
-
-    They are the process's pooled generators, re-keyed: valid until the
-    next call, which re-keys them again.
+    Iterating yields one generator per trial, drawing what
+    ``trial_rng(master_seed, i)`` would draw.  All of them are one Philox
+    generator, re-keyed as the iteration reaches each trial: read a
+    trial's stream before moving on to the next.  Every iteration starts
+    the streams afresh.
     """
-    trials = list(trials)
-    while len(_POOL) < len(trials):
-        _POOL.append(blank_rng())
-    return [rekey(rng, master_seed, i) for rng, i in zip(_POOL, trials)]
+
+    def __init__(self, master_seed: int, trials):
+        self.seed = master_seed
+        self.trials = trials
+        # a fixed seed spares the OS entropy a seedless generator would
+        # read and the first re-key discard
+        self._rng = np.random.Generator(np.random.Philox(0))
+
+    def __len__(self):
+        return len(self.trials)
+
+    def __iter__(self):
+        for i in self.trials:
+            yield rekey(self._rng, self.seed, i)

@@ -15,7 +15,7 @@ from doalab.arrays import (
     synthesize_snapshot_rows,
     synthesize_snapshots,
 )
-from doalab.rng import trial_rng
+from doalab.rng import TrialStreams, trial_rng
 
 
 def synthesize_oracle(cfg, scen, rng):
@@ -180,15 +180,12 @@ class TestSynthesizeRows:
     def test_matches_oracle(self, model, t, name):
         cfg = ArrayConfig.two_layer(20, 4, 0.2, 0.6)
         scen = self._scen(name, t, model)
-        reps = [2, 0, 3, 1, 3, 2]  # ragged: shorter trials are zero-padded
-        x = synthesize_snapshot_rows(cfg, scen,
-                                     [trial_rng(8, i) for i in range(6)], reps)
+        x = synthesize_snapshot_rows(cfg, scen, TrialStreams(8, range(6)), 3)
         assert x.shape == (6, 3, cfg.n_total, t) and x.dtype == np.complex128
-        for i, n_sets in enumerate(reps):
+        for i in range(6):
             rng = trial_rng(8, i)
-            for r in range(n_sets):
+            for r in range(3):
                 assert x[i, r].tobytes() == synthesize_oracle(cfg, scen, rng).tobytes()
-            assert not np.any(x[i, n_sets:])
 
     @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
     def test_one_set_per_trial(self, model):
@@ -206,17 +203,12 @@ class TestSynthesizeRows:
     def test_independent_of_block_split(self, model):
         cfg = ArrayConfig.fully_digital(8)
         scen = self._scen("two-emitters", 3, model)
-        reps = np.array([1, 4, 2, 0, 3, 1, 2, 4, 1, 2])
-        whole = synthesize_snapshot_rows(
-            cfg, scen, [trial_rng(10, i) for i in range(10)], reps)
+        whole = synthesize_snapshot_rows(cfg, scen, TrialStreams(10, range(10)), 4)
         for bounds in ((0, 3, 4, 10), tuple(range(11))):
             for a, b in zip(bounds[:-1], bounds[1:]):
                 part = synthesize_snapshot_rows(
-                    cfg, scen, [trial_rng(10, i) for i in range(a, b)], reps[a:b])
-                width = part.shape[1]
-                assert width == reps[a:b].max()
-                assert part.tobytes() == whole[a:b, :width].tobytes()
-                assert not np.any(whole[a:b, width:])
+                    cfg, scen, [trial_rng(10, i) for i in range(a, b)], 4)
+                assert part.tobytes() == whole[a:b].tobytes()
 
     def test_nonfinite_rejected(self):
         class NanStream:

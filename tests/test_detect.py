@@ -23,20 +23,21 @@ from doalab.detect import (
 from doalab.errors import EstimationError
 from doalab.harness import ROC_STREAMS
 from doalab.mlnn import forward, init_model
-from doalab.rng import trial_rng
+from doalab.rng import TrialStreams, trial_rng
 
 
 def h0_eigs(cfg, n_snapshots, noise_power, seed, n_trials):
     """Eigenvalues of noise-only trials [0, n_trials)."""
     scen = EmitterScenario.noise_only(n_snapshots, noise_power)
-    return trial_eigs(cfg, scen, seed, 0, n_trials)
+    return trial_eigs(cfg, scen, TrialStreams(seed, range(n_trials)))
 
 
 def roc_of(statistic, scen_h1, cfg, n_trials, seed):
     """ROC of ``statistic`` for H0 trials [0, n) against ``scen_h1`` trials
     [n, 2n) of the same seed."""
     e0 = h0_eigs(cfg, scen_h1.n_snapshots, scen_h1.noise_power, seed, n_trials)
-    e1 = trial_eigs(cfg, scen_h1, seed, n_trials, 2 * n_trials)
+    e1 = trial_eigs(cfg, scen_h1,
+                    TrialStreams(seed, range(n_trials, 2 * n_trials)))
     return roc_points(statistic(e0), statistic(e1))
 
 
@@ -309,7 +310,7 @@ class TestTrialEigsLaw:
             scen = EmitterScenario.single_emitter(20.0, snr_db, l, noise_power,
                                                   model)
         want = direct_eigs(cfg, scen, 31, LAW_TRIALS)
-        got = trial_eigs(cfg, scen, 32, 0, LAW_TRIALS)
+        got = trial_eigs(cfg, scen, TrialStreams(32, range(LAW_TRIALS)))
         rank = min(n, l)
         # L < N leaves N - L eigenvalues that are exactly zero
         assert np.all(got[:, rank:] == 0.0) and np.all(got[:, :rank] > 0.0)
@@ -324,7 +325,7 @@ class TestTrialEigsLaw:
                 EmitterScenario.single_emitter(-40.0, snr_db, 1, 1.5))
         norms = [np.sum(np.abs(x) ** 2)
                  for x in direct_snapshots(cfg, scen, 41, range(LAW_TRIALS))]
-        got = trial_eigs(cfg, scen, 42, 0, LAW_TRIALS)
+        got = trial_eigs(cfg, scen, TrialStreams(42, range(LAW_TRIALS)))
         assert np.all(got[:, 1:] == 0.0)
         assert_same_law(np.array(norms), got[:, 0], "|x|^2")
 
@@ -333,7 +334,7 @@ class TestTrialEigsLaw:
         # same streams give the same eigenvalues at every angle
         cfg = ArrayConfig.fully_digital(8)
         rows = [trial_eigs(cfg, EmitterScenario.single_emitter(theta, 0.0, 16),
-                           5, 0, 20)
+                           TrialStreams(5, range(20)))
                 for theta in (-70.0, 0.0, 35.0)]
         np.testing.assert_array_equal(rows[0], rows[1])
         np.testing.assert_array_equal(rows[0], rows[2])
@@ -342,12 +343,13 @@ class TestTrialEigsLaw:
         cfg = ArrayConfig.two_layer(16, 4, 0.25)
         scen = EmitterScenario.noise_only(8)
         with pytest.raises(ValueError):
-            trial_eigs(cfg, scen, 0, 0, 2)
+            trial_eigs(cfg, scen, TrialStreams(0, range(2)))
 
     def test_two_emitters_rejected(self):
         scen = EmitterScenario((10.0, -20.0), (1.0, 1.0), 1.0, 8)
         with pytest.raises(ValueError):
-            trial_eigs(ArrayConfig.fully_digital(8), scen, 0, 0, 2)
+            trial_eigs(ArrayConfig.fully_digital(8), scen,
+                       TrialStreams(0, range(2)))
 
     def test_eigensolver_failure_raises(self, monkeypatch):
         import scipy.linalg.lapack
@@ -356,7 +358,8 @@ class TestTrialEigsLaw:
                             lambda d, e, **kw: (d, 3))
         scen = EmitterScenario.noise_only(16)
         with pytest.raises(EstimationError):
-            trial_eigs(ArrayConfig.fully_digital(8), scen, 0, 0, 2)
+            trial_eigs(ArrayConfig.fully_digital(8), scen,
+                       TrialStreams(0, range(2)))
 
 
 # --- the block sampler against its per-trial form -----------------------------
@@ -420,6 +423,6 @@ def test_trial_eigs_matches_per_trial_oracle(n, l, snr_db, model, seed,
         scen = EmitterScenario.noise_only(l, 0.5)
     else:
         scen = EmitterScenario.single_emitter(20.0, snr_db, l, 1.0, model)
-    got = trial_eigs(cfg, scen, seed, start, stop)
+    got = trial_eigs(cfg, scen, TrialStreams(seed, range(start, stop)))
     want = trial_eigs_oracle(cfg, scen, seed, start, stop)
     assert got.tobytes() == want.tobytes()

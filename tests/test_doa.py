@@ -22,7 +22,7 @@ from doalab.doa import (
     tlhad_estimate_rows,
 )
 from doalab.errors import ConfigError
-from doalab.rng import trial_rng
+from doalab.rng import TrialStreams, trial_rng
 
 
 def _scen(theta_deg, snr_db, t=1, model=CONSTANT_MODULUS):
@@ -320,6 +320,20 @@ class TestEliminatorRows:
                 np.testing.assert_array_equal(row[~np.isnan(row)],
                                               ref[~np.isnan(ref)])
 
+    @pytest.mark.parametrize("spacing", [0.5, 0.6])
+    def test_one_pass_per_stream(self, spacing):
+        # ``TrialStreams`` restarts every stream on each pass, so it gives
+        # the draws of one generator per trial only if each stream is read
+        # in one pass, trials with fewer candidates included
+        cfg = ArrayConfig.pure_had(48, 4, spacing)
+        scen = _scen(15.0, -10.0)
+        got = had_eliminator_rows(cfg, scen, TrialStreams(64, range(60)))
+        want = had_eliminator_rows(cfg, scen,
+                                   [trial_rng(64, i) for i in range(60)])
+        for g, w in zip(got, want):
+            for part_g, part_w in zip(g, w):
+                assert part_g.tobytes() == part_w.tobytes()
+
     def test_fast_needs_enough_subarrays(self):
         with pytest.raises(ConfigError):
             had_eliminator_rows(ArrayConfig.pure_had(8, 4), _scen(10.0, 20.0),
@@ -331,16 +345,28 @@ class TestEliminatorRows:
                                 [trial_rng(0)])
 
     @pytest.mark.parametrize("m_sub,spacing", [
-        (1, 0.5), (4, 0.5), (4, 0.6), (3, 0.7), (2, 1.0)])
+        (1, 0.5), (4, 0.5), (4, 0.6), (3, 0.7), (2, 1.0), (2, 0.4), (4, 0.1)])
     def test_max_candidates_bounds_every_set(self, m_sub, spacing):
         sizes = {len(candidate_set(u, m_sub, spacing))
                  for u in np.linspace(-1.0, 1.0, 2001)}
         assert max(sizes) == max_candidates(m_sub, spacing)
 
 
+@pytest.mark.parametrize("m_sub,spacing", [(1, 0.5), (4, 0.1), (2, 0.25)])
+def test_unambiguous_estimate_clipped(m_sub, spacing):
+    # up to M d = 1/2 the phase does not wrap, and an estimate past +-1
+    # is clipped, as the per-trial candidate set and the rows agree
+    u = np.array([-1.2, -1.0, 0.3, 1.0, 1.2])
+    want = np.array([-1.0, -1.0, 0.3, 1.0, 1.0])
+    assert max_candidates(m_sub, spacing) == 1
+    np.testing.assert_array_equal(_candidate_rows(u, m_sub, spacing)[:, 0], want)
+    for x, ref in zip(u, want):
+        assert candidate_set(x, m_sub, spacing).candidates.tolist() == [ref]
+
+
 class TestCandidateRows:
     @pytest.mark.parametrize("m_sub,spacing", [
-        (4, 0.5), (4, 0.6), (1, 0.5), (3, 0.7), (2, 1.0)])
+        (4, 0.5), (4, 0.6), (1, 0.5), (3, 0.7), (2, 1.0), (2, 0.4), (4, 0.1)])
     def test_matches_candidate_set_bitwise(self, m_sub, spacing):
         period = 1.0 / (m_sub * spacing)
         lattice = -1.0 + period * np.arange(-2, 2 * m_sub + 3)
@@ -354,7 +380,7 @@ class TestCandidateRows:
         for row, ref in zip(rows, sets):
             assert row[: len(ref)].tobytes() == ref.tobytes()
             assert np.isnan(row[len(ref):]).all()
-        if m_sub * spacing < 1.0:  # nothing to expand
+        if 2 * m_sub * spacing <= 1.0:  # the phase cannot wrap
             assert rows.shape[1] == 1
         if spacing == 0.6:  # ragged counts
             assert set(map(len, sets)) == {4, 5}

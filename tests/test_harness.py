@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from doalab import harness
+from doalab import rng as rng_module
 from doalab.arrays import (
     ArrayConfig,
     EmitterScenario,
@@ -33,7 +34,7 @@ from doalab.harness import (
 )
 from doalab.mlnn import init_model, save_model
 from doalab.quantize import performance_loss_db, quantize
-from doalab.rng import rekey, trial_rng, trial_rngs
+from doalab.rng import TrialStreams, rekey, trial_rng
 from doalab.spectral import (
     root_music,
     root_music_rows,
@@ -205,6 +206,32 @@ class TestRmseSnr:
             run_rmse_snr(load_config("rmse-snr", cfg_path,
                                      out=str(tmp_path / "o")))
 
+    def test_wrapped_phase_below_unit_virtual_spacing(self, tmp_path):
+        # M d = 0.8: the inter-subarray phase wraps for |u| > 1 / (2 M d),
+        # here at u = 0.9, so every method must expand its candidates
+        text = ("[run]\ntrials = 200\n[array]\nm_sub = 2\nspacing = 0.4\n"
+                "[scenario]\ntheta_deg = 64.158\nsnr_db_list = 20,30\n")
+        cfg_path = _write_config(tmp_path / "c.ini", text)
+        _, rows = run_rmse_snr(load_config("rmse-snr", cfg_path,
+                                           out=str(tmp_path / "o")))
+        at_30 = [r for r in rows if r[0] == 30.0]
+        assert len(at_30) == 3
+        for _, method, rmse, bound, *_ in at_30:
+            assert rmse <= 1.5 * bound, method
+
+    def test_tiny_spacing_estimates_stay_finite(self, tmp_path):
+        # M d = 0.4: the HAD estimate can leave [-1, 1] at low SNR
+        text = ("[run]\ntrials = 200\n[array]\nspacing = 0.1\n"
+                "[scenario]\nsnr_db_list = -10,0\n")
+        cfg_path = _write_config(tmp_path / "c.ini", text)
+        path, _ = run_rmse_snr(load_config("rmse-snr", cfg_path,
+                                           out=str(tmp_path / "o")))
+        rows = [line.split(",")
+                for line in Path(path).read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in (row[0], *row[2:4])), row
+
 
 class TestRmseEta:
     def test_eta_sweep(self, tmp_path):
@@ -235,8 +262,7 @@ class TestRmseEta:
 
 class TestLossBits:
     def test_formula_column_and_inf_row(self, tmp_path):
-        text = ("[run]\ntrials = 100\n"
-                "[quant]\nbits = 1,2\nn_antennas = 8\nn_snapshots = 20\n"
+        text = ("[quant]\nbits = 1,2\nn_antennas = 8\nn_snapshots = 20\n"
                 "snr_db_list = 0\nempirical_trials = 100\n")
         cfg_path = _write_config(tmp_path / "c.ini", text)
         path, rows = run_loss_bits(load_config("loss-bits", cfg_path,
@@ -249,14 +275,21 @@ class TestLossBits:
 
     def test_empirical_tracks_formula(self, tmp_path):
         # 1-bit quantization should cost a few dB empirically as well
-        text = ("[run]\ntrials = 100\n"
-                "[quant]\nbits = 1\nn_antennas = 16\nn_snapshots = 50\n"
+        text = ("[quant]\nbits = 1\nn_antennas = 16\nn_snapshots = 50\n"
                 "snr_db_list = 0\nempirical_trials = 300\n")
         cfg_path = _write_config(tmp_path / "c.ini", text)
         _, rows = run_loss_bits(load_config("loss-bits", cfg_path,
                                             out=str(tmp_path / "o")))
         row = next(r for r in rows if r[0] == 1)
         assert row[3] == pytest.approx(row[2], abs=2.0)
+
+    def test_run_trials_rejected(self, tmp_path):
+        # loss-bits counts its trials in [quant] empirical_trials; a [run]
+        # trial count would change nothing but the digest
+        cfg_path = _write_config(tmp_path / "c.ini",
+                                 "[run]\ntrials = 100\n" + SMALL_BITS)
+        with pytest.raises(ConfigError, match="empirical_trials"):
+            load_config("loss-bits", cfg_path)
 
 
 def _quant_block_oracle(params, seed, trials):
@@ -288,10 +321,10 @@ class TestStackedBlocks:
         ids=["p12-0dB-2bit", "p12-minus10dB-1bit", "p32-t50-3bit",
              "p12-t1-minus10dB", "p8-unquantized"])
     def test_quant_block(self, params):
-        whole = harness._quant_block(params, 5, range(30))
+        whole = harness._quant_block(params, TrialStreams(5, range(30)))
         assert whole.shape == (30, len(params[4]) + 1)
         for bounds in self.SPLITS:
-            parts = [harness._quant_block(params, 5, range(a, b))
+            parts = [harness._quant_block(params, TrialStreams(5, range(a, b)))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         # one bit depth per block is the oracle, bit for bit: every bit
@@ -318,9 +351,9 @@ class TestStackedBlocks:
         cfg = ArrayConfig.two_layer(40, 4, 0.2, spacing)
         params = (cfg, 15.0, snr_db, 1, "constant-modulus",
                   ("had-root-music", "fhad-root-music", "tlhad"))
-        whole = harness._rmse_block(params, 6, range(30))
+        whole = harness._rmse_block(params, TrialStreams(6, range(30)))
         for bounds in self.SPLITS:
-            parts = [harness._rmse_block(params, 6, range(a, b))
+            parts = [harness._rmse_block(params, TrialStreams(6, range(a, b)))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         # with a fresh trial_rng per trial and method, bit for bit
@@ -333,6 +366,19 @@ class TestStackedBlocks:
         for col, u in zip(whole.T, (classic[0], fast[0], tlhad)):
             np.testing.assert_array_equal(
                 col, np.degrees(np.arcsin(u)) - 15.0)
+
+
+def _record_streams(monkeypatch):
+    """A list that gets the (seed, index) of every trial stream a block
+    starts to read, in order."""
+    opened = []
+
+    def recording_rekey(rng, seed, index):
+        opened.append((seed, index))
+        return rekey(rng, seed, index)
+
+    monkeypatch.setattr(rng_module, "rekey", recording_rekey)
+    return opened
 
 
 class TestBlockDraws:
@@ -354,33 +400,28 @@ class TestBlockDraws:
         ("had-root-music", "fhad-root-music", "tlhad"), ("tlhad",)],
         ids=["rmse-snr", "rmse-eta"])
     def test_rmse_block_generators(self, monkeypatch, methods):
-        # one generator per trial: the eliminators share it, and the
-        # two-layer estimator gets it rewound to its start
-        opened = []
-
-        def counting_rngs(seed, trials):
-            opened.extend(trials)
-            return trial_rngs(seed, trials)
-
-        monkeypatch.setattr(harness, "trial_rngs", counting_rngs)
+        # every trial's stream is read from its start once by the two
+        # eliminators together, and once by the two-layer estimator
+        opened = _record_streams(monkeypatch)
         cfg = ArrayConfig.two_layer(64, 4, 0.25)
         harness._rmse_block((cfg, 15.0, 5.0, 1, "constant-modulus", methods),
-                            3, range(10, 22))
-        assert opened == list(range(10, 22))
+                            TrialStreams(3, range(10, 22)))
+        passes = 2 if "had-root-music" in methods else 1
+        assert opened == passes * [(3, i) for i in range(10, 22)]
 
     @pytest.mark.parametrize("block", [
         lambda trials: harness._rmse_block(
             (ArrayConfig.two_layer(64, 4, 0.25), 15.0, 5.0, 1,
              "constant-modulus", ("had-root-music", "fhad-root-music",
-                                  "tlhad")), 3, trials),
-        lambda trials: harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, trials),
-        lambda trials: harness._detection_block((16, 20, -5.0, 1), 3, trials),
+                                  "tlhad")), TrialStreams(3, trials)),
+        lambda trials: harness._quant_block((8, 20, 15.0, 0.0, (3,)),
+                                            TrialStreams(3, trials)),
+        lambda trials: harness._detection_block((16, 20, -5.0, 1),
+                                                TrialStreams(3, trials)),
     ], ids=["rmse", "quant", "detect"])
     def test_no_generator_built_per_trial(self, monkeypatch, block):
-        # a block re-keys generators it already holds: once the process's
-        # pool holds a block's worth, it builds at most one Philox,
-        # however many trials it holds
-        trial_rngs(0, range(120))
+        # a block re-keys the one generator of its streams: it builds at
+        # most one Philox, however many trials it holds
         built = []
         philox = np.random.Philox
 
@@ -395,23 +436,19 @@ class TestBlockDraws:
             assert len(built) <= 1
 
     def test_quant_block_stacked(self):
-        assert harness._quant_block((8, 20, 15.0, 0.0, (3,)), 3, range(5)).shape == (5, 2)
+        assert harness._quant_block((8, 20, 15.0, 0.0, (3,)),
+                                    TrialStreams(3, range(5))).shape == (5, 2)
 
     def test_loss_bits_one_draw_per_snr(self, tmp_path, monkeypatch):
         # every bit depth of an SNR quantizes the same draw, so each trial's
-        # generator opens once per SNR, not once per bit point
-        opened = []
-
-        def counting_rngs(seed, trials):
-            opened.extend(trials)
-            return trial_rngs(seed, trials)
-
-        monkeypatch.setattr(harness, "trial_rngs", counting_rngs)
+        # stream is read once per SNR, not once per bit point
+        opened = _record_streams(monkeypatch)
         cfg_path = _write_config(tmp_path / "c.ini", SMALL_BITS.replace(
             "snr_db_list = 0", "snr_db_list = 0,10").replace(
             "empirical_trials = 100", "empirical_trials = 12"))
-        run_loss_bits(load_config("loss-bits", cfg_path, out=str(tmp_path)))
-        assert sorted(opened) == sorted(2 * list(range(12)))
+        config = load_config("loss-bits", cfg_path, out=str(tmp_path))
+        run_loss_bits(config)
+        assert sorted(opened) == sorted(2 * [(config.seed, i) for i in range(12)])
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +550,8 @@ def test_one_map_per_run(tmp_path, monkeypatch, experiment, run, output):
     text = (SMALL_RMSE.replace("snr_db_list = 10", "snr_db_list = 0,10")
             + "[rmse]\neta_grid = 0.5,1.0\neta_snr_db_list = -10,10\n"
             + SMALL_BITS.replace("snr_db_list = 0", "snr_db_list = 0,10"))
+    if experiment == "loss-bits":  # which reads no [run] trials
+        text = text.replace("[run]\ntrials = 100\n", "")
     cfg_path = _write_config(tmp_path / "c.ini", text)
     run(load_config(experiment, cfg_path, out=str(tmp_path / "map")))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
@@ -535,9 +574,9 @@ def _mapped_points(monkeypatch):
     seed, each run of contiguous trial ranges is one point's blocks."""
     blocks = []
     for name in ("_rmse_block", "_quant_block", "_detection_block"):
-        def recorded(params, seed, trials, block_fn=getattr(harness, name)):
-            blocks.append((repr(params), seed, trials))
-            return block_fn(params, seed, trials)
+        def recorded(params, streams, block_fn=getattr(harness, name)):
+            blocks.append((repr(params), streams.seed, streams.trials))
+            return block_fn(params, streams)
 
         monkeypatch.setattr(harness, name, recorded)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
@@ -578,9 +617,9 @@ def test_block_plan_splits_over_budget(tmp_path, monkeypatch):
     # is over one block's sample budget, so even one worker splits it
     blocks = []
 
-    def recorded(params, seed, trials):
-        blocks.append(trials)
-        return np.ones((len(trials), len(params[-1]) + 1))
+    def recorded(params, streams):
+        blocks.append(streams.trials)
+        return np.ones((len(streams), len(params[-1]) + 1))
 
     monkeypatch.setattr(harness, "_quant_block", recorded)
     config = load_config("loss-bits", out=str(tmp_path))
@@ -593,23 +632,15 @@ def test_block_plan_splits_over_budget(tmp_path, monkeypatch):
 def test_roc_trials_disjoint_from_training(tmp_path, monkeypatch):
     # the ROC scores the neural detector on trials it was neither trained
     # nor calibrated on: train-mlnn and roc at one seed share no stream
-    from doalab import detect
-
-    drawn = []
-
-    def recording_rekey(rng, seed, index):
-        drawn[-1].add((seed, index))
-        return rekey(rng, seed, index)
-
-    monkeypatch.setattr(detect, "rekey", recording_rekey)
+    opened = _record_streams(monkeypatch)
     cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
-    drawn.append(set())
     _, _, model = run_train_mlnn(load_config("train-mlnn", cfg_path,
                                              out=str(tmp_path / "t")))
-    drawn.append(set())
+    training = set(opened)
+    opened.clear()
     config = load_config("roc", cfg_path, out=str(tmp_path / "r"))
     run_roc(config, model=model)
-    training, roc = drawn
+    roc = set(opened)
     assert len(roc) == 2 * config.trials
     assert not training & roc
 
@@ -682,6 +713,7 @@ class TestCli:
         ("rmse-eta", "[rmse]\neta_snr_db_list = ,\n"),
         ("loss-bits", "[quant]\nsnr_db_list =\n"),
         ("loss-bits", "[quant]\nbits =\n"),
+        ("loss-bits", "[run]\ntrials = 100\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
@@ -696,10 +728,12 @@ class TestCli:
             "no-fd-block", "one-fd-antenna", "fewer-subarrays-than-candidates",
             "one-subarray", "eta-fd-block-under-two", "bits-twenty",
             "bits-sixty-four", "snr-list-empty", "eta-grid-empty",
-            "eta-snr-list-empty", "quant-snr-list-empty", "bits-empty"])
+            "eta-snr-list-empty", "quant-snr-list-empty", "bits-empty",
+            "loss-bits-run-trials"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
-        # a case that sets [run] itself goes without the trial-count prefix
-        if not text.startswith("[run]"):
+        # a case that sets [run] itself, or runs loss-bits, which reads no
+        # [run] trials, goes without the trial-count prefix
+        if not text.startswith("[run]") and experiment != "loss-bits":
             text = "[run]\ntrials = 1000\n" + text
         cfg_path = _write_config(tmp_path / "c.ini", text)
         # rejected while loading, before any curve point runs

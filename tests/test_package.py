@@ -73,16 +73,19 @@ def test_tracer_runs_experiments(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    cfg_path = tmp_path / "c.ini"
+    cfg_path, bits_path = tmp_path / "c.ini", tmp_path / "bits.ini"
     cfg_path.write_text(
-        "[run]\ntrials = 100\nworkers = 1\n[scenario]\nsnr_db_list = 10\n"
+        "[run]\ntrials = 100\nworkers = 1\n[scenario]\nsnr_db_list = 10\n")
+    # loss-bits reads no [run] trials
+    bits_path.write_text(
+        "[run]\nworkers = 1\n"
         "[quant]\nbits = 2\nn_antennas = 8\nn_snapshots = 20\n"
         "snr_db_list = 0\nempirical_trials = 10\n")
     tracer = spans.Tracer()
     tracer.install()
     try:
         run_rmse_snr(load_config("rmse-snr", str(cfg_path), out=str(tmp_path)))
-        run_loss_bits(load_config("loss-bits", str(cfg_path), out=str(tmp_path)))
+        run_loss_bits(load_config("loss-bits", str(bits_path), out=str(tmp_path)))
         importlib.import_module("doalab.doa").tlhad_estimate(
             ArrayConfig(64, 4, 12, 16),
             EmitterScenario.single_emitter(15.0, 10.0, 1), trial_rng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doalab.harness import ROC_STREAMS
-from doalab.rng import blank_rng, rekey, trial_rng, trial_rngs
+from doalab.rng import TrialStreams, rekey, trial_rng
 
 SEEDS = [0, 2 ** 63 + 5, 2 ** 64 - 1, 2 ** 70 + 3]
 INDICES = [0, 1, ROC_STREAMS, ROC_STREAMS + 1, 2 ** 64 - 1]
@@ -26,7 +26,7 @@ def draws(rng):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rekey_draws_trial_rng_bits(seed):
-    rng = blank_rng()
+    rng = trial_rng(12345, 6)
     for i in INDICES:
         want = draws(trial_rng(seed, i))
         assert draws(rekey(rng, seed, i)) == want
@@ -35,32 +35,52 @@ def test_rekey_draws_trial_rng_bits(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_trial_rngs_draw_trial_rng_bits(seed):
-    rngs = trial_rngs(seed, INDICES)
-    assert len(rngs) == len(INDICES)
-    assert len({id(rng) for rng in rngs}) == len(rngs)
-    for rng, i in zip(rngs, INDICES):
-        assert draws(rng) == draws(trial_rng(seed, i))
+def test_trial_streams_draw_trial_rng_bits(seed):
+    streams = TrialStreams(seed, INDICES)
+    assert len(streams) == len(INDICES)
+    want = [draws(trial_rng(seed, i)) for i in INDICES]
+    # every pass starts the streams afresh
+    for _ in range(2):
+        assert [draws(rng) for rng in streams] == want
 
 
 def test_successive_calls_each_match():
-    # the second call re-keys the pooled generators the first handed out
-    first = trial_rngs(11, range(5))
-    first_draws = [draws(rng) for rng in first]
-    second = trial_rngs(12, range(3, 10))
-    assert first_draws == [draws(trial_rng(11, i)) for i in range(5)]
+    # a second object, or a pass left unfinished, leaves the streams of
+    # the first one intact
+    first = TrialStreams(11, range(5))
+    next(iter(first)).random(3)
+    second = TrialStreams(12, range(3, 10))
     assert [draws(rng) for rng in second] == [draws(trial_rng(12, i))
                                               for i in range(3, 10)]
+    assert [draws(rng) for rng in first] == [draws(trial_rng(11, i))
+                                             for i in range(5)]
+
+
+def test_one_generator_per_object(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    streams = TrialStreams(3, range(50))
+    for _ in range(2):
+        for rng in streams:
+            rng.standard_normal(2)
+    assert len(built) == 1
 
 
 def test_empty_block():
-    assert trial_rngs(0, range(0)) == []
+    assert len(TrialStreams(0, range(0))) == 0
+    assert list(TrialStreams(0, range(0))) == []
 
 
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
-        rekey(blank_rng(), 0, -1)
+        rekey(trial_rng(0), 0, -1)
     with pytest.raises(ValueError):
-        trial_rngs(0, [3, -1])
+        list(TrialStreams(0, [3, -1]))
     with pytest.raises(ValueError):
         trial_rng(0, -1)
