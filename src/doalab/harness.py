@@ -16,6 +16,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,87 +66,110 @@ from .spectral import root_music_rows, signal_vectors
 
 EXPERIMENTS = ("roc", "rmse-snr", "rmse-eta", "loss-bits", "train-mlnn")
 
-# flat sectioned key=value schema; every key has a default, unknown keys
-# are rejected at parse time
-SCHEMA = {
-    "run": {
-        "seed": "20240901",
-        "trials": "",  # empty = per-experiment default
-        "out": "out",
-        "workers": "1",
-    },
-    "array": {
-        "n_total": "64",
-        "m_sub": "4",
-        "fd_proportion": "0.25",
-        "spacing": "0.5",
-    },
-    "scenario": {
-        "snr_db": "-20",
-        "snr_db_list": "0,5,10,15",
-        "theta_deg": "15",
-        "n_snapshots": "200",
-        "t_snapshots": "1",
-        "signal_model": CONSTANT_MODULUS,
-    },
-    "detect": {
-        # sphericity reproduces the published detector ordering; the
-        # max-over-mean form is available here as well
-        "glrt_form": "sphericity",
-    },
-    "rmse": {
-        "eta_grid": "0.0625,0.25,0.5,0.75,1.0",
-        "eta_snr_db_list": "-10,0,10",
-    },
-    "quant": {
-        "bits": "1,2,3,4,5,6,7,8",
-        "n_antennas": "32",
-        "n_snapshots": "50",
-        "snr_db_list": "-10,0,10",
-        "empirical_trials": "500",
-    },
-    "mlnn": {
-        "activations": "sigmoid,tanh,relu",
-        "shapes": "16|32|64|16,16|32,32|64,64|16,16,16|32,32,32|64,64,64",
-        "search_size": "8000",
-        "final_ratio": "6",
-        "learning_rate": "0.3",
-        "batch_size": "64",
-        "epochs": "40",
-    },
-}
 
-# numeric settings with the values load_config accepts; anything else
-# would fail deep inside a run instead of as a config error
-BOUNDS = (
-    ("run.trials", int, lambda v: v >= 100, "at least 100"),
-    ("run.workers", int, lambda v: v >= 1, "at least 1"),
-    ("array.n_total", int, lambda v: v >= 2, "at least 2"),
-    ("array.m_sub", int, lambda v: v >= 1, "at least 1"),
-    ("array.fd_proportion", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("array.spacing", float, lambda v: v > 0, "positive"),
-    ("scenario.snr_db", float, math.isfinite, "finite"),
-    ("scenario.theta_deg", float, lambda v: -90.0 < v < 90.0, "in (-90, 90)"),
-    ("scenario.n_snapshots", int, lambda v: v >= 1, "at least 1"),
-    ("scenario.t_snapshots", int, lambda v: v >= 1, "at least 1"),
-    ("quant.n_antennas", int, lambda v: v >= 2, "at least 2"),
-    ("quant.n_snapshots", int, lambda v: v >= 1, "at least 1"),
-    ("quant.empirical_trials", int, lambda v: v >= 1, "at least 1"),
-    ("mlnn.search_size", int, lambda v: v >= 2, "at least 2"),
-    ("mlnn.final_ratio", float, lambda v: 5.0 <= v <= 10.0, "in [5, 10]"),
-    ("mlnn.learning_rate", float, lambda v: 0.0 <= v < math.inf,
-     "finite and nonnegative"),
-    ("mlnn.batch_size", int, lambda v: v >= 1, "at least 1"),
-    ("mlnn.epochs", int, lambda v: v >= 1, "at least 1"),
-)
+# a config key: its default text, the parser of that text (which raises
+# ValueError on text it cannot read), and a check of the parsed value with
+# what the check means
+Setting = namedtuple("Setting", "default parse check meaning")
+
+
+def _parse_list(text, conv=float):
+    return tuple(conv(x.strip()) for x in str(text).split(",") if x.strip())
+
+
+def _parse_shapes(text):
+    return tuple(_parse_list(s, int) for s in str(text).split("|") if s.strip())
+
+
+def _count(default, low):
+    return Setting(default, int, lambda v: v >= low, f"an integer of at least {low}")
+
+
+def _choice(default, options):
+    return Setting(default, str, options.__contains__, "one of " + ", ".join(options))
+
+
+def _list(default, parse, accept, meaning):
+    # every list needs a value: an empty curve list would run no curve
+    # point, or only the unquantized rows of loss-bits, which compare a
+    # column with itself
+    return Setting(default, parse, lambda v: bool(v) and all(map(accept, v)),
+                   f"a list of at least one value, each {meaning}")
+
 
 # ADC resolutions [quant] bits accepts: the Lloyd-Max solve takes a
 # fraction of a second at 16 bits, but fails after 24 s at 20 bits and
 # cannot allocate its 2**64 levels at 64 bits
 MAX_BITS = 16
 
-# SNR lists, in dB; every value must be finite
-SNR_LISTS = ("scenario.snr_db_list", "rmse.eta_snr_db_list", "quant.snr_db_list")
+# SNRs in dB the runs accept: past about 3000 dB the power 10**(snr/10)
+# overflows or reaches zero; 300 dB keeps the power, the snapshots and
+# the bounds well inside the range of a double
+MAX_SNR_DB = 300.0
+_SNR = (lambda v: abs(v) <= MAX_SNR_DB, f"a number in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]")
+
+# flat sectioned key=value schema; every key has a default, unknown keys
+# are rejected at parse time, and load_config parses and checks every key
+SCHEMA = {
+    "run": {
+        "seed": Setting("20240901", int, lambda v: True, "an integer"),
+        "trials": _count("", 100),  # empty = per-experiment default
+        "out": Setting("out", str, lambda v: True, "a directory"),
+        "workers": _count("1", 1),
+    },
+    "array": {
+        "n_total": _count("64", 2),
+        "m_sub": _count("4", 1),
+        "fd_proportion": Setting("0.25", float, lambda v: 0.0 <= v <= 1.0,
+                                 "a number in [0, 1]"),
+        # the FD block is a ULA, which aliases past half a wavelength; and
+        # a wider spacing grows the candidate lattice, ceil(2 M d) per
+        # trial, without bound
+        "spacing": Setting("0.5", float, lambda v: 0.0 < v <= 0.5,
+                           "a number in (0, 0.5]"),
+    },
+    "scenario": {
+        "snr_db": Setting("-20", float, *_SNR),
+        "snr_db_list": _list("0,5,10,15", _parse_list, *_SNR),
+        "theta_deg": Setting("15", float, lambda v: -90.0 < v < 90.0,
+                             "a number in (-90, 90)"),
+        "n_snapshots": _count("200", 1),
+        "t_snapshots": _count("1", 1),
+        "signal_model": _choice(CONSTANT_MODULUS, (CONSTANT_MODULUS, GAUSSIAN)),
+    },
+    "detect": {
+        # sphericity reproduces the published detector ordering; the
+        # max-over-mean form is available here as well
+        "glrt_form": _choice("sphericity", (GLRT_SPHERICITY, GLRT_MAX_OVER_MEAN)),
+    },
+    "rmse": {
+        "eta_grid": _list("0.0625,0.25,0.5,0.75,1.0", _parse_list,
+                          lambda eta: 0.0 < eta <= 1.0, "in (0, 1]"),
+        "eta_snr_db_list": _list("-10,0,10", _parse_list, *_SNR),
+    },
+    "quant": {
+        "bits": _list("1,2,3,4,5,6,7,8", partial(_parse_list, conv=int),
+                      lambda b: 1 <= b <= MAX_BITS, f"an integer in [1, {MAX_BITS}]"),
+        "n_antennas": _count("32", 2),
+        "n_snapshots": _count("50", 1),
+        "snr_db_list": _list("-10,0,10", _parse_list, *_SNR),
+        "empirical_trials": _count("500", 1),
+    },
+    "mlnn": {
+        "activations": _list("sigmoid,tanh,relu", partial(_parse_list, conv=str),
+                             ACTIVATIONS.__contains__, "one of " + ", ".join(ACTIVATIONS)),
+        "shapes": _list("16|32|64|16,16|32,32|64,64|16,16,16|32,32,32|64,64,64",
+                        _parse_shapes, lambda s: bool(s) and min(s) >= 1,
+                        "a comma list of layer widths of at least 1"),
+        "search_size": _count("8000", 2),
+        "final_ratio": Setting("6", float, lambda v: 5.0 <= v <= 10.0,
+                               "a number in [5, 10]"),
+        "learning_rate": Setting("0.3", float, lambda v: 0.0 <= v < math.inf,
+                                 "a finite nonnegative number"),
+        "batch_size": _count("64", 1),
+        "epochs": _count("40", 1),
+    },
+}
 
 DEFAULT_TRIALS = {
     "roc": 10_000,
@@ -167,17 +191,23 @@ ROC_STREAMS = 1 << 62
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, validated experiment settings."""
+    """Validated experiment settings: the text of every key, and the value
+    ``load_config`` parsed from it."""
 
     experiment: str
     values: dict
-    seed: int
-    trials: int
-    out_dir: str
-    workers: int
+    parsed: dict
 
     def __getitem__(self, key):
         return self.values[key]
+
+    def value(self, key):
+        return self.parsed[key]
+
+    seed = property(lambda self: self.value("run.seed"))
+    trials = property(lambda self: self.value("run.trials"))
+    out_dir = property(lambda self: self.value("run.out"))
+    workers = property(lambda self: self.value("run.workers"))
 
     @property
     def digest(self) -> str:
@@ -187,27 +217,34 @@ class ExperimentConfig:
             f"|{k}={self.values[k]}" for k in sorted(self.values) if k not in skip)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
-    def array_config(self) -> ArrayConfig:
+    def array_config(self, fd_proportion=None) -> ArrayConfig:
+        """The [array] two-layer array, at ``fd_proportion`` if given."""
+        if fd_proportion is None:
+            fd_proportion = self.value("array.fd_proportion")
         return ArrayConfig.two_layer(
-            int(self["array.n_total"]), int(self["array.m_sub"]),
-            float(self["array.fd_proportion"]), float(self["array.spacing"]))
+            self.value("array.n_total"), self.value("array.m_sub"),
+            fd_proportion, self.value("array.spacing"))
 
 
-def _parse_list(text, conv=float):
-    return tuple(conv(x.strip()) for x in str(text).split(",") if x.strip())
-
-
-def _parse_shapes(text):
-    return tuple(_parse_list(s, int) for s in str(text).split("|") if s.strip())
+def _parse(key, setting, text):
+    """``text`` parsed by ``setting`` and checked, else ConfigError."""
+    try:
+        value = setting.parse(text)
+        if setting.check(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} must be {setting.meaning}, got {text!r}")
 
 
 def load_config(experiment: str, path=None, seed=None, out=None,
                 workers=None) -> ExperimentConfig:
-    """Read a sectioned key=value file, apply defaults, reject unknowns."""
+    """Read a sectioned key=value file, apply defaults, reject unknowns,
+    and parse and check every key."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    values = {f"{sec}.{key}": val for sec, keys in SCHEMA.items()
-              for key, val in keys.items()}
+    values = {f"{sec}.{key}": setting.default for sec, keys in SCHEMA.items()
+              for key, setting in keys.items()}
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -233,62 +270,32 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         raise ConfigError("loss-bits does not read [run] trials; its trial "
                           "count is [quant] empirical_trials")
     values["run.trials"] = values["run.trials"] or str(DEFAULT_TRIALS[experiment])
-    try:
-        seed_val = int(values["run.seed"])
-        num = {key: conv(values[key]) for key, conv, _, _ in BOUNDS}
-        bits = _parse_list(values["quant.bits"], int)
-        eta_grid = _parse_list(values["rmse.eta_grid"])
-        snr_lists = {key: _parse_list(values[key]) for key in SNR_LISTS}
-        shapes = _parse_shapes(values["mlnn.shapes"])
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}") from None
-    for key, _, accept, meaning in BOUNDS:
-        if not accept(num[key]):
-            raise ConfigError(f"{key} must be {meaning}, got {values[key]}")
-    # an empty curve list would run no curve point, or only the
-    # unquantized rows of loss-bits, which compare a column with itself
-    for key, items in (*snr_lists.items(), ("rmse.eta_grid", eta_grid),
-                       ("quant.bits", bits)):
-        if not items:
-            raise ConfigError(f"{key} must list at least one value")
-    for key, snrs in snr_lists.items():
-        if not all(map(math.isfinite, snrs)):
-            raise ConfigError(f"{key} values must be finite, got {values[key]}")
-    if values["scenario.signal_model"] not in (CONSTANT_MODULUS, GAUSSIAN):
-        raise ConfigError(f"unknown signal model {values['scenario.signal_model']!r}")
-    if values["detect.glrt_form"] not in (GLRT_MAX_OVER_MEAN, GLRT_SPHERICITY):
-        raise ConfigError(f"unknown GLRT form {values['detect.glrt_form']!r}")
-    if not all(1 <= b <= MAX_BITS for b in bits):
-        raise ConfigError(f"quant bits must be integers in [1, {MAX_BITS}], "
-                          f"got {values['quant.bits']}")
-    if not all(0.0 < eta <= 1.0 for eta in eta_grid):
-        raise ConfigError("eta grid values must lie in (0, 1]")
-    activations = _parse_list(values["mlnn.activations"], str)
-    if not activations or not set(activations) <= set(ACTIVATIONS):
-        raise ConfigError(f"mlnn.activations must be drawn from {ACTIVATIONS}, "
-                          f"got {values['mlnn.activations']!r}")
-    if not shapes or not all(shape and min(shape) >= 1 for shape in shapes):
-        raise ConfigError("mlnn.shapes must be positive layer widths, got "
-                          f"{values['mlnn.shapes']!r}")
+    parsed = {f"{sec}.{key}": _parse(f"{sec}.{key}", setting,
+                                     values[f"{sec}.{key}"])
+              for sec, keys in SCHEMA.items() for key, setting in keys.items()}
     floor = TAIL_SCORES / min(THRESHOLD_FAPS)  # for the thresholds' H0 scores
-    if experiment == "train-mlnn" and num["run.trials"] < floor:
+    if experiment == "train-mlnn" and parsed["run.trials"] < floor:
         raise ConfigError(f"train-mlnn needs run.trials of at least "
                           f"{math.ceil(floor)}, got {values['run.trials']}")
-    values["run.trials"] = str(num["run.trials"])
-    config = ExperimentConfig(experiment, values, seed_val, num["run.trials"],
-                              values["run.out"], num["run.workers"])
+    values["run.trials"] = str(parsed["run.trials"])
+    config = ExperimentConfig(experiment, values, parsed)
     # the subarray partition couples several keys, so only the arrays built
     # from all of them can tell whether they fit together
     try:
         cfg = config.array_config()
-        etas = [ArrayConfig.two_layer(num["array.n_total"], num["array.m_sub"],
-                                      eta, num["array.spacing"])
-                for eta in (eta_grid if experiment == "rmse-eta" else ())]
+        etas = [config.array_config(eta) for eta in
+                (parsed["rmse.eta_grid"] if experiment == "rmse-eta" else ())]
     except ValueError as exc:
         raise ConfigError(f"[array] settings do not fit together: {exc}") from None
     # so do the estimators' needs, which would otherwise fail in a trial
     if experiment == "rmse-snr":
         _check_estimators(cfg, eliminators=True)
+        theta = parsed["scenario.theta_deg"]
+        if not broadside_gain_ok(cfg, math.sin(math.radians(theta))):
+            raise ConfigError(
+                f"scenario.theta_deg must leave the broadside analog beam "
+                f"its gain, got {values['scenario.theta_deg']!r}, which sits "
+                f"in a null of the {cfg.m_sub}-antenna subarrays")
     for arr in etas:
         _check_estimators(arr, eliminators=False)
     return config
@@ -353,9 +360,9 @@ def _pool(workers):
             yield _Pool(pool.map, workers)
 
 
-def _monte_carlo(block_fn, points, n, seed, pool, trial_size, offset=0):
-    """Per curve point ``params`` of ``points``, the rows of
-    ``block_fn(params, streams)`` for the ``TrialStreams`` of trials
+def _monte_carlo(kernel, points, n, seed, pool, trial_size, offset=0):
+    """Per curve point ``args`` of ``points``, the rows of
+    ``kernel(*args, streams)`` for the ``TrialStreams`` of trials
     [offset, offset + n) at ``seed``.
 
     Each point's trials are split into ranges of trial indices, one block
@@ -370,47 +377,50 @@ def _monte_carlo(block_fn, points, n, seed, pool, trial_size, offset=0):
     k = max(pool.workers, math.ceil(n / per_block))
     bounds = [offset + n * i // k for i in range(k + 1)]
     blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    tasks = [(params, trials) for params in points for trials in blocks]
-    rows = list(pool.map(partial(_run_block, block_fn, seed), tasks))
+    tasks = [(args, trials) for args in points for trials in blocks]
+    rows = list(pool.map(partial(_run_block, kernel, seed), tasks))
     return [np.concatenate(rows[i:i + len(blocks)])
             for i in range(0, len(rows), len(blocks))]
 
 
-def _run_block(block_fn, seed, task):
+def _run_block(kernel, seed, task):
     """One task of ``_monte_carlo``: a curve point's block of trials."""
-    params, trials = task
-    return block_fn(params, TrialStreams(seed, trials))
+    args, trials = task
+    return kernel(*args, TrialStreams(seed, trials))
 
 
 def _rms(x) -> float:
     return float(np.sqrt(np.mean(x ** 2)))
 
 
-def _detection_block(params, streams):
-    n_total, l_snapshots, snr_db, hypothesis = params
-    # the eigenvalue law does not depend on the direction (trial_eigs), so
-    # every emitter sits at broadside
-    if hypothesis == 0:
-        scen = EmitterScenario.noise_only(l_snapshots)
-    else:
-        scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots)
-    return trial_eigs(ArrayConfig.fully_digital(n_total), scen, streams)
+def _emitter(config, snr_db, n_snapshots):
+    """The [scenario] emitter at ``snr_db`` over ``n_snapshots``."""
+    return EmitterScenario.single_emitter(
+        config.value("scenario.theta_deg"), snr_db, n_snapshots,
+        signal_model=config.value("scenario.signal_model"))
 
 
 def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
-                   workers=1, offset=0):
+                   workers=1, offset=0, signal_model=CONSTANT_MODULUS):
     """Eigenvalue matrix for H0 or H1 detection trials (one stream each).
 
     ``workers`` is a process count or a run's ``_Pool``.  A block holds
     each trial's ``n_total`` eigenvalues; no snapshots are drawn.
     """
-    params = (n_total, l_snapshots, snr_db, hypothesis)
+    # the eigenvalue law does not depend on the direction (trial_eigs), so
+    # every emitter sits at broadside
+    if hypothesis == 0:
+        scen = EmitterScenario.noise_only(l_snapshots)
+    else:
+        scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots,
+                                              signal_model=signal_model)
     with _pool(workers) as pool:
-        return _monte_carlo(_detection_block, [params], n_trials, seed, pool,
-                            n_total, offset)[0]
+        return _monte_carlo(trial_eigs, [(ArrayConfig.fully_digital(n_total), scen)],
+                            n_trials, seed, pool, n_total, offset)[0]
 
 
-def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
+def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1,
+                                   signal_model=CONSTANT_MODULUS):
     """Factory(n, seed) -> balanced TrainingSet of normalized eig features."""
 
     def factory(n_examples, seed):
@@ -419,7 +429,7 @@ def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
         e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed,
                             workers)
         e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed,
-                            workers, offset=n_h0)
+                            workers, offset=n_h0, signal_model=signal_model)
         feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
         return TrainingSet(feats, labels)
@@ -431,19 +441,18 @@ def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1):
 
 def train_mlnn_model(config: ExperimentConfig, workers=None):
     """Three-stage selection + final training per the [mlnn] settings."""
-    n_total = int(config["array.n_total"])
-    l_snap = int(config["scenario.n_snapshots"])
-    snr_db = float(config["scenario.snr_db"])
+    v = config.value
+    n_total, l_snap = v("array.n_total"), v("scenario.n_snapshots")
+    snr_db = v("scenario.snr_db")
     factory = make_detection_dataset_factory(
-        n_total, l_snap, snr_db, workers or config.workers)
-    shapes = _parse_shapes(config["mlnn.shapes"])
-    hyper = Hyper(float(config["mlnn.learning_rate"]),
-                  int(config["mlnn.batch_size"]),
-                  int(config["mlnn.epochs"]), config.seed)
+        n_total, l_snap, snr_db, workers or config.workers,
+        v("scenario.signal_model"))
+    # select_architecture seeds every fit itself
+    hyper = Hyper(v("mlnn.learning_rate"), v("mlnn.batch_size"),
+                  v("mlnn.epochs"))
     model, report = select_architecture(
-        _parse_list(config["mlnn.activations"], str), shapes, factory,
-        config.seed, hyper, int(config["mlnn.search_size"]),
-        float(config["mlnn.final_ratio"]))
+        v("mlnn.activations"), v("mlnn.shapes"), factory, config.seed, hyper,
+        v("mlnn.search_size"), v("mlnn.final_ratio"))
     model.metadata = dict(model.metadata, operating_point=dict(
         n_total=n_total, l_snapshots=l_snap, snr_db=snr_db))
     return model, report
@@ -452,9 +461,9 @@ def train_mlnn_model(config: ExperimentConfig, workers=None):
 def run_roc(config: ExperimentConfig, model=None):
     """ROC CSV for GLRT, R-MaxEV-MinEV, and the MLNN on paired realizations,
     drawn from the streams at ``ROC_STREAMS`` onwards."""
-    n_total = int(config["array.n_total"])
-    l_snap = int(config["scenario.n_snapshots"])
-    snr_db = float(config["scenario.snr_db"])
+    n_total = config.value("array.n_total")
+    l_snap = config.value("scenario.n_snapshots")
+    snr_db = config.value("scenario.snr_db")
     trials = config.trials
     if model is not None and model.layer_sizes[0] != n_total:
         raise ConfigError(f"the model takes {model.layer_sizes[0]} eigenvalues "
@@ -465,8 +474,9 @@ def run_roc(config: ExperimentConfig, model=None):
         e0 = detection_eigs(n_total, l_snap, snr_db, 0, trials, config.seed,
                             pool, offset=ROC_STREAMS)
         e1 = detection_eigs(n_total, l_snap, snr_db, 1, trials, config.seed,
-                            pool, offset=ROC_STREAMS + trials)
-    glrt_form = config["detect.glrt_form"]
+                            pool, offset=ROC_STREAMS + trials,
+                            signal_model=config.value("scenario.signal_model"))
+    glrt_form = config.value("detect.glrt_form")
     scores = {}
     for tag, eigs in (("h0", e0), ("h1", e1)):
         scores[tag] = {
@@ -488,48 +498,43 @@ def run_roc(config: ExperimentConfig, model=None):
 
 # --- rmse ------------------------------------------------------------------
 
-def _rmse_block(params, streams):
-    """Paired DOA errors (degrees) at one SNR point, one column per method.
+def _rmse_block(cfg, scen, methods, streams):
+    """Paired DOA errors (degrees) at one curve point, one column per
+    method.
 
-    The classic and fast eliminators see the HAD subsystem of the
-    configured array and one snapshot; the two-layer estimator sees the
-    full array and the configured snapshot count.  Each method runs over
-    the whole block at once.  All methods share the trial stream, so
-    snapshot realizations are paired: the eliminators read each stream in
-    one pass, and the two-layer estimator reads it again from its start.
+    The classic and fast eliminators see the HAD subsystem of ``cfg`` and
+    one snapshot of ``scen``; the two-layer estimator sees the full array
+    and every snapshot.  Each method runs over the whole block at once.
+    All methods share the trial stream, so snapshot realizations are
+    paired: the eliminators read each stream in one pass, and the
+    two-layer estimator reads it again from its start.
     """
-    cfg, theta_deg, snr_db, t_snap, signal_model, methods = params
     u = {}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
         cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
-        scen = EmitterScenario.single_emitter(theta_deg, snr_db, 1,
-                                              signal_model=signal_model)
         classic, fast = had_eliminator_rows(cfg_had, scen, streams)
         u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
     if METHOD_TLHAD in methods:
-        scen = EmitterScenario.single_emitter(theta_deg, snr_db, t_snap,
-                                              signal_model=signal_model)
         u[METHOD_TLHAD] = tlhad_estimate_rows(cfg, scen, streams)[0]
     errors = np.empty((len(streams), len(methods)))
     for j, m in enumerate(methods):
-        errors[:, j] = np.degrees(np.arcsin(u[m])) - theta_deg
+        errors[:, j] = np.degrees(np.arcsin(u[m])) - scen.directions_deg[0]
     return errors
 
 
-def _rmse_curve(config, points, theta_deg, methods, pool):
+def _rmse_curve(config, points, methods, pool):
     """Per curve point (cfg, snr_db) of ``points``, the RMSE of each method
     in degrees, from one Monte Carlo map over all points."""
-    t_snap = int(config["scenario.t_snapshots"])
-    params = [(cfg, theta_deg, snr_db, t_snap,
-               config["scenario.signal_model"], methods)
-              for cfg, snr_db in points]
+    t_snap = config.value("scenario.t_snapshots")
+    tasks = [(cfg, _emitter(config, snr_db, t_snap), methods)
+             for cfg, snr_db in points]
     # the samples a trial holds at once: the two-layer estimator's
     # snapshots, or the eliminators' broadside and candidate snapshots
     sizes = [cfg.n_total * t_snap for cfg, _ in points]
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
         sizes += [cfg.n_had * (1 + max_candidates(cfg.m_sub, cfg.spacing))
                   for cfg, _ in points]
-    errors = _monte_carlo(_rmse_block, params, config.trials, config.seed,
+    errors = _monte_carlo(_rmse_block, tasks, config.trials, config.seed,
                           pool, max(sizes))
     return [{m: _rms(e[:, j]) for j, m in enumerate(methods)} for e in errors]
 
@@ -537,16 +542,13 @@ def _rmse_curve(config, points, theta_deg, methods, pool):
 def run_rmse_snr(config: ExperimentConfig):
     """RMSE versus SNR for the three estimators, with CRLB benchmark columns."""
     cfg = config.array_config()
-    theta = float(config["scenario.theta_deg"])
-    t_snap = int(config["scenario.t_snapshots"])
-    if not broadside_gain_ok(cfg, math.sin(math.radians(theta))):
-        raise ConfigError(
-            f"theta={theta} sits in a broadside analog null; pick another angle")
+    theta = config.value("scenario.theta_deg")
+    t_snap = config.value("scenario.t_snapshots")
     cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
     methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
-    snrs = _parse_list(config["scenario.snr_db_list"])
+    snrs = config.value("scenario.snr_db_list")
     with _pool(config.workers) as pool:
-        curve = _rmse_curve(config, [(cfg, snr_db) for snr_db in snrs], theta,
+        curve = _rmse_curve(config, [(cfg, snr_db) for snr_db in snrs],
                             methods, pool)
     rows = []
     for snr_db, rmse in zip(snrs, curve):
@@ -570,21 +572,18 @@ def run_rmse_snr(config: ExperimentConfig):
 
 def run_rmse_eta(config: ExperimentConfig):
     """Two-layer RMSE and bound versus FD proportion, per SNR."""
-    n_total = int(config["array.n_total"])
-    m_sub = int(config["array.m_sub"])
-    spacing = float(config["array.spacing"])
-    theta = float(config["scenario.theta_deg"])
-    t_snap = int(config["scenario.t_snapshots"])
+    theta = config.value("scenario.theta_deg")
+    t_snap = config.value("scenario.t_snapshots")
     points = []
-    for eta in _parse_list(config["rmse.eta_grid"]):
-        cfg = ArrayConfig.two_layer(n_total, m_sub, eta, spacing)
+    for eta in config.value("rmse.eta_grid"):
+        cfg = config.array_config(eta)
         if abs(cfg.fd_proportion - eta) > 1e-9:
             warnings.warn(f"eta={eta} rounded down to {cfg.fd_proportion}",
                           stacklevel=2)
         points += [(cfg, snr_db)
-                   for snr_db in _parse_list(config["rmse.eta_snr_db_list"])]
+                   for snr_db in config.value("rmse.eta_snr_db_list")]
     with _pool(config.workers) as pool:
-        curve = _rmse_curve(config, points, theta, (METHOD_TLHAD,), pool)
+        curve = _rmse_curve(config, points, (METHOD_TLHAD,), pool)
     rows = []
     for (cfg, snr_db), rmse in zip(points, curve):
         bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2)
@@ -598,17 +597,14 @@ def run_rmse_eta(config: ExperimentConfig):
 
 # --- quantization ----------------------------------------------------------
 
-def _quant_block(params, streams):
+def _quant_block(cfg, scen, bits, streams):
     """Root-MUSIC errors in u at one SNR: one column per bit depth of
     ``bits``, then the unquantized estimate in the last column.  Each
     trial's snapshots are drawn once and the unquantized stack is rooted
     once; every bit depth quantizes that same draw, so the columns are
     paired, and the block's trials are stacked, so every column comes from
     one search."""
-    n_antennas, l_snap, theta_deg, snr_db, bits = params
-    cfg = ArrayConfig.fully_digital(n_antennas)
-    scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
-    u_true = math.sin(math.radians(theta_deg))
+    u_true = math.sin(math.radians(scen.directions_deg[0]))
     x = synthesize_snapshot_rows(cfg, scen, streams)[:, 0]
     u = [root_music_rows(signal_vectors(quantize(x, b)), cfg.spacing)
          for b in bits]
@@ -618,17 +614,16 @@ def _quant_block(params, streams):
 
 def run_loss_bits(config: ExperimentConfig):
     """AQNM loss formula versus bits, with an empirical Root-MUSIC column."""
-    bits_grid = _parse_list(config["quant.bits"], int)
-    n_ant = int(config["quant.n_antennas"])
-    l_snap = int(config["quant.n_snapshots"])
-    theta = float(config["scenario.theta_deg"])
-    emp_trials = int(config["quant.empirical_trials"])
-    snrs = _parse_list(config["quant.snr_db_list"])
-    points = [(n_ant, l_snap, theta, snr_db, tuple(bits_grid))
+    bits_grid = config.value("quant.bits")
+    cfg = ArrayConfig.fully_digital(config.value("quant.n_antennas"))
+    l_snap = config.value("quant.n_snapshots")
+    emp_trials = config.value("quant.empirical_trials")
+    snrs = config.value("quant.snr_db_list")
+    points = [(cfg, _emitter(config, snr_db, l_snap), bits_grid)
               for snr_db in snrs]
     with _pool(config.workers) as pool:
         curve = _monte_carlo(_quant_block, points, emp_trials, config.seed,
-                             pool, n_ant * l_snap)
+                             pool, cfg.n_total * l_snap)
     rows = []
     for snr_db, errors in zip(snrs, curve):
         rmse_u = _rms(errors[:, -1])
@@ -650,13 +645,13 @@ def run_loss_bits(config: ExperimentConfig):
 
 def run_train_mlnn(config: ExperimentConfig):
     """Architecture selection, final training, and threshold calibration."""
-    n_total = int(config["array.n_total"])
-    l_snap = int(config["scenario.n_snapshots"])
     with _pool(config.workers) as pool:
         model, report = train_mlnn_model(config, pool)
         # threshold calibration on fresh H0 validation scores
-        e0 = detection_eigs(n_total, l_snap, float(config["scenario.snr_db"]),
-                            0, config.trials, config.seed + 7, pool)
+        e0 = detection_eigs(config.value("array.n_total"),
+                            config.value("scenario.n_snapshots"),
+                            config.value("scenario.snr_db"), 0, config.trials,
+                            config.seed + 7, pool)
     scores = forward(model, eig_features(e0))
     thresholds = {fap: decision_threshold(scores, fap) for fap in THRESHOLD_FAPS}
     model.metadata = dict(model.metadata, thresholds={

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -321,10 +322,13 @@ class TestStackedBlocks:
         ids=["p12-0dB-2bit", "p12-minus10dB-1bit", "p32-t50-3bit",
              "p12-t1-minus10dB", "p8-unquantized"])
     def test_quant_block(self, params):
-        whole = harness._quant_block(params, TrialStreams(5, range(30)))
+        n_ant, l_snap, theta, snr_db, bits = params
+        args = (ArrayConfig.fully_digital(n_ant),
+                EmitterScenario.single_emitter(theta, snr_db, l_snap), bits)
+        whole = harness._quant_block(*args, TrialStreams(5, range(30)))
         assert whole.shape == (30, len(params[4]) + 1)
         for bounds in self.SPLITS:
-            parts = [harness._quant_block(params, TrialStreams(5, range(a, b)))
+            parts = [harness._quant_block(*args, TrialStreams(5, range(a, b)))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         # one bit depth per block is the oracle, bit for bit: every bit
@@ -349,11 +353,11 @@ class TestStackedBlocks:
     @pytest.mark.parametrize("spacing,snr_db", [(0.5, 10.0), (0.6, -10.0)])
     def test_rmse_block(self, spacing, snr_db):
         cfg = ArrayConfig.two_layer(40, 4, 0.2, spacing)
-        params = (cfg, 15.0, snr_db, 1, "constant-modulus",
-                  ("had-root-music", "fhad-root-music", "tlhad"))
-        whole = harness._rmse_block(params, TrialStreams(6, range(30)))
+        args = (cfg, EmitterScenario.single_emitter(15.0, snr_db, 1),
+                ("had-root-music", "fhad-root-music", "tlhad"))
+        whole = harness._rmse_block(*args, TrialStreams(6, range(30)))
         for bounds in self.SPLITS:
-            parts = [harness._rmse_block(params, TrialStreams(6, range(a, b)))
+            parts = [harness._rmse_block(*args, TrialStreams(6, range(a, b)))
                      for a, b in zip(bounds[:-1], bounds[1:])]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         # with a fresh trial_rng per trial and method, bit for bit
@@ -404,20 +408,25 @@ class TestBlockDraws:
         # eliminators together, and once by the two-layer estimator
         opened = _record_streams(monkeypatch)
         cfg = ArrayConfig.two_layer(64, 4, 0.25)
-        harness._rmse_block((cfg, 15.0, 5.0, 1, "constant-modulus", methods),
-                            TrialStreams(3, range(10, 22)))
+        harness._rmse_block(cfg, EmitterScenario.single_emitter(15.0, 5.0, 1),
+                            methods, TrialStreams(3, range(10, 22)))
         passes = 2 if "had-root-music" in methods else 1
         assert opened == passes * [(3, i) for i in range(10, 22)]
 
     @pytest.mark.parametrize("block", [
         lambda trials: harness._rmse_block(
-            (ArrayConfig.two_layer(64, 4, 0.25), 15.0, 5.0, 1,
-             "constant-modulus", ("had-root-music", "fhad-root-music",
-                                  "tlhad")), TrialStreams(3, trials)),
-        lambda trials: harness._quant_block((8, 20, 15.0, 0.0, (3,)),
-                                            TrialStreams(3, trials)),
-        lambda trials: harness._detection_block((16, 20, -5.0, 1),
-                                                TrialStreams(3, trials)),
+            ArrayConfig.two_layer(64, 4, 0.25),
+            EmitterScenario.single_emitter(15.0, 5.0, 1),
+            ("had-root-music", "fhad-root-music", "tlhad"),
+            TrialStreams(3, trials)),
+        lambda trials: harness._quant_block(
+            ArrayConfig.fully_digital(8),
+            EmitterScenario.single_emitter(15.0, 0.0, 20), (3,),
+            TrialStreams(3, trials)),
+        lambda trials: harness.trial_eigs(
+            ArrayConfig.fully_digital(16),
+            EmitterScenario.single_emitter(0.0, -5.0, 20),
+            TrialStreams(3, trials)),
     ], ids=["rmse", "quant", "detect"])
     def test_no_generator_built_per_trial(self, monkeypatch, block):
         # a block re-keys the one generator of its streams: it builds at
@@ -436,8 +445,10 @@ class TestBlockDraws:
             assert len(built) <= 1
 
     def test_quant_block_stacked(self):
-        assert harness._quant_block((8, 20, 15.0, 0.0, (3,)),
-                                    TrialStreams(3, range(5))).shape == (5, 2)
+        assert harness._quant_block(
+            ArrayConfig.fully_digital(8),
+            EmitterScenario.single_emitter(15.0, 0.0, 20), (3,),
+            TrialStreams(3, range(5))).shape == (5, 2)
 
     def test_loss_bits_one_draw_per_snr(self, tmp_path, monkeypatch):
         # every bit depth of an SNR quantizes the same draw, so each trial's
@@ -568,15 +579,16 @@ BLOCK_PLAN_CASES = dict(INVARIANCE_CASES, **{"rmse-snr": (
 
 
 def _mapped_points(monkeypatch):
-    """Record every block the harness maps, as (params, seed, trials), with
+    """Record every block the harness maps, as (args, seed, trials), with
     the worker pool mapped in-process so every worker count is seen, and
     return a function that groups them into curve points: per params and
     seed, each run of contiguous trial ranges is one point's blocks."""
     blocks = []
-    for name in ("_rmse_block", "_quant_block", "_detection_block"):
-        def recorded(params, streams, block_fn=getattr(harness, name)):
+    for name in ("_rmse_block", "_quant_block", "trial_eigs"):
+        def recorded(*args, block_fn=getattr(harness, name)):
+            *params, streams = args
             blocks.append((repr(params), streams.seed, streams.trials))
-            return block_fn(params, streams)
+            return block_fn(*args)
 
         monkeypatch.setattr(harness, name, recorded)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
@@ -617,9 +629,9 @@ def test_block_plan_splits_over_budget(tmp_path, monkeypatch):
     # is over one block's sample budget, so even one worker splits it
     blocks = []
 
-    def recorded(params, streams):
+    def recorded(cfg, scen, bits, streams):
         blocks.append(streams.trials)
-        return np.ones((len(streams), len(params[-1]) + 1))
+        return np.ones((len(streams), len(bits) + 1))
 
     monkeypatch.setattr(harness, "_quant_block", recorded)
     config = load_config("loss-bits", out=str(tmp_path))
@@ -714,6 +726,8 @@ class TestCli:
         ("loss-bits", "[quant]\nsnr_db_list =\n"),
         ("loss-bits", "[quant]\nbits =\n"),
         ("loss-bits", "[run]\ntrials = 100\n"),
+        # sin(30 deg) = 0.5 is the broadside-beam null for M = 4, d = 0.5
+        ("rmse-snr", "[scenario]\ntheta_deg = 30\n"),
     ], ids=["bits-zero", "bits-fraction", "no-empirical-trials", "eta-above-one",
             "m-sub-zero", "fd-proportion-two", "spacing-zero", "no-t-snapshots",
             "no-n-snapshots", "one-antenna", "no-quant-snapshots",
@@ -729,7 +743,7 @@ class TestCli:
             "one-subarray", "eta-fd-block-under-two", "bits-twenty",
             "bits-sixty-four", "snr-list-empty", "eta-grid-empty",
             "eta-snr-list-empty", "quant-snr-list-empty", "bits-empty",
-            "loss-bits-run-trials"])
+            "loss-bits-run-trials", "theta-analog-null"])
     def test_bad_setting_exit_code(self, tmp_path, capsys, experiment, text):
         # a case that sets [run] itself, or runs loss-bits, which reads no
         # [run] trials, goes without the trial-count prefix
@@ -777,21 +791,58 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
 
+EVERY_EXPERIMENT = dict(INVARIANCE_CASES, **{"rmse-snr": (SMALL_RMSE, ())})
+
+
 def test_every_config_key_is_read(tmp_path, monkeypatch):
     # a key that no experiment reads would change only the digest
     read = set()
-    getitem = ExperimentConfig.__getitem__
+    value = ExperimentConfig.value
 
     def recording(self, key):
         read.add(key)
-        return getitem(self, key)
+        return value(self, key)
 
-    monkeypatch.setattr(ExperimentConfig, "__getitem__", recording)
-    cases = dict(INVARIANCE_CASES, **{"rmse-snr": (SMALL_RMSE, ())})
-    for experiment, (text, _) in cases.items():
+    monkeypatch.setattr(ExperimentConfig, "value", recording)
+    for experiment, (text, _) in EVERY_EXPERIMENT.items():
         cfg_path = _write_config(tmp_path / f"{experiment}.ini", text)
         run_experiment(load_config(experiment, cfg_path,
                                    out=str(tmp_path / experiment)))
     keys = {f"{sec}.{key}" for sec, section in SCHEMA.items() if sec != "run"
             for key in section}
     assert keys - read == set()
+
+
+def test_runs_read_no_config_text(tmp_path, monkeypatch):
+    # load_config parses every key once; a run that parsed a key's text
+    # again could read it differently from the check
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", lambda self, key:
+                        pytest.fail(f"a run read the text of {key}"))
+    for experiment, (text, _) in EVERY_EXPERIMENT.items():
+        cfg_path = _write_config(tmp_path / f"{experiment}.ini", text)
+        run_experiment(load_config(experiment, cfg_path,
+                                   out=str(tmp_path / experiment)))
+
+
+@pytest.mark.parametrize("experiment,text,output", [
+    ("roc", "[run]\ntrials = 200\n[array]\nn_total = 16\n[scenario]\n"
+            "snr_db = -5\nn_snapshots = 32\n", "roc.csv"),
+    ("train-mlnn", SMALL_MLNN, "mlnn_report.csv"),
+    ("loss-bits", "[scenario]\n" + SMALL_BITS, "loss_bits.csv"),
+], ids=["roc", "train-mlnn", "loss-bits"])
+def test_signal_model_changes_numbers(tmp_path, experiment, text, output):
+    # a Gaussian signal changes the curve at the same seed, not just the
+    # config digest
+    numbers = {}
+    for model in ("constant-modulus", "gaussian"):
+        cfg_path = _write_config(tmp_path / f"{model}.ini", text.replace(
+            "[scenario]\n", f"[scenario]\nsignal_model = {model}\n"))
+        config = load_config(experiment, cfg_path, out=str(tmp_path / model))
+        if experiment == "roc":  # one fixed network for both signals
+            run_roc(config, model=init_model((16, 4, 1), ("sigmoid",), 0))
+        else:
+            run_experiment(config)
+        with open(tmp_path / model / output, newline="") as fh:
+            numbers[model] = [{k: v for k, v in row.items() if k != "digest"}
+                              for row in csv.DictReader(fh)]
+    assert numbers["constant-modulus"] != numbers["gaussian"]
