@@ -447,7 +447,6 @@ def train_mlnn_model(config: ExperimentConfig, workers=None):
     factory = make_detection_dataset_factory(
         n_total, l_snap, snr_db, workers or config.workers,
         v("scenario.signal_model"))
-    # select_architecture seeds every fit itself
     hyper = Hyper(v("mlnn.learning_rate"), v("mlnn.batch_size"),
                   v("mlnn.epochs"))
     model, report = select_architecture(

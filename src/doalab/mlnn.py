@@ -23,27 +23,13 @@ MODEL_FORMAT_VERSION = 1
 SIGMOID = "sigmoid"
 TANH = "tanh"
 RELU = "relu"
-ACTIVATIONS = (SIGMOID, TANH, RELU)
-
-
-def _act(z, kind):
-    if kind == SIGMOID:
-        return expit(z)
-    if kind == TANH:
-        return np.tanh(z)
-    if kind == RELU:
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _act_grad(z, a, kind):
-    if kind == SIGMOID:
-        return a * (1.0 - a)
-    if kind == TANH:
-        return 1.0 - a * a
-    if kind == RELU:
-        return (z > 0.0).astype(float)
-    raise ValueError(f"unknown activation {kind!r}")
+# each activation's function of z and derivative from (z, its value a)
+_ACTIVATIONS = {
+    SIGMOID: (expit, lambda z, a: a * (1.0 - a)),
+    TANH: (np.tanh, lambda z, a: 1.0 - a * a),
+    RELU: (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(float)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 @dataclass
@@ -120,11 +106,10 @@ def _layers(model, x):
     pre-standardized rows ``x``: ``acts[0]`` is ``x``, ``acts[-1][:, 0]``
     the scores."""
     zs, acts = [], [x]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        kind = model.activations[i] if i < len(model.activations) else SIGMOID
-        zs.append(z)
-        acts.append(_act(z, kind))
+    kinds = (*model.activations, SIGMOID)
+    for w, b, kind in zip(model.weights, model.biases, kinds):
+        zs.append(acts[-1] @ w.T + b)
+        acts.append(_ACTIVATIONS[kind][0](zs[-1]))
     return zs, acts
 
 
@@ -146,16 +131,16 @@ def _forward_backward(model, x, y):
     rows."""
     zs, acts = _layers(model, x)
     score = acts[-1][:, 0]
-    # d loss / d z_out via sigmoid derivative
-    delta = (2.0 / len(y)) * (score - y)[:, None] * _act_grad(
-        zs[-1], acts[-1], SIGMOID)
+    kinds = (*model.activations, SIGMOID)
+    # d loss / d score, turned into d loss / d z at each layer
+    delta = (2.0 / len(y)) * (score - y)[:, None]
     grads_w, grads_b = [], []
     for i in range(len(model.weights) - 1, -1, -1):
+        delta = delta * _ACTIVATIONS[kinds[i]][1](zs[i], acts[i + 1])
         grads_w.append(delta.T @ acts[i])
         grads_b.append(delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ model.weights[i]) * _act_grad(
-                zs[i - 1], acts[i], model.activations[i - 1])
+            delta = delta @ model.weights[i]
     return _mse(score, y), grads_w[::-1], grads_b[::-1]
 
 
@@ -186,7 +171,6 @@ class Hyper:
     learning_rate: float = 0.3
     batch_size: int = 64
     epochs: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
@@ -207,21 +191,20 @@ def eig_features(eigs) -> np.ndarray:
     return eigs / total
 
 
-def train(model: MlnnModel, data: TrainingSet, hyper: Hyper):
+def train(model: MlnnModel, data: TrainingSet, hyper: Hyper, seed: int):
     """Mini-batch SGD on MSE; returns (model, loss_history).
 
-    Deterministic given the hyperparameter seed.  Weights are updated in
-    place on a copied model; the input model is left untouched.
+    Deterministic given ``seed``.  Weights are updated in place on a
+    copied model; the input model is left untouched.
     """
     if not len(data):
         raise ValueError("empty training set")
-    out = MlnnModel(model.layer_sizes, model.activations,
-                    [w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                    model.input_center, model.input_scale, dict(model.metadata))
+    out = replace(model, weights=[w.copy() for w in model.weights],
+                  biases=[b.copy() for b in model.biases],
+                  metadata=dict(model.metadata))
     x_all = _standardize(out, data.features)
     y_all = data.labels
-    rng = trial_rng(hyper.seed)
+    rng = trial_rng(seed)
     history = []
     lr = hyper.learning_rate
     n = len(data)
@@ -242,7 +225,7 @@ def train(model: MlnnModel, data: TrainingSet, hyper: Hyper):
     out.metadata = dict(out.metadata, loss_history=history,
                         hyper=dict(learning_rate=hyper.learning_rate,
                                    batch_size=hyper.batch_size,
-                                   epochs=hyper.epochs, seed=hyper.seed,
+                                   epochs=hyper.epochs, seed=seed,
                                    loss="mse"),
                         n_examples=n)
     return out, history
@@ -257,6 +240,18 @@ def standardization_from(data: TrainingSet):
 
 
 STAGE1_SHAPE = (32,)
+
+
+def _first_best(losses):
+    """Index of the lowest loss, the first of equal ones; a NaN loss never
+    wins."""
+    best, best_loss = None, math.inf
+    for i, loss in enumerate(losses):
+        if loss < best_loss:
+            best, best_loss = i, loss
+    if best is None:
+        raise TrainingError("no candidate reached a finite validation loss")
+    return best
 
 
 def select_architecture(candidate_activations, candidate_shapes,
@@ -288,53 +283,44 @@ def select_architecture(candidate_activations, candidate_shapes,
     n_features = train_set.features.shape[1]
     report = []
 
-    def fit(shape, act, fit_data, fit_seed):
-        sizes = (n_features, *shape, 1)
-        model = init_model(sizes, (act,) * len(shape), fit_seed, center, scale)
-        return train(model, fit_data, replace(hyper, seed=fit_seed))
-
-    def val_loss(model):
+    def fit(stage, shape, activation, data, fit_seed, **report_fields):
+        """Train, score and report one candidate; returns (model, loss)."""
+        model = init_model((n_features, *shape, 1), (activation,) * len(shape),
+                           fit_seed, center, scale)
+        model, _ = train(model, data, hyper, fit_seed)
         # no backward pass, and not through ``forward``, whose rows count
         # detector scoring in the benchmark's trace
         x = _standardize(model, val_set.features)
-        return _mse(_layers(model, x)[1][-1][:, 0], val_set.labels)
+        loss = _mse(_layers(model, x)[1][-1][:, 0], val_set.labels)
+        report.append(dict(stage=stage, activation=activation, shape=shape,
+                           val_loss=loss, **report_fields))
+        return model, loss
 
     # stage 1: activation on a small default shape
-    stage1_shape = STAGE1_SHAPE if STAGE1_SHAPE in candidate_shapes else candidate_shapes[0]
-    best_act, best_val = None, math.inf
-    for i, act in enumerate(candidate_activations):
-        model, _ = fit(stage1_shape, act, train_set, seed + 10 + i)
-        val = val_loss(model)
-        report.append(dict(stage=1, activation=act, shape=stage1_shape, val_loss=val))
-        if val < best_val:
-            best_act, best_val = act, val
+    shape1 = STAGE1_SHAPE if STAGE1_SHAPE in candidate_shapes else candidate_shapes[0]
+    losses = [fit(1, shape1, act, train_set, seed + 10 + i)[1]
+              for i, act in enumerate(candidate_activations)]
+    activation = candidate_activations[_first_best(losses)]
 
     # stage 2: depth and width with the chosen activation
-    best_shape, best_val = None, math.inf
-    for i, shape in enumerate(candidate_shapes):
-        model, _ = fit(shape, best_act, train_set, seed + 100 + i)
-        val = val_loss(model)
-        report.append(dict(stage=2, activation=best_act, shape=shape, val_loss=val))
-        if val < best_val:
-            best_shape, best_val = shape, val
+    losses = [fit(2, shape, activation, train_set, seed + 100 + i)[1]
+              for i, shape in enumerate(candidate_shapes)]
+    shape = candidate_shapes[_first_best(losses)]
 
     # stage 3: final fit on a dataset sized by the winner's weight count
-    sizes = (n_features, *best_shape, 1)
-    n_weights = init_model(sizes, (best_act,) * len(best_shape), 0).n_weights
-    final_size = int(final_ratio * n_weights)
-    final_set = dataset_factory(final_size, seed + 1000)
+    sizes = (n_features, *shape, 1)
+    n_weights = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    final_set = dataset_factory(int(final_ratio * n_weights), seed + 1000)
     ratio = len(final_set) / n_weights
     if not 5.0 <= ratio <= 10.0:
         raise TrainingError(
             f"final dataset ratio {ratio:.2f} outside the 5-10x rule")
-    model, history = fit(best_shape, best_act, final_set, seed + 2000)
-    val = val_loss(model)
-    report.append(dict(stage=3, activation=best_act, shape=best_shape,
-                       val_loss=val, dataset_size=len(final_set),
-                       n_weights=n_weights, dataset_ratio=ratio))
+    model, _ = fit(3, shape, activation, final_set, seed + 2000,
+                   dataset_size=len(final_set), n_weights=n_weights,
+                   dataset_ratio=ratio)
     model.metadata = dict(model.metadata, selection_seed=seed,
-                          dataset_ratio=ratio, activation=best_act,
-                          shape=list(best_shape))
+                          dataset_ratio=ratio, activation=activation,
+                          shape=list(shape))
     return model, report
 
 

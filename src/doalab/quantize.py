@@ -12,6 +12,10 @@ import numpy as np
 from scipy.special import ndtr
 
 _codebook_cache: dict = {}
+# Newton stops once no level is more than _TOL from its centroid, and
+# gives up after _MAX_ITER steps; the cache is keyed by bits alone
+_TOL = 1e-10
+_MAX_ITER = 100
 
 
 def _phi(x):
@@ -37,7 +41,7 @@ def _centroids(c: np.ndarray):
     return m, d_lo, d_hi, prob
 
 
-def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 100):
+def lloyd_max_codebook(bits: int):
     """Optimal levels and distortion for a b-bit scalar Gaussian quantizer.
 
     Returns (levels, thresholds, rho) where ``levels`` are the 2^b
@@ -48,8 +52,7 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 100):
     every threshold the midpoint of its levels) by Newton's method on
     c - centroid(c), from the Gaussian quantile lattice.  Each centroid
     depends only on its own level and its two neighbours, so the Jacobian
-    is tridiagonal.  Stops once no level is more than ``tol`` from its
-    centroid.
+    is tridiagonal.
     """
     if not (float(bits).is_integer() and bits >= 1):
         raise ValueError(f"bits must be a whole number >= 1, got {bits}")
@@ -62,11 +65,11 @@ def lloyd_max_codebook(bits: int, tol: float = 1e-10, max_iter: int = 100):
     n = 1 << bits
     c = np.sqrt(2.0) * erfinv(2.0 * (np.arange(n) + 0.5) / n - 1.0)
     jac = np.zeros((3, n))  # banded: super-, main and subdiagonal
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         c = (c - c[::-1]) / 2.0  # the exact codebook is odd-symmetric
         m, d_lo, d_hi, prob = _centroids(c)
         resid = c - m
-        if np.max(np.abs(resid)) < tol:
+        if np.max(np.abs(resid)) < _TOL:
             break
         jac[0, 1:] = -d_hi[:-1] / 2.0
         jac[1] = 1.0 - (d_lo + d_hi) / 2.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import doalab.quantize as quantize_module
 from doalab.quantize import (
     distortion_factor,
     effective_snr,
@@ -83,9 +84,21 @@ class TestLloydMax:
             assert abs(c - centroid) <= 1e-10
         assert 0.0 < rho < 1.0
 
-    def test_unconverged_solve_raises(self):
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(quantize_module, "_codebook_cache", {})
+        monkeypatch.setattr(quantize_module, "_MAX_ITER", 1)
         with pytest.raises(ArithmeticError):
-            lloyd_max_codebook(9, max_iter=1)
+            lloyd_max_codebook(9)
+
+    def test_unconverged_solve_raises_with_codebook_built(self, monkeypatch):
+        converged = lloyd_max_codebook(9)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantize_module, "_codebook_cache", {})
+            patch.setattr(quantize_module, "_MAX_ITER", 1)
+            with pytest.raises(ArithmeticError):
+                lloyd_max_codebook(9)
+        # the failed solve leaves the built codebook in place
+        assert lloyd_max_codebook(9) is converged
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):
