@@ -1,9 +1,16 @@
 """Fisher information and Cramer-Rao lower bounds for FD, HAD, and
 two-layer architectures.
 
-All bounds use the conditional (deterministic-signal) FIM in projection
-form; the closed-form FD ULA expression serves as the test oracle.  Angles
-enter in degrees at the API boundary; bounds are returned in rad^2.
+All bounds use the conditional (deterministic-signal) FIM, with the complex
+gain projected out.  The FD and HAD bounds reduce in closed form to the
+information at broadside, scaled by cos^2(theta) (and by the analog beam's
+power gain for HAD), so each takes a direction or an array of directions.
+``fim_single_source`` on explicit steering vectors and the textbook
+``crlb_fd_closed_form`` serve as the test oracles.  Angles enter in degrees
+at the API boundary; bounds are returned in rad^2, a float for a scalar
+direction and an array of its shape otherwise.  The analog beams sit at
+broadside, the one steering a one-snapshot receiver can arrange before
+knowing the angle.
 """
 
 import math
@@ -34,40 +41,51 @@ def fim_single_source(a_eff: np.ndarray, da_eff: np.ndarray,
     return float(2.0 * t_snapshots * snr_linear * np.real(proj.conj() @ proj))
 
 
-def _crlb_from_fim(j: float) -> float:
-    return 1.0 / j if j > 1e-300 else math.inf
+def _bound(j):
+    """1 / J, infinite where J carries no information; a float for a
+    scalar J."""
+    with np.errstate(divide="ignore"):
+        crlb = np.where(j > 1e-300, 1.0 / j, math.inf)
+    return float(crlb) if crlb.ndim == 0 else crlb
 
 
-def _fd_vectors(n: int, theta_rad: float, spacing: float):
-    u = math.sin(theta_rad)
-    p = np.arange(n)
-    a = np.exp(2j * np.pi * spacing * p * u)
-    da = 2j * np.pi * spacing * p * math.cos(theta_rad) * a
-    return a, da
+def _broadside_fim(n: int, dphase: complex, t_snapshots: int,
+                   snr_db: float) -> float:
+    """Information of an ``n``-channel uniform array at broadside, whose
+    steering-vector derivative is ``dphase`` times the channel index."""
+    return fim_single_source(np.ones(n), dphase * np.arange(n), t_snapshots,
+                             10.0 ** (snr_db / 10.0))
 
 
-def _had_vectors(cfg: ArrayConfig, theta_rad: float, analog_steer_u: float):
-    """Effective K-channel steering vector g(u) b(u) and its theta-derivative."""
-    u = math.sin(theta_rad)
-    d, m, k = cfg.spacing, cfg.m_sub, cfg.k_sub
+def _fd_fim(n_antennas, theta_deg, snr_db, t_snapshots, spacing):
+    """The derivative of the steering vector carries theta only through
+    the factor cos(theta), so J(theta) = cos^2(theta) J(0)."""
+    j0 = _broadside_fim(n_antennas, 2j * np.pi * spacing, t_snapshots, snr_db)
+    cos = np.cos(np.radians(theta_deg))
+    return cos * cos * j0
+
+
+def _had_fim(cfg: ArrayConfig, theta_deg, snr_db, t_snapshots):
+    """The effective steering vector is g(u) b(u).  The dg/du term of its
+    derivative is parallel to it, so the gain nuisance projects it out, and
+    the projected b'(u) has a norm that does not depend on u.  That leaves
+    J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b
+    alone; an analog null (|g| < 1e-12) carries none."""
+    theta = np.radians(np.asarray(theta_deg, dtype=float))
+    u = np.sin(theta)
+    d, m = cfg.spacing, cfg.m_sub
     mm = np.arange(m)
-    phase = np.exp(2j * np.pi * d * mm * (u - analog_steer_u))
-    g = np.sum(phase) / math.sqrt(m)
-    dg_du = np.sum(2j * np.pi * d * mm * phase) / math.sqrt(m)
-    kk = np.arange(k)
-    b = np.exp(2j * np.pi * d * m * kk * u)
-    db_du = 2j * np.pi * d * m * kk * b
-    a = g * b
-    da = math.cos(theta_rad) * (dg_du * b + g * db_du)
-    return a, da, g
+    g = np.sum(np.exp(2j * np.pi * d * mm * u[..., None]), axis=-1) / math.sqrt(m)
+    j_b = _broadside_fim(cfg.k_sub, 2j * np.pi * d * m, t_snapshots, snr_db)
+    cos = np.cos(theta)
+    gain = np.abs(g)
+    return np.where(gain < 1e-12, 0.0, cos * cos * gain * gain * j_b)
 
 
-def crlb_fd(n_antennas: int, theta_deg: float, snr_db: float,
-            t_snapshots: int, spacing: float = 0.5) -> float:
+def crlb_fd(n_antennas: int, theta_deg, snr_db: float, t_snapshots: int,
+            spacing: float = 0.5):
     """CRLB (rad^2) for an N-element fully-digital ULA."""
-    a, da = _fd_vectors(n_antennas, math.radians(theta_deg), spacing)
-    return _crlb_from_fim(
-        fim_single_source(a, da, t_snapshots, 10.0 ** (snr_db / 10.0)))
+    return _bound(_fd_fim(n_antennas, theta_deg, snr_db, t_snapshots, spacing))
 
 
 def crlb_fd_closed_form(n_antennas: int, theta_deg: float, snr_db: float,
@@ -79,87 +97,25 @@ def crlb_fd_closed_form(n_antennas: int, theta_deg: float, snr_db: float,
     return 6.0 / denom if denom > 0 else math.inf
 
 
-def crlb_had(cfg: ArrayConfig, theta_deg: float, snr_db: float,
-             t_snapshots: int, analog_steer_u: float = 0.0) -> float:
-    """CRLB (rad^2) for the K-channel HAD part of ``cfg``.
-
-    ``analog_steer_u`` is the common subarray steering direction-sine
-    (broadside by default; ``sin(theta)`` gives the matched, best-case
-    bound).  An analog null (|g| = 0) yields an infinite bound.
-    """
+def crlb_had(cfg: ArrayConfig, theta_deg, snr_db: float, t_snapshots: int):
+    """CRLB (rad^2) for the K-channel HAD part of ``cfg``, its subarrays
+    steered at broadside.  An analog null yields an infinite bound."""
     if cfg.k_sub < 2:
         raise ValueError("HAD CRLB needs at least two subarray channels")
-    a, da, g = _had_vectors(cfg, math.radians(theta_deg), analog_steer_u)
-    if abs(g) < 1e-12:
-        return math.inf
-    return _crlb_from_fim(
-        fim_single_source(a, da, t_snapshots, 10.0 ** (snr_db / 10.0)))
+    return _bound(_had_fim(cfg, theta_deg, snr_db, t_snapshots))
 
 
-def _crlb_from_fim_rows(j: np.ndarray) -> np.ndarray:
-    """``_crlb_from_fim`` of each entry of ``j``."""
-    with np.errstate(divide="ignore"):
-        return np.where(j > 1e-300, 1.0 / j, math.inf)
-
-
-def crlb_fd_rows(n_antennas: int, theta_deg, snr_db: float,
-                 t_snapshots: int, spacing: float = 0.5) -> np.ndarray:
-    """``crlb_fd`` at each direction of the array ``theta_deg``.
-
-    The derivative of the steering vector carries theta only through the
-    factor cos(theta), so J(theta) = cos^2(theta) J(0).
-    """
-    a, da = _fd_vectors(n_antennas, 0.0, spacing)
-    j0 = fim_single_source(a, da, t_snapshots, 10.0 ** (snr_db / 10.0))
-    cos = np.cos(np.radians(theta_deg))
-    return _crlb_from_fim_rows(cos * cos * j0)
-
-
-def crlb_had_rows(cfg: ArrayConfig, theta_deg, snr_db: float,
-                  t_snapshots: int) -> np.ndarray:
-    """``crlb_had`` with broadside steering at each direction of the array
-    ``theta_deg``.
-
-    The effective steering vector is g(u) b(u).  The dg/du term of its
-    derivative is parallel to it, so the gain nuisance projects it out, and
-    the projected b'(u) has a norm that does not depend on u.  That leaves
-    J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b
-    alone.  An analog null (|g| < 1e-12) yields an infinite bound.
-    """
-    if cfg.k_sub < 2:
-        raise ValueError("HAD CRLB needs at least two subarray channels")
-    theta = np.radians(np.asarray(theta_deg, dtype=float))
-    u = np.sin(theta)
-    d, m, k = cfg.spacing, cfg.m_sub, cfg.k_sub
-    mm = np.arange(m)
-    g = np.sum(np.exp(2j * np.pi * d * mm * u[..., None]), axis=-1) / math.sqrt(m)
-    kk = np.arange(k)
-    j_b = fim_single_source(np.ones(k), 2j * np.pi * d * m * kk, t_snapshots,
-                            10.0 ** (snr_db / 10.0))
-    cos = np.cos(theta)
-    gain = np.abs(g)
-    return _crlb_from_fim_rows(
-        np.where(gain < 1e-12, 0.0, cos * cos * gain * gain * j_b))
-
-
-def crlb_tlhad(cfg: ArrayConfig, theta_deg: float, snr_db: float,
-               t_snapshots: int, analog_steer_u: float = 0.0) -> float:
+def crlb_tlhad(cfg: ArrayConfig, theta_deg, snr_db: float, t_snapshots: int):
     """CRLB (rad^2) of the two-layer receiver: J_total = J_HAD + J_FD.
 
     Each part keeps its own complex-gain nuisance, matching a receiver that
-    estimates on the two parts independently and combines.  The analog
-    steering defaults to broadside, which is what a one-snapshot receiver
-    can actually arrange before knowing the angle.
+    estimates on the two parts independently and combines.  A part with
+    fewer than two channels adds no information.
     """
-    theta = math.radians(theta_deg)
-    snr = 10.0 ** (snr_db / 10.0)
-    j_total = 0.0
+    j_total = np.zeros(np.shape(theta_deg))
     if cfg.k_sub >= 2:
-        a, da, g = _had_vectors(cfg, theta, analog_steer_u)
-        if abs(g) >= 1e-12:
-            j_total += fim_single_source(a, da, t_snapshots, snr)
+        j_total = j_total + _had_fim(cfg, theta_deg, snr_db, t_snapshots)
     if cfg.n_fd >= 2:
-        a, da = _fd_vectors(cfg.n_fd, theta, cfg.spacing)
-        j_total += fim_single_source(a, da, t_snapshots, snr)
-    return _crlb_from_fim(j_total)
-
+        j_total = j_total + _fd_fim(cfg.n_fd, theta_deg, snr_db, t_snapshots,
+                                    cfg.spacing)
+    return _bound(j_total)

@@ -25,10 +25,11 @@ from .arrays import (
     ArrayConfig,
     EmitterScenario,
     analog_combine,
+    subarray_gain,
     synthesize_snapshot_rows,
     synthesize_snapshots,
 )
-from .crlb import crlb_fd, crlb_fd_rows, crlb_had, crlb_had_rows
+from .crlb import crlb_fd, crlb_had
 from .errors import ConfigError
 from .spectral import (
     root_music,
@@ -44,6 +45,10 @@ METHOD_TLHAD = "tlhad"
 # the flags a two-layer estimate can carry, in the order it lists them;
 # the columns of the flag rows of ``tlhad_estimate_rows``
 TLHAD_FLAGS = ("fd-only", "fd-clamped", "analog-null", "clamped")
+
+# the least broadside subarray gain, as a fraction of its peak sqrt(M),
+# at which the harness accepts a scenario angle
+BROADSIDE_GAIN_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def _snapshot(cfg, scen1, rng, u_steer=0.0):
 def _had_candidates(cfg, scen1, rng):
     """Broadside snapshot -> Root-MUSIC on the subarray channels -> candidates."""
     had = _snapshot(cfg, scen1, rng)[: cfg.k_sub]
-    u_hat = root_music(sample_covariance(had), 1, cfg.m_sub * cfg.spacing)[0]
+    u_hat = root_music(sample_covariance(had), spacing=cfg.m_sub * cfg.spacing)
     return candidate_set(u_hat, cfg.m_sub, cfg.spacing)
 
 
@@ -282,7 +287,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     x = analog_combine(synthesize_snapshots(cfg, scen, rng).samples, cfg)
     flags = []
     fd = x[cfg.k_sub:]
-    u_fd = float(root_music(sample_covariance(fd), 1, cfg.spacing)[0])
+    u_fd = root_music(sample_covariance(fd), spacing=cfg.spacing)
     if abs(u_fd) > 1.0:
         u_fd = float(np.clip(u_fd, -1.0, 1.0))
         flags.append("fd-clamped")
@@ -295,7 +300,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
                            ("fd-only", *flags))
 
     had = x[: cfg.k_sub]
-    u_had = root_music(sample_covariance(had), 1, cfg.m_sub * cfg.spacing)[0]
+    u_had = root_music(sample_covariance(had), spacing=cfg.m_sub * cfg.spacing)
     cands = candidate_set(u_had, cfg.m_sub, cfg.spacing)
     dist = np.abs(cands.candidates - u_fd)
     near = np.flatnonzero(np.isclose(dist, dist.min(), rtol=0.0, atol=1e-12))
@@ -337,8 +342,8 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     if cfg.k_sub < 2:
         fd_only[:] = True
         return u_fd, np.full(len(x), -1), np.empty((len(x), 0)), flags
-    crlb_f = crlb_fd_rows(cfg.n_fd, np.degrees(np.arcsin(u_fd)), scen.snr_db,
-                          t, cfg.spacing)
+    crlb_f = crlb_fd(cfg.n_fd, np.degrees(np.arcsin(u_fd)), scen.snr_db, t,
+                     cfg.spacing)
 
     u_had = root_music_rows(signal_vectors(x[:, : cfg.k_sub]),
                             cfg.m_sub * cfg.spacing)
@@ -349,8 +354,8 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     chosen = np.argmin(np.where(near, np.abs(cands), np.inf), axis=1)
     u_star = cands[np.arange(len(cands)), chosen]
 
-    crlb_h = crlb_had_rows(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
-                           scen.snr_db, t)
+    crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
+                      scen.snr_db, t)
     analog_null[:] = np.isinf(crlb_h)
     u = u_fd.copy()
     live = ~analog_null
@@ -360,9 +365,9 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     return np.clip(u, -1.0, 1.0), chosen, cands, flags
 
 
-def broadside_gain_ok(cfg: ArrayConfig, u: float, floor: float = 0.1) -> bool:
-    """True when the broadside analog beam keeps at least ``floor * sqrt(M)``
-    gain at ``u``; the harness excludes scenario angles that fail this."""
-    from .arrays import subarray_gain
-
-    return abs(subarray_gain(cfg.m_sub, cfg.spacing, u, 0.0)) >= floor * np.sqrt(cfg.m_sub)
+def broadside_gain_ok(cfg: ArrayConfig, u: float) -> bool:
+    """True when the broadside analog beam keeps at least
+    ``BROADSIDE_GAIN_FLOOR * sqrt(M)`` gain at ``u``; the harness excludes
+    scenario angles that fail this."""
+    return (abs(subarray_gain(cfg.m_sub, cfg.spacing, u, 0.0))
+            >= BROADSIDE_GAIN_FLOOR * np.sqrt(cfg.m_sub))

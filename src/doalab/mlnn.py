@@ -73,11 +73,6 @@ class MlnnModel:
                 raise ValueError(f"{name} has shape {np.shape(v)}, not "
                                  f"({self.layer_sizes[0]},)")
 
-    @property
-    def n_weights(self) -> int:
-        """Total count of weights and biases."""
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_model(layer_sizes, activations, seed: int,
                input_center=None, input_scale=None) -> MlnnModel:

@@ -1,4 +1,5 @@
-"""Sample covariance, Hermitian eigendecomposition, and Root-MUSIC.
+"""Sample covariance, Hermitian eigendecomposition, and one-source
+Root-MUSIC.
 
 Two paths.  ``sample_covariance`` and ``root_music`` are the textbook
 per-covariance reference: ``np.linalg.eigh``, then the companion-matrix
@@ -51,40 +52,39 @@ def _covariances(x: np.ndarray) -> np.ndarray:
 
 
 def _null_polynomials(vectors: np.ndarray) -> np.ndarray:
-    """Root-MUSIC coefficients, one row per stack of signal eigenvectors.
+    """Root-MUSIC coefficients, one row per signal eigenvector.
 
-    ``vectors`` is (B, S, P): S orthonormal signal eigenvectors of each of
-    B covariances.  Row b holds the coefficients (highest degree first)
-    of z^(P-1) * a(1/z)^H C a(z), with C = I - E_s E_s^H the projector
-    onto the noise subspace of stack b.
+    ``vectors`` is (B, P): the signal eigenvector e of each of B
+    covariances.  Row b holds the coefficients (highest degree first) of
+    z^(P-1) * a(1/z)^H C a(z), with C = I - e e^H the projector onto the
+    noise subspace of covariance b.
     """
     # contiguous rows: on eigh's strided eigenvector columns, np.vecdot
     # sums in another order than on rows, and the last bits change
     v = np.ascontiguousarray(vectors, dtype=complex)
     p = v.shape[-1]
     coeffs = np.zeros((len(v), 2 * p - 1), dtype=complex)
-    for s in range(v.shape[1]):
-        for lag in range(p):
-            # sum_i e[i] conj(e[i + lag]) over every row at once: the
-            # dot that np.correlate(e, e, "full")[p - 1 - lag] takes
-            coeffs[:, p - 1 - lag] -= np.vecdot(v[:, s, lag:], v[:, s, :p - lag])
+    for lag in range(p):
+        # sum_i e[i] conj(e[i + lag]) over every row at once: the dot
+        # that np.correlate(e, e, "full")[p - 1 - lag] takes
+        coeffs[:, p - 1 - lag] -= np.vecdot(v[:, lag:], v[:, :p - lag])
     coeffs[:, p - 1] = p + coeffs[:, p - 1].real
     coeffs[:, p:] = np.conj(coeffs[:, p - 2::-1])
     return coeffs
 
 
-def root_music_polynomial(cov: CovarianceEstimate, n_sources: int) -> np.ndarray:
+def root_music_polynomial(cov: CovarianceEstimate) -> np.ndarray:
     """Coefficients (highest degree first) of z^(P-1) * a(1/z)^H C a(z), with
-    C = I - E_s E_s^H the projector onto the noise subspace.
+    C = I - e e^H the projector onto the noise subspace of the one-source
+    model, e the principal eigenvector.
 
     The coefficient of z^l is the sum of the l-th superdiagonal of C:
-    P delta_l minus the lag-l autocorrelation sum_i e[i] conj(e[i+l]) of
-    each signal eigenvector e.  The subdiagonal sums are taken as the
-    conjugates of the superdiagonal ones, since C is Hermitian; the
-    polynomial is then exactly self-reciprocal and real on the unit circle.
+    P delta_l minus the lag-l autocorrelation sum_i e[i] conj(e[i+l]).
+    The subdiagonal sums are taken as the conjugates of the superdiagonal
+    ones, since C is Hermitian; the polynomial is then exactly
+    self-reciprocal and real on the unit circle.
     """
-    signal = cov.eigenvectors[:, :n_sources].T
-    return _null_polynomials(signal[None])[0]
+    return _null_polynomials(cov.eigenvectors[:, 0][None])[0]
 
 
 _MAX_ITER = 40
@@ -110,28 +110,14 @@ _CERT_FLOOR = 1e3 * _EPS
 _SEARCH_ROWS_TIMES_P = 1 << 10
 
 
-def _companion_roots(coeffs: np.ndarray, n_sources: int) -> np.ndarray:
-    """The ``n_sources`` roots inside the unit circle closest to it, from
-    the companion-matrix eigenvalues (``np.roots``), at most one from each
-    mirror pair (z, 1/conj(z)): rounding can split the double root that
-    noiseless data put on the circle into both halves of one pair, each
-    within the 1e-9 tolerance, and both would be the same direction.
-    """
+def _companion_roots(coeffs: np.ndarray) -> complex:
+    """The root inside the unit circle closest to it, from the
+    companion-matrix eigenvalues (``np.roots``)."""
     roots = np.roots(coeffs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(roots - 1.0 / np.conj(roots)[:, None])
-    np.fill_diagonal(gap, np.inf)
-    partner = np.argmin(gap, axis=1)  # the root nearest each mirror image
-    inside = np.flatnonzero(np.abs(roots) <= 1.0 + 1e-9)
-    chosen = []
-    for i in inside[_closest_first(roots[inside])]:
-        if len(chosen) < n_sources and i not in partner[chosen]:
-            chosen.append(i)
-    if len(chosen) < n_sources:
-        raise EstimationError(
-            f"only {len(chosen)} unit-circle roots for {n_sources} sources"
-        )
-    return roots[chosen]
+    inside = roots[np.abs(roots) <= 1.0 + 1e-9]
+    if inside.size == 0:
+        raise EstimationError("no Root-MUSIC root on or inside the unit circle")
+    return inside[_closest_first(inside)[0]]
 
 
 def _closest_first(z: np.ndarray) -> np.ndarray:
@@ -366,37 +352,39 @@ def _one_source_roots(coeffs: np.ndarray) -> np.ndarray:
     from the certified search, or else from the companion matrix."""
     z = _certified_roots(coeffs)
     for i in np.flatnonzero(np.isnan(z)):
-        z[i] = _companion_roots(coeffs[i], 1)[0]
+        z[i] = _companion_roots(coeffs[i])
     return z
 
 
-def _direction_sines(roots: np.ndarray, spacing: float) -> np.ndarray:
+def _direction_sines(roots, spacing: float):
     phases = np.angle(roots)
-    phases[phases >= np.pi] = -np.pi  # keep the interval half-open
+    # keep the interval half-open
+    phases = np.where(phases >= np.pi, -np.pi, phases)
     return phases / (2.0 * np.pi * spacing)
 
 
-def root_music(cov: CovarianceEstimate, n_sources: int, spacing: float = 0.5):
-    """Root-MUSIC direction-sines, reduced to the principal interval.
+def root_music(cov: CovarianceEstimate, *, spacing: float = 0.5) -> float:
+    """One-source Root-MUSIC direction-sine, reduced to the principal
+    interval.
 
-    Keeps the ``n_sources`` roots of the degree-2(P-1) noise-subspace
-    polynomial that lie inside the unit circle closest to it (ties go to
-    the smaller |phase|), and maps each root phase phi to
-    ``u = phi / (2 pi spacing)`` in [-1/(2 spacing), 1/(2 spacing)).
+    Keeps the root of the degree-2(P-1) noise-subspace polynomial that lies
+    inside the unit circle closest to it (ties go to the smaller |phase|),
+    and maps its phase phi to ``u = phi / (2 pi spacing)`` in
+    [-1/(2 spacing), 1/(2 spacing)).
 
     The roots are the companion-matrix eigenvalues (``np.roots``) at
-    every channel and source count.  This is the reference that the
-    certified search of ``root_music_rows`` is checked against.
+    every channel count.  This is the reference that the certified search
+    of ``root_music_rows`` is checked against.
 
     With ``spacing > 0.5`` the result is ambiguous by construction; callers
     expand it to a candidate set.
     """
-    if n_sources >= cov.dim:
-        raise ValueError("n_sources must be smaller than the channel count")
+    if cov.dim < 2:
+        raise ValueError("Root-MUSIC needs at least two channels")
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    chosen = _companion_roots(root_music_polynomial(cov, n_sources), n_sources)
-    return np.sort(_direction_sines(chosen, spacing))
+    return float(_direction_sines(_companion_roots(root_music_polynomial(cov)),
+                                  spacing))
 
 
 def signal_vectors(samples: np.ndarray) -> np.ndarray:
@@ -426,7 +414,7 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
 
     Row b of ``vectors`` (B, P) is the signal eigenvector of trial b's
     covariance (``signal_vectors``); the result is the B direction-sines
-    that ``root_music(cov_b, 1, spacing)`` returns, to rounding.  The
+    that ``root_music(cov_b, spacing=spacing)`` returns, to rounding.  The
     rows go through the certified search together, whatever P, in chunks
     of ``_SEARCH_ROWS_TIMES_P // P`` rows that bound its memory, and
     only the rows it leaves uncertified (``_certified_roots``: a zero
@@ -442,24 +430,25 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
         raise ValueError("spacing must be positive")
     if len(v) == 0:
         return np.empty(0)
-    coeffs = _null_polynomials(v[:, None])
+    coeffs = _null_polynomials(v)
     step = max(1, _SEARCH_ROWS_TIMES_P // v.shape[1])
     roots = [_one_source_roots(coeffs[i:i + step])
              for i in range(0, len(coeffs), step)]
     return _direction_sines(np.concatenate(roots), spacing)
 
 
-def music_spectrum_grid(cov: CovarianceEstimate, n_sources: int,
-                        spacing: float = 0.5, n_grid: int = 1 << 20):
-    """Grid evaluation of the MUSIC null spectrum a^H C a via FFT.
+def music_spectrum_grid(cov: CovarianceEstimate, *, spacing: float = 0.5,
+                        n_grid: int = 1 << 20):
+    """Grid evaluation of the one-source MUSIC null spectrum a^H C a via FFT.
 
-    Returns (u_grid, d) where d[j] = a(u_j)^H C a(u_j) >= 0; minima mark
-    source directions.  Serves as the independent oracle for root_music.
+    Returns (u_grid, d) where d[j] = a(u_j)^H C a(u_j) >= 0; its minimum
+    marks the source direction.  Serves as the independent oracle for
+    root_music.
     """
     p = cov.dim
     a = np.zeros(n_grid, dtype=np.complex128)
     np.add.at(a, np.arange(p - 1, -p, -1) % n_grid,
-              root_music_polynomial(cov, n_sources))
+              root_music_polynomial(cov))
     # d_j = sum_l c_l exp(i l 2 pi j / n) = n * ifft(a)[j]
     d = np.real(n_grid * np.fft.ifft(a))
     omega = 2.0 * np.pi * np.arange(n_grid) / n_grid

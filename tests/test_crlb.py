@@ -7,9 +7,7 @@ from doalab.arrays import ArrayConfig
 from doalab.crlb import (
     crlb_fd,
     crlb_fd_closed_form,
-    crlb_fd_rows,
     crlb_had,
-    crlb_had_rows,
     crlb_tlhad,
     fim_single_source,
 )
@@ -61,33 +59,36 @@ class TestFimSingleSource:
             fim_single_source(np.ones(3), np.ones(4), 1, 1.0)
 
 
+def _matched_had_bound(cfg, theta, snr_db, t):
+    """The HAD bound with the analog beams steered at theta itself:
+    |g| = sqrt(M), the channel snr gains M, and the g' term is annihilated
+    by the complex-gain nuisance, so it is the bound of a K-element ULA at
+    spacing M*d with snr M*snr."""
+    return crlb_fd_closed_form(cfg.k_sub, theta,
+                               snr_db + 10 * np.log10(cfg.m_sub), t,
+                               spacing=cfg.m_sub * cfg.spacing)
+
+
 class TestHadBound:
     def test_matched_steering_equals_virtual_ula_with_gain(self):
-        # matched analog steering: |g| = sqrt(M), channel snr gains M, and
-        # the g' term is annihilated by the complex-gain nuisance, so the
-        # bound equals a K-element ULA at spacing M*d with snr M*snr
+        # at broadside the broadside beams are matched
         cfg = ArrayConfig.pure_had(64, 4)
-        theta, snr_db, t = 25.0, -10.0, 50
-        got = crlb_had(cfg, theta, snr_db, t,
-                       analog_steer_u=math.sin(math.radians(theta)))
-        ref = crlb_fd_closed_form(cfg.k_sub, theta, snr_db + 10 * np.log10(4),
-                                  t, spacing=4 * 0.5)
-        assert got == pytest.approx(ref, rel=1e-10)
+        got = crlb_had(cfg, 0.0, -10.0, 50)
+        assert got == pytest.approx(_matched_had_bound(cfg, 0.0, -10.0, 50),
+                                    rel=1e-10)
 
     def test_analog_null_infinite(self):
-        # u - u_steer = 0.5 with M=4, d=0.5 puts the subarray gain at a null
+        # u = 0.5 with M=4, d=0.5 puts the broadside subarray gain at a null
         cfg = ArrayConfig.pure_had(16, 4)
         u_null = 0.5
-        assert crlb_had(cfg, float(np.degrees(np.arcsin(u_null))), 0.0, 10,
-                        analog_steer_u=0.0) == math.inf
+        assert crlb_had(cfg, float(np.degrees(np.arcsin(u_null))), 0.0,
+                        10) == math.inf
 
     def test_mismatch_never_beats_matched(self):
         cfg = ArrayConfig.pure_had(32, 4)
-        matched = crlb_had(cfg, 20.0, 0.0, 10,
-                           analog_steer_u=math.sin(math.radians(20.0)))
-        for steer in (-0.5, 0.0, 0.2, 0.6):
-            assert crlb_had(cfg, 20.0, 0.0, 10, analog_steer_u=steer) >= \
-                matched * (1 - 1e-12)
+        for theta in (-50.0, -5.0, 0.0, 12.0, 20.0, 40.0):
+            assert crlb_had(cfg, theta, 0.0, 10) >= \
+                _matched_had_bound(cfg, theta, 0.0, 10) * (1 - 1e-12)
 
     def test_needs_two_channels(self):
         with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ class TestTwoLayerBound:
     def test_information_additivity(self):
         cfg = ArrayConfig(64, 4, 12, 16)
         theta, snr_db, t = 10.0, -10.0, 100
-        j_had = 1.0 / crlb_had(cfg, theta, snr_db, t, analog_steer_u=0.0)
+        j_had = 1.0 / crlb_had(cfg, theta, snr_db, t)
         j_fd = 1.0 / crlb_fd(16, theta, snr_db, t)
         got = crlb_tlhad(cfg, theta, snr_db, t)
         assert got == pytest.approx(1.0 / (j_had + j_fd), rel=1e-12)
@@ -115,13 +116,13 @@ class TestTwoLayerBound:
 
     def test_had_extreme(self):
         cfg = ArrayConfig.pure_had(64, 4)
-        assert crlb_tlhad(cfg, 15.0, 0.0, 10, analog_steer_u=0.3) == pytest.approx(
-            crlb_had(cfg, 15.0, 0.0, 10, analog_steer_u=0.3), rel=1e-12)
+        assert crlb_tlhad(cfg, 15.0, 0.0, 10) == pytest.approx(
+            crlb_had(cfg, 15.0, 0.0, 10), rel=1e-12)
 
     def test_tighter_than_either_part(self):
         cfg = ArrayConfig(64, 4, 12, 16)
         both = crlb_tlhad(cfg, 5.0, 0.0, 10)
-        assert both < crlb_had(cfg, 5.0, 0.0, 10, analog_steer_u=0.0)
+        assert both < crlb_had(cfg, 5.0, 0.0, 10)
         assert both < crlb_fd(16, 5.0, 0.0, 10)
 
     def test_monotone_grid_fd_proportion(self):
@@ -139,8 +140,41 @@ class TestTwoLayerBound:
         assert crlb_tlhad(cfg, 0.0, 0.0, 10) == math.inf
 
 
+def _fd_projection_bound(n, theta_deg, snr_db, t, spacing):
+    """``fim_single_source`` on the explicit FD steering vector and its
+    theta-derivative."""
+    theta = math.radians(theta_deg)
+    p = np.arange(n)
+    a = np.exp(2j * np.pi * spacing * p * math.sin(theta))
+    da = 2j * np.pi * spacing * p * math.cos(theta) * a
+    j = fim_single_source(a, da, t, 10.0 ** (snr_db / 10.0))
+    return 1.0 / j if j > 1e-300 else math.inf
+
+
+def _had_projection_bound(cfg, theta_deg, snr_db, t):
+    """``fim_single_source`` on the explicit effective HAD steering vector
+    a = g(u) b(u), subarrays steered at broadside, and its theta-derivative;
+    infinite at an analog null."""
+    theta = math.radians(theta_deg)
+    u = math.sin(theta)
+    d, m, k = cfg.spacing, cfg.m_sub, cfg.k_sub
+    mm = np.arange(m)
+    phase = np.exp(2j * np.pi * d * mm * u)
+    g = np.sum(phase) / math.sqrt(m)
+    if abs(g) < 1e-12:
+        return math.inf
+    dg_du = np.sum(2j * np.pi * d * mm * phase) / math.sqrt(m)
+    kk = np.arange(k)
+    b = np.exp(2j * np.pi * d * m * kk * u)
+    db_du = 2j * np.pi * d * m * kk * b
+    da = math.cos(theta) * (dg_du * b + g * db_du)
+    j = fim_single_source(g * b, da, t, 10.0 ** (snr_db / 10.0))
+    return 1.0 / j if j > 1e-300 else math.inf
+
+
 class TestRowBounds:
-    """The closed-form array bounds against the scalar projection forms."""
+    """The closed-form bounds over arrays of directions against the
+    projection FIM of explicit steering vectors."""
 
     @staticmethod
     def _grid(cfg):
@@ -163,15 +197,47 @@ class TestRowBounds:
     @pytest.mark.parametrize("snr_db,t", [(-10.0, 1), (0.0, 10), (10.0, 200)])
     def test_match_scalar(self, cfg, snr_db, t):
         theta = self._grid(cfg)
-        fd = crlb_fd_rows(cfg.n_fd, theta, snr_db, t, cfg.spacing)
-        had = crlb_had_rows(cfg, theta, snr_db, t)
+        fd = crlb_fd(cfg.n_fd, theta, snr_db, t, cfg.spacing)
+        had = crlb_had(cfg, theta, snr_db, t)
         self._assert_match(fd, np.array([
-            crlb_fd(cfg.n_fd, x, snr_db, t, cfg.spacing) for x in theta]))
-        ref = np.array([crlb_had(cfg, x, snr_db, t) for x in theta])
+            _fd_projection_bound(cfg.n_fd, x, snr_db, t, cfg.spacing)
+            for x in theta]))
+        ref = np.array([_had_projection_bound(cfg, x, snr_db, t) for x in theta])
         self._assert_match(had, ref)
         assert np.isinf(ref).any()  # the analog nulls are on the grid
+        # each array entry is the bound at that one direction
+        for i in (0, 45, 90, len(theta) - 1):
+            assert fd[i] == crlb_fd(cfg.n_fd, theta[i], snr_db, t, cfg.spacing)
+            assert had[i] == crlb_had(cfg, theta[i], snr_db, t)
 
     def test_had_needs_two_channels(self):
         with pytest.raises(ValueError):
-            crlb_had_rows(ArrayConfig.pure_had(4, 4), np.zeros(3), 0.0, 10)
+            crlb_had(ArrayConfig.pure_had(4, 4), np.zeros(3), 0.0, 10)
 
+    @pytest.mark.parametrize("theta", [15.0, np.float64(15.0)],
+                             ids=["float", "float64"])
+    def test_scalar_direction_gives_float(self, theta):
+        cfg = ArrayConfig(64, 4, 12, 16)
+        for got in (crlb_fd(16, theta, 0.0, 1), crlb_had(cfg, theta, 0.0, 1),
+                    crlb_tlhad(cfg, theta, 0.0, 1),
+                    crlb_tlhad(ArrayConfig(5, 4, 1, 1), theta, 0.0, 1)):
+            assert type(got) is float
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 5)],
+                             ids=["empty", "vector", "matrix"])
+    def test_array_direction_keeps_shape(self, shape):
+        cfg = ArrayConfig(64, 4, 12, 16)
+        theta = np.linspace(-60.0, 60.0, math.prod(shape)).reshape(shape)
+        for got in (crlb_fd(16, theta, 0.0, 1), crlb_had(cfg, theta, 0.0, 1),
+                    crlb_tlhad(cfg, theta, 0.0, 1),
+                    crlb_tlhad(ArrayConfig(5, 4, 1, 1), theta, 0.0, 1)):
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_two_layer_array_matches_parts(self):
+        cfg = ArrayConfig(64, 4, 12, 16)
+        theta = self._grid(cfg)
+        j = 1.0 / crlb_had(cfg, theta, 0.0, 10) + 1.0 / crlb_fd(16, theta, 0.0, 10)
+        got = crlb_tlhad(cfg, theta, 0.0, 10)
+        fin = j > 0
+        np.testing.assert_allclose(got[fin], 1.0 / j[fin], rtol=1e-12)
+        assert np.all(np.isinf(got[~fin]))

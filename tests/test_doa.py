@@ -286,9 +286,9 @@ class TestEliminatorRows:
             seen["rounds"] += 1
             return laguerre(a, z)
 
-        def spy_companion(coeffs, n_sources):
+        def spy_companion(coeffs):
             seen["fallbacks"] += 1
-            return companion(coeffs, n_sources)
+            return companion(coeffs)
 
         def refusing_search(coeffs):
             # these blocks leave no row uncertified, so a rule that reads
@@ -483,12 +483,13 @@ class TestTlhadRows:
         # a zero bound makes combine_estimates raise in both forms; an
         # infinite HAD bound takes the FD estimate alone ("analog-null")
         # before any combining, so both infinite raises in neither
-        monkeypatch.setattr(doa, "crlb_fd", lambda *a, **k: fd_bound)
-        monkeypatch.setattr(doa, "crlb_had", lambda *a, **k: had_bound)
-        monkeypatch.setattr(doa, "crlb_fd_rows",
-                            lambda n, theta, *a: np.full(len(theta), fd_bound))
-        monkeypatch.setattr(doa, "crlb_had_rows",
-                            lambda cfg, theta, *a: np.full(len(theta), had_bound))
+        # each fake keeps the shape of its directions, as the bounds do:
+        # a float for one direction, an array for the stacked trials
+        def fake(bound):
+            return lambda _, theta, *a: np.full(np.shape(theta), bound)[()]
+
+        monkeypatch.setattr(doa, "crlb_fd", fake(fd_bound))
+        monkeypatch.setattr(doa, "crlb_had", fake(had_bound))
         cfg = ArrayConfig(64, 4, 12, 16)
         scen = _scen(15.0, 10.0)
         if 0.0 in (fd_bound, had_bound):

@@ -190,7 +190,7 @@ class TestRmseSnr:
         path, _ = run_rmse_snr(load_config("rmse-snr", cfg_path,
                                            out=str(tmp_path / "o")))
         cfg_had = ArrayConfig.pure_had(32, 4)  # the HAD part of 40 / 4 / 0.2
-        want = math.sqrt(crlb_had(cfg_had, 15.0, 10.0, 1, analog_steer_u=0.0)
+        want = math.sqrt(crlb_had(cfg_had, 15.0, 10.0, 1)
                          * RAD2_TO_DEG2)
         rows = [line.split(",")
                 for line in Path(path).read_text().splitlines()[1:]]
@@ -346,7 +346,7 @@ class TestStackedBlocks:
         u_true = math.sin(math.radians(theta))
         for i, row in enumerate(whole):
             x = synthesize_snapshots(cfg, scen, trial_rng(5, i)).samples
-            ref = [root_music(sample_covariance(quantize(x, b)), 1)[0]
+            ref = [root_music(sample_covariance(quantize(x, b)))
                    for b in [*bits, math.inf]]
             np.testing.assert_allclose(row + u_true, ref, rtol=0, atol=1e-12)
 

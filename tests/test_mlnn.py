@@ -65,9 +65,12 @@ class TestModelBasics:
         assert np.max(np.abs(m.weights[0])) <= lim0
         assert np.all(m.biases[0] == 0.0)
 
-    def test_n_weights(self):
-        m = init_model((4, 8, 1), ("relu",), 0)
-        assert m.n_weights == 4 * 8 + 8 + 8 * 1 + 1
+    def test_n_weights(self, selected):
+        # the stage-3 report counts the winner's weights and biases
+        model, report = selected
+        (hidden,) = report[-1]["shape"]
+        n_in = model.layer_sizes[0]
+        assert report[-1]["n_weights"] == n_in * hidden + hidden + hidden * 1 + 1
 
     def test_deterministic_init(self):
         a = init_model((4, 8, 1), ("relu",), 5)
@@ -346,7 +349,8 @@ def select_architecture_oracle(candidate_activations, candidate_shapes,
             best_shape, best_val = shape, val
 
     sizes = (n_features, *best_shape, 1)
-    n_weights = init_model(sizes, (best_act,) * len(best_shape), 0).n_weights
+    init = init_model(sizes, (best_act,) * len(best_shape), 0)
+    n_weights = sum(w.size + b.size for w, b in zip(init.weights, init.biases))
     final_set = dataset_factory(int(final_ratio * n_weights), seed + 1000)
     ratio = len(final_set) / n_weights
     model, _ = fit(best_shape, best_act, final_set, seed + 2000)

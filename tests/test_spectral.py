@@ -33,9 +33,10 @@ def _snapshots(n, u_list, snr_db, l, seed=0):
     return synthesize_snapshots(ArrayConfig.fully_digital(n), scen, trial_rng(seed))
 
 
-def _noise_projector(cov, n_sources):
-    """E_n E_n^H from the noise eigenvectors: the oracle for the polynomial."""
-    en = cov.eigenvectors[:, n_sources:]
+def _noise_projector(cov):
+    """E_n E_n^H from the noise eigenvectors of the one-source model: the
+    oracle for the polynomial."""
+    en = cov.eigenvectors[:, 1:]
     return en @ en.conj().T
 
 
@@ -44,10 +45,9 @@ def null_polynomials_oracle(vectors):
     ``np.correlate`` per signal eigenvector."""
     p = vectors.shape[-1]
     upper = np.zeros((len(vectors), p), dtype=complex)
-    for row, stack in zip(upper, vectors):
-        for e in stack:
-            # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
-            row -= np.correlate(e, e, "full")[:p]
+    for row, e in zip(upper, vectors):
+        # np.correlate(e, e, "full")[k] is the autocorrelation at lag P-1-k
+        row -= np.correlate(e, e, "full")[:p]
     upper[:, -1] = p + upper[:, -1].real
     return np.concatenate((upper, np.conj(upper[:, -2::-1])), axis=1)
 
@@ -150,7 +150,7 @@ class TestSampleCovariance:
 class TestRootMusicPolynomial:
     def test_degree_and_conjugate_symmetry(self):
         cov = sample_covariance(_snapshots(6, [0.2], 0.0, 50))
-        coeffs = root_music_polynomial(cov, 1)
+        coeffs = root_music_polynomial(cov)
         assert coeffs.shape == (11,)
         # c_{-l} = conj(c_l) since the projector is Hermitian
         np.testing.assert_allclose(coeffs, np.conj(coeffs[::-1]), atol=1e-12)
@@ -158,7 +158,7 @@ class TestRootMusicPolynomial:
     def test_root_reciprocity(self):
         # roots come in (z, 1/conj(z)) pairs
         cov = sample_covariance(_snapshots(6, [0.2], 0.0, 50))
-        roots = np.roots(root_music_polynomial(cov, 1))
+        roots = np.roots(root_music_polynomial(cov))
         recip = 1.0 / np.conj(roots)
         for z in roots:
             assert np.min(np.abs(recip - z)) < 1e-6
@@ -167,40 +167,38 @@ class TestRootMusicPolynomial:
         u = 0.37
         x = np.outer(steering_vector(8, u),
                      np.exp(2j * np.pi * trial_rng(0).random(12)))
-        coeffs = root_music_polynomial(sample_covariance(x), 1)
+        coeffs = root_music_polynomial(sample_covariance(x))
         assert abs(np.polyval(coeffs, np.exp(1j * np.pi * u))) == pytest.approx(
             0.0, abs=1e-8)
 
     def test_matches_trace_sums(self):
         # oracle: one np.trace per diagonal of the noise projector
-        for p, n_sources, l in ((5, 1, 40), (16, 1, 40), (33, 2, 40),
-                                (64, 1, 40), (12, 1, 1)):
-            cov = sample_covariance(_snapshots(p, [0.1, -0.4][:n_sources], 0.0, l))
-            c = _noise_projector(cov, n_sources)
+        for p, l in ((5, 40), (16, 40), (33, 40), (64, 40), (12, 1)):
+            cov = sample_covariance(_snapshots(p, [0.1], 0.0, l))
+            c = _noise_projector(cov)
             traces = [np.trace(c, offset=l) for l in range(p - 1, -p, -1)]
-            np.testing.assert_allclose(root_music_polynomial(cov, n_sources),
-                                       traces, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(root_music_polynomial(cov), traces,
+                                       rtol=0, atol=1e-12)
 
     def test_matches_explicit_quadratic_form(self):
         # evaluate a(1/z)^H C a(z) directly on the unit circle
         cov = sample_covariance(_snapshots(5, [0.1], 0.0, 30))
-        coeffs = root_music_polynomial(cov, 1)
+        coeffs = root_music_polynomial(cov)
         for omega in (-2.0, 0.3, 1.1):
             z = np.exp(1j * omega)
             a = z ** np.arange(5)
-            direct = (a.conj() @ _noise_projector(cov, 1) @ a).real
+            direct = (a.conj() @ _noise_projector(cov) @ a).real
             poly = np.polyval(coeffs, z) / z ** 4
             assert poly.real == pytest.approx(direct, abs=1e-10)
 
-    @pytest.mark.parametrize("n_sources", [1, 2])
-    def test_null_polynomials_match_correlate(self, n_sources):
-        # bit for bit against one np.correlate per row and vector, on
-        # contiguous rows and on eigh's strided eigenvector columns
+    def test_null_polynomials_match_correlate(self):
+        # bit for bit against one np.correlate per row, on contiguous rows
+        # and on eigh's strided eigenvector columns
         rng = trial_rng(5150)
-        for p in range(max(2, n_sources + 1), 65):
+        for p in range(2, 65):
             x = rng.standard_normal((6, p, 3)) + 1j * rng.standard_normal((6, p, 3))
             cols = np.linalg.eigh(x @ x.conj().transpose(0, 2, 1))[1]
-            signal = cols[:, :, -n_sources:].transpose(0, 2, 1)
+            signal = cols[:, :, -1]
             assert not signal.flags.c_contiguous
             for v in (signal, signal.copy()):
                 got = spectral._null_polynomials(v)
@@ -209,83 +207,73 @@ class TestRootMusicPolynomial:
 
 class TestRootMusic:
     def test_noiseless_exact(self):
-        u_true = [-0.41, 0.27]
-        x = sum(np.outer(steering_vector(10, u),
-                         np.exp(2j * np.pi * trial_rng(k).random(20)))
-                for k, u in enumerate(u_true))
-        u_hat = root_music(sample_covariance(x), 2)
-        np.testing.assert_allclose(u_hat, sorted(u_true), atol=1e-9)
-
-    def test_noiseless_two_source_corpus(self):
-        # noiseless data put a double root on the unit circle at each
-        # direction; rounding may split it into both halves of one mirror
-        # pair, and each direction must still come back exactly once
-        misses = []
-        for k in range(400):
-            rng = trial_rng(2718, k)
-            p = int(rng.integers(6, 17))
-            u = np.sort(rng.uniform(-0.95, 0.95, 2))
-            while u[1] - u[0] < 4.0 / p:
-                u = np.sort(rng.uniform(-0.95, 0.95, 2))
-            x = sum(np.outer(steering_vector(p, uq),
-                             np.exp(2j * np.pi * rng.random(20))) for uq in u)
-            u_hat = root_music(sample_covariance(x), 2)
-            if np.max(np.abs(u_hat - u)) > 1e-7:
-                misses.append((k, p, tuple(u), tuple(u_hat)))
-        assert misses == []
+        x = np.outer(steering_vector(10, -0.41),
+                     np.exp(2j * np.pi * trial_rng(0).random(20)))
+        u_hat = root_music(sample_covariance(x))
+        assert type(u_hat) is float
+        assert u_hat == pytest.approx(-0.41, abs=1e-9)
 
     def test_matches_grid_oracle(self):
         cov = sample_covariance(_snapshots(12, [0.15], 0.0, 80, seed=3))
-        u_hat = root_music(cov, 1)
-        u_grid, d = music_spectrum_grid(cov, 1)
+        u_hat = root_music(cov)
+        u_grid, d = music_spectrum_grid(cov)
         u_star = u_grid[np.argmin(d)]
         # the root sits just inside the unit circle, so allow a few grid steps
-        assert abs(u_hat[0] - u_star) < 1e-5
+        assert abs(u_hat - u_star) < 1e-5
 
     def test_wide_spacing_principal_interval(self):
         # spacing 2.0: estimates come back reduced to [-0.25, 0.25)
         u_true = 0.1
         a = np.exp(2j * np.pi * 2.0 * u_true * np.arange(6))
         x = np.outer(a, np.exp(2j * np.pi * trial_rng(2).random(15)))
-        u_hat = root_music(sample_covariance(x), 1, spacing=2.0)
-        assert -0.25 <= u_hat[0] < 0.25
-        assert u_hat[0] == pytest.approx(0.1, abs=1e-9)
+        u_hat = root_music(sample_covariance(x), spacing=2.0)
+        assert -0.25 <= u_hat < 0.25
+        assert u_hat == pytest.approx(0.1, abs=1e-9)
 
-    def test_too_many_sources_rejected(self):
-        cov = sample_covariance(_snapshots(4, [0.2], 0.0, 20))
+    def test_one_channel_rejected(self):
+        cov = sample_covariance(_snapshots(4, [0.2], 0.0, 20).samples[:1])
         with pytest.raises(ValueError):
-            root_music(cov, 4)
+            root_music(cov)
+
+    def test_positional_spacing_rejected(self):
+        # spacing is keyword-only: a second positional argument fails
+        # loudly instead of being read as the spacing
+        cov = sample_covariance(_snapshots(4, [0.2], 0.0, 20))
+        with pytest.raises(TypeError):
+            root_music(cov, 1)
+        with pytest.raises(TypeError):
+            music_spectrum_grid(cov, 1)
 
     @given(st.floats(-0.95, 0.95), st.integers(0, 50))
     @settings(max_examples=25, deadline=None)
     def test_noiseless_single_source_any_direction(self, u, seed):
         x = np.outer(steering_vector(8, u),
                      np.exp(2j * np.pi * trial_rng(seed).random(10)))
-        u_hat = root_music(sample_covariance(x), 1)
-        assert u_hat[0] == pytest.approx(u, abs=1e-7)
+        u_hat = root_music(sample_covariance(x))
+        assert u_hat == pytest.approx(u, abs=1e-7)
 
     def test_moderate_snr_accuracy(self):
         cov = sample_covariance(_snapshots(16, [0.3], 10.0, 200, seed=4))
-        assert root_music(cov, 1)[0] == pytest.approx(0.3, abs=5e-3)
+        assert root_music(cov) == pytest.approx(0.3, abs=5e-3)
 
 
 class TestMusicSpectrumGrid:
     def test_nonnegative(self):
         cov = sample_covariance(_snapshots(8, [0.2], 0.0, 60))
-        _, d = music_spectrum_grid(cov, 1, n_grid=4096)
+        _, d = music_spectrum_grid(cov, n_grid=4096)
         assert np.all(d >= -1e-9)
 
     def test_matches_direct_evaluation(self):
         cov = sample_covariance(_snapshots(6, [0.2], 0.0, 40))
-        u_grid, d = music_spectrum_grid(cov, 1, n_grid=512)
-        c = _noise_projector(cov, 1)
+        u_grid, d = music_spectrum_grid(cov, n_grid=512)
+        c = _noise_projector(cov)
         for j in (0, 100, 317, 511):
             a = steering_vector(6, u_grid[j])
             assert d[j] == pytest.approx((a.conj() @ c @ a).real, abs=1e-9)
 
     def test_grid_sorted_and_covers_interval(self):
         u_grid, _ = music_spectrum_grid(
-            sample_covariance(_snapshots(4, [0.0], 0.0, 10)), 1, n_grid=256)
+            sample_covariance(_snapshots(4, [0.0], 0.0, 10)), n_grid=256)
         assert np.all(np.diff(u_grid) > 0)
         assert u_grid[0] == pytest.approx(-1.0) and u_grid[-1] < 1.0
 
@@ -345,7 +333,7 @@ def block_9001():
     x = synthesize_snapshot_rows(
         cfg, scen, [trial_rng(9001, i) for i in range(200)])[:, 0]
     v = signal_vectors(analog_combine(x, cfg)[:, cfg.k_sub:])
-    return v, spectral._null_polynomials(v[:, None])
+    return v, spectral._null_polynomials(v)
 
 
 def _search_stacks(corpus, block):
@@ -371,9 +359,9 @@ class TestCertifiedRoot:
         out = []
         for p, t, snr_db, spacing, x in _corpus():
             cov = sample_covariance(x)
-            coeffs = root_music_polynomial(cov, 1)
+            coeffs = root_music_polynomial(cov)
             out.append([p, t, snr_db, spacing, x, cov, coeffs,
-                        spectral._companion_roots(coeffs, 1)[0]])
+                        spectral._companion_roots(coeffs)])
         for idx in _groups(out, lambda c: c[0]):
             found = spectral._certified_roots(np.array([out[i][6] for i in idx]))
             for i, z in zip(idx, found):
@@ -435,7 +423,7 @@ class TestCertifiedRoot:
                     + 1j * rng.standard_normal(p)) / np.sqrt(2.0))
             vectors.append(x / np.linalg.norm(x))
         found = spectral._certified_roots(
-            spectral._null_polynomials(np.array(vectors)[:, None]))
+            spectral._null_polynomials(np.array(vectors)))
         assert np.mean(~np.isnan(found)) >= share
 
     @pytest.mark.parametrize("eta", [0.5, 1.0], ids=["P32", "P64"])
@@ -448,7 +436,7 @@ class TestCertifiedRoot:
         x = np.stack([analog_combine(synthesize_snapshots(
             cfg, scen, trial_rng(4242, i)).samples, cfg)[cfg.k_sub:]
             for i in range(100)])
-        coeffs = spectral._null_polynomials(signal_vectors(x)[:, None])
+        coeffs = spectral._null_polynomials(signal_vectors(x))
         calls = []
         laguerre = spectral._laguerre
 
@@ -502,7 +490,7 @@ class TestCertifiedRoot:
                 ref.append(roots[np.abs(roots).argmax()])
         assert len(near) == 10
 
-        def refuse(coeffs, n_sources):
+        def refuse(coeffs):
             pytest.fail("a near-tied row fell back to the companion matrix")
 
         monkeypatch.setattr(spectral, "_companion_roots", refuse)
@@ -561,9 +549,9 @@ class TestCertifiedRoot:
     ], ids=["had-trial41-minus10dB", "fd-trial51-0dB"])
     def test_known_miss(self, trial, snr_db, block):
         cov, spacing = _miss_case(trial, snr_db, block)
-        coeffs = root_music_polynomial(cov, 1)
+        coeffs = root_music_polynomial(cov)
         a = coeffs[None, ::-1]
-        ref = spectral._companion_roots(coeffs, 1)[0]
+        ref = spectral._companion_roots(coeffs)
         # the root below the deepest spectral minimum is not the closest
         # one, and the certificate must say so
         phase, sigma = spectral._spectrum_minima(a)
@@ -574,10 +562,6 @@ class TestCertifiedRoot:
         assert not certified[0] and closer[0]
         z = spectral._certified_roots(coeffs[None])[0]
         assert np.isnan(z) or _du(z, ref, spacing) <= 1e-12
-
-    def test_more_sources_use_companion_roots(self):
-        cov = sample_covariance(_snapshots(20, [-0.3, 0.4], 10.0, 50))
-        np.testing.assert_allclose(root_music(cov, 2), [-0.3, 0.4], atol=5e-3)
 
     def test_search_memory_bounded(self):
         # 200 rows at P = 64 and -10 dB, where most rows take a second
@@ -620,7 +604,7 @@ class TestSignalVectors:
         u = root_music_rows(v)
         for xb, u_b in zip(x, u):
             assert u_b == pytest.approx(
-                root_music(sample_covariance(xb), 1)[0], abs=1e-12)
+                root_music(sample_covariance(xb)), abs=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
