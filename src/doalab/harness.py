@@ -60,7 +60,7 @@ from .mlnn import (
     save_model,
     select_architecture,
 )
-from .quantize import performance_loss_db, quantize
+from .quantize import normalise, performance_loss_db, quantize
 from .rng import TrialStreams
 from .spectral import root_music_rows, signal_vectors
 
@@ -600,15 +600,17 @@ def _quant_block(cfg, scen, bits, streams):
     """Root-MUSIC errors in u at one SNR: one column per bit depth of
     ``bits``, then the unquantized estimate in the last column.  Each
     trial's snapshots are drawn once and the unquantized stack is rooted
-    once; every bit depth quantizes that same draw, so the columns are
-    paired, and the block's trials are stacked, so every column comes from
-    one search."""
+    once; every bit depth quantizes that same draw, normalised once, so
+    the columns are paired, and the block's trials are stacked, so every
+    column comes from one search."""
     u_true = math.sin(math.radians(scen.directions_deg[0]))
     x = synthesize_snapshot_rows(cfg, scen, streams)[:, 0]
-    u = [root_music_rows(signal_vectors(quantize(x, b)), cfg.spacing)
+    unquantized = root_music_rows(signal_vectors(x), cfg.spacing)
+    norm = normalise(x)
+    del x  # the normalised parts take its place
+    u = [root_music_rows(signal_vectors(quantize(norm, b)), cfg.spacing)
          for b in bits]
-    u.append(root_music_rows(signal_vectors(x), cfg.spacing))
-    return np.column_stack(u) - u_true
+    return np.column_stack((*u, unquantized)) - u_true
 
 
 def run_loss_bits(config: ExperimentConfig):

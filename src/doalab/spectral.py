@@ -90,6 +90,12 @@ def root_music_polynomial(cov: CovarianceEstimate) -> np.ndarray:
 _MAX_ITER = 40
 # the second round starts this far from the origin, inside the unit circle
 _RESTART_RADIUS = 1.0 - 1e-3
+# the second round first starts from this many local minima of a row,
+# those of smallest predicted distance to their root.  At P = 64 and
+# -10 dB a wave of four certified 94 of 99 such rows, and the search took
+# 0.43 of the time it took from every minimum; waves of two and eight
+# ran about as fast, a wave of one 1.3 times slower
+_WAVE = 4
 # the certificate circle sits this fraction inside the chosen root
 _CERT_INSET = 1e-6
 # largest phase step between certificate samples that counts as resolved
@@ -98,15 +104,15 @@ _EPS = np.finfo(float).eps
 # a certificate sample below this fraction of sum |a_k| r1^k is at
 # rounding level
 _CERT_FLOOR = 1e3 * _EPS
-# rows of ``root_music_rows`` searched at once, times P.  A row's second
-# round holds a Laguerre lane of 2P - 1 coefficients per spectrum
-# minimum, up to P - 1 of them, each with its own copy of its row's
-# coefficients and forms, so at low SNR the working memory of a search
-# grows as rows * P^2, though the lanes gather their forms again only
-# when half of them have converged, not on every iteration.  At high SNR
-# the certificate's FFT samples, rows * 16P to rows * 32P of them, hold
-# the most.  Capping rows * P bounds both: 16 rows at P = 64, 85 at
-# P = 12.
+# rows of ``root_music_rows`` searched at once, times P.  A row the
+# few-lane wave of the second round leaves uncertified searches again
+# with a Laguerre lane of 2P - 1 coefficients per spectrum minimum, up
+# to P - 1 of them, each with its own copy of its row's coefficients and
+# forms, so at low SNR the working memory of a search can grow as
+# rows * P^2, though the lanes gather their forms again only when half
+# of them have converged, not on every iteration.  At high SNR the
+# certificate's FFT samples, rows * 16P to rows * 32P of them, hold the
+# most.  Capping rows * P bounds both: 16 rows at P = 64, 85 at P = 12.
 _SEARCH_ROWS_TIMES_P = 1 << 10
 
 
@@ -310,14 +316,18 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     the null spectrum; a root outside the unit circle is mirrored to
     1/conj(z).  The root is kept only under the certificate that no other
     root lies as close to the circle (``_certified``).  On the rows whose
-    count shows a closer root instead, a second round starts from every
-    local minimum of the sampled spectrum, just inside the circle at
-    ``_RESTART_RADIUS``, and the closest root found in either round is
-    certified again.  A row is NaN when its leading coefficient is zero,
-    its first start does not converge, a certificate sample of its first
-    root sits at rounding level, or the second round is not certified
-    either.  A second root near the circle costs a few bisections of the
-    arcs beside it and no longer leaves a row uncertified.
+    count shows a closer root instead, a second round searches again from
+    local minima of the sampled spectrum, just inside the circle at
+    ``_RESTART_RADIUS``: first a wave from the ``_WAVE`` minima of
+    smallest predicted distance ``sigma``, then, on the rows whose closest
+    root from that wave and the first round is not certified, from every
+    local minimum.  The closest root found is certified again, so a row
+    keeps the same root whichever search found it.  A row is NaN when its
+    leading coefficient is zero, its first start does not converge, a
+    certificate sample of its first root sits at rounding level, or the
+    search from every minimum is not certified either.  A second root
+    near the circle costs a few bisections of the arcs beside it and no
+    longer leaves a row uncertified.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
@@ -332,9 +342,33 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     again = np.flatnonzero(ok & closer)
     if again.size == 0:
         return best
-    # one lane per local minimum of each row searched again, then the
-    # first round's root as one more lane of its row
+    # the few-lane wave: each row's _WAVE minima of smallest predicted
+    # distance, ties to the lower column
+    s = sigma[again]
+    wave = np.zeros(s.shape, dtype=bool)
+    np.put_along_axis(wave, np.argsort(s, axis=1, kind="stable")[:, :_WAVE],
+                      True, axis=1)
+    owner, col = np.nonzero(wave & np.isfinite(s))
+    kept, done = _restart(a, phase, first, again, owner, col)
+    best[rows[again[done]]] = kept[done]
+    again = again[~done]
+    if again.size == 0:
+        return best
+    # the rows the wave left uncertified, from every local minimum
     owner, col = np.nonzero(np.isfinite(sigma[again]))
+    kept, done = _restart(a, phase, first, again, owner, col)
+    best[rows[again[done]]] = kept[done]
+    return best
+
+
+def _restart(a, phase, first, again, owner, col):
+    """The closest root that a search of rows ``again`` finds, and whether
+    it is certified.
+
+    Lane j starts just inside the circle, at ``_RESTART_RADIUS``, at the
+    phase of local minimum ``col[j]`` of row ``again[owner[j]]``; the
+    first round's root ``first`` of each row is one more lane of its row.
+    """
     found, ok = _laguerre(a[again[owner]], _RESTART_RADIUS
                           * np.exp(1j * phase[again[owner], col]))
     lanes = np.concatenate((np.where(ok, found, np.nan), first[again]))
@@ -342,9 +376,7 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     # per row, the lane that ``_closest_first`` puts first
     order = np.lexsort((np.abs(np.angle(lanes)), -np.abs(lanes), owner))
     kept = lanes[order[np.searchsorted(owner[order], np.arange(again.size))]]
-    done = _certified(a[again], kept)[0]
-    best[rows[again[done]]] = kept[done]
-    return best
+    return kept, _certified(a[again], kept)[0]
 
 
 def _one_source_roots(coeffs: np.ndarray) -> np.ndarray:

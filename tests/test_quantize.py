@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doalab.quantize as quantize_module
 from doalab.quantize import (
     distortion_factor,
     effective_snr,
     lloyd_max_codebook,
+    normalise,
     performance_loss_db,
     quantize,
 )
@@ -123,7 +126,78 @@ def _rms_scale(x):
     return np.sqrt(np.mean(np.abs(x) ** 2, axis=1) / 2)
 
 
+def quantize_oracle(x, bits):
+    """``quantize`` at its default scale, real and imaginary parts divided
+    by the scale and put through ``np.digitize`` one after the other."""
+    levels, thresholds, _ = lloyd_max_codebook(bits)
+    scale = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1) / 2.0)
+    safe = np.where(scale > 0.0, scale, 1.0)[..., None]
+    out = safe * (levels[np.digitize(x.real / safe, thresholds)]
+                  + 1j * levels[np.digitize(x.imag / safe, thresholds)])
+    out[scale <= 0.0] = 0.0
+    return out
+
+
+class TestCellIndex:
+    """The table index that ``quantize`` reads its cells from."""
+
+    @given(st.integers(1, 16),
+           st.lists(st.one_of(st.floats(-6.0, 6.0),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_digitize(self, bits, drawn):
+        # every threshold and its two float neighbours, signed zeros, the
+        # largest magnitudes and subnormals
+        thresholds = lloyd_max_codebook(bits)[1]
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate((
+            thresholds, np.nextafter(thresholds, -np.inf),
+            np.nextafter(thresholds, np.inf),
+            [0.0, -0.0, 1e300, -1e300, tiny, -tiny, 1e-310, -1e-310], drawn))
+        np.testing.assert_array_equal(quantize_module._cells(x, bits),
+                                      np.digitize(x, thresholds))
+
+
 class TestQuantize:
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_matches_oracle(self, bits):
+        # bit for bit, stacked, with a zero channel, and through a
+        # stack normalised once
+        x = np.stack([_gaussian_batch(5, 40, seed=s, power=4.0 ** s)
+                      for s in range(3)])
+        x[1, 2] = 0.0
+        want = quantize_oracle(x, bits).tobytes()
+        assert quantize(x, bits).tobytes() == want
+        assert quantize(normalise(x), bits).tobytes() == want
+
+    def test_non_finite_scale_rejected(self):
+        # a NaN scale, and one that overflows from finite samples
+        x = _gaussian_batch(2, 16)
+        with pytest.raises(ValueError, match="scale"):
+            quantize(x, 3, scale=np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="scale"):
+            quantize(1e200 * x, 3)
+
+    def test_normalised_stack_keeps_its_scale(self):
+        norm = normalise(_gaussian_batch(2, 16))
+        with pytest.raises(ValueError):
+            quantize(norm, 2, scale=np.ones(2))
+        with pytest.raises(ValueError):
+            quantize(norm, math.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+    def test_non_finite_rejected(self, bad):
+        # a NaN used to turn its channel's gain control off, and an
+        # infinity turned its channel into infinities
+        x = np.vstack([np.zeros(8), np.ones(8)]).astype(complex)
+        np.testing.assert_array_equal(quantize(x, 3)[0], 0.0)
+        x[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            quantize(x, 3)
+        with pytest.raises(ValueError, match="samples"):
+            quantize(x, 3, scale=np.ones(2))
+
     def test_empirical_distortion_matches_rho(self):
         # MC estimate of E|x - q(x)|^2 / E|x|^2 for Gaussian input
         x = _gaussian_batch(4, 100_000, seed=5)

@@ -430,7 +430,12 @@ class TestCertifiedRoot:
     def test_at_most_two_rounds(self, monkeypatch, eta):
         # below the ambiguity threshold the first start lands on the wrong
         # root in most rows of a TLHAD FD block; such a row takes one more
-        # round, from every spectral minimum, and never a third
+        # round, and never a third: a few-lane wave from the minima of
+        # smallest predicted distance, and only on the rows that wave
+        # leaves uncertified, one search from every spectral minimum.
+        # At P = 64 a second-round row takes 6.0 lanes on average, where a
+        # search from every minimum takes 40.5, and the wave certifies 94
+        # of its 99 rows
         cfg = ArrayConfig.two_layer(64, 4, eta)
         scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
         x = np.stack([analog_combine(synthesize_snapshots(
@@ -449,9 +454,12 @@ class TestCertifiedRoot:
         for row in coeffs:
             calls.clear()
             spectral._certified_roots(row[None])
-            rounds.append(len(calls))
-        assert max(rounds) <= 2
-        assert rounds.count(2) >= len(rounds) / 2
+            rounds.append(list(calls))
+        assert max(map(len, rounds)) <= 3
+        again = [r for r in rounds if len(r) > 1]
+        assert len(again) >= len(rounds) / 2
+        assert np.mean([sum(r[1:]) for r in again]) <= 8
+        assert sum(len(r) == 2 for r in again) >= 0.9 * len(again)
 
     def test_rows_searched_in_chunks(self, monkeypatch):
         # root_music_rows splits a stack into searches of
