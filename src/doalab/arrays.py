@@ -53,11 +53,6 @@ class ArrayConfig:
         """Antennas in the HAD part."""
         return self.k_sub * self.m_sub
 
-    @property
-    def n_channels(self) -> int:
-        """Digital channels after analog combining."""
-        return self.k_sub + self.n_fd
-
     @classmethod
     def pure_had(cls, n_total, m_sub, spacing=0.5):
         if n_total % m_sub:

@@ -35,12 +35,12 @@ def maxmin_statistic(eigs: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def glrt_statistic(eigs: np.ndarray, form: str = GLRT_MAX_OVER_MEAN):
+def glrt_statistic(eigs: np.ndarray, form: str):
     """GLRT detection statistic over sorted eigenvalues.
 
-    Default form is the blind rank-one test lambda_1 / mean(lambda); the
-    arithmetic-to-geometric-mean sphericity test is available behind
-    ``form="sphericity"``.  Acts along the last axis like
+    ``form`` is ``"max-over-mean"``, the blind rank-one test
+    lambda_1 / mean(lambda), or ``"sphericity"``, the
+    arithmetic-to-geometric-mean test.  Acts along the last axis like
     ``maxmin_statistic``; degenerate rows give inf.
     """
     if form not in (GLRT_MAX_OVER_MEAN, GLRT_SPHERICITY):

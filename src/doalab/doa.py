@@ -72,10 +72,6 @@ class DoaEstimate:
     candidates: CandidateSet | None = None
     flags: tuple = ()
 
-    @property
-    def angle_deg(self) -> float:
-        return float(np.degrees(np.arcsin(self.u)))
-
 
 def candidate_set(u_hat: float, m_sub: int, spacing: float) -> CandidateSet:
     """All direction-sines in [-1, 1) congruent to ``u_hat`` modulo 1/(M d).

@@ -91,8 +91,7 @@ def _choice(default, options):
 
 def _list(default, parse, accept, meaning):
     # every list needs a value: an empty curve list would run no curve
-    # point, or only the unquantized rows of loss-bits, which compare a
-    # column with itself
+    # point, or only the unquantized reference rows of loss-bits
     return Setting(default, parse, lambda v: bool(v) and all(map(accept, v)),
                    f"a list of at least one value, each {meaning}")
 
@@ -344,17 +343,19 @@ class _Pool:
     workers: int
 
 
+# the pool of one worker: trial blocks run in the calling process
+_IN_PROCESS = _Pool(map, 1)
+
+
 @contextmanager
-def _pool(workers):
-    """Yield the ``_Pool`` of a run: the built-in ``map`` for one worker,
-    else the map of one process pool that lives until the context exits.
-    ``workers`` may already be such a ``_Pool``, held by the enclosing run;
-    it is passed through, so a run opens at most one pool.
+def _pool(workers: int):
+    """Yield the ``_Pool`` of a run of ``workers`` processes: the
+    in-process one for one worker, else the map of one process pool that
+    lives until the context exits.  A run opens it once and hands it to
+    every helper that maps trials.
     """
-    if isinstance(workers, _Pool):
-        yield workers
-    elif workers <= 1:
-        yield _Pool(map, 1)
+    if workers <= 1:
+        yield _IN_PROCESS
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield _Pool(pool.map, workers)
@@ -401,12 +402,10 @@ def _emitter(config, snr_db, n_snapshots):
 
 
 def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
-                   workers=1, offset=0, signal_model=CONSTANT_MODULUS):
-    """Eigenvalue matrix for H0 or H1 detection trials (one stream each).
-
-    ``workers`` is a process count or a run's ``_Pool``.  A block holds
-    each trial's ``n_total`` eigenvalues; no snapshots are drawn.
-    """
+                   pool=_IN_PROCESS, offset=0, signal_model=CONSTANT_MODULUS):
+    """Eigenvalue matrix for H0 or H1 detection trials (one stream each),
+    mapped over the run's ``pool``: a block holds each trial's ``n_total``
+    eigenvalues; no snapshots are drawn."""
     # the eigenvalue law does not depend on the direction (trial_eigs), so
     # every emitter sits at broadside
     if hypothesis == 0:
@@ -414,22 +413,20 @@ def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
     else:
         scen = EmitterScenario.single_emitter(0.0, snr_db, l_snapshots,
                                               signal_model=signal_model)
-    with _pool(workers) as pool:
-        return _monte_carlo(trial_eigs, [(ArrayConfig.fully_digital(n_total), scen)],
-                            n_trials, seed, pool, n_total, offset)[0]
+    return _monte_carlo(trial_eigs, [(ArrayConfig.fully_digital(n_total), scen)],
+                        n_trials, seed, pool, n_total, offset)[0]
 
 
-def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1,
+def make_detection_dataset_factory(n_total, l_snapshots, snr_db, pool=_IN_PROCESS,
                                    signal_model=CONSTANT_MODULUS):
     """Factory(n, seed) -> balanced TrainingSet of normalized eig features."""
 
     def factory(n_examples, seed):
         n_h1 = n_examples // 2
         n_h0 = n_examples - n_h1
-        e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed,
-                            workers)
+        e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed, pool)
         e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed,
-                            workers, offset=n_h0, signal_model=signal_model)
+                            pool, offset=n_h0, signal_model=signal_model)
         feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
         return TrainingSet(feats, labels)
@@ -439,14 +436,14 @@ def make_detection_dataset_factory(n_total, l_snapshots, snr_db, workers=1,
 
 # --- roc -------------------------------------------------------------------
 
-def train_mlnn_model(config: ExperimentConfig, workers=None):
-    """Three-stage selection + final training per the [mlnn] settings."""
+def train_mlnn_model(config: ExperimentConfig, pool=_IN_PROCESS):
+    """Three-stage selection + final training per the [mlnn] settings, its
+    detection trials mapped over the run's ``pool``."""
     v = config.value
     n_total, l_snap = v("array.n_total"), v("scenario.n_snapshots")
     snr_db = v("scenario.snr_db")
     factory = make_detection_dataset_factory(
-        n_total, l_snap, snr_db, workers or config.workers,
-        v("scenario.signal_model"))
+        n_total, l_snap, snr_db, pool, v("scenario.signal_model"))
     hyper = Hyper(v("mlnn.learning_rate"), v("mlnn.batch_size"),
                   v("mlnn.epochs"))
     model, report = select_architecture(
@@ -628,14 +625,15 @@ def run_loss_bits(config: ExperimentConfig):
     rows = []
     for snr_db, errors in zip(snrs, curve):
         rmse_u = _rms(errors[:, -1])
-        # the unquantized row compares the last column with itself
-        for bits, column in zip([*bits_grid, math.inf], errors.T):
+        for bits, column in zip(bits_grid, errors.T):
             rmse_q = _rms(column)
             empirical_db = (20.0 * math.log10(rmse_q / rmse_u) if rmse_u > 0
                             else 0.0)
-            rows.append(("inf" if bits == math.inf else bits, snr_db,
-                         performance_loss_db(bits, snr_db), empirical_db,
-                         emp_trials, config.seed, config.digest))
+            rows.append((bits, snr_db, performance_loss_db(bits, snr_db),
+                         empirical_db, emp_trials, config.seed, config.digest))
+        # the unquantized reference loses nothing by either measure
+        rows.append(("inf", snr_db, 0.0, 0.0, emp_trials, config.seed,
+                     config.digest))
     path = os.path.join(config.out_dir, "loss_bits.csv")
     _write_csv(path, ["bits", "snr_db", "loss_db_formula", "loss_db_empirical",
                       "trials", "seed", "digest"], rows)

@@ -6,7 +6,6 @@ cached; the additive quantization noise model (AQNM) linearizes the
 quantizer as gain ``alpha = 1 - rho_b`` plus uncorrelated noise.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -93,10 +92,8 @@ def lloyd_max_codebook(bits: int):
     return _codebook_cache[bits]
 
 
-def distortion_factor(bits) -> float:
+def distortion_factor(bits: int) -> float:
     """Minimum MSE of a b-bit Lloyd-Max quantizer for unit-variance Gaussian input."""
-    if bits == math.inf:
-        return 0.0
     return lloyd_max_codebook(bits)[2]
 
 
@@ -168,9 +165,12 @@ class Normalised(NamedTuple):
 
 def normalise(samples: np.ndarray, scale: np.ndarray | None = None):
     """Divide each channel of a stack by its codebook scale, once for any
-    number of bit depths; ``quantize`` takes the result in place of the
-    stack.  ``samples`` and ``scale`` are those of ``quantize``.
+    number of bit depths; ``quantize`` takes the result.
 
+    ``samples`` is a channels x snapshots array, or a stack of them
+    (..., channels, snapshots).  The codebook is scaled per channel by the
+    RMS of the samples (per real dimension), an automatic gain control
+    matching the AQNM assumption; pass ``scale`` to fix it instead.
     Raises ValueError on a sample or a scale that is not finite, the
     scale of samples past about 1e154 included: a NaN turns its channel's
     gain control off, and an infinity turns the channel into infinities.
@@ -188,26 +188,14 @@ def normalise(samples: np.ndarray, scale: np.ndarray | None = None):
     return Normalised(x.view(np.float64) / safe, safe, scale <= 0.0)
 
 
-def quantize(samples, bits, scale: np.ndarray | None = None) -> np.ndarray:
-    """Quantize real and imaginary parts with the b-bit Lloyd-Max codebook.
+def quantize(norm: Normalised, bits: int) -> np.ndarray:
+    """Quantize real and imaginary parts of a ``normalise``d stack with the
+    b-bit Lloyd-Max codebook, at the stack's scale.
 
-    ``samples`` is a channels x snapshots array, or a stack of them
-    (..., channels, snapshots), or a stack that ``normalise`` has already
-    scaled.  The codebook is scaled per channel by the RMS of the samples
-    (per real dimension), an automatic gain control matching the AQNM
-    assumption; pass ``scale`` to reuse a fixed codebook scaling.
-    Channels whose scale is zero come out as zeros.  ``bits = math.inf``
-    returns an unquantized copy.  Raises ValueError, at a finite bit
-    depth, on samples that are not finite.
+    Channels whose scale is zero come out as zeros.  Raises ValueError
+    unless ``bits`` is a whole number of at least 1.
     """
-    normalised = isinstance(samples, Normalised)
-    if normalised and (scale is not None or bits == math.inf):
-        raise ValueError("a normalised stack carries its scale, and "
-                         "quantizes at finite bit depths only")
-    if bits == math.inf:
-        return samples.copy()
     levels, bits = lloyd_max_codebook(bits)[0], int(bits)
-    norm = samples if normalised else normalise(samples, scale)
     # real and imaginary parts at once, chunk by chunk
     parts = norm.parts.reshape(-1)
     out = np.empty_like(norm.parts)
@@ -233,10 +221,8 @@ def effective_snr(snr_linear: float, alpha: float) -> float:
     return alpha * snr_linear / (alpha + (1.0 - alpha) * (1.0 + snr_linear))
 
 
-def performance_loss_db(bits, snr_db: float) -> float:
+def performance_loss_db(bits: int, snr_db: float) -> float:
     """CRLB/SNR loss in dB from b-bit quantization at the given SNR."""
-    if bits == math.inf:
-        return 0.0
     alpha = 1.0 - distortion_factor(bits)
     snr = 10.0 ** (snr_db / 10.0)
     return 10.0 * np.log10(snr / effective_snr(snr, alpha))

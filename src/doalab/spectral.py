@@ -47,8 +47,12 @@ def sample_covariance(samples) -> CovarianceEstimate:
 
 def _covariances(x: np.ndarray) -> np.ndarray:
     """x x^H / T for each channels x snapshots array of a stack (..., P, T)."""
-    r = x @ np.swapaxes(x.conj(), -1, -2) / x.shape[-1]
-    return (r + np.swapaxes(r.conj(), -1, -2)) / 2.0  # exactly Hermitian
+    # in place, so a stack holds two (..., P, P) temporaries, not four
+    r = x @ np.swapaxes(x.conj(), -1, -2)
+    r /= x.shape[-1]
+    r += np.swapaxes(r.conj(), -1, -2)
+    r /= 2.0  # exactly Hermitian
+    return r
 
 
 def _null_polynomials(vectors: np.ndarray) -> np.ndarray:
@@ -379,15 +383,6 @@ def _restart(a, phase, first, again, owner, col):
     return kept, _certified(a[again], kept)[0]
 
 
-def _one_source_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Per row of ``coeffs``, the root inside the unit circle closest to it:
-    from the certified search, or else from the companion matrix."""
-    z = _certified_roots(coeffs)
-    for i in np.flatnonzero(np.isnan(z)):
-        z[i] = _companion_roots(coeffs[i])
-    return z
-
-
 def _direction_sines(roots, spacing: float):
     phases = np.angle(roots)
     # keep the interval half-open
@@ -464,9 +459,11 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
         return np.empty(0)
     coeffs = _null_polynomials(v)
     step = max(1, _SEARCH_ROWS_TIMES_P // v.shape[1])
-    roots = [_one_source_roots(coeffs[i:i + step])
-             for i in range(0, len(coeffs), step)]
-    return _direction_sines(np.concatenate(roots), spacing)
+    z = np.concatenate([_certified_roots(coeffs[i:i + step])
+                        for i in range(0, len(coeffs), step)])
+    for i in np.flatnonzero(np.isnan(z)):
+        z[i] = _companion_roots(coeffs[i])
+    return _direction_sines(z, spacing)
 
 
 def music_spectrum_grid(cov: CovarianceEstimate, *, spacing: float = 0.5,

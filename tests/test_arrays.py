@@ -37,7 +37,7 @@ def synthesize_oracle(cfg, scen, rng):
 class TestArrayConfig:
     def test_partition_invariant(self):
         cfg = ArrayConfig(64, 4, 12, 16)
-        assert cfg.n_had == 48 and cfg.n_channels == 28
+        assert cfg.n_had == 48 and cfg.k_sub + cfg.n_fd == 28
         assert cfg.fd_proportion == 0.25
 
     def test_bad_partition_rejected(self):
@@ -242,7 +242,7 @@ class TestAnalogCombine:
         scen = EmitterScenario.single_emitter(5.0, 10.0, 4)
         x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
         out = analog_combine(x, cfg)
-        assert out.shape == (cfg.n_channels, 4)
+        assert out.shape == (cfg.k_sub + cfg.n_fd, 4)
         with pytest.raises(ValueError):
             analog_combine(out, cfg)
 

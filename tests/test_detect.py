@@ -53,7 +53,8 @@ class TestStatistics:
             maxmin_statistic(np.array([1.0]))
 
     def test_glrt_max_over_mean_known(self):
-        assert glrt_statistic(np.array([6.0, 2.0, 1.0])) == pytest.approx(2.0)
+        assert glrt_statistic(np.array([6.0, 2.0, 1.0]), "max-over-mean") == \
+            pytest.approx(2.0)
 
     def test_glrt_sphericity_known(self):
         # AM/GM of (4, 1): 2.5 / 2
@@ -77,7 +78,8 @@ class TestStatistics:
 
     def test_vector_input_gives_float(self):
         eigs = np.array([4.0, 2.0, 1.0])
-        for value in (maxmin_statistic(eigs), glrt_statistic(eigs),
+        for value in (maxmin_statistic(eigs),
+                      glrt_statistic(eigs, "max-over-mean"),
                       glrt_statistic(eigs, "sphericity")):
             assert type(value) is float
 
@@ -194,7 +196,7 @@ def rocs():
     scen = EmitterScenario.single_emitter(10.0, -8.0, 32)
     return {name: roc_of(fn, scen, cfg, 2000, seed=21)
             for name, fn in [("maxmin", maxmin_statistic),
-                             ("glrt", glrt_statistic)]}
+                             ("glrt", lambda e: glrt_statistic(e, "max-over-mean"))]}
 
 
 class TestRocCurve:

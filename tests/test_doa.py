@@ -157,7 +157,7 @@ class TestTwoLayer:
         cfg = ArrayConfig(64, 4, 12, 16)
         est = tlhad_estimate(cfg, _scen(17.0, 20.0), trial_rng(5))
         assert est.snapshots_used == 1
-        assert est.angle_deg == pytest.approx(17.0, abs=0.5)
+        assert np.degrees(np.arcsin(est.u)) == pytest.approx(17.0, abs=0.5)
 
     def test_noiseless_exact(self):
         cfg = ArrayConfig(64, 4, 12, 16)
@@ -176,7 +176,7 @@ class TestTwoLayer:
         cfg = ArrayConfig(8, 4, 1, 4)
         est = tlhad_estimate(cfg, _scen(10.0, 20.0), trial_rng(7))
         assert "fd-only" in est.flags
-        assert est.angle_deg == pytest.approx(10.0, abs=2.0)
+        assert np.degrees(np.arcsin(est.u)) == pytest.approx(10.0, abs=2.0)
 
     def test_combined_beats_fd_alone_at_moderate_snr(self):
         cfg = ArrayConfig(64, 4, 12, 16)

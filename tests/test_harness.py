@@ -34,7 +34,7 @@ from doalab.harness import (
     train_mlnn_model,
 )
 from doalab.mlnn import init_model, save_model
-from doalab.quantize import performance_loss_db, quantize
+from doalab.quantize import normalise, performance_loss_db, quantize
 from doalab.rng import TrialStreams, rekey, trial_rng
 from doalab.spectral import (
     root_music,
@@ -145,8 +145,9 @@ class TestLoadConfig:
 
 class TestDetectionEigs:
     def test_worker_count_invariance(self):
-        e1 = detection_eigs(8, 16, -10.0, 1, 120, seed=4, workers=1)
-        e2 = detection_eigs(8, 16, -10.0, 1, 120, seed=4, workers=3)
+        e1 = detection_eigs(8, 16, -10.0, 1, 120, seed=4)
+        with harness._pool(3) as pool:
+            e2 = detection_eigs(8, 16, -10.0, 1, 120, seed=4, pool=pool)
         np.testing.assert_array_equal(e1, e2)
 
     def test_offset_shifts_streams(self):
@@ -296,7 +297,8 @@ class TestLossBits:
 def _quant_block_oracle(params, seed, trials):
     """The loss-bits block as it was before it shared one draw across bit
     depths: one bit depth per call, the quantized error in column 0 and
-    the unquantized one in column 1."""
+    the unquantized one in column 1; at ``math.inf`` bits both columns
+    are unquantized."""
     n_antennas, l_snap, theta_deg, snr_db, bits = params
     cfg = ArrayConfig.fully_digital(n_antennas)
     scen = EmitterScenario.single_emitter(theta_deg, snr_db, l_snap)
@@ -304,7 +306,8 @@ def _quant_block_oracle(params, seed, trials):
     x = synthesize_snapshot_rows(cfg, scen,
                                  [trial_rng(seed, i) for i in trials])[:, 0]
     u_hat = root_music_rows(signal_vectors(x), cfg.spacing)
-    uq = root_music_rows(signal_vectors(quantize(x, bits)), cfg.spacing)
+    xq = x if bits == math.inf else quantize(normalise(x), bits)
+    uq = root_music_rows(signal_vectors(xq), cfg.spacing)
     return np.column_stack((uq - u_true, u_hat - u_true))
 
 
@@ -346,8 +349,8 @@ class TestStackedBlocks:
         u_true = math.sin(math.radians(theta))
         for i, row in enumerate(whole):
             x = synthesize_snapshots(cfg, scen, trial_rng(5, i)).samples
-            ref = [root_music(sample_covariance(quantize(x, b)))
-                   for b in [*bits, math.inf]]
+            ref = [root_music(sample_covariance(xq))
+                   for xq in [*(quantize(normalise(x), b) for b in bits), x]]
             np.testing.assert_allclose(row + u_true, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spacing,snr_db", [(0.5, 10.0), (0.6, -10.0)])

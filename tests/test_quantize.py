@@ -48,7 +48,9 @@ class TestLloydMax:
             assert distortion_factor(b + 1) < 0.5 * distortion_factor(b)
 
     def test_infinite_bits(self):
-        assert distortion_factor(math.inf) == 0.0
+        # the unquantized reference is no bit depth
+        with pytest.raises(ValueError):
+            distortion_factor(math.inf)
 
     def test_levels_symmetric_and_sorted(self):
         for b in (2, 3, 4):
@@ -162,26 +164,25 @@ class TestCellIndex:
 class TestQuantize:
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_matches_oracle(self, bits):
-        # bit for bit, stacked, with a zero channel, and through a
-        # stack normalised once
+        # bit for bit, stacked, with a zero channel
         x = np.stack([_gaussian_batch(5, 40, seed=s, power=4.0 ** s)
                       for s in range(3)])
         x[1, 2] = 0.0
-        want = quantize_oracle(x, bits).tobytes()
-        assert quantize(x, bits).tobytes() == want
-        assert quantize(normalise(x), bits).tobytes() == want
+        assert (quantize(normalise(x), bits).tobytes()
+                == quantize_oracle(x, bits).tobytes())
 
     def test_non_finite_scale_rejected(self):
         # a NaN scale, and one that overflows from finite samples
         x = _gaussian_batch(2, 16)
         with pytest.raises(ValueError, match="scale"):
-            quantize(x, 3, scale=np.array([np.nan, 1.0]))
+            normalise(x, scale=np.array([np.nan, 1.0]))
         with pytest.raises(ValueError, match="scale"):
-            quantize(1e200 * x, 3)
+            normalise(1e200 * x)
 
     def test_normalised_stack_keeps_its_scale(self):
+        # normalise sets the scale; quantize takes finite bit depths only
         norm = normalise(_gaussian_batch(2, 16))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             quantize(norm, 2, scale=np.ones(2))
         with pytest.raises(ValueError):
             quantize(norm, math.inf)
@@ -191,18 +192,18 @@ class TestQuantize:
         # a NaN used to turn its channel's gain control off, and an
         # infinity turned its channel into infinities
         x = np.vstack([np.zeros(8), np.ones(8)]).astype(complex)
-        np.testing.assert_array_equal(quantize(x, 3)[0], 0.0)
+        np.testing.assert_array_equal(quantize(normalise(x), 3)[0], 0.0)
         x[1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            quantize(x, 3)
+            normalise(x)
         with pytest.raises(ValueError, match="samples"):
-            quantize(x, 3, scale=np.ones(2))
+            normalise(x, scale=np.ones(2))
 
     def test_empirical_distortion_matches_rho(self):
         # MC estimate of E|x - q(x)|^2 / E|x|^2 for Gaussian input
         x = _gaussian_batch(4, 100_000, seed=5)
         for b in (1, 2, 3):
-            out = quantize(x, b, scale=np.full(4, np.sqrt(0.5)))
+            out = quantize(normalise(x, np.full(4, np.sqrt(0.5))), b)
             err = np.mean(np.abs(out - x) ** 2)
             pwr = np.mean(np.abs(x) ** 2)
             assert err / pwr == pytest.approx(distortion_factor(b), rel=0.02)
@@ -211,40 +212,38 @@ class TestQuantize:
         # E[q(x) x*] / E|x|^2 -> alpha = 1 - rho for a centroid codebook
         x = _gaussian_batch(1, 400_000, seed=9)
         for b in (1, 2, 3):
-            out = quantize(x, b, scale=np.full(1, np.sqrt(0.5)))
+            out = quantize(normalise(x, np.full(1, np.sqrt(0.5))), b)
             corr = np.mean(out * np.conj(x)).real
             pwr = np.mean(np.abs(x) ** 2)
             assert corr / pwr == pytest.approx(1.0 - distortion_factor(b), abs=5e-3)
 
     def test_fractional_bits_rejected(self):
-        x = _gaussian_batch(2, 16)
-        np.testing.assert_array_equal(quantize(x, 2.0), quantize(x, 2))
+        norm = normalise(_gaussian_batch(2, 16))
+        np.testing.assert_array_equal(quantize(norm, 2.0), quantize(norm, 2))
         with pytest.raises(ValueError):
-            quantize(x, 2.5)
+            quantize(norm, 2.5)
 
     def test_one_bit_is_scaled_sign(self):
         x = _gaussian_batch(2, 64, seed=1)
-        out = quantize(x, 1)
+        out = quantize(normalise(x), 1)
         expected = _rms_scale(x)[:, None] * np.sqrt(2 / np.pi) * (
             np.sign(x.real) + 1j * np.sign(x.imag))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_auto_scale_is_per_channel_rms(self):
         x = _gaussian_batch(3, 5000, seed=2, power=4.0)
-        np.testing.assert_array_equal(quantize(x, 2),
-                                      quantize(x, 2, scale=_rms_scale(x)))
-        assert not np.array_equal(quantize(x, 2),
-                                  quantize(x, 2, scale=np.ones(3)))
+        auto = quantize(normalise(x), 2)
+        np.testing.assert_array_equal(auto, quantize(normalise(x, _rms_scale(x)), 2))
+        assert not np.array_equal(auto, quantize(normalise(x, np.ones(3)), 2))
 
     def test_infinite_bits_passthrough(self):
-        x = _gaussian_batch(2, 16)
-        out = quantize(x, math.inf)
-        np.testing.assert_array_equal(out, x)
-        assert not np.shares_memory(out, x)
+        # the unquantized stack is the caller's own; quantize makes no copy
+        with pytest.raises(ValueError):
+            quantize(normalise(_gaussian_batch(2, 16)), math.inf)
 
     def test_degenerate_channel_flagged(self):
         x = np.vstack([np.zeros(8), np.ones(8)]).astype(complex)
-        out = quantize(x, 2)
+        out = quantize(normalise(x), 2)
         np.testing.assert_array_equal(out[0], 0.0)
         assert np.all(out[1] != 0.0)
 
@@ -278,7 +277,9 @@ class TestEffectiveSnr:
 
 class TestPerformanceLoss:
     def test_infinite_bits_zero(self):
-        assert performance_loss_db(math.inf, 0.0) == 0.0
+        # loss-bits writes the unquantized row's zero loss itself
+        with pytest.raises(ValueError):
+            performance_loss_db(math.inf, 0.0)
 
     def test_fractional_bits_rejected(self):
         with pytest.raises(ValueError):

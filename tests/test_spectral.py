@@ -15,7 +15,7 @@ from doalab.arrays import (
     synthesize_snapshots,
 )
 from doalab.errors import EstimationError
-from doalab.rng import trial_rng
+from doalab.rng import TrialStreams, trial_rng
 from doalab.spectral import (
     music_spectrum_grid,
     root_music,
@@ -471,13 +471,13 @@ class TestCertifiedRoot:
         v = signal_vectors(np.stack([synthesize_snapshots(
             cfg, scen, trial_rng(4243, i)).samples for i in range(2 * step + 6)]))
         sizes = []
-        search = spectral._one_source_roots
+        search = spectral._certified_roots
 
         def counted(coeffs):
             sizes.append(len(coeffs))
             return search(coeffs)
 
-        monkeypatch.setattr(spectral, "_one_source_roots", counted)
+        monkeypatch.setattr(spectral, "_certified_roots", counted)
         u = root_music_rows(v)
         assert sizes == [step, step, 6]
         for row, u_i in zip(v, u):
@@ -570,6 +570,46 @@ class TestCertifiedRoot:
         assert not certified[0] and closer[0]
         z = spectral._certified_roots(coeffs[None])[0]
         assert np.isnan(z) or _du(z, ref, spacing) <= 1e-12
+
+    @pytest.mark.parametrize("eta,snr_db,block,p,trials", [
+        (0.0625, -10.0, "fd", 4, (5, 938, 1907)),
+        (0.0625, 0.0, "fd", 4, (522, 1124)),
+        (0.0625, 10.0, "fd", 4, (1026, 1436)),
+        (0.0625, -10.0, "had", 15, (448,)),
+        (0.25, -10.0, "had", 12, (1455,)),
+        (0.5, -10.0, "had", 8, (832, 1142)),
+        (0.75, -10.0, "had", 4, (437, 1361)),
+        (0.75, 10.0, "had", 4, (82,)),
+        (1.0, -10.0, "fd", 64, (604,)),
+    ])
+    def test_production_fallback_rows(self, monkeypatch, eta, snr_db, block,
+                                      p, trials):
+        # the 15 of the 54,000 rows a default rmse-eta run searches (seed
+        # 20240901, theta 15, one snapshot, 64 antennas in subarrays of 4)
+        # that the certified search leaves to the companion matrix: at
+        # 10 dB and P = 4 the first start ends non-finite, and on trial
+        # 604 at P = 64 the second round is not certified
+        cfg = ArrayConfig.two_layer(64, 4, eta)
+        scen = EmitterScenario.single_emitter(15.0, snr_db, 1)
+        x = analog_combine(synthesize_snapshot_rows(
+            cfg, scen, TrialStreams(20240901, trials))[:, 0], cfg)
+        if block == "had":
+            x, spacing = x[:, :cfg.k_sub], cfg.m_sub * cfg.spacing
+        else:
+            x, spacing = x[:, cfg.k_sub:], cfg.spacing
+        assert x.shape[1] == p
+        ref = [root_music(sample_covariance(row), spacing=spacing) for row in x]
+        fallen = []
+        companion = spectral._companion_roots
+
+        def counted(coeffs):
+            fallen.append(coeffs)
+            return companion(coeffs)
+
+        monkeypatch.setattr(spectral, "_companion_roots", counted)
+        u = root_music_rows(signal_vectors(x), spacing)
+        assert len(fallen) == len(trials)
+        np.testing.assert_allclose(u, ref, rtol=0, atol=1e-12)
 
     def test_search_memory_bounded(self):
         # 200 rows at P = 64 and -10 dB, where most rows take a second
