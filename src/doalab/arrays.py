@@ -154,15 +154,17 @@ def steering_vector(n_elements: int, u: float, spacing: float = 0.5) -> np.ndarr
     return np.exp(2j * np.pi * spacing * u * np.arange(n_elements))
 
 
-def subarray_gain(m_sub: int, spacing: float, u: float, u_steer: float) -> complex:
-    """Complex gain of one analog subarray steered at ``u_steer`` seen from ``u``."""
+def subarray_gain(m_sub: int, spacing: float, u):
+    """Complex gain at direction-sine ``u`` of one analog subarray steered at
+    broadside: a complex for a scalar ``u``, else an array of its shape."""
     if m_sub < 1:
         raise ValueError("m_sub must be at least 1")
-    for v in (u, u_steer):
-        if abs(v) > 1.0:
-            raise ValueError("direction-sines must lie in [-1, 1]")
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(u) > 1.0):
+        raise ValueError("direction-sines must lie in [-1, 1]")
     m = np.arange(m_sub)
-    return complex(np.sum(np.exp(2j * np.pi * spacing * m * (u - u_steer))) / np.sqrt(m_sub))
+    g = np.sum(np.exp(2j * np.pi * spacing * m * u[..., None]), axis=-1) / np.sqrt(m_sub)
+    return complex(g) if g.ndim == 0 else g
 
 
 def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, subarray_gain
 
 RAD2_TO_DEG2 = (180.0 / np.pi) ** 2
 
@@ -72,13 +72,10 @@ def _had_fim(cfg: ArrayConfig, theta_deg, snr_db, t_snapshots):
     J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b
     alone; an analog null (|g| < 1e-12) carries none."""
     theta = np.radians(np.asarray(theta_deg, dtype=float))
-    u = np.sin(theta)
-    d, m = cfg.spacing, cfg.m_sub
-    mm = np.arange(m)
-    g = np.sum(np.exp(2j * np.pi * d * mm * u[..., None]), axis=-1) / math.sqrt(m)
-    j_b = _broadside_fim(cfg.k_sub, 2j * np.pi * d * m, t_snapshots, snr_db)
+    gain = np.abs(subarray_gain(cfg.m_sub, cfg.spacing, np.sin(theta)))
+    j_b = _broadside_fim(cfg.k_sub, 2j * np.pi * cfg.spacing * cfg.m_sub,
+                         t_snapshots, snr_db)
     cos = np.cos(theta)
-    gain = np.abs(g)
     return np.where(gain < 1e-12, 0.0, cos * cos * gain * gain * j_b)
 
 

@@ -55,7 +55,6 @@ BROADSIDE_GAIN_FLOOR = 0.1
 class CandidateSet:
     """Directions consistent with an ambiguous inter-subarray estimate."""
 
-    base_u: float
     candidates: np.ndarray
     period: float
 
@@ -81,12 +80,12 @@ def candidate_set(u_hat: float, m_sub: int, spacing: float) -> CandidateSet:
     """
     period = 1.0 / (m_sub * spacing)
     if 2.0 * m_sub * spacing <= 1.0:
-        return CandidateSet(u_hat, np.array([np.clip(u_hat, -1.0, 1.0)]), period)
+        return CandidateSet(np.array([np.clip(u_hat, -1.0, 1.0)]), period)
     k_lo = int(np.ceil((-1.0 - u_hat) / period - 1e-12))
     k_hi = int(np.floor((1.0 - u_hat) / period - 1e-12))
     cands = u_hat + period * np.arange(k_lo, k_hi + 1)
     cands = cands[(cands >= -1.0 - 1e-12) & (cands < 1.0 - 1e-12)]
-    return CandidateSet(u_hat, np.sort(cands), period)
+    return CandidateSet(np.sort(cands), period)
 
 
 def _require_single_emitter(scen: EmitterScenario):
@@ -131,12 +130,12 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
                        1 + len(cands), candidates=cands)
 
 
-def _subgroups(k_sub: int, n_groups: int):
-    """Contiguous subgroups; remainder subarrays spread round-robin."""
+def _subgroups(k_sub: int, n_groups: int) -> np.ndarray:
+    """The subgroup of each subarray: contiguous subgroups, the first
+    ``k_sub % n_groups`` of them one subarray larger."""
     sizes = np.full(n_groups, k_sub // n_groups)
     sizes[: k_sub % n_groups] += 1
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    return [range(bounds[j], bounds[j + 1]) for j in range(n_groups)]
+    return np.repeat(np.arange(n_groups), sizes)
 
 
 def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
@@ -151,12 +150,10 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
     if cfg.k_sub < len(cands):
         raise ConfigError(
             f"{cfg.k_sub} subarrays cannot host {len(cands)} candidate subgroups")
-    groups = _subgroups(cfg.k_sub, len(cands))
-    steer = np.empty(cfg.k_sub)
-    for j, grp in enumerate(groups):
-        steer[list(grp)] = cands.candidates[j]
+    group = _subgroups(cfg.k_sub, len(cands))
+    steer = cands.candidates[group]
     sub_power = np.abs(_snapshot(cfg, scen1, rng, steer)[: cfg.k_sub, 0]) ** 2
-    group_power = [float(np.mean(sub_power[list(grp)])) for grp in groups]
+    group_power = [np.mean(sub_power[group == j]) for j in range(len(cands))]
     best = int(np.argmax(group_power))
     return DoaEstimate(float(cands.candidates[best]), METHOD_FHAD, 2,
                        candidates=cands)
@@ -235,16 +232,14 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
 
     groups = {k: _subgroups(cfg.k_sub, k) for k in np.unique(counts)}
     steer = np.empty((len(cands), cfg.k_sub))
-    for k, grps in groups.items():
-        of = np.repeat(np.arange(k), [len(g) for g in grps])  # subarray -> group
-        steer[counts == k] = cands[counts == k][:, of]
+    for k, group in groups.items():
+        steer[counts == k] = cands[counts == k][:, group]
     sub_power = np.abs(analog_combine(x[:, 0], cfg, steer)[:, : cfg.k_sub, 0]) ** 2
     group_power = np.zeros(cands.shape)
-    for k, grps in groups.items():
+    for k, group in groups.items():
         rows = np.flatnonzero(counts == k)
-        for j, grp in enumerate(grps):
-            group_power[rows, j] = np.mean(sub_power[rows, grp.start:grp.stop],
-                                           axis=1)
+        for j in range(k):
+            group_power[rows, j] = sub_power[np.ix_(rows, group == j)].mean(axis=1)
     return classic, _pick(cands, group_power)
 
 
@@ -365,5 +360,5 @@ def broadside_gain_ok(cfg: ArrayConfig, u: float) -> bool:
     """True when the broadside analog beam keeps at least
     ``BROADSIDE_GAIN_FLOOR * sqrt(M)`` gain at ``u``; the harness excludes
     scenario angles that fail this."""
-    return (abs(subarray_gain(cfg.m_sub, cfg.spacing, u, 0.0))
+    return (abs(subarray_gain(cfg.m_sub, cfg.spacing, u))
             >= BROADSIDE_GAIN_FLOOR * np.sqrt(cfg.m_sub))

@@ -64,9 +64,6 @@ from .quantize import normalise, performance_loss_db, quantize
 from .rng import TrialStreams
 from .spectral import root_music_rows, signal_vectors
 
-EXPERIMENTS = ("roc", "rmse-snr", "rmse-eta", "loss-bits", "train-mlnn")
-
-
 # a config key: its default text, the parser of that text (which raises
 # ValueError on text it cannot read), and a check of the parsed value with
 # what the check means
@@ -177,6 +174,7 @@ DEFAULT_TRIALS = {
     "loss-bits": 500,
     "train-mlnn": 10_000,  # validation trials for threshold calibration
 }
+EXPERIMENTS = tuple(DEFAULT_TRIALS)
 
 # false-alarm probabilities train-mlnn stores thresholds for
 THRESHOLD_FAPS = (0.01, 0.1)
@@ -669,20 +667,26 @@ def run_train_mlnn(config: ExperimentConfig):
     return model_path, report_path, model
 
 
+def _run_roc_with(config: ExperimentConfig, model_path):
+    try:
+        model = load_model(model_path) if model_path else None
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load model {model_path}: {exc}") from None
+    return run_roc(config, model)
+
+
+# name -> run(config, model_path), looking run_* up per call so wrappers apply
+_RUNS = {
+    "roc": _run_roc_with,
+    "rmse-snr": lambda config, _: run_rmse_snr(config),
+    "rmse-eta": lambda config, _: run_rmse_eta(config),
+    "loss-bits": lambda config, _: run_loss_bits(config),
+    "train-mlnn": lambda config, _: run_train_mlnn(config),
+}
+
+
 def run_experiment(config: ExperimentConfig, model_path=None):
     """Dispatch one experiment; returns the primary output path."""
-    if config.experiment == "roc":
-        try:
-            model = load_model(model_path) if model_path else None
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot load model {model_path}: {exc}") from None
-        return run_roc(config, model)[0]
-    if config.experiment == "rmse-snr":
-        return run_rmse_snr(config)[0]
-    if config.experiment == "rmse-eta":
-        return run_rmse_eta(config)[0]
-    if config.experiment == "loss-bits":
-        return run_loss_bits(config)[0]
-    if config.experiment == "train-mlnn":
-        return run_train_mlnn(config)[0]
-    raise ConfigError(f"unknown experiment {config.experiment!r}")
+    if config.experiment not in _RUNS:
+        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    return _RUNS[config.experiment](config, model_path)[0]

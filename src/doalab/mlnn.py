@@ -38,16 +38,16 @@ class MlnnModel:
 
     ``weights[i]`` maps layer i to i+1 (shape out x in); the output layer
     has exactly one unit and a sigmoid, so scores live in [0, 1].  The
-    optional input center/scale standardize features before the first
-    affine layer (identity by default); both are stored with the model.
+    input center and scale, one entry per input, standardize features
+    before the first affine layer; both are stored with the model.
     """
 
     layer_sizes: tuple
     activations: tuple
     weights: list
     biases: list
-    input_center: np.ndarray | None = None
-    input_scale: np.ndarray | None = None
+    input_center: np.ndarray
+    input_scale: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,31 +69,29 @@ class MlnnModel:
                     f"{np.shape(b)}, not {fan_in} -> {fan_out} units")
         for name in ("input_center", "input_scale"):
             v = getattr(self, name)
-            if v is not None and np.shape(v) != (self.layer_sizes[0],):
+            if np.shape(v) != (self.layer_sizes[0],):
                 raise ValueError(f"{name} has shape {np.shape(v)}, not "
                                  f"({self.layer_sizes[0]},)")
 
 
 def init_model(layer_sizes, activations, seed: int,
                input_center=None, input_scale=None) -> MlnnModel:
-    """Glorot-style uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+    """Glorot-style uniform init in +-sqrt(6 / (fan_in + fan_out)); the
+    input center and scale default to the identity pair (0, 1)."""
     rng = trial_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
+    n = layer_sizes[0]
     return MlnnModel(tuple(layer_sizes), tuple(activations), weights, biases,
-                     None if input_center is None else np.asarray(input_center, float),
-                     None if input_scale is None else np.asarray(input_scale, float))
+                     np.zeros(n) if input_center is None else np.asarray(input_center, float),
+                     np.ones(n) if input_scale is None else np.asarray(input_scale, float))
 
 
 def _standardize(model: MlnnModel, x: np.ndarray) -> np.ndarray:
-    if model.input_center is not None:
-        x = x - model.input_center
-    if model.input_scale is not None:
-        x = x / model.input_scale
-    return x
+    return (x - model.input_center) / model.input_scale
 
 
 def _layers(model, x):
@@ -327,8 +325,8 @@ def save_model(model: MlnnModel, path) -> None:
         activations=list(model.activations),
         weights=[w.tolist() for w in model.weights],
         biases=[b.tolist() for b in model.biases],
-        input_center=None if model.input_center is None else model.input_center.tolist(),
-        input_scale=None if model.input_scale is None else model.input_scale.tolist(),
+        input_center=model.input_center.tolist(),
+        input_scale=model.input_scale.tolist(),
         metadata=model.metadata,
     )
     with open(path, "w") as fh:
@@ -352,7 +350,7 @@ def load_model(path) -> MlnnModel:
         tuple(doc["layer_sizes"]), tuple(doc["activations"]),
         [np.asarray(w, dtype=float) for w in doc["weights"]],
         [np.asarray(b, dtype=float) for b in doc["biases"]],
-        None if doc["input_center"] is None else np.asarray(doc["input_center"], float),
-        None if doc["input_scale"] is None else np.asarray(doc["input_scale"], float),
+        np.asarray(doc["input_center"], float),
+        np.asarray(doc["input_scale"], float),
         doc.get("metadata", {}),
     )

@@ -6,14 +6,13 @@ cached; the additive quantization noise model (AQNM) linearizes the
 quantizer as gain ``alpha = 1 - rho_b`` plus uncorrelated noise.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 _codebook_cache: dict = {}
-# the cell index of each codebook (``_cell_table``), keyed by bits
-_table_cache: dict = {}
 # samples put through ``_cells`` at once: a chunk's temporaries, 256 KiB
 # each, are reused from the heap, where temporaries the size of a
 # loss-bits block were faulted in afresh at every bit depth (quantize
@@ -97,6 +96,7 @@ def distortion_factor(bits: int) -> float:
     return lloyd_max_codebook(bits)[2]
 
 
+@functools.cache
 def _cell_table(bits: int):
     """The index of ``_cells`` for the b-bit codebook, built once: (grid,
     counts, inner).
@@ -107,8 +107,6 @@ def _cell_table(bits: int):
     the number of thresholds in buckets below k, and ``inner[k]`` the
     threshold in bucket k, or +inf.
     """
-    if bits in _table_cache:
-        return _table_cache[bits]
     thresholds = lloyd_max_codebook(bits)[1]
     gaps = np.diff(thresholds)
     step = gaps.min() / 2.0 if gaps.size else 1.0
@@ -122,8 +120,7 @@ def _cell_table(bits: int):
     inner = np.full(size, np.inf)
     inner[own] = thresholds
     counts.flags.writeable = inner.flags.writeable = False
-    _table_cache[bits] = (grid, counts, inner)
-    return _table_cache[bits]
+    return grid, counts, inner
 
 
 def _buckets(x: np.ndarray, lo: float, hi: float, scale: float, shift: float):

@@ -330,8 +330,7 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     leading coefficient is zero, its first start does not converge, a
     certificate sample of its first root sits at rounding level, or the
     search from every minimum is not certified either.  A second root
-    near the circle costs a few bisections of the arcs beside it and no
-    longer leaves a row uncertified.
+    near the circle costs a few bisections of the arcs beside it.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
@@ -344,24 +343,17 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     done = ok & certified
     best[rows[done]] = first[done]
     again = np.flatnonzero(ok & closer)
-    if again.size == 0:
-        return best
-    # the few-lane wave: each row's _WAVE minima of smallest predicted
-    # distance, ties to the lower column
-    s = sigma[again]
-    wave = np.zeros(s.shape, dtype=bool)
-    np.put_along_axis(wave, np.argsort(s, axis=1, kind="stable")[:, :_WAVE],
-                      True, axis=1)
-    owner, col = np.nonzero(wave & np.isfinite(s))
-    kept, done = _restart(a, phase, first, again, owner, col)
-    best[rows[again[done]]] = kept[done]
-    again = again[~done]
-    if again.size == 0:
-        return best
-    # the rows the wave left uncertified, from every local minimum
-    owner, col = np.nonzero(np.isfinite(sigma[again]))
-    kept, done = _restart(a, phase, first, again, owner, col)
-    best[rows[again[done]]] = kept[done]
+    # the second round: the wave, then every minimum
+    for width in (_WAVE, np.inf):
+        if again.size == 0:
+            break
+        # each minimum's rank by predicted distance, ties to the lower column
+        s = sigma[again]
+        rank = np.argsort(np.argsort(s, axis=1, kind="stable"), axis=1)
+        owner, col = np.nonzero((rank < width) & np.isfinite(s))
+        kept, done = _restart(a, phase, first, again, owner, col)
+        best[rows[again[done]]] = kept[done]
+        again = again[~done]
     return best
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doalab.arrays import ArrayConfig
+from doalab.arrays import ArrayConfig, subarray_gain
 from doalab.crlb import (
     crlb_fd,
     crlb_fd_closed_form,
@@ -98,6 +98,26 @@ class TestHadBound:
         cfg = ArrayConfig.pure_had(16, 1)
         assert crlb_had(cfg, 30.0, 5.0, 20) == pytest.approx(
             crlb_fd(16, 30.0, 5.0, 20), rel=1e-12)
+
+    @pytest.mark.parametrize("m_sub", [1, 2, 4, 8])
+    @pytest.mark.parametrize("spacing", [0.1, 0.4, 0.5])
+    def test_infinite_exactly_at_gain_nulls(self, m_sub, spacing):
+        # the gain over an array is its scalar calls, bit for bit, and the
+        # bound is infinite where that gain is an analog null and nowhere else
+        u = np.concatenate((np.linspace(-1.0, 1.0, 81), [0.5, 0.625, 0.75]))
+        theta = np.degrees(np.arcsin(u))
+        u_bound = np.sin(np.radians(theta))  # the direction-sine crlb_had sees
+        gain = subarray_gain(m_sub, spacing, u_bound)
+        scalars = np.array([subarray_gain(m_sub, spacing, float(v))
+                            for v in u_bound])
+        assert gain.shape == u.shape
+        assert gain.tobytes() == scalars.tobytes()
+        null = np.abs(gain) < 1e-12
+        if (m_sub, spacing) == (4, 0.5):
+            assert null[u == 0.5].all()
+        cfg = ArrayConfig.pure_had(2 * m_sub, m_sub, spacing)
+        bound = crlb_had(cfg, theta, 0.0, 10)
+        np.testing.assert_array_equal(np.isinf(bound), null)
 
 
 class TestTwoLayerBound:

@@ -777,8 +777,9 @@ class TestCli:
         (16, lambda doc: dict(doc, weights=[doc["weights"][0][:-1],
                                             doc["weights"][1]])),
         (16, lambda doc: dict(doc, layer_sizes=64)),
+        (16, lambda doc: dict(doc, input_center=None)),
     ], ids=["other-n-total", "not-an-object", "weights-row-dropped",
-            "layer-sizes-not-list"])
+            "layer-sizes-not-list", "input-center-null"])
     def test_misfit_model_exit_code(self, tmp_path, capsys, monkeypatch,
                                     n_inputs, edit):
         # refused when the model loads, before any detection trial runs
