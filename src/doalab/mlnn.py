@@ -197,7 +197,8 @@ def train(model: MlnnModel, data: TrainingSet, hyper: Hyper, seed: int):
                   metadata=dict(model.metadata))
     x_all = _standardize(out, data.features)
     y_all = data.labels
-    rng = trial_rng(seed)
+    # stream 1: ``init_model`` draws the weights from stream 0 of a seed
+    rng = trial_rng(seed, 1)
     history = []
     lr = hyper.learning_rate
     n = len(data)

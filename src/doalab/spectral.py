@@ -4,9 +4,11 @@ Root-MUSIC.
 Two paths.  ``sample_covariance`` and ``root_music`` are the textbook
 per-covariance reference: ``np.linalg.eigh``, then the companion-matrix
 roots (``np.roots``).  ``signal_vectors`` and ``root_music_rows`` estimate
-one source for a whole stack of trials through a certified Newton-type
-search (``_certified_roots``).  The two share no eigensolver and no root
-finder, so the reference checks the search.
+one source for a whole stack of trials: the signal eigenvector in closed
+form or by a certified power iteration (``_principal_vectors``), its root
+by a certified Newton-type search (``_certified_roots``).  Each takes the
+reference's solver only for the rows its certificate refuses, so the
+reference checks both.
 """
 
 import functools
@@ -413,9 +415,10 @@ def signal_vectors(samples: np.ndarray) -> np.ndarray:
     With one snapshot the covariance x x^H has rank one and its
     eigenvector is x / |x|, so no covariance is formed; an all-zero
     snapshot gets the last unit vector, which ``eigh`` returns for a zero
-    covariance.  Otherwise the covariances of ``sample_covariance`` are
-    decomposed by one stacked ``eigh``.  The phase of each vector is
-    arbitrary.
+    covariance.  Otherwise the covariances of ``sample_covariance`` go
+    through ``_principal_vectors``, which agrees with ``eigh`` to 1e-13 in
+    angle on the rows it certifies and returns ``eigh``'s bytes on the
+    rest.  The phase of each vector is arbitrary.
     """
     x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 3 or x.shape[2] < 1:
@@ -425,7 +428,97 @@ def signal_vectors(samples: np.ndarray) -> np.ndarray:
         v = x[:, :, 0] / np.where(norm > 0.0, norm, 1.0)
         v[norm[:, 0] == 0.0, -1] = 1.0
         return v
-    return np.linalg.eigh(_covariances(x))[1][:, :, -1]
+    return _principal_vectors(_covariances(x))
+
+
+# a row is accepted once its residual certifies sin(v, e) <= _POWER_TOL
+_POWER_TOL = 1e-13
+# iterations before a row falls back to ``eigh``.  At P = 32, T = 50, on
+# 100 trials x 9 stacks (unquantized and 1-8 bits) per SNR: every 0 dB row
+# certified after 10-14 iterations and every 10 dB row after 6-12; at
+# -5 dB 896 of 900 certified after 15-28, the other 4 stopped at the
+# first; at -10 dB every row stopped at the first
+_POWER_MAX_ITER = 30
+# the squared Frobenius norms of the rows that iterate: far enough from
+# underflow and overflow that no norm or residual of the iteration leaves
+# the normal range
+_F_RANGE = (2.0 ** -800, 2.0 ** 1000)
+
+
+def _principal_vectors(r: np.ndarray) -> np.ndarray:
+    """The principal eigenvector of each Hermitian positive semidefinite
+    matrix of a stack (B, P, P), as rows (B, P): a certified power
+    iteration, and ``eigh`` for the rows it does not certify.
+
+    Each row starts from the column of its largest diagonal entry.  With v
+    the unit iterate, mu = v^H R v, r = |R v - mu v| and F = |R|_F^2, some
+    eigenvalue lies within r of mu, so at least lo = mu - r, and the
+    squares of the others sum to at most F - lo^2.  When
+    g = lo - sqrt(F - lo^2) > 0 that eigenvalue is therefore the largest,
+    the others lie at least g below mu, and the sine of the angle between
+    v and its eigenvector is at most r / g (Davis & Kahan, SIAM J. Numer.
+    Anal. 7, 1970).  A row is accepted once r <= ``_POWER_TOL`` g.  The
+    next iterate is (R - s) v, normalised, with s = (trace R - mu) / (P - 1)
+    the mean of the other eigenvalues, which speeds the iteration up when
+    they spread around their mean, as noise eigenvalues do: at P = 32,
+    T = 50 and 0 dB a row took 11.4 iterations on average, 13.1 unshifted.
+
+    A row goes to one stacked ``eigh`` of all such rows, which gives the
+    bytes of ``eigh`` on the whole stack, when F is zero, tiny or
+    overflows, when (R - s) v is zero or not finite, when it is still
+    open after ``_POWER_MAX_ITER`` iterations, and when 2 (mu + r)^2 < F:
+    were the eigenvalue near mu the largest, no smaller residual would
+    certify it, which is the low-SNR case.
+
+    The matrices of the rows still iterating are gathered only once half
+    of the rows held have finished, as ``_laguerre`` gathers its forms;
+    until then finished rows are multiplied too, and their products
+    dropped.  Every step is a product or a sum within one row, so a row's
+    bytes do not depend on which rows share its stack.
+    """
+    b, p = r.shape[:2]
+    flat = r.reshape(b, p * p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.vecdot(flat, flat).real
+    iterate = (f > _F_RANGE[0]) & (f < _F_RANGE[1])
+    out = np.empty((b, p), dtype=complex)
+    active = np.flatnonzero(iterate)
+    fallback = [np.flatnonzero(~iterate)]
+    # ``mats`` holds the rows ``held``; active row j is its row pos[j]
+    held, pos = active, np.arange(active.size)
+    mats, f = (r, f) if held.size == b else (r[held], f[held])
+    diag = mats.diagonal(axis1=1, axis2=2).real
+    trace = diag.sum(axis=1)
+    v = mats[pos, :, diag.argmax(axis=1)]
+    v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_POWER_MAX_ITER):
+            if active.size == 0:
+                break
+            w = np.matmul(mats, v[:, :, None])[:, :, 0]
+            mu = np.vecdot(v, w).real
+            res = w - mu[:, None] * v
+            rn = np.sqrt(np.vecdot(res, res).real)
+            lo = mu - rn
+            gap = lo - np.sqrt(np.maximum(f - lo * lo, 0.0))
+            done = (gap > 0.0) & (rn <= _POWER_TOL * gap)
+            w -= ((trace - mu) / max(p - 1, 1))[:, None] * v
+            norm = np.sqrt(np.vecdot(w, w).real)
+            going = ~done & (2.0 * (mu + rn) ** 2 >= f) & (norm > 0.0) \
+                & (norm < np.inf)
+            done, going = done[pos], going[pos]
+            out[active[done]] = v[pos[done]]
+            fallback.append(active[~done & ~going])
+            v = w / norm[:, None]
+            active, pos = active[going], pos[going]
+            if 2 * active.size <= held.size:
+                mats, f, v, trace = mats[pos], f[pos], v[pos], trace[pos]
+                held, pos = active, np.arange(active.size)
+    rest = np.sort(np.concatenate((*fallback, active)))
+    if rest.size:
+        mats = r if rest.size == b else r[rest]
+        out[rest] = np.linalg.eigh(mats)[1][:, :, -1]
+    return out
 
 
 def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:

@@ -281,7 +281,7 @@ def _train_oracle(model, data, hyper, seed):
                     model.input_center, model.input_scale, dict(model.metadata))
     x_all = mlnn._standardize(out, data.features)
     y_all = data.labels
-    rng = trial_rng(seed)
+    rng = trial_rng(seed, 1)
     history = []
     lr = hyper.learning_rate
     n = len(data)

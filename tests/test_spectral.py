@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from doalab.arrays import (
     synthesize_snapshots,
 )
 from doalab.errors import EstimationError
+from doalab.quantize import normalise, quantize
 from doalab.rng import TrialStreams, trial_rng
 from doalab.spectral import (
     music_spectrum_grid,
@@ -659,3 +662,123 @@ class TestSignalVectors:
             signal_vectors(np.zeros((4, 3)))
         with pytest.raises(ValueError):
             root_music_rows(np.ones((2, 1)))
+
+
+def _with_eigh_rows(x):
+    """``signal_vectors(x)``, the vectors of one stacked ``eigh`` of the
+    covariances (the oracle), and a mask of the rows ``signal_vectors``
+    passed to ``eigh``."""
+    r = spectral._covariances(x)
+    eigh = np.linalg.eigh
+    sent = set()
+
+    def spy(a):
+        sent.update(m.tobytes() for m in a)
+        return eigh(a)
+
+    with mock.patch.object(np.linalg, "eigh", spy):
+        v = signal_vectors(x)
+    return v, eigh(r)[1][:, :, -1], np.array([m.tobytes() in sent for m in r])
+
+
+def _well_posed_roots(vectors):
+    """Per row, whether the Root-MUSIC root of the vector moves by no
+    more than rounding when the vector does: it lies at least 0.5 from the
+    origin, where the phase is defined, and 1e-3 from every other root.
+    A near-double root, the split pair of a high-SNR source on the circle,
+    moves by about rounding over its split: at P = 2, 22 dB and T = 172, a
+    split of 3e-5 turned vectors equal to 2e-16 into direction-sines 3e-12
+    apart.  A root at the origin, which an eigenvector that is one antenna
+    to rounding gives, has a phase that rounding picks."""
+    ok = []
+    for c in spectral._null_polynomials(vectors):
+        z = np.roots(c)
+        root = spectral._companion_roots(c)
+        others = np.delete(z, np.argmin(np.abs(z - root)))
+        ok.append(abs(root) >= 0.5 and np.min(np.abs(others - root)) >= 1e-3)
+    return np.array(ok)
+
+
+def _stack(p, t, snr_db, seed, trials, u=0.25):
+    scen = EmitterScenario.single_emitter(math.degrees(math.asin(u)), snr_db, t)
+    return synthesize_snapshot_rows(ArrayConfig.fully_digital(p), scen,
+                                    [trial_rng(seed, i) for i in range(trials)])[:, 0]
+
+
+class TestPrincipalVectors:
+    """The certified power iteration of ``signal_vectors`` against one
+    stacked ``eigh``: certified rows agree with it to 1e-12, every other
+    row is its bytes."""
+
+    @given(p=st.integers(2, 64), t=st.integers(2, 200),
+           snr_db=st.floats(-20.0, 30.0), u=st.floats(-0.95, 0.95),
+           bits=st.integers(0, 8), silent=st.integers(0, 3),
+           zero_trial=st.booleans(),
+           scale=st.sampled_from([1.0, 1e-150, 1e-60, 1e60, 1e100, 1e150]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_eigh(self, p, t, snr_db, u, bits, silent, zero_trial,
+                              scale, seed):
+        # bits 0 is the unquantized stack; silent channels have scale 0
+        x = _stack(p, t, snr_db, seed, 4, u)
+        x[:, :min(silent, p - 1)] = 0.0
+        if zero_trial:
+            x[0] = 0.0
+        if bits:
+            x = quantize(normalise(x), bits)
+        v, e, fallen = _with_eigh_rows(x * scale)
+        assert v[fallen].tobytes() == e[fallen].tobytes()
+        assert np.all(np.abs(np.vecdot(e[~fallen], v[~fallen])) >= 1.0 - 1e-12)
+        # a direction-sine is a phase: compare it modulo 2, on the rows
+        # whose root is well posed
+        du = root_music_rows(v) - root_music_rows(e)
+        du = np.abs((du + 1.0) % 2.0 - 1.0)
+        assert np.all(du[_well_posed_roots(e)] <= 1e-12)
+
+    @pytest.mark.parametrize("p", [2, 8, 32])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_repeated_top_eigenvalue(self, p, rotated):
+        # T = 2 orthogonal snapshots of equal norm: the top eigenvalue is
+        # double, so no vector is certified and every row is eigh's
+        q = np.eye(p, dtype=complex)
+        if rotated:
+            rng = trial_rng(17, p)
+            q = np.linalg.qr(rng.standard_normal((p, p))
+                             + 1j * rng.standard_normal((p, p)))[0]
+        x = np.stack([3.0 * q[:, :2], 0.5 * q[:, -2:]])
+        v, e, fallen = _with_eigh_rows(x)
+        assert fallen[0]
+        assert v.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("bits", [0, 2])
+    def test_row_independent_of_stack(self, bits):
+        # 0 dB rows certify, -10 dB rows fall back; mixed in one stack, a
+        # row keeps its bytes whatever block it is rooted in
+        x = np.empty((30, 32, 50), dtype=complex)
+        x[0::2] = _stack(32, 50, 0.0, 23, 15)
+        x[1::2] = _stack(32, 50, -10.0, 29, 15)
+        if bits:
+            x = quantize(normalise(x), bits)
+        whole = signal_vectors(x)
+        for bounds in ((0, 11, 12, 30), tuple(range(31))):
+            parts = [signal_vectors(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("snr_db, rows", [(0.0, 0), (-10.0, 50)])
+    def test_eigh_rows(self, monkeypatch, snr_db, rows):
+        # at P = 32, T = 50 every 0 dB row is certified without eigh, and
+        # every -10 dB row goes to one stacked eigh
+        sent = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            sent.append(len(a))
+            return eigh(a)
+
+        x = _stack(32, 50, snr_db, 31, 50)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        signal_vectors(x)
+        assert sum(sent) == rows and len(sent) <= 1
+
+    def test_empty_stack(self):
+        assert signal_vectors(np.zeros((0, 4, 3))).shape == (0, 4)
