@@ -12,9 +12,6 @@ import numpy as np
 from .arrays import CONSTANT_MODULUS, ArrayConfig, EmitterScenario
 from .errors import EstimationError
 
-GLRT_MAX_OVER_MEAN = "max-over-mean"
-GLRT_SPHERICITY = "sphericity"
-
 # H0 scores a threshold needs above it, on average
 TAIL_SCORES = 10
 
@@ -35,27 +32,19 @@ def maxmin_statistic(eigs: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def glrt_statistic(eigs: np.ndarray, form: str):
-    """GLRT detection statistic over sorted eigenvalues.
-
-    ``form`` is ``"max-over-mean"``, the blind rank-one test
-    lambda_1 / mean(lambda), or ``"sphericity"``, the
-    arithmetic-to-geometric-mean test.  Acts along the last axis like
-    ``maxmin_statistic``; degenerate rows give inf.
+def glrt_statistic(eigs: np.ndarray):
+    """Sphericity GLRT statistic over sorted eigenvalues: the
+    arithmetic-to-geometric-mean ratio, the GLRT form that reproduces the
+    published detector ordering.  Acts along the last axis like
+    ``maxmin_statistic``; rows with an eigenvalue that is not positive
+    (degenerate) give inf.
     """
-    if form not in (GLRT_MAX_OVER_MEAN, GLRT_SPHERICITY):
-        raise ValueError(f"unknown GLRT form {form!r}")
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim == 0 or eigs.shape[-1] < 2:
         raise ValueError("need at least two eigenvalues")
-    mean = eigs.mean(axis=-1)
-    if form == GLRT_MAX_OVER_MEAN:
-        ok = mean > 0.0
-        out = eigs[..., 0] / np.where(ok, mean, 1.0)
-    else:
-        ok = np.all(eigs > 0.0, axis=-1)
-        logs = np.log(np.where(ok[..., None], eigs, 1.0))
-        out = mean / np.exp(logs.mean(axis=-1))
+    ok = np.all(eigs > 0.0, axis=-1)
+    logs = np.log(np.where(ok[..., None], eigs, 1.0))
+    out = eigs.mean(axis=-1) / np.exp(logs.mean(axis=-1))
     out = np.where(ok, out, np.inf)
     return float(out) if out.ndim == 0 else out
 

@@ -31,8 +31,6 @@ from .arrays import (
 )
 from .crlb import RAD2_TO_DEG2, crlb_had, crlb_tlhad
 from .detect import (
-    GLRT_MAX_OVER_MEAN,
-    GLRT_SPHERICITY,
     TAIL_SCORES,
     decision_threshold,
     glrt_statistic,
@@ -132,11 +130,6 @@ SCHEMA = {
         "n_snapshots": _count("200", 1),
         "t_snapshots": _count("1", 1),
         "signal_model": _choice(CONSTANT_MODULUS, (CONSTANT_MODULUS, GAUSSIAN)),
-    },
-    "detect": {
-        # sphericity reproduces the published detector ordering; the
-        # max-over-mean form is available here as well
-        "glrt_form": _choice("sphericity", (GLRT_SPHERICITY, GLRT_MAX_OVER_MEAN)),
     },
     "rmse": {
         "eta_grid": _list("0.0625,0.25,0.5,0.75,1.0", _parse_list,
@@ -470,11 +463,10 @@ def run_roc(config: ExperimentConfig, model=None):
         e1 = detection_eigs(n_total, l_snap, snr_db, 1, trials, config.seed,
                             pool, offset=ROC_STREAMS + trials,
                             signal_model=config.value("scenario.signal_model"))
-    glrt_form = config.value("detect.glrt_form")
     scores = {}
     for tag, eigs in (("h0", e0), ("h1", e1)):
         scores[tag] = {
-            "glrt": glrt_statistic(eigs, glrt_form),
+            "glrt": glrt_statistic(eigs),
             "r-maxev-minev": maxmin_statistic(eigs),
             "mlnn": forward(model, eig_features(eigs)),
         }
@@ -538,7 +530,6 @@ def run_rmse_snr(config: ExperimentConfig):
     cfg = config.array_config()
     theta = config.value("scenario.theta_deg")
     t_snap = config.value("scenario.t_snapshots")
-    cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
     methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
     snrs = config.value("scenario.snr_db_list")
     with _pool(config.workers) as pool:
@@ -546,9 +537,9 @@ def run_rmse_snr(config: ExperimentConfig):
                             methods, pool)
     rows = []
     for snr_db, rmse in zip(snrs, curve):
-        # the HAD eliminators estimate from a broadside snapshot, so their
-        # bound is the broadside one
-        sqrt_had = math.sqrt(crlb_had(cfg_had, theta, snr_db, 1) * RAD2_TO_DEG2)
+        # the HAD eliminators estimate from a broadside snapshot of the
+        # HAD part, so their bound is that part's broadside one
+        sqrt_had = math.sqrt(crlb_had(cfg, theta, snr_db, 1) * RAD2_TO_DEG2)
         sqrt_crlb = {
             METHOD_CLASSIC: sqrt_had,
             METHOD_FHAD: sqrt_had,

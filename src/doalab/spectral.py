@@ -132,9 +132,10 @@ def _companion_roots(coeffs: np.ndarray) -> complex:
     return inside[_closest_first(inside)[0]]
 
 
-def _closest_first(z: np.ndarray) -> np.ndarray:
-    """Order closest to the unit circle first; ties go to smaller |phase|."""
-    return np.lexsort((np.abs(np.angle(z)), -np.abs(z)))
+def _closest_first(z: np.ndarray, *groups) -> np.ndarray:
+    """Order closest to the unit circle first; ties go to smaller |phase|.
+    Keys in ``groups`` sort first, the last one leading, as in ``np.lexsort``."""
+    return np.lexsort((np.abs(np.angle(z)), -np.abs(z), *groups))
 
 
 def _pow2_at_least(n: int) -> int:
@@ -372,7 +373,7 @@ def _restart(a, phase, first, again, owner, col):
     lanes = np.concatenate((np.where(ok, found, np.nan), first[again]))
     owner = np.concatenate((owner, np.arange(again.size)))
     # per row, the lane that ``_closest_first`` puts first
-    order = np.lexsort((np.abs(np.angle(lanes)), -np.abs(lanes), owner))
+    order = _closest_first(lanes, owner)
     kept = lanes[order[np.searchsorted(owner[order], np.arange(again.size))]]
     return kept, _certified(a[again], kept)[0]
 

@@ -94,7 +94,7 @@ def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):
     n_trials = len(scores["h0"]["mlnn"])
     fresh_eigs = detection_eigs(64, 200, -20.0, 0, n_trials, SEED + 13)
     fresh = {
-        "glrt": glrt_statistic(fresh_eigs, "sphericity"),
+        "glrt": glrt_statistic(fresh_eigs),
         "r-maxev-minev": maxmin_statistic(fresh_eigs),
         "mlnn": forward(mlnn_model, eig_features(fresh_eigs)),
     }
@@ -109,6 +109,14 @@ def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):
                   f"(99% interval +-{half:.4f})")
             ok = ok and inside
     _report(2, "calibrated thresholds hold on fresh data", ok)
+
+
+def test_default_architecture(mlnn_model):
+    # the default search's outcome at SEED: the stage-2 winner, and the
+    # stage-3 dataset sized from its 8,385 weights (x 6).  A change that
+    # moves either edits this pin and records the move.
+    assert mlnn_model.metadata["shape"] == [64, 64]
+    assert mlnn_model.metadata["n_examples"] == 50310
 
 
 def test_criterion_3_crlb_oracle():

@@ -75,8 +75,7 @@ def _text(key, setting):
     if parse is float:
         return FLOATS
     if parse is str:  # a choice among names
-        return st.sampled_from([setting.default, "gaussian", "max-over-mean",
-                                "nope"])
+        return st.sampled_from([setting.default, "gaussian", "nope"])
     if parse is harness._parse_shapes:
         return _joined(WIDTHS, "|")
     conv = parse.keywords["conv"] if isinstance(parse, partial) else float

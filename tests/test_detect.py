@@ -52,35 +52,26 @@ class TestStatistics:
         with pytest.raises(ValueError):
             maxmin_statistic(np.array([1.0]))
 
-    def test_glrt_max_over_mean_known(self):
-        assert glrt_statistic(np.array([6.0, 2.0, 1.0]), "max-over-mean") == \
-            pytest.approx(2.0)
-
     def test_glrt_sphericity_known(self):
         # AM/GM of (4, 1): 2.5 / 2
-        assert glrt_statistic(np.array([4.0, 1.0]), "sphericity") == \
-            pytest.approx(1.25)
+        assert glrt_statistic(np.array([4.0, 1.0])) == pytest.approx(1.25)
 
     def test_sphericity_floor_at_one(self):
         eigs = np.array([1.0, 1.0, 1.0])
-        assert glrt_statistic(eigs, "sphericity") == pytest.approx(1.0)
+        assert glrt_statistic(eigs) == pytest.approx(1.0)
 
     def test_scale_invariance(self):
         eigs = np.array([5.0, 3.0, 1.5, 0.5])
-        for form in ("max-over-mean", "sphericity"):
-            assert glrt_statistic(7.3 * eigs, form) == \
-                pytest.approx(glrt_statistic(eigs, form))
+        assert glrt_statistic(7.3 * eigs) == pytest.approx(glrt_statistic(eigs))
         assert maxmin_statistic(7.3 * eigs) == pytest.approx(maxmin_statistic(eigs))
 
-    def test_unknown_form(self):
+    def test_glrt_needs_two(self):
         with pytest.raises(ValueError):
-            glrt_statistic(np.array([2.0, 1.0]), "nope")
+            glrt_statistic(np.array([1.0]))
 
     def test_vector_input_gives_float(self):
         eigs = np.array([4.0, 2.0, 1.0])
-        for value in (maxmin_statistic(eigs),
-                      glrt_statistic(eigs, "max-over-mean"),
-                      glrt_statistic(eigs, "sphericity")):
+        for value in (maxmin_statistic(eigs), glrt_statistic(eigs)):
             assert type(value) is float
 
     def test_rows_match_per_row(self):
@@ -91,10 +82,8 @@ class TestStatistics:
         eigs[5, -1] = 0.0
         eigs[11] = 0.0
         eigs[17, -2:] = -1e-17
-        cases = [(maxmin_statistic, [5, 11, 17]),
-                 (lambda e: glrt_statistic(e, "max-over-mean"), [11]),
-                 (lambda e: glrt_statistic(e, "sphericity"), [5, 11, 17])]
-        for fn, degenerate in cases:
+        degenerate = [5, 11, 17]
+        for fn in (maxmin_statistic, glrt_statistic):
             rows = fn(eigs)
             each = np.array([fn(e) for e in eigs])
             assert rows.shape == (60,)
@@ -196,7 +185,7 @@ def rocs():
     scen = EmitterScenario.single_emitter(10.0, -8.0, 32)
     return {name: roc_of(fn, scen, cfg, 2000, seed=21)
             for name, fn in [("maxmin", maxmin_statistic),
-                             ("glrt", lambda e: glrt_statistic(e, "max-over-mean"))]}
+                             ("glrt", glrt_statistic)]}
 
 
 class TestRocCurve:

@@ -102,7 +102,7 @@ class TestLoadConfig:
         assert config.trials == 100
         assert config["array.n_total"] == "40"
         # untouched keys keep their defaults
-        assert config["detect.glrt_form"] == "sphericity"
+        assert config["scenario.signal_model"] == "constant-modulus"
 
     def test_cli_overrides_beat_file(self, tmp_path):
         path = _write_config(tmp_path / "c.ini", SMALL_RMSE)
@@ -700,6 +700,7 @@ class TestCli:
         ("rmse-eta", "[array]\nn_total = 10\nfd_proportion = 0.5\n"),
         ("rmse-snr", "[scenario]\ntheta_deg = 95\n"),
         ("roc", "[detect]\nglrt_form = nope\n"),
+        ("roc", "[detect]\nglrt_form = sphericity\n"),
         ("train-mlnn", "[mlnn]\nsnr_jitter_db = 1\n"),
         ("roc", "[detect]\ntarget_fap = 0.1\n"),
         ("train-mlnn", "[run]\ntrials = 500\n"),
@@ -737,7 +738,8 @@ class TestCli:
             "snr-overflows", "snr-nan", "snr-list-inf", "eta-snr-list-nan",
             "quant-snr-list-inf", "m-sub-above-n-total", "n-total-one",
             "eta-grid-partition", "theta-out-of-range", "unknown-glrt-form",
-            "snr-jitter-unknown", "target-fap-unknown", "mlnn-trials-below-1000",
+            "detect-section-gone", "snr-jitter-unknown", "target-fap-unknown",
+            "mlnn-trials-below-1000",
             "batch-size-zero", "search-size-zero", "search-size-one",
             "learning-rate-nan", "final-ratio-twenty", "epochs-negative",
             "unknown-activation", "shape-not-int", "shape-zero-width",
