@@ -8,9 +8,10 @@ activations first, then depth/width, then a final fit on a dataset sized
 5-10x the winner's weight count.
 """
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -67,11 +68,17 @@ class MlnnModel:
                 raise ValueError(
                     f"layer {i} has weights {np.shape(w)} and biases "
                     f"{np.shape(b)}, not {fan_in} -> {fan_out} units")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} has a weight or bias that is not finite")
         for name in ("input_center", "input_scale"):
             v = getattr(self, name)
             if np.shape(v) != (self.layer_sizes[0],):
                 raise ValueError(f"{name} has shape {np.shape(v)}, not "
                                  f"({self.layer_sizes[0]},)")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has an entry that is not finite")
+        if not np.all(np.greater(self.input_scale, 0.0)):
+            raise ValueError("input_scale has an entry that is not positive")
 
 
 def init_model(layer_sizes, activations, seed: int,
@@ -187,14 +194,14 @@ def eig_features(eigs) -> np.ndarray:
 def train(model: MlnnModel, data: TrainingSet, hyper: Hyper, seed: int):
     """Mini-batch SGD on MSE; returns (model, loss_history).
 
-    Deterministic given ``seed``.  Weights are updated in place on a
-    copied model; the input model is left untouched.
+    Deterministic given ``seed``.  Weights are updated in place on a deep
+    copy of the model, which leaves the input untouched and is not checked
+    again: weights made non-finite in place end the training as a
+    divergence.
     """
     if not len(data):
         raise ValueError("empty training set")
-    out = replace(model, weights=[w.copy() for w in model.weights],
-                  biases=[b.copy() for b in model.biases],
-                  metadata=dict(model.metadata))
+    out = copy.deepcopy(model)
     x_all = _standardize(out, data.features)
     y_all = data.labels
     # stream 1: ``init_model`` draws the weights from stream 0 of a seed

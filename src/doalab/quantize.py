@@ -12,7 +12,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-_codebook_cache: dict = {}
 # samples put through ``_cells`` at once: a chunk's temporaries, 256 KiB
 # each, are reused from the heap, where temporaries the size of a
 # loss-bits block were faulted in afresh at every bit depth (quantize
@@ -20,7 +19,7 @@ _codebook_cache: dict = {}
 # unchunked, 0.9 s with 140k in chunks)
 _CHUNK = 1 << 15
 # Newton stops once no level is more than _TOL from its centroid, and
-# gives up after _MAX_ITER steps; the cache is keyed by bits alone
+# gives up after _MAX_ITER steps
 _TOL = 1e-10
 _MAX_ITER = 100
 
@@ -48,6 +47,7 @@ def _centroids(c: np.ndarray):
     return m, d_lo, d_hi, prob
 
 
+@functools.cache
 def lloyd_max_codebook(bits: int):
     """Optimal levels and distortion for a b-bit scalar Gaussian quantizer.
 
@@ -63,9 +63,8 @@ def lloyd_max_codebook(bits: int):
     """
     if not (float(bits).is_integer() and bits >= 1):
         raise ValueError(f"bits must be a whole number >= 1, got {bits}")
-    bits = int(bits)
-    if bits in _codebook_cache:
-        return _codebook_cache[bits]
+    if type(bits) is not int:  # 2.0 shares the cached 2-bit codebook
+        return lloyd_max_codebook(int(bits))
     from scipy.linalg import solve_banded
     from scipy.special import erfinv
 
@@ -87,8 +86,7 @@ def lloyd_max_codebook(bits: int):
     t = (c[:-1] + c[1:]) / 2.0
     # centroid codebooks satisfy E[q^2] = E[qx], so rho = 1 - E[q^2]
     rho = float(1.0 - np.sum(prob * c * c))
-    _codebook_cache[bits] = (c, t, rho)
-    return _codebook_cache[bits]
+    return c, t, rho
 
 
 def distortion_factor(bits: int) -> float:
@@ -160,25 +158,23 @@ class Normalised(NamedTuple):
     silent: np.ndarray  # (..., channels): the channels whose scale is 0
 
 
-def normalise(samples: np.ndarray, scale: np.ndarray | None = None):
+def normalise(samples: np.ndarray):
     """Divide each channel of a stack by its codebook scale, once for any
     number of bit depths; ``quantize`` takes the result.
 
     ``samples`` is a channels x snapshots array, or a stack of them
     (..., channels, snapshots).  The codebook is scaled per channel by the
     RMS of the samples (per real dimension), an automatic gain control
-    matching the AQNM assumption; pass ``scale`` to fix it instead.
-    Raises ValueError on a sample or a scale that is not finite, the
-    scale of samples past about 1e154 included: a NaN turns its channel's
-    gain control off, and an infinity turns the channel into infinities.
+    matching the AQNM assumption.  Raises ValueError on a sample that is
+    not finite or a scale that overflows (samples past about 1e154): a NaN
+    turns its channel's gain control off, and an infinity turns the
+    channel into infinities.
     """
     x = np.ascontiguousarray(samples, dtype=np.complex128)
     if not np.isfinite(x).all():
         raise ValueError("samples to quantize must be finite")
-    if scale is None:
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            scale = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1) / 2.0)
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), x.shape[:-1])
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        scale = np.sqrt(np.mean(np.abs(x) ** 2, axis=-1) / 2.0)
     if not np.isfinite(scale).all():
         raise ValueError("the scale of every channel must be finite")
     safe = np.where(scale > 0.0, scale, 1.0)[..., None]

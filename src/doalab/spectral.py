@@ -33,13 +33,13 @@ class CovarianceEstimate:
         return self.matrix.shape[0]
 
 
-def sample_covariance(samples) -> CovarianceEstimate:
+def sample_covariance(samples: np.ndarray) -> CovarianceEstimate:
     """R_hat = (1/L) sum_t x(t) x(t)^H with eigendecomposition attached.
 
-    Accepts a SnapshotBatch or a plain channels x snapshots array; the
-    eigenpairs come from ``np.linalg.eigh`` whatever the snapshot count.
+    ``samples`` is a channels x snapshots array; the eigenpairs come from
+    ``np.linalg.eigh`` whatever the snapshot count.
     """
-    x = np.asarray(getattr(samples, "samples", samples), dtype=np.complex128)
+    x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("need a channels x snapshots array with >= 1 snapshot")
     r = _covariances(x)

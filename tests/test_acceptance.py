@@ -239,7 +239,7 @@ def test_criterion_8_numerical_hygiene():
         rng_i = trial_rng(SEED + 1, i)
         theta = float(np.degrees(np.arcsin(rng_i.uniform(-0.9, 0.9))))
         scen = EmitterScenario.single_emitter(theta, 5.0, 64)
-        cov = sample_covariance(synthesize_snapshots(arr, scen, rng_i))
+        cov = sample_covariance(synthesize_snapshots(arr, scen, rng_i).samples)
         u_rm = root_music(cov)
         u_grid, d = music_spectrum_grid(cov, n_grid=n_grid)
         ok = ok and abs(u_rm - u_grid[np.argmin(d)]) <= cell

@@ -780,8 +780,16 @@ class TestCli:
                                             doc["weights"][1]])),
         (16, lambda doc: dict(doc, layer_sizes=64)),
         (16, lambda doc: dict(doc, input_center=None)),
+        # values no detector can score with: a NaN score, or a division by 0
+        (16, lambda doc: dict(doc, weights=[[[math.nan, *doc["weights"][0][0][1:]],
+                                             *doc["weights"][0][1:]],
+                                            doc["weights"][1]])),
+        (16, lambda doc: dict(doc, input_scale=[0.0, *doc["input_scale"][1:]])),
+        (16, lambda doc: dict(doc, input_center=[math.inf,
+                                                 *doc["input_center"][1:]])),
     ], ids=["other-n-total", "not-an-object", "weights-row-dropped",
-            "layer-sizes-not-list", "input-center-null"])
+            "layer-sizes-not-list", "input-center-null", "weight-nan",
+            "input-scale-zero", "input-center-inf"])
     def test_misfit_model_exit_code(self, tmp_path, capsys, monkeypatch,
                                     n_inputs, edit):
         # refused when the model loads, before any detection trial runs

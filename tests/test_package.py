@@ -31,15 +31,37 @@ def test_import_as_gives_the_module(name):
     assert scope["m"] is importlib.import_module(f"doalab.{name}")
 
 
+def _loaded_after(statement, names):
+    """Those of ``names`` in ``sys.modules`` after ``statement`` runs in a
+    fresh interpreter."""
+    code = f"{statement}; import sys; print(*sorted(set({list(names)!r}) & set(sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(doalab.__file__).parents[1]).stdout.split()
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg takes tens of milliseconds to import; modules that need
-    # it import it inside the functions that use it, so that every process
-    # that only imports doalab starts fast
-    code = "import doalab, sys; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         cwd=Path(doalab.__file__).parents[1]).stdout
-    assert out.strip() == "False"
+    # it import it inside the functions that use it, so that the CLI, and
+    # the benchmark that loads the same modules, start fast
+    assert _loaded_after("import doalab.cli", ["scipy.linalg"]) == []
+
+
+def test_import_loads_only_what_the_module_uses():
+    # the package imports none of its modules, so the estimators load
+    # neither the detector nor the scipy functions that it and the
+    # quantizer use
+    assert _loaded_after("import doalab.doa",
+                         ["doalab.mlnn", "doalab.quantize", "scipy.special"]) == []
+
+
+def test_package_attributes_are_modules():
+    # names are imported from their modules, not from the package
+    for name in SUBMODULES:
+        importlib.import_module(f"doalab.{name}")
+    public = [n for n in dir(doalab) if not n.startswith("_")]
+    assert public and all(isinstance(getattr(doalab, n), types.ModuleType)
+                          for n in public), public
 
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

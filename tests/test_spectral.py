@@ -33,7 +33,8 @@ def _snapshots(n, u_list, snr_db, l, seed=0):
     theta = tuple(float(np.degrees(np.arcsin(u))) for u in u_list)
     powers = tuple(10.0 ** (snr_db / 10.0) for _ in u_list)
     scen = EmitterScenario(theta, powers, n_snapshots=l)
-    return synthesize_snapshots(ArrayConfig.fully_digital(n), scen, trial_rng(seed))
+    return synthesize_snapshots(ArrayConfig.fully_digital(n), scen,
+                                trial_rng(seed)).samples
 
 
 def _noise_projector(cov):
@@ -105,13 +106,13 @@ class TestSampleCovariance:
         np.testing.assert_allclose(r, cov.matrix, atol=1e-12)
 
     def test_trace_equals_mean_power(self):
-        batch = _snapshots(8, [0.3], 0.0, 200)
-        cov = sample_covariance(batch)
+        x = _snapshots(8, [0.3], 0.0, 200)
+        cov = sample_covariance(x)
         assert np.trace(cov.matrix).real == pytest.approx(
-            np.sum(np.mean(np.abs(batch.samples) ** 2, axis=1)))
+            np.sum(np.mean(np.abs(x) ** 2, axis=1)))
 
     def test_deterministic_eigenvectors(self):
-        x = _snapshots(6, [0.2], 0.0, 40).samples
+        x = _snapshots(6, [0.2], 0.0, 40)
         v1 = sample_covariance(x).eigenvectors
         v2 = sample_covariance(x.copy()).eigenvectors
         np.testing.assert_array_equal(v1, v2)
@@ -234,7 +235,7 @@ class TestRootMusic:
         assert u_hat == pytest.approx(0.1, abs=1e-9)
 
     def test_one_channel_rejected(self):
-        cov = sample_covariance(_snapshots(4, [0.2], 0.0, 20).samples[:1])
+        cov = sample_covariance(_snapshots(4, [0.2], 0.0, 20)[:1])
         with pytest.raises(ValueError):
             root_music(cov)
 
