@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import TrialStreams
+
 CONSTANT_MODULUS = "constant-modulus"
 GAUSSIAN = "gaussian"
 
@@ -167,6 +169,21 @@ def subarray_gain(m_sub: int, spacing: float, u):
     return complex(g) if g.ndim == 0 else g
 
 
+def _snapshot_draws(rngs, shape):
+    """The waveform and noise draws of ``synthesize_snapshot_rows`` of the
+    draw shape (channels, snapshots, emitters, Gaussian signal, sets), in
+    one pass over ``rngs``."""
+    n, t, q, gaussian, sets = shape
+    wave = np.empty((len(rngs), sets, q, 2 if gaussian else 1, t))
+    noise = np.empty((len(rngs), sets, 2, n, t))
+    for b, rng in enumerate(rngs):
+        for r in range(sets):
+            if q:  # every emitter's waveform draws come before the noise
+                (rng.standard_normal if gaussian else rng.random)(out=wave[b, r])
+            rng.standard_normal(out=noise[b, r])
+    return wave, noise
+
+
 def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
                              sets=1) -> np.ndarray:
     """Element-level snapshot sets of a stack of trials, one generator each.
@@ -179,18 +196,21 @@ def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
     draws fill preallocated buffers and the arithmetic runs once on the
     stack with the per-trial float expressions, so set r of trial b holds
     the bits of the (r+1)-th of successive per-trial calls on its stream.
+
+    The draws depend only on the draw shape: the channel, snapshot and
+    emitter counts, the signal model and ``sets``.  When ``rngs`` is a
+    ``TrialStreams`` they are kept per draw shape (``TrialStreams.kept``),
+    so a later call of the same shape, at another SNR, direction or
+    partition of the array, reads no stream.
     """
     n, t, q = cfg.n_total, scen.n_snapshots, scen.n_emitters
-    shape = (len(rngs), sets)
     gaussian = scen.signal_model == GAUSSIAN
-    wave = np.empty(shape + (q, 2 if gaussian else 1, t))
-    noise = np.empty(shape + (2, n, t))
-    for b, rng in enumerate(rngs):
-        for r in range(sets):
-            if q:  # every emitter's waveform draws come before the noise
-                (rng.standard_normal if gaussian else rng.random)(out=wave[b, r])
-            rng.standard_normal(out=noise[b, r])
-    x = np.zeros(shape + (n, t), dtype=np.complex128)
+    shape = (n, t, q, gaussian, sets)
+    if isinstance(rngs, TrialStreams):
+        wave, noise = rngs.kept(shape, lambda: _snapshot_draws(rngs, shape))
+    else:
+        wave, noise = _snapshot_draws(rngs, shape)
+    x = np.zeros((len(rngs), sets, n, t), dtype=np.complex128)
     for j, (u_q, p_q) in enumerate(zip(scen.direction_sines, scen.powers)):
         if gaussian:
             s = np.sqrt(p_q / 2.0) * (wave[:, :, j, 0] + 1j * wave[:, :, j, 1])

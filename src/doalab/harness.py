@@ -320,8 +320,9 @@ def _write_csv(path, header, rows):
     return path
 
 
-# samples (trials x channels x snapshots) one Monte Carlo block holds at
-# most: 2 MiB of complex snapshots
+# samples (trials x channels x snapshots x sets) of the draws one Monte
+# Carlo block keeps at most: 2 MiB, as many bytes as the complex snapshots
+# of one curve point drawn from them
 BLOCK_SAMPLES = 1 << 17
 
 
@@ -357,28 +358,28 @@ def _monte_carlo(kernel, points, n, seed, pool, trial_size, offset=0):
     ``kernel(*args, streams)`` for the ``TrialStreams`` of trials
     [offset, offset + n) at ``seed``.
 
-    Each point's trials are split into ranges of trial indices, one block
-    per worker of ``pool``, or more where a block would hold over
-    ``BLOCK_SAMPLES`` samples at ``trial_size`` samples a trial.  The
-    blocks of every point go through one ``pool.map`` call, so workers
-    wait at no barrier between points.  Every trial draws from its own
-    stream and the rows come back in trial order, so the result does not
-    depend on how blocks meet workers.
+    The trials are split into blocks, ranges of trial indices that every
+    point shares: one block per worker of ``pool``, or more where a block
+    would keep over ``BLOCK_SAMPLES`` samples at ``trial_size`` samples a
+    trial.  A block runs each point's kernel in turn on one
+    ``TrialStreams``, so the points after the first draw no snapshots the
+    first drew (``synthesize_snapshot_rows``), and the blocks go through
+    one ``pool.map`` call.  Every trial draws from its own stream and the
+    rows come back in trial order, so the result does not depend on how
+    blocks meet workers.
     """
     per_block = max(1, BLOCK_SAMPLES // trial_size)
     k = max(pool.workers, math.ceil(n / per_block))
     bounds = [offset + n * i // k for i in range(k + 1)]
     blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    tasks = [(args, trials) for args in points for trials in blocks]
-    rows = list(pool.map(partial(_run_block, kernel, seed), tasks))
-    return [np.concatenate(rows[i:i + len(blocks)])
-            for i in range(0, len(rows), len(blocks))]
+    rows = list(pool.map(partial(_run_block, kernel, points, seed), blocks))
+    return [np.concatenate(point) for point in zip(*rows)]
 
 
-def _run_block(kernel, seed, task):
-    """One task of ``_monte_carlo``: a curve point's block of trials."""
-    args, trials = task
-    return kernel(*args, TrialStreams(seed, trials))
+def _run_block(kernel, points, seed, trials):
+    """One task of ``_monte_carlo``: a block of trials at every point."""
+    streams = TrialStreams(seed, trials)
+    return [kernel(*args, streams) for args in points]
 
 
 def _rms(x) -> float:
@@ -493,7 +494,8 @@ def _rmse_block(cfg, scen, methods, streams):
     and every snapshot.  Each method runs over the whole block at once.
     All methods share the trial stream, so snapshot realizations are
     paired: the eliminators read each stream in one pass, and the
-    two-layer estimator reads it again from its start.
+    two-layer estimator reads it again from its start, unless an earlier
+    point of the block drew the same shapes (``synthesize_snapshot_rows``).
     """
     u = {}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
@@ -514,14 +516,15 @@ def _rmse_curve(config, points, methods, pool):
     t_snap = config.value("scenario.t_snapshots")
     tasks = [(cfg, _emitter(config, snr_db, t_snap), methods)
              for cfg, snr_db in points]
-    # the samples a trial holds at once: the two-layer estimator's
-    # snapshots, or the eliminators' broadside and candidate snapshots
-    sizes = [cfg.n_total * t_snap for cfg, _ in points]
+    # the samples a block keeps per trial: one draw of each shape, as
+    # (channels, snapshots, sets), of the two-layer estimator's snapshots
+    # and of the eliminators' broadside and candidate snapshots
+    shapes = {(cfg.n_total, t_snap, 1) for cfg, _ in points}
     if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
-        sizes += [cfg.n_had * (1 + max_candidates(cfg.m_sub, cfg.spacing))
-                  for cfg, _ in points]
+        shapes |= {(cfg.n_had, 1, 1 + max_candidates(cfg.m_sub, cfg.spacing))
+                   for cfg, _ in points}
     errors = _monte_carlo(_rmse_block, tasks, config.trials, config.seed,
-                          pool, max(sizes))
+                          pool, sum(n * t * sets for n, t, sets in shapes))
     return [{m: _rms(e[:, j]) for j, m in enumerate(methods)} for e in errors]
 
 
@@ -585,7 +588,8 @@ def run_rmse_eta(config: ExperimentConfig):
 def _quant_block(cfg, scen, bits, streams):
     """Root-MUSIC errors in u at one SNR: one column per bit depth of
     ``bits``, then the unquantized estimate in the last column.  Each
-    trial's snapshots are drawn once and the unquantized stack is rooted
+    trial's snapshots are drawn once, for every SNR of the block
+    (``synthesize_snapshot_rows``), and the unquantized stack is rooted
     once; every bit depth quantizes that same draw, normalised once, so
     the columns are paired, and the block's trials are stacked, so every
     column comes from one search."""
@@ -677,7 +681,14 @@ _RUNS = {
 
 
 def run_experiment(config: ExperimentConfig, model_path=None):
-    """Dispatch one experiment; returns the primary output path."""
+    """Dispatch one experiment; returns the primary output path.  The
+    output directory is made first, so one that cannot be made is a
+    ConfigError before any trial runs."""
     if config.experiment not in _RUNS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory "
+                          f"{config.out_dir}: {exc}") from None
     return _RUNS[config.experiment](config, model_path)[0]

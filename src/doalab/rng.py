@@ -9,7 +9,8 @@ alone: ``rekey`` points an existing Philox generator at the start of the
 stream of (seed, index) by setting its key, counter and buffer state, and
 it then draws the same bits as ``trial_rng(seed, index)`` at a tenth of
 the cost.  ``TrialStreams`` hands a block of trials their streams through
-one generator, re-keyed to each trial in turn.
+one generator, re-keyed to each trial in turn, and keeps what a pass
+over them draws for every later reader of the same draws.
 """
 
 import numpy as np
@@ -54,6 +55,10 @@ class TrialStreams:
     generator, re-keyed as the iteration reaches each trial: read a
     trial's stream before moving on to the next.  Every iteration starts
     the streams afresh.
+
+    A pass can be kept instead: ``kept`` hands every caller of the same
+    draw the arrays of the first pass, so a block that runs several curve
+    points over its trials reads their streams once per draw.
     """
 
     def __init__(self, master_seed: int, trials):
@@ -62,6 +67,22 @@ class TrialStreams:
         # a fixed seed spares the OS entropy a seedless generator would
         # read and the first re-key discard
         self._rng = np.random.Generator(np.random.Philox(0))
+        self._kept = {}
+
+    def kept(self, key, draw):
+        """The arrays ``draw()`` returns, made by its first call with
+        ``key`` and kept, read-only, for the life of these streams.
+
+        ``draw`` reads these streams, each from its start, and ``key``
+        must fix everything it draws: the streams fix the bits, so a
+        later call with the same key gets what a fresh pass would draw.
+        """
+        if key not in self._kept:
+            arrays = draw()
+            for a in arrays:
+                a.flags.writeable = False
+            self._kept[key] = arrays
+        return self._kept[key]
 
     def __len__(self):
         return len(self.trials)

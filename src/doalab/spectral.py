@@ -110,16 +110,24 @@ _EPS = np.finfo(float).eps
 # a certificate sample below this fraction of sum |a_k| r1^k is at
 # rounding level
 _CERT_FLOOR = 1e3 * _EPS
-# rows of ``root_music_rows`` searched at once, times P.  A row the
-# few-lane wave of the second round leaves uncertified searches again
-# with a Laguerre lane of 2P - 1 coefficients per spectrum minimum, up
-# to P - 1 of them, each with its own copy of its row's coefficients and
-# forms, so at low SNR the working memory of a search can grow as
-# rows * P^2, though the lanes gather their forms again only when half
-# of them have converged, not on every iteration.  At high SNR the
-# certificate's FFT samples, rows * 16P to rows * 32P of them, hold the
-# most.  Capping rows * P bounds both: 16 rows at P = 64, 85 at P = 12.
-_SEARCH_ROWS_TIMES_P = 1 << 10
+# bytes the rows of one search of ``root_music_rows`` hold at most
+_SEARCH_BYTES = 1 << 23
+# bytes a row's search holds at its peak, per sample of the certificate's
+# first pass.  That pass keeps three complex and two real arrays of its
+# samples, and the second round's lanes hold less: measured by
+# tracemalloc on 256 one-snapshot rows, 78-80 bytes a sample at 10 dB and
+# P = 12-64, and 80, 91 and 110 at -10 dB and P = 16, 32 and 64
+_ROW_BYTES_PER_SAMPLE = 112
+
+
+def _search_rows(p: int) -> int:
+    """Rows of P channels that ``root_music_rows`` searches at once: as
+    many as hold ``_SEARCH_BYTES`` at ``_ROW_BYTES_PER_SAMPLE`` bytes per
+    certificate sample, of which a row has the first power of two of at
+    least 8(2P - 2) (``_certified``).  292 rows at P = 12 or 16, 146 at
+    P = 32 and 73 at P = 64."""
+    samples = _pow2_at_least(8 * (2 * p - 2))
+    return max(1, _SEARCH_BYTES // (_ROW_BYTES_PER_SAMPLE * samples))
 
 
 def _companion_roots(coeffs: np.ndarray) -> complex:
@@ -177,56 +185,70 @@ def _spectrum_minima(a: np.ndarray):
 
 def _laguerre(a: np.ndarray, z: np.ndarray):
     """Laguerre's iteration (Newton's with a second-order correction) on
-    every row at once.
+    every start at once.
 
-    Row j of ``a`` holds a polynomial (ascending) and ``z[j]`` its start.
-    Roots pair up as (z, 1/conj(z)), so every iterate is mirrored into the
-    closed unit disk, where sum |a_k| bounds the terms of g.  A start has
-    converged once |g| is at rounding level against that bound; the step
-    taken from there polishes the root, and the start then stays put.
-    Returns the roots and a mask of the rows that converged to a finite
-    root.
+    Row j of ``a`` holds a polynomial (ascending) and ``z[j]`` its start,
+    or a row of its starts when ``z`` is (rows, starts); a NaN start is
+    no start.  Roots pair up as (z, 1/conj(z)), so every iterate is
+    mirrored into the closed unit disk, where sum |a_k| bounds the terms
+    of g.  A start has converged once |g| is at rounding level against
+    that bound; the step taken from there polishes the root, and the
+    start then stays put.  Returns the roots, in the shape of ``z``, and a
+    mask of the starts that converged to a finite root.
 
-    The forms of g, g' and g'' are gathered for the rows still iterating
+    The forms of g, g' and g'' are built once per row and shared by its
+    starts, each start's powers of z multiplying its row's forms through a
+    broadcast, not a copy.  They are gathered for the rows still iterating
     only once half of the rows they hold have converged; until then the
-    converged rows are evaluated too, and their values dropped.
+    converged starts are evaluated too, and their values dropped.
     """
     n = a.shape[1] - 1
     k = np.arange(n + 1)
     # g, g' and g'' as linear forms in the powers z^0 .. z^n
-    forms = np.zeros((len(a), n + 1, 3), dtype=complex)
-    forms[:, :, 0] = a
-    forms[:, :-1, 1] = a[:, 1:] * k[1:]
-    forms[:, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
+    forms = np.zeros((len(a), 1, n + 1, 3), dtype=complex)
+    forms[:, 0, :, 0] = a
+    forms[:, 0, :-1, 1] = a[:, 1:] * k[1:]
+    forms[:, 0, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
     tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
     z = np.array(z, dtype=complex)
-    active = np.arange(z.size)
-    # ``forms`` holds the rows ``held``; active row j is its row pos[j]
-    held, pos = active, active
-    buf = np.empty((z.size, 1, n + 1), dtype=complex)
-    buf[:, 0, 0] = 1.0
+    starts = z[:, None] if z.ndim == 1 else z  # a view: (rows, width)
+    width = starts.shape[1]
+    flat = starts.reshape(-1)  # start i is start i % width of row i // width
+    active = np.arange(flat.size)
+    # ``forms`` holds the rows ``held``; active start i is its start pos[i]
+    held, pos = np.arange(len(a)), active
+    buf = np.empty((len(a), width, 1, n + 1), dtype=complex)
+    buf[..., 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
-            zi = z[active]
+            zi = flat[active]
             pw = buf[:held.size]  # its column 0 stays 1 under cumprod
-            pw[:, 0, 1:] = z[held, None]
-            g, d1, d2 = (np.cumprod(pw, axis=2, out=pw) @ forms)[pos, 0].T
+            pw[..., 1:] = starts[held, :, None, None]
+            g, d1, d2 = (np.cumprod(pw, axis=3, out=pw)
+                         @ forms).reshape(-1, 3)[pos].T
             grad = d1 / g
             hess = grad * grad - d2 / g
             root = np.sqrt((n - 1) * (n * hess - grad * grad))
             plus, minus = grad + root, grad - root
             den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             step = zi - n / den
-            z[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
-            going = np.abs(g) > tol[active]
+            flat[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step),
+                                    step)
+            going = np.abs(g) > tol[active // width]
             active, pos = active[going], pos[going]
             if active.size == 0:
                 break
-            if 2 * active.size <= held.size:
-                forms, held, pos = forms[pos], active, np.arange(active.size)
-    ok = np.isfinite(z)
+            if 2 * active.size > width * held.size:
+                continue  # so more than half of the rows held iterate
+            rows = np.unique(active // width)
+            if 2 * rows.size <= held.size:
+                forms = forms[np.searchsorted(held, rows)]
+                held = rows
+                pos = (np.searchsorted(held, active // width) * width
+                       + active % width)
+    ok = np.isfinite(flat)
     ok[active] = False
-    return z, ok
+    return z, ok.reshape(z.shape)
 
 
 def _certified(a: np.ndarray, best: np.ndarray):
@@ -364,18 +386,25 @@ def _restart(a, phase, first, again, owner, col):
     """The closest root that a search of rows ``again`` finds, and whether
     it is certified.
 
-    Lane j starts just inside the circle, at ``_RESTART_RADIUS``, at the
-    phase of local minimum ``col[j]`` of row ``again[owner[j]]``; the
-    first round's root ``first`` of each row is one more lane of its row.
+    Row ``again[i]`` starts a lane just inside the circle, at
+    ``_RESTART_RADIUS``, at the phase of each of its local minima
+    ``col[owner == i]``; the first round's root ``first`` of each row is
+    one more lane of its row.
     """
-    found, ok = _laguerre(a[again[owner]], _RESTART_RADIUS
-                          * np.exp(1j * phase[again[owner], col]))
-    lanes = np.concatenate((np.where(ok, found, np.nan), first[again]))
-    owner = np.concatenate((owner, np.arange(again.size)))
+    a = a[again]
+    counts = np.bincount(owner, minlength=again.size)
+    # lane j is start slot[j] of its row's row of starts, NaN-padded to
+    # the most lanes a row has
+    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    starts = np.full((again.size, counts.max(initial=0)), np.nan, dtype=complex)
+    starts[owner, slot] = _RESTART_RADIUS * np.exp(1j * phase[again[owner], col])
+    found, ok = _laguerre(a, starts)
+    lanes = np.column_stack((np.where(ok, found, np.nan), first[again]))
     # per row, the lane that ``_closest_first`` puts first
-    order = _closest_first(lanes, owner)
-    kept = lanes[order[np.searchsorted(owner[order], np.arange(again.size))]]
-    return kept, _certified(a[again], kept)[0]
+    rows = np.repeat(np.arange(again.size), lanes.shape[1])
+    kept = lanes.reshape(-1)[_closest_first(lanes.reshape(-1), rows)]
+    kept = kept[::lanes.shape[1]]
+    return kept, _certified(a, kept)[0]
 
 
 def _direction_sines(roots, spacing: float):
@@ -529,11 +558,11 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     covariance (``signal_vectors``); the result is the B direction-sines
     that ``root_music(cov_b, spacing=spacing)`` returns, to rounding.  The
     rows go through the certified search together, whatever P, in chunks
-    of ``_SEARCH_ROWS_TIMES_P // P`` rows that bound its memory, and
-    only the rows it leaves uncertified (``_certified_roots``: a zero
-    leading coefficient, a start that does not converge, a certificate
-    sample at rounding level) are rooted one at a time through the
-    companion matrix.  Each row's arithmetic depends on that row alone,
+    of ``_search_rows(P)`` rows that bound its memory, and only the rows
+    it leaves uncertified (``_certified_roots``: a zero leading
+    coefficient, a start that does not converge, a certificate sample at
+    rounding level) are rooted one at a time through the companion
+    matrix.  Each row's arithmetic depends on that row alone,
     so the result does not depend on which rows share the stack.
     """
     v = np.asarray(vectors, dtype=np.complex128)
@@ -544,7 +573,7 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     if len(v) == 0:
         return np.empty(0)
     coeffs = _null_polynomials(v)
-    step = max(1, _SEARCH_ROWS_TIMES_P // v.shape[1])
+    step = _search_rows(v.shape[1])
     z = np.concatenate([_certified_roots(coeffs[i:i + step])
                         for i in range(0, len(coeffs), step)])
     for i in np.flatnonzero(np.isnan(z)):

@@ -15,7 +15,7 @@ from doalab.arrays import (
     synthesize_snapshot_rows,
     synthesize_snapshots,
 )
-from doalab.rng import TrialStreams, trial_rng
+from doalab.rng import TrialStreams, rekey, trial_rng
 
 
 def synthesize_oracle(cfg, scen, rng):
@@ -210,6 +210,38 @@ class TestSynthesizeRows:
                 part = synthesize_snapshot_rows(
                     cfg, scen, [trial_rng(10, i) for i in range(a, b)], 4)
                 assert part.tobytes() == whole[a:b].tobytes()
+
+    @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
+    def test_kept_draws_match_fresh_pass(self, model, monkeypatch):
+        # a TrialStreams keeps its first pass per draw shape: a later call
+        # of that shape, at other emitters, powers and noise on another
+        # partition of as many antennas, reads no stream and gives the
+        # bits of a fresh pass; another set count is another shape
+        from doalab import rng as rng_module
+
+        cfg = ArrayConfig.two_layer(20, 4, 0.2, 0.6)
+        other = ArrayConfig.pure_had(20, 5, 0.5)
+        scen = self._scen("two-emitters", 3, model)
+        later = EmitterScenario((-20.0, 40.0), (0.5, 7.0), 0.8, 3, model)
+        streams = TrialStreams(8, range(6))
+        synthesize_snapshot_rows(cfg, scen, streams, 3)
+        opened = []
+
+        def recording_rekey(rng, seed, index):
+            opened.append(index)
+            return rekey(rng, seed, index)
+
+        monkeypatch.setattr(rng_module, "rekey", recording_rekey)
+        x = synthesize_snapshot_rows(other, later, streams, 3)
+        assert opened == []
+        for i in range(6):
+            rng = trial_rng(8, i)
+            for r in range(3):
+                ref = synthesize_oracle(other, later, rng)
+                assert x[i, r].tobytes() == ref.tobytes()
+        y = synthesize_snapshot_rows(other, later, streams, 2)
+        assert opened == list(range(6))
+        assert y.tobytes() == x[:, :2].tobytes()
 
     def test_nonfinite_rejected(self):
         class NanStream:

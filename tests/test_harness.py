@@ -453,16 +453,29 @@ class TestBlockDraws:
             EmitterScenario.single_emitter(15.0, 0.0, 20), (3,),
             TrialStreams(3, range(5))).shape == (5, 2)
 
-    def test_loss_bits_one_draw_per_snr(self, tmp_path, monkeypatch):
-        # every bit depth of an SNR quantizes the same draw, so each trial's
-        # stream is read once per SNR, not once per bit point
+    @pytest.mark.parametrize("experiment,text,passes", [
+        # the eliminators' draw shape and the two-layer estimator's
+        ("rmse-snr", "[run]\ntrials = 100\n", 2),
+        # every eta keeps the 64 antennas, so all 15 points share one shape
+        ("rmse-eta", "[run]\ntrials = 100\n", 1),
+        ("loss-bits", SMALL_BITS.replace("snr_db_list = 0", "snr_db_list = 0,10")
+         .replace("empirical_trials = 100", "empirical_trials = 12"), 1),
+    ], ids=["rmse-snr", "rmse-eta", "loss-bits"])
+    def test_one_draw_per_shape(self, tmp_path, monkeypatch, experiment, text,
+                                passes):
+        # every curve point of a run reads the same trial streams, so a
+        # one-worker run reads each trial's stream once per draw shape,
+        # whatever the number of points: at its defaults, 4 SNRs for
+        # rmse-snr and 5 etas x 3 SNRs for rmse-eta
         opened = _record_streams(monkeypatch)
-        cfg_path = _write_config(tmp_path / "c.ini", SMALL_BITS.replace(
-            "snr_db_list = 0", "snr_db_list = 0,10").replace(
-            "empirical_trials = 100", "empirical_trials = 12"))
-        config = load_config("loss-bits", cfg_path, out=str(tmp_path))
-        run_loss_bits(config)
-        assert sorted(opened) == sorted(2 * [(config.seed, i) for i in range(12)])
+        cfg_path = _write_config(tmp_path / "c.ini", text)
+        config = load_config(experiment, cfg_path, out=str(tmp_path),
+                             workers=1)
+        run_experiment(config)
+        n = (config.value("quant.empirical_trials")
+             if experiment == "loss-bits" else config.trials)
+        assert sorted(opened) == sorted(
+            passes * [(config.seed, i) for i in range(n)])
 
 
 @pytest.fixture(scope="module")
@@ -671,6 +684,23 @@ class TestCli:
         assert rc == 0
         assert out.endswith("loss_bits.csv")
         assert "seed" in Path(out).read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("experiment", ["rmse-snr", "train-mlnn"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, monkeypatch,
+                                      experiment):
+        # an output directory that cannot be made is a config error, found
+        # before any trial runs, not after the whole run
+        (tmp_path / "file").write_text("")
+
+        def refuse(*args, **kwargs):
+            pytest.fail("an experiment ran without its output directory")
+
+        for name in ("run_roc", "run_rmse_snr", "run_rmse_eta",
+                     "run_loss_bits", "run_train_mlnn"):
+            monkeypatch.setattr(harness, name, refuse)
+        rc = cli_main([experiment, "--out", str(tmp_path / "file" / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")

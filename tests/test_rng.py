@@ -72,6 +72,24 @@ def test_one_generator_per_object(monkeypatch):
     assert len(built) == 1
 
 
+def test_kept_pass_drawn_once():
+    # a kept pass is made by the first call of its key, read-only
+    streams = TrialStreams(5, range(4))
+    calls = []
+
+    def draw():
+        calls.append(1)
+        return (np.array([rng.random() for rng in streams]),)
+
+    first = streams.kept("a", draw)
+    assert streams.kept("a", draw) is first and len(calls) == 1
+    assert not first[0].flags.writeable
+    assert first[0].tobytes() == np.array(
+        [trial_rng(5, i).random() for i in range(4)]).tobytes()
+    streams.kept("b", draw)
+    assert len(calls) == 2
+
+
 def test_empty_block():
     assert len(TrialStreams(0, range(0))) == 0
     assert list(TrialStreams(0, range(0))) == []

@@ -348,7 +348,7 @@ def _search_stacks(corpus, block):
     stacks.append(block[1])
     for coeffs in stacks:
         p = (coeffs.shape[1] + 1) // 2
-        step = spectral._SEARCH_ROWS_TIMES_P // p
+        step = spectral._search_rows(p)
         for i in range(0, len(coeffs), step):
             yield coeffs[i:i + step]
 
@@ -450,7 +450,7 @@ class TestCertifiedRoot:
         laguerre = spectral._laguerre
 
         def counted(a, z):
-            calls.append(len(a))
+            calls.append(np.count_nonzero(~np.isnan(z)))  # NaN: no start
             return laguerre(a, z)
 
         monkeypatch.setattr(spectral, "_laguerre", counted)
@@ -467,10 +467,10 @@ class TestCertifiedRoot:
 
     def test_rows_searched_in_chunks(self, monkeypatch):
         # root_music_rows splits a stack into searches of
-        # _SEARCH_ROWS_TIMES_P // P rows, which bounds their memory;
+        # _search_rows(P) rows, which bounds their memory;
         # every row still comes out as a one-row search gives it
         cfg = ArrayConfig.fully_digital(64)
-        step = spectral._SEARCH_ROWS_TIMES_P // 64
+        step = spectral._search_rows(64)
         scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
         v = signal_vectors(np.stack([synthesize_snapshots(
             cfg, scen, trial_rng(4243, i)).samples for i in range(2 * step + 6)]))
@@ -518,17 +518,20 @@ class TestCertifiedRoot:
 
         def both(a, z):
             got = laguerre(a, z)
-            want = laguerre_oracle(a, z)
+            # the oracle takes one start per row: a copy of its row each
+            starts = np.reshape(z, (len(a), -1))
+            want = laguerre_oracle(np.repeat(a, starts.shape[1], axis=0),
+                                   starts.reshape(-1))
             assert got[0].tobytes() == want[0].tobytes()
-            np.testing.assert_array_equal(got[1], want[1])
-            lanes.append(len(a))
+            np.testing.assert_array_equal(got[1].reshape(-1), want[1])
+            lanes.append(np.count_nonzero(~np.isnan(starts)))  # NaN: no start
             return got
 
         monkeypatch.setattr(spectral, "_laguerre", both)
         for coeffs in _search_stacks(corpus, block_9001):
             spectral._certified_roots(coeffs)
         # the second round ran, with many lanes per row
-        assert max(lanes) > spectral._SEARCH_ROWS_TIMES_P // 64
+        assert max(lanes) > spectral._search_rows(64)
 
     def test_certificate_first_pass_density(self, corpus, block_9001,
                                             monkeypatch):
@@ -617,8 +620,10 @@ class TestCertifiedRoot:
 
     def test_search_memory_bounded(self):
         # 200 rows at P = 64 and -10 dB, where most rows take a second
-        # round with a Laguerre lane per spectrum minimum: 16-row searches
-        # peak near 11 MiB, 32-row ones near 21 MiB
+        # round with a Laguerre lane per spectrum minimum.  The
+        # certificate's first pass holds the most, about 110 bytes a row
+        # per sample: the 73-row searches of _search_rows(64) peak near
+        # 8.3 MiB, 16-row ones near 2.2 MiB and 128-row ones near 14 MiB
         cfg = ArrayConfig.fully_digital(64)
         scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
         v = signal_vectors(synthesize_snapshot_rows(
