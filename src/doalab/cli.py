@@ -23,8 +23,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker count (results are identical "
-                             "for any value)")
+                        help="parallel worker count; a run forks at most "
+                             "one process per CPU (results are identical for "
+                             "any value)")
     parser.add_argument("--model", metavar="FILE", default=None,
                         help="trained MLNN model file (roc experiment)")
     return parser

@@ -341,15 +341,20 @@ _IN_PROCESS = _Pool(map, 1)
 
 @contextmanager
 def _pool(workers: int):
-    """Yield the ``_Pool`` of a run of ``workers`` processes: the
+    """Yield the ``_Pool`` of a run of ``workers`` workers: the
     in-process one for one worker, else the map of one process pool that
     lives until the context exits.  A run opens it once and hands it to
-    every helper that maps trials.
+    every helper that maps trials.  The pool forks at most one process per
+    CPU this process may run on, since the executor starts all of its
+    processes at once; the blocks are still planned for ``workers``.
     """
     if workers <= 1:
         yield _IN_PROCESS
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # sched_getaffinity is missing on macOS and Windows
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
             yield _Pool(pool.map, workers)
 
 
@@ -361,7 +366,8 @@ def _monte_carlo(kernel, points, n, seed, pool, trial_size, offset=0):
     The trials are split into blocks, ranges of trial indices that every
     point shares: one block per worker of ``pool``, or more where a block
     would keep over ``BLOCK_SAMPLES`` samples at ``trial_size`` samples a
-    trial.  A block runs each point's kernel in turn on one
+    trial, but no more blocks than trials, and one empty block for no
+    trials.  A block runs each point's kernel in turn on one
     ``TrialStreams``, so the points after the first draw no snapshots the
     first drew (``synthesize_snapshot_rows``), and the blocks go through
     one ``pool.map`` call.  Every trial draws from its own stream and the
@@ -369,9 +375,9 @@ def _monte_carlo(kernel, points, n, seed, pool, trial_size, offset=0):
     blocks meet workers.
     """
     per_block = max(1, BLOCK_SAMPLES // trial_size)
-    k = max(pool.workers, math.ceil(n / per_block))
+    k = min(max(pool.workers, math.ceil(n / per_block)), max(n, 1))
     bounds = [offset + n * i // k for i in range(k + 1)]
-    blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    blocks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     rows = list(pool.map(partial(_run_block, kernel, points, seed), blocks))
     return [np.concatenate(point) for point in zip(*rows)]
 
@@ -485,9 +491,10 @@ def run_roc(config: ExperimentConfig, model=None):
 
 # --- rmse ------------------------------------------------------------------
 
-def _rmse_block(cfg, scen, methods, streams):
-    """Paired DOA errors (degrees) at one curve point, one column per
-    method.
+def _rmse_block(cfg, scen, eliminators, streams):
+    """Paired DOA errors (degrees) at one curve point: with
+    ``eliminators`` a column each for the classic and the fast
+    eliminator, then one for the two-layer estimator.
 
     The classic and fast eliminators see the HAD subsystem of ``cfg`` and
     one snapshot of ``scen``; the two-layer estimator sees the full array
@@ -497,61 +504,55 @@ def _rmse_block(cfg, scen, methods, streams):
     two-layer estimator reads it again from its start, unless an earlier
     point of the block drew the same shapes (``synthesize_snapshot_rows``).
     """
-    u = {}
-    if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
+    u = []
+    if eliminators:
         cfg_had = ArrayConfig.pure_had(cfg.n_had, cfg.m_sub, cfg.spacing)
         classic, fast = had_eliminator_rows(cfg_had, scen, streams)
-        u[METHOD_CLASSIC], u[METHOD_FHAD] = classic[0], fast[0]
-    if METHOD_TLHAD in methods:
-        u[METHOD_TLHAD] = tlhad_estimate_rows(cfg, scen, streams)[0]
-    errors = np.empty((len(streams), len(methods)))
-    for j, m in enumerate(methods):
-        errors[:, j] = np.degrees(np.arcsin(u[m])) - scen.directions_deg[0]
-    return errors
+        u += [classic[0], fast[0]]
+    u.append(tlhad_estimate_rows(cfg, scen, streams)[0])
+    return np.degrees(np.arcsin(np.column_stack(u))) - scen.directions_deg[0]
 
 
-def _rmse_curve(config, points, methods, pool):
-    """Per curve point (cfg, snr_db) of ``points``, the RMSE of each method
-    in degrees, from one Monte Carlo map over all points."""
+def _rmse_curve(config, points, eliminators):
+    """Per curve point (cfg, snr_db) of ``points``, a (method, RMSE,
+    sqrt CRLB) triple, both in degrees, for each column of
+    ``_rmse_block``, from one Monte Carlo map over all points."""
+    theta = config.value("scenario.theta_deg")
     t_snap = config.value("scenario.t_snapshots")
-    tasks = [(cfg, _emitter(config, snr_db, t_snap), methods)
+    tasks = [(cfg, _emitter(config, snr_db, t_snap), eliminators)
              for cfg, snr_db in points]
     # the samples a block keeps per trial: one draw of each shape, as
     # (channels, snapshots, sets), of the two-layer estimator's snapshots
     # and of the eliminators' broadside and candidate snapshots
     shapes = {(cfg.n_total, t_snap, 1) for cfg, _ in points}
-    if METHOD_CLASSIC in methods or METHOD_FHAD in methods:
+    if eliminators:
         shapes |= {(cfg.n_had, 1, 1 + max_candidates(cfg.m_sub, cfg.spacing))
                    for cfg, _ in points}
-    errors = _monte_carlo(_rmse_block, tasks, config.trials, config.seed,
-                          pool, sum(n * t * sets for n, t, sets in shapes))
-    return [{m: _rms(e[:, j]) for j, m in enumerate(methods)} for e in errors]
+    with _pool(config.workers) as pool:
+        errors = _monte_carlo(_rmse_block, tasks, config.trials, config.seed,
+                              pool, sum(n * t * sets for n, t, sets in shapes))
+    methods = ((METHOD_CLASSIC, METHOD_FHAD) if eliminators else ()) + (METHOD_TLHAD,)
+    curve = []
+    for (cfg, snr_db), e in zip(points, errors):
+        bounds = []
+        if eliminators:
+            # the HAD eliminators estimate from a broadside snapshot of the
+            # HAD part, so their bound is that part's broadside one
+            bounds += 2 * [math.sqrt(crlb_had(cfg, theta, snr_db, 1) * RAD2_TO_DEG2)]
+        bounds.append(math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2))
+        curve.append(list(zip(methods, map(_rms, e.T), bounds)))
+    return curve
 
 
 def run_rmse_snr(config: ExperimentConfig):
     """RMSE versus SNR for the three estimators, with CRLB benchmark columns."""
-    cfg = config.array_config()
-    theta = config.value("scenario.theta_deg")
-    t_snap = config.value("scenario.t_snapshots")
-    methods = (METHOD_CLASSIC, METHOD_FHAD, METHOD_TLHAD)
     snrs = config.value("scenario.snr_db_list")
-    with _pool(config.workers) as pool:
-        curve = _rmse_curve(config, [(cfg, snr_db) for snr_db in snrs],
-                            methods, pool)
-    rows = []
-    for snr_db, rmse in zip(snrs, curve):
-        # the HAD eliminators estimate from a broadside snapshot of the
-        # HAD part, so their bound is that part's broadside one
-        sqrt_had = math.sqrt(crlb_had(cfg, theta, snr_db, 1) * RAD2_TO_DEG2)
-        sqrt_crlb = {
-            METHOD_CLASSIC: sqrt_had,
-            METHOD_FHAD: sqrt_had,
-            METHOD_TLHAD: math.sqrt(
-                crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2),
-        }
-        for m in methods:
-            rows.append((snr_db, m, rmse[m], sqrt_crlb[m], config.trials,
-                         config.seed, config.digest))
+    curve = _rmse_curve(config, [(config.array_config(), snr_db)
+                                 for snr_db in snrs], eliminators=True)
+    rows = [(snr_db, method, rmse, bound, config.trials, config.seed,
+             config.digest)
+            for snr_db, point in zip(snrs, curve)
+            for method, rmse, bound in point]
     path = os.path.join(config.out_dir, "rmse_snr.csv")
     _write_csv(path, ["snr_db", "method", "rmse_deg", "sqrt_crlb_deg",
                       "trials", "seed", "digest"], rows)
@@ -560,8 +561,6 @@ def run_rmse_snr(config: ExperimentConfig):
 
 def run_rmse_eta(config: ExperimentConfig):
     """Two-layer RMSE and bound versus FD proportion, per SNR."""
-    theta = config.value("scenario.theta_deg")
-    t_snap = config.value("scenario.t_snapshots")
     points = []
     for eta in config.value("rmse.eta_grid"):
         cfg = config.array_config(eta)
@@ -570,13 +569,10 @@ def run_rmse_eta(config: ExperimentConfig):
                           stacklevel=2)
         points += [(cfg, snr_db)
                    for snr_db in config.value("rmse.eta_snr_db_list")]
-    with _pool(config.workers) as pool:
-        curve = _rmse_curve(config, points, (METHOD_TLHAD,), pool)
-    rows = []
-    for (cfg, snr_db), rmse in zip(points, curve):
-        bound = math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2)
-        rows.append((cfg.fd_proportion, snr_db, rmse[METHOD_TLHAD], bound,
-                     config.trials, config.seed, config.digest))
+    curve = _rmse_curve(config, points, eliminators=False)
+    rows = [(cfg.fd_proportion, snr_db, rmse, bound, config.trials,
+             config.seed, config.digest)
+            for (cfg, snr_db), [(_, rmse, bound)] in zip(points, curve)]
     path = os.path.join(config.out_dir, "rmse_eta.csv")
     _write_csv(path, ["eta", "snr_db", "rmse_deg", "sqrt_crlb_deg", "trials",
                       "seed", "digest"], rows)

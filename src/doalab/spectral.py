@@ -140,10 +140,10 @@ def _companion_roots(coeffs: np.ndarray) -> complex:
     return inside[_closest_first(inside)[0]]
 
 
-def _closest_first(z: np.ndarray, *groups) -> np.ndarray:
-    """Order closest to the unit circle first; ties go to smaller |phase|.
-    Keys in ``groups`` sort first, the last one leading, as in ``np.lexsort``."""
-    return np.lexsort((np.abs(np.angle(z)), -np.abs(z), *groups))
+def _closest_first(z: np.ndarray) -> np.ndarray:
+    """Order along the last axis: closest to the unit circle first; ties
+    go to smaller |phase|, then to the earlier entry.  NaN entries last."""
+    return np.lexsort((np.abs(np.angle(z)), -np.abs(z)), axis=-1)
 
 
 def _pow2_at_least(n: int) -> int:
@@ -198,9 +198,9 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
 
     The forms of g, g' and g'' are built once per row and shared by its
     starts, each start's powers of z multiplying its row's forms through a
-    broadcast, not a copy.  They are gathered for the rows still iterating
-    only once half of the rows they hold have converged; until then the
-    converged starts are evaluated too, and their values dropped.
+    broadcast, not a copy.  Every start of the rows held is evaluated and
+    only the open ones move; the rows with an open start are gathered only
+    once half of the rows held have none.
     """
     n = a.shape[1] - 1
     k = np.arange(n + 1)
@@ -212,42 +212,35 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
     z = np.array(z, dtype=complex)
     starts = z[:, None] if z.ndim == 1 else z  # a view: (rows, width)
-    width = starts.shape[1]
-    flat = starts.reshape(-1)  # start i is start i % width of row i // width
-    active = np.arange(flat.size)
-    # ``forms`` holds the rows ``held``; active start i is its start pos[i]
-    held, pos = np.arange(len(a)), active
-    buf = np.empty((len(a), width, 1, n + 1), dtype=complex)
+    # ``forms``, ``tol`` and ``open_`` hold the rows ``held``; a NaN start
+    # is open for one step, which leaves it NaN and closes it
+    held, open_ = np.arange(len(a)), np.ones(starts.shape, dtype=bool)
+    buf = np.empty((*starts.shape, 1, n + 1), dtype=complex)
     buf[..., 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
-            zi = flat[active]
+            zi = starts[held]
             pw = buf[:held.size]  # its column 0 stays 1 under cumprod
-            pw[..., 1:] = starts[held, :, None, None]
-            g, d1, d2 = (np.cumprod(pw, axis=3, out=pw)
-                         @ forms).reshape(-1, 3)[pos].T
+            pw[..., 1:] = zi[..., None, None]
+            g, d1, d2 = np.moveaxis(
+                (np.cumprod(pw, axis=3, out=pw) @ forms)[:, :, 0], 2, 0)
             grad = d1 / g
             hess = grad * grad - d2 / g
             root = np.sqrt((n - 1) * (n * hess - grad * grad))
             plus, minus = grad + root, grad - root
             den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             step = zi - n / den
-            flat[active] = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step),
-                                    step)
-            going = np.abs(g) > tol[active // width]
-            active, pos = active[going], pos[going]
-            if active.size == 0:
+            step = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
+            starts[held] = np.where(open_, step, zi)
+            open_ &= np.abs(g) > tol[:, None]
+            live = open_.any(axis=1)
+            if not live.any():
                 break
-            if 2 * active.size > width * held.size:
-                continue  # so more than half of the rows held iterate
-            rows = np.unique(active // width)
-            if 2 * rows.size <= held.size:
-                forms = forms[np.searchsorted(held, rows)]
-                held = rows
-                pos = (np.searchsorted(held, active // width) * width
-                       + active % width)
-    ok = np.isfinite(flat)
-    ok[active] = False
+            if 2 * np.count_nonzero(live) <= held.size:
+                held, forms, tol, open_ = (held[live], forms[live], tol[live],
+                                           open_[live])
+    ok = np.isfinite(starts)
+    ok[held] &= ~open_
     return z, ok.reshape(z.shape)
 
 
@@ -369,41 +362,35 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     best[rows[done]] = first[done]
     again = np.flatnonzero(ok & closer)
     # the second round: the wave, then every minimum
-    for width in (_WAVE, np.inf):
+    for width in (_WAVE, sigma.shape[1]):
         if again.size == 0:
             break
-        # each minimum's rank by predicted distance, ties to the lower column
-        s = sigma[again]
-        rank = np.argsort(np.argsort(s, axis=1, kind="stable"), axis=1)
-        owner, col = np.nonzero((rank < width) & np.isfinite(s))
-        kept, done = _restart(a, phase, first, again, owner, col)
+        kept, done = _restart(a[again], phase[again], sigma[again],
+                              first[again], width)
         best[rows[again[done]]] = kept[done]
         again = again[~done]
     return best
 
 
-def _restart(a, phase, first, again, owner, col):
-    """The closest root that a search of rows ``again`` finds, and whether
-    it is certified.
+def _restart(a, phase, sigma, first, width):
+    """The closest root that a search of the rows of ``a`` finds, and
+    whether it is certified.
 
-    Row ``again[i]`` starts a lane just inside the circle, at
-    ``_RESTART_RADIUS``, at the phase of each of its local minima
-    ``col[owner == i]``; the first round's root ``first`` of each row is
-    one more lane of its row.
+    Each row starts a lane just inside the circle, at ``_RESTART_RADIUS``,
+    at the phase of each of its ``width`` finite minima of smallest
+    predicted distance ``sigma`` (ties to the lower column), in column
+    order; a row with fewer finite minima than the widest row has NaN
+    lanes, no start.  The first round's root ``first`` of each row is its
+    last lane, so that ties of ``_closest_first`` go to the lanes in
+    column order, then to ``first``.
     """
-    a = a[again]
-    counts = np.bincount(owner, minlength=again.size)
-    # lane j is start slot[j] of its row's row of starts, NaN-padded to
-    # the most lanes a row has
-    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    starts = np.full((again.size, counts.max(initial=0)), np.nan, dtype=complex)
-    starts[owner, slot] = _RESTART_RADIUS * np.exp(1j * phase[again[owner], col])
+    lanes = min(width, np.isfinite(sigma).sum(axis=1).max(initial=0))
+    cols = np.sort(np.argsort(sigma, axis=1, kind="stable")[:, :lanes], axis=1)
+    starts = _RESTART_RADIUS * np.exp(1j * np.take_along_axis(phase, cols, axis=1))
+    starts[~np.isfinite(np.take_along_axis(sigma, cols, axis=1))] = np.nan
     found, ok = _laguerre(a, starts)
-    lanes = np.column_stack((np.where(ok, found, np.nan), first[again]))
-    # per row, the lane that ``_closest_first`` puts first
-    rows = np.repeat(np.arange(again.size), lanes.shape[1])
-    kept = lanes.reshape(-1)[_closest_first(lanes.reshape(-1), rows)]
-    kept = kept[::lanes.shape[1]]
+    z = np.column_stack((np.where(ok, found, np.nan), first))
+    kept = np.take_along_axis(z, _closest_first(z)[:, :1], axis=1)[:, 0]
     return kept, _certified(a, kept)[0]
 
 

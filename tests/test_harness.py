@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,13 @@ class TestDetectionEigs:
         data = factory(101, seed=3)
         assert abs(2 * int(data.labels.sum()) - 101) <= 1
         np.testing.assert_allclose(data.features.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_zero_trials(self):
+        # a map over no trials runs one empty block
+        assert detection_eigs(8, 20, 0.0, 1, 0, 5).shape == (0, 8)
+        data = make_detection_dataset_factory(8, 20, 0.0)(1, 5)
+        assert data.features.shape == (1, 8)
+        np.testing.assert_array_equal(data.labels, [0.0])
 
 
 class TestRmseSnr:
@@ -356,8 +364,7 @@ class TestStackedBlocks:
     @pytest.mark.parametrize("spacing,snr_db", [(0.5, 10.0), (0.6, -10.0)])
     def test_rmse_block(self, spacing, snr_db):
         cfg = ArrayConfig.two_layer(40, 4, 0.2, spacing)
-        args = (cfg, EmitterScenario.single_emitter(15.0, snr_db, 1),
-                ("had-root-music", "fhad-root-music", "tlhad"))
+        args = (cfg, EmitterScenario.single_emitter(15.0, snr_db, 1), True)
         whole = harness._rmse_block(*args, TrialStreams(6, range(30)))
         for bounds in self.SPLITS:
             parts = [harness._rmse_block(*args, TrialStreams(6, range(a, b)))
@@ -403,24 +410,22 @@ class TestBlockDraws:
             monkeypatch.setattr(module, "synthesize_snapshots", refuse,
                                 raising=False)
 
-    @pytest.mark.parametrize("methods", [
-        ("had-root-music", "fhad-root-music", "tlhad"), ("tlhad",)],
-        ids=["rmse-snr", "rmse-eta"])
-    def test_rmse_block_generators(self, monkeypatch, methods):
+    @pytest.mark.parametrize("eliminators", [True, False],
+                             ids=["rmse-snr", "rmse-eta"])
+    def test_rmse_block_generators(self, monkeypatch, eliminators):
         # every trial's stream is read from its start once by the two
         # eliminators together, and once by the two-layer estimator
         opened = _record_streams(monkeypatch)
         cfg = ArrayConfig.two_layer(64, 4, 0.25)
         harness._rmse_block(cfg, EmitterScenario.single_emitter(15.0, 5.0, 1),
-                            methods, TrialStreams(3, range(10, 22)))
-        passes = 2 if "had-root-music" in methods else 1
+                            eliminators, TrialStreams(3, range(10, 22)))
+        passes = 2 if eliminators else 1
         assert opened == passes * [(3, i) for i in range(10, 22)]
 
     @pytest.mark.parametrize("block", [
         lambda trials: harness._rmse_block(
             ArrayConfig.two_layer(64, 4, 0.25),
-            EmitterScenario.single_emitter(15.0, 5.0, 1),
-            ("had-root-music", "fhad-root-music", "tlhad"),
+            EmitterScenario.single_emitter(15.0, 5.0, 1), True,
             TrialStreams(3, trials)),
         lambda trials: harness._quant_block(
             ArrayConfig.fully_digital(8),
@@ -564,6 +569,32 @@ class _CountingPool:
     def map(self, fn, iterable):
         type(self).calls += 1
         return map(fn, iterable)
+
+
+def test_pool_bounded_by_cpus(tmp_path, monkeypatch):
+    # a worker count far past the CPUs forks one process per CPU at most
+    # and plans one block per trial at most, with the bytes of one worker.
+    # The pool is a stand-in that records its size and starts no process
+    cfg_path = _write_config(tmp_path / "c.ini", SMALL_RMSE)
+    run_rmse_snr(load_config("rmse-snr", cfg_path, out=str(tmp_path / "w1")))
+    sizes, blocks = [], []
+
+    class RecordingPool(_CountingPool):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, iterable):
+            tasks = list(iterable)
+            blocks.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    run_rmse_snr(load_config("rmse-snr", cfg_path, out=str(tmp_path / "wmax"),
+                             workers=10 ** 9))
+    assert len(sizes) == 1 and 1 <= sizes[0] <= len(os.sched_getaffinity(0))
+    assert blocks == [100]
+    assert ((tmp_path / "wmax" / "rmse_snr.csv").read_bytes()
+            == (tmp_path / "w1" / "rmse_snr.csv").read_bytes())
 
 
 @pytest.mark.parametrize("experiment,run,output", [

@@ -637,6 +637,60 @@ class TestCertifiedRoot:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_closest_first_per_row(self):
+        # along the last axis of a (rows, lanes) array: largest |z| first,
+        # ties to smaller |phase|, then to the earlier lane; NaN lanes last.
+        # Entries are a few values with the signs of their parts flipped,
+        # which keeps |z| and, for conjugates, |phase|: ties abound
+        rng = trial_rng(31)
+        pool = np.array([0.3 + 0.4j, 0.6 + 0.8j, 0.8 + 0.6j, 0.99 + 0.0j])
+        z = pool[rng.integers(0, 4, (200, 7))]
+        z = (rng.choice([-1.0, 1.0], z.shape) * z.real
+             + 1j * rng.choice([-1.0, 1.0], z.shape) * z.imag)
+        z[rng.random(z.shape) < 0.3] = np.nan
+        keys = np.stack((-np.abs(z), np.abs(np.angle(z))), axis=-1)
+        order = spectral._closest_first(z)
+        for row, key, got in zip(z, keys, order):
+            lanes = np.flatnonzero(~np.isnan(row))
+            want = sorted(lanes, key=lambda j: (*key[j], j))
+            assert list(got) == want + list(np.flatnonzero(np.isnan(row)))
+
+    @pytest.mark.parametrize("width", [1, 4, 64])
+    def test_restart_starts(self, monkeypatch, width):
+        # per row, a lane at each of its ``width`` finite minima of
+        # smallest sigma (ties to the lower column), in column order, NaN
+        # in place of an infinite minimum, and as many lanes as the row
+        # with the most such minima
+        v = signal_vectors(_stack(8, 1, 0.0, 5, 6))
+        a = spectral._null_polynomials(v)[:, ::-1]
+        phase, _ = spectral._spectrum_minima(a)
+        rng = trial_rng(32)
+        sigma = rng.choice([0.01, 0.02, 0.05, np.inf], phase.shape)
+        sigma[0] = np.inf
+        sigma[0, [3, 40]] = 0.02  # a row of two finite minima
+        sigma[1, :] = 0.01  # a row of ties only
+        seen = []
+        laguerre = spectral._laguerre
+
+        def recorded(a, z):
+            seen.append(np.array(z))
+            return laguerre(a, z)
+
+        monkeypatch.setattr(spectral, "_laguerre", recorded)
+        first = np.exp(1j * phase[:, 0]) * 0.9
+        spectral._restart(a, phase, sigma, first, width)
+        starts, = seen
+        finite = [np.flatnonzero(np.isfinite(s)) for s in sigma]
+        chosen = [sorted(sorted(cols, key=lambda j: (s[j], j))[:width])
+                  for s, cols in zip(sigma, finite)]
+        assert starts.shape == (len(a), max(map(len, chosen)))
+        for row, p, cols in zip(starts, phase, chosen):
+            np.testing.assert_array_equal(
+                row[~np.isnan(row)],
+                spectral._RESTART_RADIUS * np.exp(1j * p[cols]))
+        assert list(chosen[0]) == ([3, 40] if width > 1 else [3])
+        assert list(chosen[1]) == list(range(min(width, phase.shape[1])))
+
 
 class TestSignalVectors:
     @pytest.mark.parametrize("t", [1, 7])
