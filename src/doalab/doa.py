@@ -230,17 +230,16 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     had = analog_combine(x, cfg, steer)[..., : cfg.k_sub, 0]
     classic = _pick(cands, np.mean(np.abs(had) ** 2, axis=-1))
 
-    groups = {k: _subgroups(cfg.k_sub, k) for k in np.unique(counts)}
-    steer = np.empty((len(cands), cfg.k_sub))
-    for k, group in groups.items():
-        steer[counts == k] = cands[counts == k][:, group]
+    group = np.stack([_subgroups(cfg.k_sub, k)
+                      for k in range(1, cands.shape[1] + 1)])[counts - 1]
+    steer = np.take_along_axis(cands, group, axis=1)
     sub_power = np.abs(analog_combine(x[:, 0], cfg, steer)[:, : cfg.k_sub, 0]) ** 2
-    group_power = np.zeros(cands.shape)
-    for k, group in groups.items():
-        rows = np.flatnonzero(counts == k)
-        for j in range(k):
-            group_power[rows, j] = sub_power[np.ix_(rows, group == j)].mean(axis=1)
-    return classic, _pick(cands, group_power)
+    # each subgroup's mean power, its members summed in column order as
+    # np.mean sums fewer than 8 values; a padding column has no members
+    cell = (group + cands.shape[1] * np.arange(len(cands))[:, None]).ravel()
+    group_power = (np.bincount(cell, sub_power.ravel(), cands.size)
+                   / np.maximum(np.bincount(cell, minlength=cands.size), 1))
+    return classic, _pick(cands, group_power.reshape(cands.shape))
 
 
 def combine_estimates(u_a, crlb_a, u_b, crlb_b):

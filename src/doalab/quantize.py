@@ -61,10 +61,8 @@ def lloyd_max_codebook(bits: int):
     depends only on its own level and its two neighbours, so the Jacobian
     is tridiagonal.
     """
-    if not (float(bits).is_integer() and bits >= 1):
-        raise ValueError(f"bits must be a whole number >= 1, got {bits}")
-    if type(bits) is not int:  # 2.0 shares the cached 2-bit codebook
-        return lloyd_max_codebook(int(bits))
+    if not (isinstance(bits, (int, np.integer)) and bits >= 1):
+        raise ValueError(f"bits must be an integer >= 1, got {bits!r}")
     from scipy.linalg import solve_banded
     from scipy.special import erfinv
 
@@ -186,9 +184,9 @@ def quantize(norm: Normalised, bits: int) -> np.ndarray:
     b-bit Lloyd-Max codebook, at the stack's scale.
 
     Channels whose scale is zero come out as zeros.  Raises ValueError
-    unless ``bits`` is a whole number of at least 1.
+    unless ``bits`` is an integer of at least 1.
     """
-    levels, bits = lloyd_max_codebook(bits)[0], int(bits)
+    levels = lloyd_max_codebook(bits)[0]
     # real and imaginary parts at once, chunk by chunk
     parts = norm.parts.reshape(-1)
     out = np.empty_like(norm.parts)

@@ -187,14 +187,14 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     """Laguerre's iteration (Newton's with a second-order correction) on
     every start at once.
 
-    Row j of ``a`` holds a polynomial (ascending) and ``z[j]`` its start,
-    or a row of its starts when ``z`` is (rows, starts); a NaN start is
-    no start.  Roots pair up as (z, 1/conj(z)), so every iterate is
-    mirrored into the closed unit disk, where sum |a_k| bounds the terms
-    of g.  A start has converged once |g| is at rounding level against
-    that bound; the step taken from there polishes the root, and the
-    start then stays put.  Returns the roots, in the shape of ``z``, and a
-    mask of the starts that converged to a finite root.
+    Row j of ``a`` holds a polynomial (ascending) and row j of ``z``
+    (rows, starts) its starts; a NaN start is no start.  Roots pair up as
+    (z, 1/conj(z)), so every iterate is mirrored into the closed unit
+    disk, where sum |a_k| bounds the terms of g.  A start has converged
+    once |g| is at rounding level against that bound; the step taken from
+    there polishes the root, and the start then stays put.  Returns the
+    roots (rows, starts) and a mask of the starts that converged to a
+    finite root.
 
     The forms of g, g' and g'' are built once per row and shared by its
     starts, each start's powers of z multiplying its row's forms through a
@@ -211,15 +211,14 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
     forms[:, 0, :-2, 2] = a[:, 2:] * (k[2:] * (k[2:] - 1))
     tol = 4.0 * n * _EPS * np.abs(a).sum(axis=1)
     z = np.array(z, dtype=complex)
-    starts = z[:, None] if z.ndim == 1 else z  # a view: (rows, width)
     # ``forms``, ``tol`` and ``open_`` hold the rows ``held``; a NaN start
     # is open for one step, which leaves it NaN and closes it
-    held, open_ = np.arange(len(a)), np.ones(starts.shape, dtype=bool)
-    buf = np.empty((*starts.shape, 1, n + 1), dtype=complex)
+    held, open_ = np.arange(len(a)), np.ones(z.shape, dtype=bool)
+    buf = np.empty((*z.shape, 1, n + 1), dtype=complex)
     buf[..., 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
-            zi = starts[held]
+            zi = z[held]
             pw = buf[:held.size]  # its column 0 stays 1 under cumprod
             pw[..., 1:] = zi[..., None, None]
             g, d1, d2 = np.moveaxis(
@@ -231,7 +230,7 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
             den = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             step = zi - n / den
             step = np.where(np.abs(step) > 1.0, 1.0 / np.conj(step), step)
-            starts[held] = np.where(open_, step, zi)
+            z[held] = np.where(open_, step, zi)
             open_ &= np.abs(g) > tol[:, None]
             live = open_.any(axis=1)
             if not live.any():
@@ -239,9 +238,9 @@ def _laguerre(a: np.ndarray, z: np.ndarray):
             if 2 * np.count_nonzero(live) <= held.size:
                 held, forms, tol, open_ = (held[live], forms[live], tol[live],
                                            open_[live])
-    ok = np.isfinite(starts)
+    ok = np.isfinite(z)
     ok[held] &= ~open_
-    return z, ok.reshape(z.shape)
+    return z, ok
 
 
 def _certified(a: np.ndarray, best: np.ndarray):
@@ -334,29 +333,31 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     """Per row of ``coeffs`` (highest degree first), the single-source
     Root-MUSIC root without the companion matrix, or NaN.
 
-    Laguerre's iteration runs from the start below the deepest minimum of
-    the null spectrum; a root outside the unit circle is mirrored to
-    1/conj(z).  The root is kept only under the certificate that no other
-    root lies as close to the circle (``_certified``).  On the rows whose
-    count shows a closer root instead, a second round searches again from
-    local minima of the sampled spectrum, just inside the circle at
-    ``_RESTART_RADIUS``: first a wave from the ``_WAVE`` minima of
-    smallest predicted distance ``sigma``, then, on the rows whose closest
-    root from that wave and the first round is not certified, from every
-    local minimum.  The closest root found is certified again, so a row
-    keeps the same root whichever search found it.  A row is NaN when its
-    leading coefficient is zero, its first start does not converge, a
-    certificate sample of its first root sits at rounding level, or the
-    search from every minimum is not certified either.  A second root
-    near the circle costs a few bisections of the arcs beside it.
+    Laguerre's iteration runs from one start per row, a column of starts
+    below the deepest minimum of each row's null spectrum; a root outside
+    the unit circle is mirrored to 1/conj(z).  The root is kept only
+    under the certificate that no other root lies as close to the circle
+    (``_certified``).  On the rows whose count shows a closer root
+    instead, a second round searches again from local minima of the
+    sampled spectrum, just inside the circle at ``_RESTART_RADIUS``: first
+    a wave from the ``_WAVE`` minima of smallest predicted distance
+    ``sigma``, then, on the rows whose closest root from that wave and the
+    first round is not certified, from every local minimum.  The closest
+    root found is certified again, so a row keeps the same root whichever
+    search found it.  A row is NaN when its leading coefficient is zero,
+    its first start does not converge, a certificate sample of its first
+    root sits at rounding level, or the search from every minimum is not
+    certified either.  A second root near the circle costs a few
+    bisections of the arcs beside it.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
     a = coeffs[rows, ::-1]  # ascending: a[:, k] multiplies z^k
     phase, sigma = _spectrum_minima(a)
-    j = sigma.argmin(axis=1)
-    lane = np.arange(len(a))
-    first, ok = _laguerre(a, np.exp(-sigma[lane, j] + 1j * phase[lane, j]))
+    j = sigma.argmin(axis=1)[:, None]
+    first, ok = _laguerre(a, np.exp(-np.take_along_axis(sigma, j, axis=1)
+                                    + 1j * np.take_along_axis(phase, j, axis=1)))
+    first, ok = first[:, 0], ok[:, 0]
     certified, closer = _certified(a, first)
     done = ok & certified
     best[rows[done]] = first[done]
@@ -487,30 +488,29 @@ def _principal_vectors(r: np.ndarray) -> np.ndarray:
     were the eigenvalue near mu the largest, no smaller residual would
     certify it, which is the low-SNR case.
 
-    The matrices of the rows still iterating are gathered only once half
-    of the rows held have finished, as ``_laguerre`` gathers its forms;
-    until then finished rows are multiplied too, and their products
-    dropped.  Every step is a product or a sum within one row, so a row's
-    bytes do not depend on which rows share its stack.
+    The rows ``held`` iterate under one mask ``open_``, and are gathered
+    by it only once half of them have finished, as ``_laguerre`` gathers
+    its forms; until then finished rows are multiplied too, and their
+    products dropped.  A certified row's unit iterate is finite, so the
+    rows of ``out`` still NaN at the end are those ``eigh`` gets.  Every
+    step is a product or a sum within one row, so a row's bytes do not
+    depend on which rows share its stack.
     """
     b, p = r.shape[:2]
     flat = r.reshape(b, p * p)
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.vecdot(flat, flat).real
-    iterate = (f > _F_RANGE[0]) & (f < _F_RANGE[1])
-    out = np.empty((b, p), dtype=complex)
-    active = np.flatnonzero(iterate)
-    fallback = [np.flatnonzero(~iterate)]
-    # ``mats`` holds the rows ``held``; active row j is its row pos[j]
-    held, pos = active, np.arange(active.size)
+    held = np.flatnonzero((f > _F_RANGE[0]) & (f < _F_RANGE[1]))
+    out = np.full((b, p), np.nan, dtype=complex)
     mats, f = (r, f) if held.size == b else (r[held], f[held])
     diag = mats.diagonal(axis1=1, axis2=2).real
     trace = diag.sum(axis=1)
-    v = mats[pos, :, diag.argmax(axis=1)]
+    v = mats[np.arange(held.size), :, diag.argmax(axis=1)]
     v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+    open_ = np.ones(held.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_POWER_MAX_ITER):
-            if active.size == 0:
+            if not open_.any():
                 break
             w = np.matmul(mats, v[:, :, None])[:, :, 0]
             mu = np.vecdot(v, w).real
@@ -518,20 +518,18 @@ def _principal_vectors(r: np.ndarray) -> np.ndarray:
             rn = np.sqrt(np.vecdot(res, res).real)
             lo = mu - rn
             gap = lo - np.sqrt(np.maximum(f - lo * lo, 0.0))
-            done = (gap > 0.0) & (rn <= _POWER_TOL * gap)
+            done = open_ & (gap > 0.0) & (rn <= _POWER_TOL * gap)
+            out[held[done]] = v[done]
             w -= ((trace - mu) / max(p - 1, 1))[:, None] * v
             norm = np.sqrt(np.vecdot(w, w).real)
-            going = ~done & (2.0 * (mu + rn) ** 2 >= f) & (norm > 0.0) \
+            open_ &= ~done & (2.0 * (mu + rn) ** 2 >= f) & (norm > 0.0) \
                 & (norm < np.inf)
-            done, going = done[pos], going[pos]
-            out[active[done]] = v[pos[done]]
-            fallback.append(active[~done & ~going])
             v = w / norm[:, None]
-            active, pos = active[going], pos[going]
-            if 2 * active.size <= held.size:
-                mats, f, v, trace = mats[pos], f[pos], v[pos], trace[pos]
-                held, pos = active, np.arange(active.size)
-    rest = np.sort(np.concatenate((*fallback, active)))
+            if 2 * np.count_nonzero(open_) <= held.size:
+                held, mats, f, trace, v, open_ = (
+                    held[open_], mats[open_], f[open_], trace[open_], v[open_],
+                    open_[open_])
+    rest = np.flatnonzero(np.isnan(out[:, 0]))
     if rest.size:
         mats = r if rest.size == b else r[rest]
         out[rest] = np.linalg.eigh(mats)[1][:, :, -1]

@@ -571,7 +571,8 @@ class TestCertifiedRoot:
         # one, and the certificate must say so
         phase, sigma = spectral._spectrum_minima(a)
         j = sigma[0].argmin()
-        first = spectral._laguerre(a, [np.exp(-sigma[0, j] + 1j * phase[0, j])])[0]
+        first = spectral._laguerre(
+            a, np.array([[np.exp(-sigma[0, j] + 1j * phase[0, j])]]))[0][:, 0]
         assert _du(first[0], ref, spacing) > 1e-3
         certified, closer = spectral._certified(a, first)
         assert not certified[0] and closer[0]
@@ -812,15 +813,20 @@ class TestPrincipalVectors:
 
     @pytest.mark.parametrize("bits", [0, 2])
     def test_row_independent_of_stack(self, bits):
-        # 0 dB rows certify, -10 dB rows fall back; mixed in one stack, a
-        # row keeps its bytes whatever block it is rooted in
-        x = np.empty((30, 32, 50), dtype=complex)
-        x[0::2] = _stack(32, 50, 0.0, 23, 15)
-        x[1::2] = _stack(32, 50, -10.0, 29, 15)
+        # 10, 0 and -5 dB rows certify after 6-8, 11-12 and 17-22
+        # iterations, -10 dB rows fall back at the first, and -8 dB rows
+        # certify late, fall back at several iterations, and one of them
+        # is still open at the cap.  Mixed in one stack, whose rows are
+        # gathered four or five times, a row keeps its bytes whatever
+        # block it is rooted in
+        snrs = ((0.0, 23), (-10.0, 29), (10.0, 37), (-5.0, 41), (-8.0, 8))
+        x = np.empty((15 * len(snrs), 32, 50), dtype=complex)
+        for k, (snr_db, seed) in enumerate(snrs):
+            x[k::len(snrs)] = _stack(32, 50, snr_db, seed, 15)
         if bits:
             x = quantize(normalise(x), bits)
         whole = signal_vectors(x)
-        for bounds in ((0, 11, 12, 30), tuple(range(31))):
+        for bounds in ((0, 11, 12, len(x)), tuple(range(len(x) + 1))):
             parts = [signal_vectors(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
 
