@@ -79,27 +79,31 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class EmitterScenario:
-    """Emitters, noise power, and snapshot budget for one simulation."""
+    """One emitter, or none, and the snapshot budget of one simulation.
 
-    directions_deg: tuple
-    powers: tuple
-    noise_power: float = 1.0
+    ``theta_deg`` is the emitter's direction, or None for noise alone.
+    The noise is circular complex Gaussian with unit variance per entry,
+    and ``power`` is the emitter's power in units of it, so ``power`` is
+    the per-antenna SNR; noise alone has power 0.  Every estimator and
+    detector is scale-invariant, so unit noise loses no generality.
+    """
+
+    theta_deg: float | None
+    power: float = 0.0
     n_snapshots: int = 1
     signal_model: str = CONSTANT_MODULUS
 
     def __post_init__(self):
-        object.__setattr__(self, "directions_deg", tuple(float(d) for d in self.directions_deg))
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
-        if len(self.directions_deg) != len(self.powers):
-            raise ValueError("one power per direction required")
-        for d in self.directions_deg:
-            if not -90.0 < d < 90.0:
+        if self.theta_deg is None:
+            if self.power != 0.0:
+                raise ValueError("noise alone has no emitter power")
+        else:
+            object.__setattr__(self, "theta_deg", float(self.theta_deg))
+            object.__setattr__(self, "power", float(self.power))
+            if not -90.0 < self.theta_deg < 90.0:
                 raise ValueError("directions must lie strictly inside (-90, 90) degrees")
-        for p in self.powers:
-            if not 0 < p < math.inf:
-                raise ValueError("emitter powers must be positive and finite")
-        if not 0 < self.noise_power < math.inf:
-            raise ValueError("noise_power must be positive and finite")
+            if not 0 < self.power < math.inf:
+                raise ValueError("emitter power must be positive and finite")
         if self.n_snapshots < 1:
             raise ValueError("need at least one snapshot")
         if self.signal_model not in (CONSTANT_MODULUS, GAUSSIAN):
@@ -107,30 +111,27 @@ class EmitterScenario:
 
     @property
     def n_emitters(self) -> int:
-        return len(self.directions_deg)
+        return 0 if self.theta_deg is None else 1
 
     @property
     def direction_sines(self) -> np.ndarray:
-        return np.sin(np.deg2rad(np.asarray(self.directions_deg)))
-
-    @property
-    def snr_linear(self) -> float:
-        return sum(self.powers) / self.noise_power
+        """The emitter's direction-sine, as an array of ``n_emitters``."""
+        return np.sin(np.deg2rad(np.array([self.theta_deg] * self.n_emitters,
+                                          dtype=float)))
 
     @property
     def snr_db(self) -> float:
-        return 10.0 * np.log10(self.snr_linear)
+        return 10.0 * np.log10(self.power)
 
     @classmethod
-    def single_emitter(cls, theta_deg, snr_db, n_snapshots, noise_power=1.0,
+    def single_emitter(cls, theta_deg, snr_db, n_snapshots,
                        signal_model=CONSTANT_MODULUS):
-        power = noise_power * 10.0 ** (snr_db / 10.0)
-        return cls((theta_deg,), (power,), noise_power, n_snapshots, signal_model)
+        return cls(theta_deg, 10.0 ** (snr_db / 10.0), n_snapshots, signal_model)
 
     @classmethod
-    def noise_only(cls, n_snapshots, noise_power=1.0):
-        """H0 scenario carrier: no emitters, just noise."""
-        return cls((), (), noise_power, n_snapshots)
+    def noise_only(cls, n_snapshots):
+        """H0 scenario carrier: no emitter, just noise."""
+        return cls(None, 0.0, n_snapshots)
 
 
 @dataclass
@@ -178,7 +179,7 @@ def _snapshot_draws(rngs, shape):
     noise = np.empty((len(rngs), sets, 2, n, t))
     for b, rng in enumerate(rngs):
         for r in range(sets):
-            if q:  # every emitter's waveform draws come before the noise
+            if q:  # the emitter's waveform draws come before the noise
                 (rng.standard_normal if gaussian else rng.random)(out=wave[b, r])
             rng.standard_normal(out=noise[b, r])
     return wave, noise
@@ -191,11 +192,12 @@ def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
     Returns a complex (trials, sets, n_total, n_snapshots) array.  Each
     trial draws its ``sets`` sets from its generator, in one pass over
     ``rngs``, each set in the order of one ``synthesize_snapshots`` call:
-    the waveform of every emitter (uniform phases, or a Gaussian
-    real/imaginary pair), then the real and the imaginary noise.  The
-    draws fill preallocated buffers and the arithmetic runs once on the
-    stack with the per-trial float expressions, so set r of trial b holds
-    the bits of the (r+1)-th of successive per-trial calls on its stream.
+    the emitter's waveform, if there is one (uniform phases, or a
+    Gaussian real/imaginary pair), then the real and the imaginary noise.
+    The draws fill preallocated buffers and the arithmetic runs once on
+    the stack with the per-trial float expressions, so set r of trial b
+    holds the bits of the (r+1)-th of successive per-trial calls on its
+    stream.
 
     The draws depend only on the draw shape: the channel, snapshot and
     emitter counts, the signal model and ``sets``.  When ``rngs`` is a
@@ -211,14 +213,14 @@ def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
     else:
         wave, noise = _snapshot_draws(rngs, shape)
     x = np.zeros((len(rngs), sets, n, t), dtype=np.complex128)
-    for j, (u_q, p_q) in enumerate(zip(scen.direction_sines, scen.powers)):
+    if q:
         if gaussian:
-            s = np.sqrt(p_q / 2.0) * (wave[:, :, j, 0] + 1j * wave[:, :, j, 1])
+            s = np.sqrt(scen.power / 2.0) * (wave[:, :, 0, 0] + 1j * wave[:, :, 0, 1])
         else:
-            s = np.sqrt(p_q) * np.exp(2j * np.pi * wave[:, :, j, 0])
-        x += steering_vector(n, u_q, cfg.spacing)[:, None] * s[..., None, :]
-    sigma = np.sqrt(scen.noise_power / 2.0)
-    x += sigma * (noise[:, :, 0] + 1j * noise[:, :, 1])
+            s = np.sqrt(scen.power) * np.exp(2j * np.pi * wave[:, :, 0, 0])
+        a = steering_vector(n, scen.direction_sines[0], cfg.spacing)
+        x += a[:, None] * s[..., None, :]
+    x += np.sqrt(1.0 / 2.0) * (noise[:, :, 0] + 1j * noise[:, :, 1])
     if not np.all(np.isfinite(x.view(np.float64))):
         raise ValueError("samples must be finite")
     return x
@@ -226,12 +228,12 @@ def synthesize_snapshot_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs,
 
 def synthesize_snapshots(cfg: ArrayConfig, scen: EmitterScenario,
                          rng: np.random.Generator) -> SnapshotBatch:
-    """Element-level snapshots of one trial: sum of steered emitter signals
-    plus noise.
+    """Element-level snapshots of one trial: the steered emitter signal,
+    if any, plus noise.
 
-    Noise is circular complex Gaussian with per-entry variance
-    ``scen.noise_power``; emitter waveforms are unit-modulus with uniform
-    random phase (default) or complex Gaussian.  Deterministic given rng;
+    Noise is circular complex Gaussian with unit per-entry variance; the
+    emitter waveform is unit-modulus with uniform random phase (default)
+    or complex Gaussian, scaled to ``scen.power``.  Deterministic given rng;
     the one-set case of ``synthesize_snapshot_rows``.
     """
     return SnapshotBatch(synthesize_snapshot_rows(cfg, scen, [rng])[0, 0])

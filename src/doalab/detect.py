@@ -54,15 +54,15 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
     generator and one row each, drawn from their exact distribution without
     synthesising snapshots.
 
-    The array must be fully digital and the scenario hold at most one
-    emitter.
+    The array must be fully digital.
 
-    Why this is exact.  Write the N x L snapshots in noise units as
+    Why this is exact.  Write the N x L snapshots as
     ``X = a g^T + Z``, with ``Z`` i.i.d. CN(0, 1) and ``E = |g|^2`` the
     signal energy (``L p`` for constant-modulus signals, ``p Gamma(L)``
-    for Gaussian ones, p the SNR).  On a fully digital ULA ``|a|^2 = N``
-    for every direction.  Take a unitary U with ``U a = sqrt(N) e_1`` and
-    a unitary V whose first column is ``conj(g) / |g|``; then
+    for Gaussian ones, p = ``scen.power``).  On a fully digital ULA
+    ``|a|^2 = N`` for every direction.  Take a unitary U with
+    ``U a = sqrt(N) e_1`` and a unitary V whose first column is
+    ``conj(g) / |g|``; then
     ``U X V = sqrt(N E) e_1 e_1^T + Z'`` with ``Z'`` again i.i.d.
     CN(0, 1), so the signal sits in entry (1, 1) alone.  Golub-Kahan
     bidiagonalisation that starts from the right reflects row 1 onto
@@ -77,7 +77,7 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
     ``c ~ CN(0, 1)``.  The nonzero eigenvalues of ``X X^H`` are those of
     the min(N, L)-square tridiagonal ``B^T B``; the other ``N - L`` (when
     L < N) are exactly 0.  Eigenvalues come from LAPACK ``dsterf`` and are
-    scaled by ``noise_power / L``.
+    scaled by ``1 / L``, the unit noise power over the snapshots.
     """
     # scipy.linalg costs tens of milliseconds to import; keep it off
     # ``import doalab``
@@ -86,8 +86,6 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
     n, l = cfg.n_total, scen.n_snapshots
     if cfg.n_fd != n:
         raise ValueError("detection trials need a fully digital array")
-    if scen.n_emitters > 1:
-        raise ValueError("detection trials hold at most one emitter")
     m, n_sub = min(n, l), min(l, n - 1)
     # Gamma shapes of B_kk^2, then B_{k+1,k}^2; a signal takes one degree
     # of freedom from B_11^2
@@ -95,14 +93,13 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
     shapes = shapes.astype(float)
     if scen.n_emitters:
         shapes[0] -= 1.0
-        p = scen.powers[0] / scen.noise_power
     # row b holds trial b's squared entries: B_kk^2 in columns [0, m),
     # B_{k+1,k}^2 from column m on, then zeros up to 2m
     sq = np.zeros((len(rngs), 2 * m))
     for row, rng in enumerate(rngs):
         if scen.n_emitters:
-            energy = p * (l if scen.signal_model == CONSTANT_MODULUS
-                          else rng.standard_gamma(l))
+            energy = scen.power * (l if scen.signal_model == CONSTANT_MODULUS
+                                   else rng.standard_gamma(l))
             c = np.sqrt(0.5) * rng.standard_normal(2)
         rng.standard_gamma(shapes, out=sq[row, :len(shapes)])
         if scen.n_emitters:
@@ -123,7 +120,7 @@ def trial_eigs(cfg: ArrayConfig, scen: EmitterScenario, rngs) -> np.ndarray:
                 f"dsterf failed on detection block row {row} (info={info})")
         d2[row] = vals
     out = np.zeros((len(sq), n))
-    out[:, :m] = d2[:, ::-1] * (scen.noise_power / l)
+    out[:, :m] = d2[:, ::-1] * (1.0 / l)
     return out
 
 

@@ -90,7 +90,7 @@ def candidate_set(u_hat: float, m_sub: int, spacing: float) -> CandidateSet:
 
 def _require_single_emitter(scen: EmitterScenario):
     if scen.n_emitters != 1:
-        raise ConfigError("estimators handle exactly one emitter")
+        raise ConfigError("estimators need an emitter, not noise alone")
 
 
 def _snapshot(cfg, scen1, rng, u_steer=0.0):

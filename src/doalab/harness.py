@@ -510,7 +510,7 @@ def _rmse_block(cfg, scen, eliminators, streams):
         classic, fast = had_eliminator_rows(cfg_had, scen, streams)
         u += [classic[0], fast[0]]
     u.append(tlhad_estimate_rows(cfg, scen, streams)[0])
-    return np.degrees(np.arcsin(np.column_stack(u))) - scen.directions_deg[0]
+    return np.degrees(np.arcsin(np.column_stack(u))) - scen.theta_deg
 
 
 def _rmse_curve(config, points, eliminators):
@@ -589,7 +589,7 @@ def _quant_block(cfg, scen, bits, streams):
     once; every bit depth quantizes that same draw, normalised once, so
     the columns are paired, and the block's trials are stacked, so every
     column comes from one search."""
-    u_true = math.sin(math.radians(scen.directions_deg[0]))
+    u_true = math.sin(math.radians(scen.theta_deg))
     x = synthesize_snapshot_rows(cfg, scen, streams)[:, 0]
     unquantized = root_music_rows(signal_vectors(x), cfg.spacing)
     norm = normalise(x)
@@ -658,33 +658,23 @@ def run_train_mlnn(config: ExperimentConfig):
     return model_path, report_path, model
 
 
-def _run_roc_with(config: ExperimentConfig, model_path):
-    try:
-        model = load_model(model_path) if model_path else None
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load model {model_path}: {exc}") from None
-    return run_roc(config, model)
-
-
-# name -> run(config, model_path), looking run_* up per call so wrappers apply
-_RUNS = {
-    "roc": _run_roc_with,
-    "rmse-snr": lambda config, _: run_rmse_snr(config),
-    "rmse-eta": lambda config, _: run_rmse_eta(config),
-    "loss-bits": lambda config, _: run_loss_bits(config),
-    "train-mlnn": lambda config, _: run_train_mlnn(config),
-}
-
-
 def run_experiment(config: ExperimentConfig, model_path=None):
     """Dispatch one experiment; returns the primary output path.  The
     output directory is made first, so one that cannot be made is a
-    ConfigError before any trial runs."""
-    if config.experiment not in _RUNS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    ConfigError before any trial runs, and so is a ``roc`` model file
+    that cannot load."""
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory "
                           f"{config.out_dir}: {exc}") from None
-    return _RUNS[config.experiment](config, model_path)[0]
+    if config.experiment == "roc":
+        try:
+            model = load_model(model_path) if model_path else None
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"cannot load model {model_path}: {exc}") from None
+        return run_roc(config, model)[0]
+    # run_* are looked up per call, so wrappers set on this module apply
+    runs = {"rmse-snr": run_rmse_snr, "rmse-eta": run_rmse_eta,
+            "loss-bits": run_loss_bits, "train-mlnn": run_train_mlnn}
+    return runs[config.experiment](config)[0]

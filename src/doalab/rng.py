@@ -3,14 +3,14 @@
 Every trial draws from its own Philox stream keyed by (master seed, trial
 index), so results never depend on scheduling or worker count.
 
-``trial_rng`` builds a new generator for a stream.  Philox is
-counter-based (Salmon et al., SC'11), so a stream is fixed by its key
-alone: ``rekey`` points an existing Philox generator at the start of the
-stream of (seed, index) by setting its key, counter and buffer state, and
-it then draws the same bits as ``trial_rng(seed, index)`` at a tenth of
-the cost.  ``TrialStreams`` hands a block of trials their streams through
-one generator, re-keyed to each trial in turn, and keeps what a pass
-over them draws for every later reader of the same draws.
+Philox is counter-based (Salmon et al., SC'11), so a stream is fixed by
+its key alone: ``rekey`` points an existing Philox generator at the start
+of the stream of (seed, index) by setting its key, counter and buffer
+state, and ``trial_rng`` re-keys a new generator.  ``TrialStreams`` hands
+a block of trials their streams through one generator, re-keyed to each
+trial in turn, at a tenth of the cost of a new generator per trial, and
+keeps what a pass over them draws for every later reader of the same
+draws.
 """
 
 import numpy as np
@@ -19,25 +19,24 @@ _MASK64 = (1 << 64) - 1
 
 
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
-    """Independent generator for one trial of one experiment.
+    """Independent generator for one trial of one experiment: a fresh
+    Philox generator ``rekey``-ed to the stream of (seed, index)."""
+    return rekey(np.random.Generator(np.random.Philox(0)), master_seed,
+                 trial_index)
+
+
+def rekey(rng: np.random.Generator, master_seed: int,
+          trial_index: int) -> np.random.Generator:
+    """Reset ``rng``, a Philox generator, to the start of the stream of
+    (master_seed, trial_index), and return it.
 
     The Philox key packs the 64-bit master seed and the trial index, so
     streams for distinct (seed, index) pairs never collide.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
-    key = ((master_seed & _MASK64) << 64) | (trial_index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def rekey(rng: np.random.Generator, master_seed: int,
-          trial_index: int) -> np.random.Generator:
-    """Reset ``rng``, a Philox generator, to the start of the stream of
-    ``trial_rng(master_seed, trial_index)``, and return it."""
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
-    # the state of a fresh Philox(key=...): the key's low word first, a
-    # zero counter and an empty buffer
+    # the state of a fresh Philox(key=(seed << 64) | index): the key's low
+    # word first, a zero counter and an empty buffer
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0],

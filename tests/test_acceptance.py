@@ -27,6 +27,7 @@ from doalab.doa import (
     tlhad_estimate,
 )
 from doalab.harness import (
+    ROC_STREAMS,
     detection_eigs,
     load_config,
     run_loss_bits,
@@ -87,6 +88,33 @@ def test_criterion_1_detector_ordering(roc_runs):
     print(f"  P_d at FAP 0.01: r-maxev-minev={pd01['r-maxev-minev']:.4f} "
           f"glrt={pd01['glrt']:.4f}")
     _report(1, "detector ordering at the operating point", ok)
+
+
+def test_mlnn_not_below_single_source_glrt(roc_runs):
+    # the ROC's glrt is the sphericity test; for one source in white noise
+    # of unknown power the GLRT is lambda_1 / mean(lambda) (Bianchi et al.,
+    # IEEE Trans. IT 57(4), 2011).  On the criterion-1 trials, re-drawn,
+    # each detector thresholded on its own H0 scores, the network's P_d
+    # may not fall below it by more than 2 paired SE at either FAP.
+    _, _, scores = roc_runs
+    v = load_config("roc", seed=SEED).value
+    n = len(scores["h0"]["mlnn"])
+    eigs = {f"h{h}": detection_eigs(
+        v("array.n_total"), v("scenario.n_snapshots"), v("scenario.snr_db"),
+        h, n, SEED, offset=ROC_STREAMS + h * n,
+        signal_model=v("scenario.signal_model")) for h in (0, 1)}
+    for h, e in eigs.items():  # the very trials the ROC scored
+        assert np.array_equal(glrt_statistic(e), scores[h]["glrt"])
+    lam = {h: e[:, 0] / e.mean(axis=1) for h, e in eigs.items()}
+    mlnn = {h: scores[h]["mlnn"] for h in eigs}
+    ok = True
+    for fap in (0.01, 0.1):
+        hits = [s["h1"] > decision_threshold(s["h0"], fap) for s in (mlnn, lam)]
+        diff = hits[0].astype(float) - hits[1]
+        gap, se = diff.mean(), diff.std(ddof=1) / math.sqrt(n)
+        print(f"\n  FAP {fap}: P_d mlnn - lambda1/mean = {gap:.4f} +- {se:.4f}")
+        ok = ok and gap >= -2.0 * se
+    assert ok, "the network falls below the single-source GLRT"
 
 
 def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):

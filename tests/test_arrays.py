@@ -19,17 +19,19 @@ from doalab.rng import TrialStreams, rekey, trial_rng
 
 
 def synthesize_oracle(cfg, scen, rng):
-    """One trial's element-level snapshots, drawn and summed per emitter:
-    the per-trial synthesis that ``synthesize_snapshot_rows`` stacks."""
+    """One trial's element-level snapshots, the emitter's (if any) drawn
+    first, then unit noise: the per-trial synthesis that
+    ``synthesize_snapshot_rows`` stacks."""
     n, t = cfg.n_total, scen.n_snapshots
     x = np.zeros((n, t), dtype=np.complex128)
-    for u_q, p_q in zip(scen.direction_sines, scen.powers):
+    for u in scen.direction_sines:
         if scen.signal_model == CONSTANT_MODULUS:
-            s = np.sqrt(p_q) * np.exp(2j * np.pi * rng.random(t))
+            s = np.sqrt(scen.power) * np.exp(2j * np.pi * rng.random(t))
         else:
-            s = np.sqrt(p_q / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
-        x += np.outer(steering_vector(n, u_q, cfg.spacing), s)
-    sigma = np.sqrt(scen.noise_power / 2.0)
+            s = np.sqrt(scen.power / 2.0) * (rng.standard_normal(t)
+                                             + 1j * rng.standard_normal(t))
+        x += np.outer(steering_vector(n, u, cfg.spacing), s)
+    sigma = np.sqrt(1.0 / 2.0)
     x += sigma * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
     return x
 
@@ -65,23 +67,25 @@ class TestArrayConfig:
 class TestEmitterScenario:
     def test_direction_bounds(self):
         with pytest.raises(ValueError):
-            EmitterScenario((90.0,), (1.0,))
+            EmitterScenario(90.0, 1.0)
 
     def test_snr(self):
         scen = EmitterScenario.single_emitter(0.0, -20.0, 200)
         assert scen.snr_db == pytest.approx(-20.0)
-        assert scen.snr_linear == pytest.approx(0.01)
+        assert scen.power == pytest.approx(0.01)
 
     def test_noise_only(self):
         scen = EmitterScenario.noise_only(16)
-        assert scen.n_emitters == 0
-
-    @pytest.mark.parametrize("powers,noise_power", [
-        ((np.inf,), 1.0), ((np.nan,), 1.0), ((1.0,), np.inf),
-        ((1.0,), np.nan), ((), np.inf)])
-    def test_non_finite_powers_rejected(self, powers, noise_power):
+        assert scen.n_emitters == 0 and scen.direction_sines.shape == (0,)
+        # noise alone carries no emitter power
         with pytest.raises(ValueError):
-            EmitterScenario((0.0,) * len(powers), powers, noise_power)
+            EmitterScenario(None, 1.0)
+
+    @pytest.mark.parametrize("theta_deg", [0.0, None])
+    @pytest.mark.parametrize("power", [np.inf, np.nan])
+    def test_non_finite_powers_rejected(self, theta_deg, power):
+        with pytest.raises(ValueError):
+            EmitterScenario(theta_deg, power)
 
     def test_overflowing_snr_rejected(self):
         # 1e400 dB parses as an infinite SNR
@@ -138,7 +142,7 @@ class TestSynthesize:
 
     def test_noiseless_rank_one(self):
         cfg = ArrayConfig.fully_digital(8)
-        scen = EmitterScenario((20.0,), (1.0,), noise_power=1e-30, n_snapshots=5)
+        scen = EmitterScenario(20.0, 1e30, n_snapshots=5)
         x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
         a = steering_vector(8, np.sin(np.deg2rad(20.0)))
         for t in range(5):
@@ -153,7 +157,7 @@ class TestSynthesize:
         assert np.array_equal(x1, x2)
 
     def test_gaussian_model(self):
-        scen = EmitterScenario((0.0,), (2.0,), n_snapshots=50_000,
+        scen = EmitterScenario(0.0, 2.0, n_snapshots=50_000,
                                signal_model="gaussian")
         x = synthesize_snapshots(ArrayConfig.fully_digital(1), scen,
                                  trial_rng(1)).samples
@@ -161,8 +165,8 @@ class TestSynthesize:
 
 
 SCENARIOS = {
-    "noise-only": ((), ()),
-    "two-emitters": ((15.0, -40.0), (2.0, 0.5)),
+    "noise-only": (None, 0.0),
+    "one-emitter": (-40.0, 2.0),
 }
 
 
@@ -172,8 +176,8 @@ class TestSynthesizeRows:
 
     @staticmethod
     def _scen(name, t, model):
-        directions, powers = SCENARIOS[name]
-        return EmitterScenario(directions, powers, 1.3, t, model)
+        theta_deg, power = SCENARIOS[name]
+        return EmitterScenario(theta_deg, power, t, model)
 
     @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
     @pytest.mark.parametrize("t", [1, 10])
@@ -192,7 +196,7 @@ class TestSynthesizeRows:
     def test_one_set_per_trial(self, model):
         # the per-trial call and the default count are the one-set case
         cfg = ArrayConfig.pure_had(12, 3)
-        scen = self._scen("two-emitters", 4, model)
+        scen = self._scen("one-emitter", 4, model)
         x = synthesize_snapshot_rows(cfg, scen, [trial_rng(9, i) for i in range(3)])
         assert x.shape == (3, 1, 12, 4)
         for i in range(3):
@@ -203,7 +207,7 @@ class TestSynthesizeRows:
     @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
     def test_independent_of_block_split(self, model):
         cfg = ArrayConfig.fully_digital(8)
-        scen = self._scen("two-emitters", 3, model)
+        scen = self._scen("one-emitter", 3, model)
         whole = synthesize_snapshot_rows(cfg, scen, TrialStreams(10, range(10)), 4)
         for bounds in ((0, 3, 4, 10), tuple(range(11))):
             for a, b in zip(bounds[:-1], bounds[1:]):
@@ -214,15 +218,15 @@ class TestSynthesizeRows:
     @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
     def test_kept_draws_match_fresh_pass(self, model, monkeypatch):
         # a TrialStreams keeps its first pass per draw shape: a later call
-        # of that shape, at other emitters, powers and noise on another
+        # of that shape, at another direction and power on another
         # partition of as many antennas, reads no stream and gives the
         # bits of a fresh pass; another set count is another shape
         from doalab import rng as rng_module
 
         cfg = ArrayConfig.two_layer(20, 4, 0.2, 0.6)
         other = ArrayConfig.pure_had(20, 5, 0.5)
-        scen = self._scen("two-emitters", 3, model)
-        later = EmitterScenario((-20.0, 40.0), (0.5, 7.0), 0.8, 3, model)
+        scen = self._scen("one-emitter", 3, model)
+        later = EmitterScenario(40.0, 7.0, 3, model)
         streams = TrialStreams(8, range(6))
         synthesize_snapshot_rows(cfg, scen, streams, 3)
         opened = []
@@ -234,14 +238,14 @@ class TestSynthesizeRows:
         monkeypatch.setattr(rng_module, "rekey", recording_rekey)
         x = synthesize_snapshot_rows(other, later, streams, 3)
         assert opened == []
+        y = synthesize_snapshot_rows(other, later, streams, 2)
+        assert opened == list(range(6))
+        assert y.tobytes() == x[:, :2].tobytes()
         for i in range(6):
             rng = trial_rng(8, i)
             for r in range(3):
                 ref = synthesize_oracle(other, later, rng)
                 assert x[i, r].tobytes() == ref.tobytes()
-        y = synthesize_snapshot_rows(other, later, streams, 2)
-        assert opened == list(range(6))
-        assert y.tobytes() == x[:, :2].tobytes()
 
     def test_nonfinite_rejected(self):
         class NanStream:
@@ -290,8 +294,7 @@ class TestAnalogCombine:
     def test_matched_steering_coherent_gain(self):
         u = 0.37
         cfg = ArrayConfig.pure_had(16, 4)
-        scen = EmitterScenario((np.degrees(np.arcsin(u)),), (1.0,),
-                               noise_power=1e-30, n_snapshots=3)
+        scen = EmitterScenario(np.degrees(np.arcsin(u)), 1e30, n_snapshots=3)
         x = synthesize_snapshots(cfg, scen, trial_rng(2)).samples
         out = analog_combine(x, cfg, u)
         # channel k = sqrt(M) exp(i 2 pi d M k u) s(t) up to shared phase
@@ -313,8 +316,8 @@ class TestAnalogCombine:
     def test_virtual_ula_spacing(self, u):
         # noiseless matched combining: inter-subarray phase 2 pi M d u
         cfg = ArrayConfig.pure_had(12, 3)
-        scen = EmitterScenario((float(np.degrees(np.arcsin(u))),),
-                               (1.0,), noise_power=1e-30, n_snapshots=1)
+        scen = EmitterScenario(float(np.degrees(np.arcsin(u))), 1e30,
+                               n_snapshots=1)
         x = synthesize_snapshots(cfg, scen, trial_rng(0)).samples
         out = analog_combine(x, cfg, u)
         ratios = out[1:, 0] / out[:-1, 0]

@@ -26,16 +26,16 @@ from doalab.mlnn import forward, init_model
 from doalab.rng import TrialStreams, trial_rng
 
 
-def h0_eigs(cfg, n_snapshots, noise_power, seed, n_trials):
+def h0_eigs(cfg, n_snapshots, seed, n_trials):
     """Eigenvalues of noise-only trials [0, n_trials)."""
-    scen = EmitterScenario.noise_only(n_snapshots, noise_power)
+    scen = EmitterScenario.noise_only(n_snapshots)
     return trial_eigs(cfg, scen, TrialStreams(seed, range(n_trials)))
 
 
 def roc_of(statistic, scen_h1, cfg, n_trials, seed):
     """ROC of ``statistic`` for H0 trials [0, n) against ``scen_h1`` trials
     [n, 2n) of the same seed."""
-    e0 = h0_eigs(cfg, scen_h1.n_snapshots, scen_h1.noise_power, seed, n_trials)
+    e0 = h0_eigs(cfg, scen_h1.n_snapshots, seed, n_trials)
     e1 = trial_eigs(cfg, scen_h1,
                     TrialStreams(seed, range(n_trials, 2 * n_trials)))
     return roc_points(statistic(e0), statistic(e1))
@@ -98,33 +98,34 @@ class TestCalibration:
         # threshold calibrated at FAP 0.05 on one seed holds on a fresh seed
         cfg = ArrayConfig.fully_digital(8)
         tau = decision_threshold(
-            maxmin_statistic(h0_eigs(cfg, 16, 1.0, 11, 4000)), 0.05)
-        fresh = maxmin_statistic(h0_eigs(cfg, 16, 1.0, 12, 4000))
+            maxmin_statistic(h0_eigs(cfg, 16, 11, 4000)), 0.05)
+        fresh = maxmin_statistic(h0_eigs(cfg, 16, 12, 4000))
         fap = np.mean(fresh > tau)
         se = np.sqrt(0.05 * 0.95 / 4000)
         assert fap == pytest.approx(0.05, abs=4 * se)
 
     def test_trial_budget_contract(self):
         cfg = ArrayConfig.fully_digital(4)
-        scores = maxmin_statistic(h0_eigs(cfg, 8, 1.0, 0, 500))
+        scores = maxmin_statistic(h0_eigs(cfg, 8, 0, 500))
         with pytest.raises(ValueError):
             decision_threshold(scores, 0.01)
 
     def test_threshold_scale_free(self):
-        # scale-invariant statistics: noise power must not move the threshold
+        # scale-invariant statistics: noise power must not move the
+        # threshold; noise of power 25 scales the eigenvalues by 25
         cfg = ArrayConfig.fully_digital(6)
         t1 = decision_threshold(
-            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
+            maxmin_statistic(h0_eigs(cfg, 12, 3, 1000)), 0.1)
         t2 = decision_threshold(
-            maxmin_statistic(h0_eigs(cfg, 12, 25.0, 3, 1000)), 0.1)
+            maxmin_statistic(25.0 * h0_eigs(cfg, 12, 3, 1000)), 0.1)
         assert t1 == pytest.approx(t2, rel=1e-12)
 
     def test_deterministic(self):
         cfg = ArrayConfig.fully_digital(6)
         a = decision_threshold(
-            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
+            maxmin_statistic(h0_eigs(cfg, 12, 3, 1000)), 0.1)
         b = decision_threshold(
-            maxmin_statistic(h0_eigs(cfg, 12, 1.0, 3, 1000)), 0.1)
+            maxmin_statistic(h0_eigs(cfg, 12, 3, 1000)), 0.1)
         assert a == b
 
 
@@ -211,8 +212,8 @@ class TestRocCurve:
     def test_h0_statistic_distribution_tightens_with_snapshots(self):
         # more snapshots concentrate eigenvalues: median maxmin ratio falls
         cfg = ArrayConfig.fully_digital(8)
-        m_small = np.median(maxmin_statistic(h0_eigs(cfg, 16, 1.0, 2, 500)))
-        m_large = np.median(maxmin_statistic(h0_eigs(cfg, 256, 1.0, 2, 500)))
+        m_small = np.median(maxmin_statistic(h0_eigs(cfg, 16, 2, 500)))
+        m_large = np.median(maxmin_statistic(h0_eigs(cfg, 256, 2, 500)))
         assert m_large < m_small
 
     def test_h0_maxmin_median_near_asymptotic_edge_ratio(self):
@@ -224,7 +225,7 @@ class TestRocCurve:
         c = np.sqrt(n / l)
         edge_ratio = ((1 + c) / (1 - c)) ** 2
         med = np.median(maxmin_statistic(
-            h0_eigs(ArrayConfig.fully_digital(n), l, 1.0, 8, 2000)))
+            h0_eigs(ArrayConfig.fully_digital(n), l, 8, 2000)))
         assert med == pytest.approx(edge_ratio, rel=0.15)
 
 
@@ -275,31 +276,29 @@ def assert_same_law(a, b, what):
     assert ks > ALPHA and ad > ALPHA, f"{what}: KS p={ks:.2g}, AD p={ad:.2g}"
 
 
-# (N, L, SNR dB or None for noise only, signal model, noise power);
-# (64, 16) has L < N
+# (N, L, SNR dB or None for noise only, signal model); (64, 16) has L < N
 LAW_CASES = [
-    (8, 16, None, None, 2.5),
-    (8, 16, 0.0, CONSTANT_MODULUS, 1.0),
-    (8, 16, -3.0, GAUSSIAN, 2.5),
-    (8, 200, None, None, 1.0),
-    (8, 200, -10.0, GAUSSIAN, 1.0),
-    (64, 16, None, None, 0.5),
-    (64, 16, -5.0, CONSTANT_MODULUS, 0.5),
-    (64, 200, None, None, 1.0),
-    (64, 200, -15.0, CONSTANT_MODULUS, 1.0),
-    (64, 200, -20.0, GAUSSIAN, 1.0),
+    (8, 16, None, None),
+    (8, 16, 0.0, CONSTANT_MODULUS),
+    (8, 16, -3.0, GAUSSIAN),
+    (8, 200, None, None),
+    (8, 200, -10.0, GAUSSIAN),
+    (64, 16, None, None),
+    (64, 16, -5.0, CONSTANT_MODULUS),
+    (64, 200, None, None),
+    (64, 200, -15.0, CONSTANT_MODULUS),
+    (64, 200, -20.0, GAUSSIAN),
 ]
 
 
 class TestTrialEigsLaw:
-    @pytest.mark.parametrize("n,l,snr_db,model,noise_power", LAW_CASES)
-    def test_matches_direct_synthesis(self, n, l, snr_db, model, noise_power):
+    @pytest.mark.parametrize("n,l,snr_db,model", LAW_CASES)
+    def test_matches_direct_synthesis(self, n, l, snr_db, model):
         cfg = ArrayConfig.fully_digital(n)
         if snr_db is None:
-            scen = EmitterScenario.noise_only(l, noise_power)
+            scen = EmitterScenario.noise_only(l)
         else:
-            scen = EmitterScenario.single_emitter(20.0, snr_db, l, noise_power,
-                                                  model)
+            scen = EmitterScenario.single_emitter(20.0, snr_db, l, model)
         want = direct_eigs(cfg, scen, 31, LAW_TRIALS)
         got = trial_eigs(cfg, scen, TrialStreams(32, range(LAW_TRIALS)))
         rank = min(n, l)
@@ -312,8 +311,8 @@ class TestTrialEigsLaw:
     @pytest.mark.parametrize("snr_db", [None, 0.0], ids=["h0", "h1"])
     def test_one_snapshot_is_the_squared_norm(self, snr_db):
         cfg = ArrayConfig.fully_digital(8)
-        scen = (EmitterScenario.noise_only(1, 1.5) if snr_db is None else
-                EmitterScenario.single_emitter(-40.0, snr_db, 1, 1.5))
+        scen = (EmitterScenario.noise_only(1) if snr_db is None else
+                EmitterScenario.single_emitter(-40.0, snr_db, 1))
         norms = [np.sum(np.abs(x) ** 2)
                  for x in direct_snapshots(cfg, scen, 41, range(LAW_TRIALS))]
         got = trial_eigs(cfg, scen, TrialStreams(42, range(LAW_TRIALS)))
@@ -337,10 +336,10 @@ class TestTrialEigsLaw:
             trial_eigs(cfg, scen, TrialStreams(0, range(2)))
 
     def test_two_emitters_rejected(self):
-        scen = EmitterScenario((10.0, -20.0), (1.0, 1.0), 1.0, 8)
-        with pytest.raises(ValueError):
-            trial_eigs(ArrayConfig.fully_digital(8), scen,
-                       TrialStreams(0, range(2)))
+        # a scenario holds one emitter or none, so two never reach the
+        # sampler
+        with pytest.raises(TypeError):
+            EmitterScenario((10.0, -20.0), 1.0, 8)
 
     def test_eigensolver_failure_raises(self, monkeypatch):
         import scipy.linalg.lapack
@@ -366,13 +365,12 @@ def trial_eigs_oracle(cfg, scen, seed, start, stop):
     shapes = shapes.astype(float)
     if scen.n_emitters:
         shapes[0] -= 1.0
-        p = scen.powers[0] / scen.noise_power
     out = np.zeros((stop - start, n))
     for row, i in enumerate(range(start, stop)):
         rng = trial_rng(seed, i)
         if scen.n_emitters:
-            energy = p * (l if scen.signal_model == CONSTANT_MODULUS
-                          else rng.standard_gamma(l))
+            energy = scen.power * (l if scen.signal_model == CONSTANT_MODULUS
+                                   else rng.standard_gamma(l))
             c = np.sqrt(0.5) * rng.standard_normal(2)
         sq = rng.standard_gamma(shapes)
         if scen.n_emitters:
@@ -382,7 +380,7 @@ def trial_eigs_oracle(cfg, scen, seed, start, stop):
         off = np.sqrt(e2[:-1] * d2[1:]) if m > 1 else np.zeros(1)
         vals, info = dsterf(d2 + e2, off, overwrite_d=1, overwrite_e=1)
         assert info == 0
-        out[row, :m] = vals[::-1] * (scen.noise_power / l)
+        out[row, :m] = vals[::-1] * (1.0 / l)
     return out
 
 
@@ -411,9 +409,9 @@ def test_trial_eigs_matches_per_trial_oracle(n, l, snr_db, model, seed,
                                              start, stop):
     cfg = ArrayConfig.fully_digital(n)
     if snr_db is None:
-        scen = EmitterScenario.noise_only(l, 0.5)
+        scen = EmitterScenario.noise_only(l)
     else:
-        scen = EmitterScenario.single_emitter(20.0, snr_db, l, 1.0, model)
+        scen = EmitterScenario.single_emitter(20.0, snr_db, l, model)
     got = trial_eigs(cfg, scen, TrialStreams(seed, range(start, stop)))
     want = trial_eigs_oracle(cfg, scen, seed, start, stop)
     assert got.tobytes() == want.tobytes()

@@ -91,7 +91,7 @@ class TestClassicEliminator:
     def test_noiseless_exact(self):
         cfg = ArrayConfig.pure_had(32, 4)
         theta = float(np.degrees(np.arcsin(0.3)))
-        scen = EmitterScenario((theta,), (1.0,), noise_power=1e-12)
+        scen = EmitterScenario(theta, 1e12)
         est = had_root_music_classic(cfg, scen, trial_rng(0))
         assert est.u == pytest.approx(0.3, abs=1e-6)
         assert est.snapshots_used == 1 + len(est.candidates)
@@ -110,9 +110,9 @@ class TestClassicEliminator:
             had_root_music_classic(ArrayConfig(8, 2, 3, 2), _scen(0.0, 0.0),
                                    trial_rng(0))
 
-    def test_rejects_two_emitters(self):
+    def test_rejects_noise_only(self):
         cfg = ArrayConfig.pure_had(16, 4)
-        scen = EmitterScenario((0.0, 10.0), (1.0, 1.0))
+        scen = EmitterScenario.noise_only(1)
         with pytest.raises(ConfigError):
             had_root_music_classic(cfg, scen, trial_rng(0))
 
@@ -133,7 +133,7 @@ class TestFastEliminator:
     def test_noiseless_exact(self):
         cfg = ArrayConfig.pure_had(32, 4)
         theta = float(np.degrees(np.arcsin(-0.22)))
-        scen = EmitterScenario((theta,), (1.0,), noise_power=1e-12)
+        scen = EmitterScenario(theta, 1e12)
         est = fhad_root_music(cfg, scen, trial_rng(3))
         assert est.u == pytest.approx(-0.22, abs=1e-6)
 
@@ -162,7 +162,7 @@ class TestTwoLayer:
     def test_noiseless_exact(self):
         cfg = ArrayConfig(64, 4, 12, 16)
         theta = float(np.degrees(np.arcsin(0.3)))
-        scen = EmitterScenario((theta,), (1.0,), noise_power=1e-12)
+        scen = EmitterScenario(theta, 1e12)
         est = tlhad_estimate(cfg, scen, trial_rng(6))
         assert est.u == pytest.approx(0.3, abs=1e-6)
 
@@ -471,8 +471,8 @@ class TestTlhadRows:
             with pytest.raises(ConfigError):
                 tlhad_estimate_rows(cfg, _scen(0.0, 0.0), [trial_rng(0)])
 
-    def test_rejects_two_emitters(self):
-        scen = EmitterScenario((0.0, 10.0), (1.0, 1.0))
+    def test_rejects_noise_only(self):
+        scen = EmitterScenario.noise_only(1)
         with pytest.raises(ConfigError):
             tlhad_estimate_rows(ArrayConfig(64, 4, 12, 16), scen, [trial_rng(0)])
 

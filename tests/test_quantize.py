@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doalab.quantize as quantize_module
+from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshot_rows
 from doalab.quantize import (
     distortion_factor,
     effective_snr,
@@ -14,7 +15,7 @@ from doalab.quantize import (
     performance_loss_db,
     quantize,
 )
-from doalab.rng import trial_rng
+from doalab.rng import TrialStreams, trial_rng
 
 # classic Lloyd-Max distortions for a unit-variance Gaussian source
 RHO_TABLE = {
@@ -302,3 +303,24 @@ class TestPerformanceLoss:
 
     def test_grows_with_snr(self):
         assert performance_loss_db(2, 10.0) > performance_loss_db(2, -10.0)
+
+
+class TestQuantizeSymmetry:
+    @given(p=st.integers(1, 32), t=st.integers(1, 50),
+           snr_db=st.floats(-10.0, 20.0), u=st.floats(-0.95, 0.95),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=20, deadline=None)
+    def test_commutes_with_conjugation_and_quarter_turns(self, p, t, snr_db,
+                                                         u, seed):
+        # the codebook is odd-symmetric and the scale depends on |x| only,
+        # so conjugation, x i and x -1 pass through the quantizer bit for
+        # bit, at every depth
+        scen = EmitterScenario.single_emitter(math.degrees(math.asin(u)),
+                                              snr_db, t)
+        x = synthesize_snapshot_rows(ArrayConfig.fully_digital(p), scen,
+                                     TrialStreams(seed, range(3)))[:, 0]
+        for bits in range(1, 9):
+            q = quantize(normalise(x), bits)
+            for turn in (np.conj, lambda z: 1j * z, np.negative):
+                got = quantize(normalise(turn(x)), bits)
+                assert got.tobytes() == turn(q).tobytes(), (bits, turn)
