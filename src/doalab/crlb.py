@@ -6,11 +6,11 @@ gain projected out.  The FD and HAD bounds reduce in closed form to the
 information at broadside, scaled by cos^2(theta) (and by the analog beam's
 power gain for HAD), so each takes a direction or an array of directions.
 ``fim_single_source`` on explicit steering vectors and the textbook
-``crlb_fd_closed_form`` serve as the test oracles.  Angles enter in degrees
-at the API boundary; bounds are returned in rad^2, a float for a scalar
-direction and an array of its shape otherwise.  The analog beams sit at
-broadside, the one steering a one-snapshot receiver can arrange before
-knowing the angle.
+``crlb_fd_closed_form`` of ``tests/oracles.py`` serve as the test oracles.
+Angles enter in degrees at the API boundary; bounds are returned in rad^2,
+a float for a scalar direction and an array of its shape otherwise.  The
+analog beams sit at broadside, the one steering a one-snapshot receiver
+can arrange before knowing the angle.
 """
 
 import math
@@ -83,15 +83,6 @@ def crlb_fd(n_antennas: int, theta_deg, snr_db: float, t_snapshots: int,
             spacing: float = 0.5):
     """CRLB (rad^2) for an N-element fully-digital ULA."""
     return _bound(_fd_fim(n_antennas, theta_deg, snr_db, t_snapshots, spacing))
-
-
-def crlb_fd_closed_form(n_antennas: int, theta_deg: float, snr_db: float,
-                        t_snapshots: int, spacing: float = 0.5) -> float:
-    """Textbook FD ULA bound: 6 / (T snr (2 pi d cos theta)^2 N (N^2 - 1))."""
-    snr = 10.0 ** (snr_db / 10.0)
-    c = 2.0 * np.pi * spacing * math.cos(math.radians(theta_deg))
-    denom = t_snapshots * snr * c * c * n_antennas * (n_antennas ** 2 - 1)
-    return 6.0 / denom if denom > 0 else math.inf
 
 
 def crlb_had(cfg: ArrayConfig, theta_deg, snr_db: float, t_snapshots: int):

@@ -152,15 +152,3 @@ def roc_points(h0_scores: np.ndarray, h1_scores: np.ndarray) -> np.ndarray:
     pts = np.vstack([[0.0, 0.0], pts, [1.0, 1.0]])
     return np.unique(pts, axis=0)
 
-
-def auc(points: np.ndarray) -> float:
-    """Area under a (fap, pd) staircase by trapezoid rule."""
-    pts = np.asarray(points, dtype=float)
-    return float(np.trapezoid(pts[:, 1], pts[:, 0]))
-
-
-def pd_at_fap(points: np.ndarray, fap: float) -> float:
-    """Detection probability at (the largest achieved FAP <=) ``fap``."""
-    pts = np.asarray(points, dtype=float)
-    ok = pts[:, 0] <= fap + 1e-12
-    return float(pts[ok, 1].max()) if np.any(ok) else 0.0

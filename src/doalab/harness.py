@@ -106,7 +106,10 @@ _SNR = (lambda v: abs(v) <= MAX_SNR_DB, f"a number in [-{MAX_SNR_DB:g}, {MAX_SNR
 # are rejected at parse time, and load_config parses and checks every key
 SCHEMA = {
     "run": {
-        "seed": Setting("20240901", int, lambda v: True, "an integer"),
+        # the Philox key holds the seed in one 64-bit word: a seed outside
+        # it would draw the streams of the seed it wraps to
+        "seed": Setting("20240901", int, lambda v: 0 <= v < 1 << 64,
+                        "an integer in [0, 2**64)"),
         "trials": _count("", 100),  # empty = per-experiment default
         "out": Setting("out", str, lambda v: True, "a directory"),
         "workers": _count("1", 1),

@@ -8,7 +8,9 @@ one source for a whole stack of trials: the signal eigenvector in closed
 form or by a certified power iteration (``_principal_vectors``), its root
 by a certified Newton-type search (``_certified_roots``).  Each takes the
 reference's solver only for the rows its certificate refuses, so the
-reference checks both.
+reference checks both.  The grid-sampled null spectrum that checks
+``root_music`` in turn, ``music_spectrum_grid``, lives in
+``tests/oracles.py``.
 """
 
 import functools
@@ -94,9 +96,9 @@ def root_music_polynomial(cov: CovarianceEstimate) -> np.ndarray:
 
 
 _MAX_ITER = 40
-# the second round starts this far from the origin, inside the unit circle
+# the later rounds start this far from the origin, inside the unit circle
 _RESTART_RADIUS = 1.0 - 1e-3
-# the second round first starts from this many local minima of a row,
+# the second round starts from this many local minima of a row,
 # those of smallest predicted distance to their root.  At P = 64 and
 # -10 dB a wave of four certified 94 of 99 such rows, and the search took
 # 0.43 of the time it took from every minimum; waves of two and eight
@@ -114,7 +116,7 @@ _CERT_FLOOR = 1e3 * _EPS
 _SEARCH_BYTES = 1 << 23
 # bytes a row's search holds at its peak, per sample of the certificate's
 # first pass.  That pass keeps three complex and two real arrays of its
-# samples, and the second round's lanes hold less: measured by
+# samples, and the later rounds' lanes hold less: measured by
 # tracemalloc on 256 one-snapshot rows, 78-80 bytes a sample at 10 dB and
 # P = 12-64, and 80, 91 and 110 at -10 dB and P = 16, 32 and 64
 _ROW_BYTES_PER_SAMPLE = 112
@@ -333,66 +335,64 @@ def _certified_roots(coeffs: np.ndarray) -> np.ndarray:
     """Per row of ``coeffs`` (highest degree first), the single-source
     Root-MUSIC root without the companion matrix, or NaN.
 
-    Laguerre's iteration runs from one start per row, a column of starts
-    below the deepest minimum of each row's null spectrum; a root outside
-    the unit circle is mirrored to 1/conj(z).  The root is kept only
-    under the certificate that no other root lies as close to the circle
-    (``_certified``).  On the rows whose count shows a closer root
-    instead, a second round searches again from local minima of the
-    sampled spectrum, just inside the circle at ``_RESTART_RADIUS``: first
-    a wave from the ``_WAVE`` minima of smallest predicted distance
-    ``sigma``, then, on the rows whose closest root from that wave and the
-    first round is not certified, from every local minimum.  The closest
-    root found is certified again, so a row keeps the same root whichever
-    search found it.  A row is NaN when its leading coefficient is zero,
-    its first start does not converge, a certificate sample of its first
-    root sits at rounding level, or the search from every minimum is not
-    certified either.  A second root near the circle costs a few
-    bisections of the arcs beside it.
+    Three rounds of ``_round``, each on the rows left open before it.  The
+    first starts Laguerre's iteration below the deepest minimum of each
+    row's null spectrum.  On the rows whose certificate shows a closer
+    root instead, the second starts from the ``_WAVE`` minima of smallest
+    predicted distance ``sigma``, and the third, on those the wave leaves
+    uncertified, from every local minimum (``_minima_starts``); both keep
+    the first round's root as a lane, so a row keeps the same root
+    whichever round found it.  A row is NaN when its leading coefficient
+    is zero, its first start does not converge, a certificate sample of
+    its first root sits at rounding level, or the third round is not
+    certified either.
     """
     best = np.full(len(coeffs), np.nan, dtype=complex)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
     a = coeffs[rows, ::-1]  # ascending: a[:, k] multiplies z^k
     phase, sigma = _spectrum_minima(a)
     j = sigma.argmin(axis=1)[:, None]
-    first, ok = _laguerre(a, np.exp(-np.take_along_axis(sigma, j, axis=1)
-                                    + 1j * np.take_along_axis(phase, j, axis=1)))
-    first, ok = first[:, 0], ok[:, 0]
-    certified, closer = _certified(a, first)
-    done = ok & certified
+    first, (done, closer) = _round(
+        a, np.exp(-np.take_along_axis(sigma, j, axis=1)
+                  + 1j * np.take_along_axis(phase, j, axis=1)),
+        np.full(len(a), np.nan, dtype=complex))
     best[rows[done]] = first[done]
-    again = np.flatnonzero(ok & closer)
-    # the second round: the wave, then every minimum
+    again = np.flatnonzero(closer)
     for width in (_WAVE, sigma.shape[1]):
         if again.size == 0:
             break
-        kept, done = _restart(a[again], phase[again], sigma[again],
-                              first[again], width)
+        kept, (done, _) = _round(
+            a[again], _minima_starts(phase[again], sigma[again], width),
+            first[again])
         best[rows[again[done]]] = kept[done]
         again = again[~done]
     return best
 
 
-def _restart(a, phase, sigma, first, width):
-    """The closest root that a search of the rows of ``a`` finds, and
-    whether it is certified.
+def _round(a, starts, first):
+    """One round of the search on the rows of ``a``: Laguerre's iteration
+    from ``starts`` (rows, lanes), then, of its converged roots and
+    ``first``, the one closest to the circle, with ``_certified``'s
+    verdict on it.  ``first`` is the last lane, so that ties of
+    ``_closest_first`` go to the lanes in column order, then to it; a NaN
+    ``first`` is no root.  Returns the root and (certified, closer)."""
+    found, ok = _laguerre(a, starts)
+    z = np.column_stack((np.where(ok, found, np.nan), first))
+    kept = np.take_along_axis(z, _closest_first(z)[:, :1], axis=1)[:, 0]
+    return kept, _certified(a, kept)
 
-    Each row starts a lane just inside the circle, at ``_RESTART_RADIUS``,
+
+def _minima_starts(phase, sigma, width):
+    """Per row, a start just inside the circle, at ``_RESTART_RADIUS``,
     at the phase of each of its ``width`` finite minima of smallest
     predicted distance ``sigma`` (ties to the lower column), in column
     order; a row with fewer finite minima than the widest row has NaN
-    lanes, no start.  The first round's root ``first`` of each row is its
-    last lane, so that ties of ``_closest_first`` go to the lanes in
-    column order, then to ``first``.
-    """
+    lanes, no start."""
     lanes = min(width, np.isfinite(sigma).sum(axis=1).max(initial=0))
     cols = np.sort(np.argsort(sigma, axis=1, kind="stable")[:, :lanes], axis=1)
     starts = _RESTART_RADIUS * np.exp(1j * np.take_along_axis(phase, cols, axis=1))
     starts[~np.isfinite(np.take_along_axis(sigma, cols, axis=1))] = np.nan
-    found, ok = _laguerre(a, starts)
-    z = np.column_stack((np.where(ok, found, np.nan), first))
-    kept = np.take_along_axis(z, _closest_first(z)[:, :1], axis=1)[:, 0]
-    return kept, _certified(a, kept)[0]
+    return starts
 
 
 def _direction_sines(roots, spacing: float):
@@ -564,24 +564,3 @@ def root_music_rows(vectors: np.ndarray, spacing: float = 0.5) -> np.ndarray:
     for i in np.flatnonzero(np.isnan(z)):
         z[i] = _companion_roots(coeffs[i])
     return _direction_sines(z, spacing)
-
-
-def music_spectrum_grid(cov: CovarianceEstimate, *, spacing: float = 0.5,
-                        n_grid: int = 1 << 20):
-    """Grid evaluation of the one-source MUSIC null spectrum a^H C a via FFT.
-
-    Returns (u_grid, d) where d[j] = a(u_j)^H C a(u_j) >= 0; its minimum
-    marks the source direction.  Serves as the independent oracle for
-    root_music.
-    """
-    p = cov.dim
-    a = np.zeros(n_grid, dtype=np.complex128)
-    np.add.at(a, np.arange(p - 1, -p, -1) % n_grid,
-              root_music_polynomial(cov))
-    # d_j = sum_l c_l exp(i l 2 pi j / n) = n * ifft(a)[j]
-    d = np.real(n_grid * np.fft.ifft(a))
-    omega = 2.0 * np.pi * np.arange(n_grid) / n_grid
-    omega[omega >= np.pi] -= 2.0 * np.pi
-    u = omega / (2.0 * np.pi * spacing)
-    order = np.argsort(u)
-    return u[order], d[order]

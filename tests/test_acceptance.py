@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshots
-from doalab.crlb import crlb_fd, crlb_fd_closed_form
+from doalab.crlb import crlb_fd
 from doalab.detect import (
     decision_threshold,
     glrt_statistic,
     maxmin_statistic,
-    pd_at_fap,
     roc_points,
 )
 from doalab.doa import (
@@ -39,7 +38,9 @@ from doalab.harness import (
 from doalab.mlnn import eig_features, forward, init_model
 from doalab.quantize import distortion_factor, performance_loss_db
 from doalab.rng import trial_rng
-from doalab.spectral import music_spectrum_grid, root_music, sample_covariance
+from doalab.spectral import root_music, sample_covariance
+
+from oracles import crlb_fd_closed_form, music_spectrum_grid, pd_at_fap
 
 SEED = 20240901
 

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from doalab.arrays import ArrayConfig, subarray_gain
-from doalab.crlb import (
-    crlb_fd,
-    crlb_fd_closed_form,
-    crlb_had,
-    crlb_tlhad,
-    fim_single_source,
-)
+from doalab.crlb import crlb_fd, crlb_had, crlb_tlhad, fim_single_source
+
+from oracles import crlb_fd_closed_form
 
 
 class TestFdBound:

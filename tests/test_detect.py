@@ -12,11 +12,9 @@ from doalab.arrays import (
     synthesize_snapshots,
 )
 from doalab.detect import (
-    auc,
     decision_threshold,
     glrt_statistic,
     maxmin_statistic,
-    pd_at_fap,
     roc_points,
     trial_eigs,
 )
@@ -24,6 +22,8 @@ from doalab.errors import EstimationError
 from doalab.harness import ROC_STREAMS
 from doalab.mlnn import forward, init_model
 from doalab.rng import TrialStreams, trial_rng
+
+from oracles import auc, pd_at_fap
 
 
 def h0_eigs(cfg, n_snapshots, seed, n_trials):

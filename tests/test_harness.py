@@ -733,6 +733,19 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         seed):
+        # the stream key holds a seed in [0, 2**64): -1 and 2**64 would
+        # draw the streams of 2**64 - 1 and 0
+        monkeypatch.setattr(rng_module, "rekey", lambda *args: pytest.fail(
+            "a trial stream opened before exit 2"))
+        assert cli_main(["rmse-snr", "--seed", str(seed),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "run.seed must be an integer in [0, 2**64)" in \
+            capsys.readouterr().err
+        assert load_config("rmse-snr", seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")
         rc = cli_main(["roc", "--config", cfg_path])

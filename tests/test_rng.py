@@ -44,6 +44,18 @@ def test_trial_streams_draw_trial_rng_bits(seed):
         assert [draws(rng) for rng in streams] == want
 
 
+@pytest.mark.parametrize("seed", [0, 20240901, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_philox_key_layout(seed):
+    # the stream of (seed, index) is Philox keyed by the 128-bit integer
+    # (seed << 64) | index: a stream that swapped the two words would
+    # still be distinct per pair, so only this pins the bits of every run
+    for i in [0, 1, ROC_STREAMS, 2 ** 64 - 1]:
+        want = draws(np.random.Generator(np.random.Philox(key=(seed << 64) | i)))
+        assert draws(trial_rng(seed, i)) == want
+        rng, = TrialStreams(seed, [i])
+        assert draws(rng) == want
+
+
 def test_successive_calls_each_match():
     # a second object, or a pass left unfinished, leaves the streams of
     # the first one intact

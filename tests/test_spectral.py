@@ -21,13 +21,14 @@ from doalab.errors import EstimationError
 from doalab.quantize import normalise, quantize
 from doalab.rng import TrialStreams, trial_rng
 from doalab.spectral import (
-    music_spectrum_grid,
     root_music,
     root_music_polynomial,
     root_music_rows,
     sample_covariance,
     signal_vectors,
 )
+
+from oracles import music_spectrum_grid
 
 
 def _snapshots(n, u, snr_db, l, seed=0):
@@ -435,13 +436,12 @@ class TestCertifiedRoot:
     @pytest.mark.parametrize("eta", [0.5, 1.0], ids=["P32", "P64"])
     def test_at_most_two_rounds(self, monkeypatch, eta):
         # below the ambiguity threshold the first start lands on the wrong
-        # root in most rows of a TLHAD FD block; such a row takes one more
-        # round, and never a third: a few-lane wave from the minima of
-        # smallest predicted distance, and only on the rows that wave
-        # leaves uncertified, one search from every spectral minimum.
-        # At P = 64 a second-round row takes 6.0 lanes on average, where a
-        # search from every minimum takes 40.5, and the wave certifies 94
-        # of its 99 rows
+        # root in most rows of a TLHAD FD block; such a row takes the wave,
+        # a few-lane round from the minima of smallest predicted distance,
+        # and only when that leaves it uncertified a search from every
+        # spectral minimum, never more.  At P = 64 a row past the first
+        # round takes 6.0 lanes on average, where a search from every
+        # minimum takes 40.5, and the wave certifies 94 of its 99 rows
         cfg = ArrayConfig.two_layer(64, 4, eta)
         scen = EmitterScenario.single_emitter(15.0, -10.0, 1)
         x = np.stack([analog_combine(synthesize_snapshots(
@@ -658,12 +658,24 @@ class TestCertifiedRoot:
             want = sorted(lanes, key=lambda j: (*key[j], j))
             assert list(got) == want + list(np.flatnonzero(np.isnan(row)))
 
+    def test_round_tie_keeps_lane(self, monkeypatch):
+        # a lane that ties the first round's root in |z| and in |phase|
+        # wins: ``first`` is the last lane of ``_closest_first``
+        v = signal_vectors(_stack(8, 1, 0.0, 5, 6))
+        a = spectral._null_polynomials(v)[:, ::-1]
+        first = 0.9 * np.exp(1j * np.linspace(0.3, 2.8, len(a)))
+        monkeypatch.setattr(spectral, "_laguerre", lambda a, z: (
+            np.conj(first)[:, None], np.ones((len(a), 1), dtype=bool)))
+        kept, _ = spectral._round(a, np.zeros((len(a), 1)), first)
+        assert kept.tobytes() == np.conj(first).tobytes()
+
     @pytest.mark.parametrize("width", [1, 4, 64])
-    def test_restart_starts(self, monkeypatch, width):
-        # per row, a lane at each of its ``width`` finite minima of
-        # smallest sigma (ties to the lower column), in column order, NaN
-        # in place of an infinite minimum, and as many lanes as the row
-        # with the most such minima
+    def test_restart_starts(self, width):
+        # the starts of the later rounds (``_minima_starts``): per row, a
+        # lane at each of its ``width`` finite minima of smallest sigma
+        # (ties to the lower column), in column order, NaN in place of an
+        # infinite minimum, and as many lanes as the row with the most
+        # such minima
         v = signal_vectors(_stack(8, 1, 0.0, 5, 6))
         a = spectral._null_polynomials(v)[:, ::-1]
         phase, _ = spectral._spectrum_minima(a)
@@ -672,17 +684,7 @@ class TestCertifiedRoot:
         sigma[0] = np.inf
         sigma[0, [3, 40]] = 0.02  # a row of two finite minima
         sigma[1, :] = 0.01  # a row of ties only
-        seen = []
-        laguerre = spectral._laguerre
-
-        def recorded(a, z):
-            seen.append(np.array(z))
-            return laguerre(a, z)
-
-        monkeypatch.setattr(spectral, "_laguerre", recorded)
-        first = np.exp(1j * phase[:, 0]) * 0.9
-        spectral._restart(a, phase, sigma, first, width)
-        starts, = seen
+        starts = spectral._minima_starts(phase, sigma, width)
         finite = [np.flatnonzero(np.isfinite(s)) for s in sigma]
         chosen = [sorted(sorted(cols, key=lambda j: (s[j], j))[:width])
                   for s, cols in zip(sigma, finite)]
