@@ -2,9 +2,11 @@
 two-layer architectures.
 
 All bounds use the conditional (deterministic-signal) FIM, with the complex
-gain projected out.  The FD and HAD bounds reduce in closed form to the
-information at broadside, scaled by cos^2(theta) (and by the analog beam's
-power gain for HAD), so each takes a direction or an array of directions.
+gain projected out.  One closed form gives them all: K subarrays of M
+antennas carry J(theta) = cos^2(theta) |g(u)|^2 J_b, the information J_b of
+the K-channel array at broadside scaled by the analog beam's power gain, so
+each bound takes a direction or an array of directions.  A fully digital
+block is the case M = 1, where g is exactly 1.
 ``fim_single_source`` on explicit steering vectors and the textbook
 ``crlb_fd_closed_form`` of ``tests/oracles.py`` serve as the test oracles.
 Angles enter in degrees at the API boundary; bounds are returned in rad^2,
@@ -49,40 +51,28 @@ def _bound(j):
     return float(crlb) if crlb.ndim == 0 else crlb
 
 
-def _broadside_fim(n: int, dphase: complex, t_snapshots: int,
-                   snr_db: float) -> float:
-    """Information of an ``n``-channel uniform array at broadside, whose
-    steering-vector derivative is ``dphase`` times the channel index."""
-    return fim_single_source(np.ones(n), dphase * np.arange(n), t_snapshots,
-                             10.0 ** (snr_db / 10.0))
-
-
-def _fd_fim(n_antennas, theta_deg, snr_db, t_snapshots, spacing):
-    """The derivative of the steering vector carries theta only through
-    the factor cos(theta), so J(theta) = cos^2(theta) J(0)."""
-    j0 = _broadside_fim(n_antennas, 2j * np.pi * spacing, t_snapshots, snr_db)
-    cos = np.cos(np.radians(theta_deg))
-    return cos * cos * j0
-
-
 def _had_fim(cfg: ArrayConfig, theta_deg, snr_db, t_snapshots):
     """The effective steering vector is g(u) b(u).  The dg/du term of its
     derivative is parallel to it, so the gain nuisance projects it out, and
     the projected b'(u) has a norm that does not depend on u.  That leaves
-    J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b
-    alone; an analog null (|g| < 1e-12) carries none."""
+    J(theta) = cos^2(theta) |g(u)|^2 J_b, with J_b the information of b at
+    broadside; an analog null (|g| < 1e-12) carries none.  An FD block is
+    the case M = 1, where g is exactly 1."""
     theta = np.radians(np.asarray(theta_deg, dtype=float))
     gain = np.abs(subarray_gain(cfg.m_sub, cfg.spacing, np.sin(theta)))
-    j_b = _broadside_fim(cfg.k_sub, 2j * np.pi * cfg.spacing * cfg.m_sub,
-                         t_snapshots, snr_db)
+    j_b = fim_single_source(np.ones(cfg.k_sub),
+                            2j * np.pi * cfg.spacing * cfg.m_sub * np.arange(cfg.k_sub),
+                            t_snapshots, 10.0 ** (snr_db / 10.0))
     cos = np.cos(theta)
     return np.where(gain < 1e-12, 0.0, cos * cos * gain * gain * j_b)
 
 
 def crlb_fd(n_antennas: int, theta_deg, snr_db: float, t_snapshots: int,
             spacing: float = 0.5):
-    """CRLB (rad^2) for an N-element fully-digital ULA."""
-    return _bound(_fd_fim(n_antennas, theta_deg, snr_db, t_snapshots, spacing))
+    """CRLB (rad^2) for an N-element fully-digital ULA: N one-antenna
+    subarrays."""
+    return _bound(_had_fim(ArrayConfig.pure_had(n_antennas, 1, spacing),
+                           theta_deg, snr_db, t_snapshots))
 
 
 def crlb_had(cfg: ArrayConfig, theta_deg, snr_db: float, t_snapshots: int):
@@ -101,9 +91,7 @@ def crlb_tlhad(cfg: ArrayConfig, theta_deg, snr_db: float, t_snapshots: int):
     fewer than two channels adds no information.
     """
     j_total = np.zeros(np.shape(theta_deg))
-    if cfg.k_sub >= 2:
-        j_total = j_total + _had_fim(cfg, theta_deg, snr_db, t_snapshots)
-    if cfg.n_fd >= 2:
-        j_total = j_total + _fd_fim(cfg.n_fd, theta_deg, snr_db, t_snapshots,
-                                    cfg.spacing)
+    for part in (cfg, ArrayConfig.pure_had(cfg.n_fd, 1, cfg.spacing)):
+        if part.k_sub >= 2:
+            j_total = j_total + _had_fim(part, theta_deg, snr_db, t_snapshots)
     return _bound(j_total)

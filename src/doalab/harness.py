@@ -638,7 +638,8 @@ def run_train_mlnn(config: ExperimentConfig):
     """Architecture selection, final training, and threshold calibration."""
     with _pool(config.workers) as pool:
         model, report = train_mlnn_model(config, pool)
-        # threshold calibration on fresh H0 validation scores
+        # threshold calibration on fresh H0 validation scores; seed + 7 lies
+        # in the span of streams select_architecture checks
         e0 = detection_eigs(config.value("array.n_total"),
                             config.value("scenario.n_snapshots"),
                             config.value("scenario.snr_db"), 0, config.trials,

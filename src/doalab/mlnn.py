@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .rng import trial_rng
 
 MODEL_FORMAT_VERSION = 1
@@ -269,7 +269,8 @@ def select_architecture(candidate_activations, candidate_shapes,
 
     ``dataset_factory(n_examples, seed)`` must return a balanced
     TrainingSet.  Returns (model, report) where the report records every
-    candidate's score.
+    candidate's score.  A seed whose streams would pass 2**64 raises
+    ``ConfigError`` before any dataset is drawn.
     """
     candidate_activations = tuple(candidate_activations)
     candidate_shapes = tuple(tuple(s) for s in candidate_shapes)
@@ -277,6 +278,13 @@ def select_architecture(candidate_activations, candidate_shapes,
         raise ValueError("candidate lists must be nonempty")
     if not 5.0 <= final_ratio <= 10.0:
         raise ValueError("final dataset ratio must lie in [5, 10]")
+    # the datasets and fits below draw from seed up to seed + span, and
+    # a stream key holds the seed modulo 2**64: past the top, the streams
+    # would wrap to those of a small seed
+    span = max(2000, 9 + len(candidate_activations), 99 + len(candidate_shapes))
+    if not (seed >= 0 and seed + span < 1 << 64):
+        raise ConfigError(f"training draws streams up to seed + {span}, so "
+                          f"its seed must lie in [0, 2**64 - {span})")
 
     train_set = dataset_factory(search_size, seed)
     val_set = dataset_factory(max(search_size // 2, 2000), seed + 1)

@@ -91,9 +91,15 @@ class TestHadBound:
             crlb_had(ArrayConfig.pure_had(4, 4), 0.0, 0.0, 10)
 
     def test_m_one_reduces_to_fd(self):
-        cfg = ArrayConfig.pure_had(16, 1)
-        assert crlb_had(cfg, 30.0, 5.0, 20) == pytest.approx(
-            crlb_fd(16, 30.0, 5.0, 20), rel=1e-12)
+        # the FD bound is the HAD formula on one-antenna subarrays, bit for
+        # bit, at a scalar direction and over an array of them
+        for theta in (30.0, -90.0, 90.0, np.linspace(-90.0, 90.0, 181)):
+            for n, spacing in ((2, 0.5), (16, 0.5), (7, 0.31)):
+                got = crlb_fd(n, theta, 5.0, 20, spacing)
+                ref = crlb_had(ArrayConfig.pure_had(n, 1, spacing), theta,
+                               5.0, 20)
+                assert type(got) is type(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
     @pytest.mark.parametrize("m_sub", [1, 2, 4, 8])
     @pytest.mark.parametrize("spacing", [0.1, 0.4, 0.5])
@@ -126,14 +132,21 @@ class TestTwoLayerBound:
         assert got == pytest.approx(1.0 / (j_had + j_fd), rel=1e-12)
 
     def test_fd_extreme(self):
-        cfg = ArrayConfig.fully_digital(64)
-        assert crlb_tlhad(cfg, 15.0, 0.0, 10) == pytest.approx(
-            crlb_fd(64, 15.0, 0.0, 10), rel=1e-12)
+        # the FD block is its antennas as one-antenna subarrays, whatever
+        # the HAD part's subarray size, bit for bit
+        for cfg in (ArrayConfig.fully_digital(64), ArrayConfig.two_layer(64, 4, 1.0),
+                    ArrayConfig.two_layer(30, 3, 1.0, 0.4)):
+            for theta in (15.0, np.linspace(-90.0, 90.0, 181)):
+                got = crlb_tlhad(cfg, theta, 0.0, 10)
+                ref = crlb_fd(cfg.n_fd, theta, 0.0, 10, cfg.spacing)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
     def test_had_extreme(self):
         cfg = ArrayConfig.pure_had(64, 4)
-        assert crlb_tlhad(cfg, 15.0, 0.0, 10) == pytest.approx(
-            crlb_had(cfg, 15.0, 0.0, 10), rel=1e-12)
+        for theta in (15.0, np.linspace(-90.0, 90.0, 181)):
+            got = crlb_tlhad(cfg, theta, 0.0, 10)
+            ref = crlb_had(cfg, theta, 0.0, 10)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
     def test_tighter_than_either_part(self):
         cfg = ArrayConfig(64, 4, 12, 16)

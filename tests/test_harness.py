@@ -530,9 +530,15 @@ class TestTrainMlnn:
 
 # experiment -> (config text, output files)
 INVARIANCE_CASES = {
+    # Gaussian draws, both eliminators, and a two-layer search through the
+    # power iteration (more than one snapshot)
+    "rmse-snr": (SMALL_RMSE + "signal_model = gaussian\nt_snapshots = 3\n",
+                 ("rmse_snr.csv",)),
     "rmse-eta": (SMALL_RMSE + "[rmse]\neta_grid = 0.5,1.0\neta_snr_db_list = 0\n",
                  ("rmse_eta.csv",)),
-    "loss-bits": (SMALL_BITS, ("loss_bits.csv",)),
+    # nearly every -10 dB row falls back to the stacked eigh
+    "loss-bits": (SMALL_BITS.replace("snr_db_list = 0", "snr_db_list = -10,0"),
+                  ("loss_bits.csv",)),
     "train-mlnn": (SMALL_MLNN, ("mlnn_model.json", "mlnn_report.csv")),
     "roc": (SMALL_MLNN.replace("trials = 1000", "trials = 200"), ("roc.csv",)),
 }
@@ -745,6 +751,17 @@ class TestCli:
         assert "run.seed must be an integer in [0, 2**64)" in \
             capsys.readouterr().err
         assert load_config("rmse-snr", seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("experiment", ["train-mlnn", "roc"])
+    def test_training_seed_span_exit_code(self, tmp_path, capsys, monkeypatch,
+                                          experiment):
+        # training draws streams up to seed + 2000, which would wrap past
+        # 2**64 here; roc without --model trains its own model
+        monkeypatch.setattr(harness, "_run_block", lambda *args: pytest.fail(
+            "a trial block ran before exit 2"))
+        assert cli_main([experiment, "--seed", "18446744073709549616",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "2**64 - 2000" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 import doalab.mlnn as mlnn
-from doalab.errors import TrainingError
+from doalab.errors import ConfigError, TrainingError
 from doalab.harness import make_detection_dataset_factory
 from doalab.mlnn import (
     Hyper,
@@ -225,6 +225,25 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_architecture(("tanh",), ((8,),), lambda n, s: _xor_set(n, s),
                                 seed=0, final_ratio=20.0)
+
+    @pytest.mark.parametrize("n_shapes,span", [(1, 2000), (1901, 2000),
+                                               (1902, 2001)])
+    def test_seed_span_refused_before_any_draw(self, n_shapes, span):
+        # the fits reach seed + max(2000, 99 + shapes) and a stream key takes
+        # the seed modulo 2**64: the last seed whose streams stay below 2**64
+        # reaches the factory, the next is refused before it
+        class Reached(Exception):
+            pass
+
+        def factory(n, seed):
+            raise Reached
+
+        shapes = [(k,) for k in range(1, n_shapes + 1)]
+        for seed in (-1, 2 ** 64 - span):
+            with pytest.raises(ConfigError, match=rf"2\*\*64 - {span}\)"):
+                select_architecture(("tanh",), shapes, factory, seed=seed)
+        with pytest.raises(Reached):
+            select_architecture(("tanh",), shapes, factory, seed=2 ** 64 - span - 1)
 
 
 # --- the search against its earlier form -------------------------------------
