@@ -59,7 +59,7 @@ from .mlnn import (
     select_architecture,
 )
 from .quantize import normalise, performance_loss_db, quantize
-from .rng import TrialStreams
+from .rng import CALIBRATION_STREAMS, ROC_STREAMS, TrialStreams
 from .spectral import root_music_rows, signal_vectors
 
 # a config key: its default text, the parser of that text (which raises
@@ -174,12 +174,6 @@ EXPERIMENTS = tuple(DEFAULT_TRIALS)
 
 # false-alarm probabilities train-mlnn stores thresholds for
 THRESHOLD_FAPS = (0.01, 0.1)
-
-# the first stream index of the ROC's trials, at the config seed.  MLNN
-# training and threshold calibration draw their trials from the indices
-# below their trial counts, so the ROC never scores a trial the network
-# was trained or calibrated on.
-ROC_STREAMS = 1 << 62
 
 
 @dataclass
@@ -418,16 +412,18 @@ def detection_eigs(n_total, l_snapshots, snr_db, hypothesis, n_trials, seed,
                         n_trials, seed, pool, n_total, offset)[0]
 
 
-def make_detection_dataset_factory(n_total, l_snapshots, snr_db, pool=_IN_PROCESS,
-                                   signal_model=CONSTANT_MODULUS):
-    """Factory(n, seed) -> balanced TrainingSet of normalized eig features."""
+def make_detection_dataset_factory(n_total, l_snapshots, snr_db, seed,
+                                   pool=_IN_PROCESS, signal_model=CONSTANT_MODULUS):
+    """Factory(n, first_stream) -> balanced TrainingSet of normalized eig
+    features, H0 then H1 trials from the streams at ``first_stream`` on."""
 
-    def factory(n_examples, seed):
+    def factory(n_examples, first_stream):
         n_h1 = n_examples // 2
         n_h0 = n_examples - n_h1
-        e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed, pool)
-        e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed,
-                            pool, offset=n_h0, signal_model=signal_model)
+        e0 = detection_eigs(n_total, l_snapshots, snr_db, 0, n_h0, seed, pool,
+                            offset=first_stream)
+        e1 = detection_eigs(n_total, l_snapshots, snr_db, 1, n_h1, seed, pool,
+                            offset=first_stream + n_h0, signal_model=signal_model)
         feats = eig_features(np.vstack([e0, e1]))
         labels = np.concatenate([np.zeros(n_h0), np.ones(n_h1)])
         return TrainingSet(feats, labels)
@@ -444,7 +440,7 @@ def train_mlnn_model(config: ExperimentConfig, pool=_IN_PROCESS):
     n_total, l_snap = v("array.n_total"), v("scenario.n_snapshots")
     snr_db = v("scenario.snr_db")
     factory = make_detection_dataset_factory(
-        n_total, l_snap, snr_db, pool, v("scenario.signal_model"))
+        n_total, l_snap, snr_db, config.seed, pool, v("scenario.signal_model"))
     hyper = Hyper(v("mlnn.learning_rate"), v("mlnn.batch_size"),
                   v("mlnn.epochs"))
     model, report = select_architecture(
@@ -638,12 +634,11 @@ def run_train_mlnn(config: ExperimentConfig):
     """Architecture selection, final training, and threshold calibration."""
     with _pool(config.workers) as pool:
         model, report = train_mlnn_model(config, pool)
-        # threshold calibration on fresh H0 validation scores; seed + 7 lies
-        # in the span of streams select_architecture checks
+        # threshold calibration on fresh H0 scores
         e0 = detection_eigs(config.value("array.n_total"),
                             config.value("scenario.n_snapshots"),
                             config.value("scenario.snr_db"), 0, config.trials,
-                            config.seed + 7, pool)
+                            config.seed, pool, offset=CALIBRATION_STREAMS)
     scores = forward(model, eig_features(e0))
     thresholds = {fap: decision_threshold(scores, fap) for fap in THRESHOLD_FAPS}
     model.metadata = dict(model.metadata, thresholds={

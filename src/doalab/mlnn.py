@@ -16,19 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, TrainingError
-from .rng import trial_rng
+from .errors import TrainingError
+from .rng import FINAL_STREAMS, FIT_STREAMS, SEARCH_STREAMS, VALIDATION_STREAMS, trial_rng
 
 MODEL_FORMAT_VERSION = 1
 
-SIGMOID = "sigmoid"
-TANH = "tanh"
-RELU = "relu"
 # each activation's function of z and derivative from (z, its value a)
 _ACTIVATIONS = {
-    SIGMOID: (expit, lambda z, a: a * (1.0 - a)),
-    TANH: (np.tanh, lambda z, a: 1.0 - a * a),
-    RELU: (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(float)),
+    "sigmoid": (expit, lambda z, a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(float)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
@@ -81,11 +78,11 @@ class MlnnModel:
             raise ValueError("input_scale has an entry that is not positive")
 
 
-def init_model(layer_sizes, activations, seed: int,
+def init_model(layer_sizes, activations, rng: np.random.Generator,
                input_center=None, input_scale=None) -> MlnnModel:
-    """Glorot-style uniform init in +-sqrt(6 / (fan_in + fan_out)); the
-    input center and scale default to the identity pair (0, 1)."""
-    rng = trial_rng(seed)
+    """Glorot-style uniform init in +-sqrt(6 / (fan_in + fan_out)), drawn
+    from ``rng``; the input center and scale default to the identity pair
+    (0, 1)."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         lim = math.sqrt(6.0 / (fan_in + fan_out))
@@ -106,7 +103,7 @@ def _layers(model, x):
     pre-standardized rows ``x``: ``acts[0]`` is ``x``, ``acts[-1][:, 0]``
     the scores."""
     zs, acts = [], [x]
-    kinds = (*model.activations, SIGMOID)
+    kinds = (*model.activations, "sigmoid")
     for w, b, kind in zip(model.weights, model.biases, kinds):
         zs.append(acts[-1] @ w.T + b)
         acts.append(_ACTIVATIONS[kind][0](zs[-1]))
@@ -131,7 +128,7 @@ def _forward_backward(model, x, y):
     rows."""
     zs, acts = _layers(model, x)
     score = acts[-1][:, 0]
-    kinds = (*model.activations, SIGMOID)
+    kinds = (*model.activations, "sigmoid")
     # d loss / d score, turned into d loss / d z at each layer
     delta = (2.0 / len(y)) * (score - y)[:, None]
     grads_w, grads_b = [], []
@@ -191,21 +188,20 @@ def eig_features(eigs) -> np.ndarray:
     return eigs / total
 
 
-def train(model: MlnnModel, data: TrainingSet, hyper: Hyper, seed: int):
+def train(model: MlnnModel, data: TrainingSet, hyper: Hyper,
+          rng: np.random.Generator):
     """Mini-batch SGD on MSE; returns (model, loss_history).
 
-    Deterministic given ``seed``.  Weights are updated in place on a deep
-    copy of the model, which leaves the input untouched and is not checked
-    again: weights made non-finite in place end the training as a
-    divergence.
+    Deterministic given the state of ``rng``, which draws each epoch's
+    order.  Weights are updated in place on a deep copy of the model,
+    which leaves the input untouched and is not checked again: weights
+    made non-finite in place end the training as a divergence.
     """
     if not len(data):
         raise ValueError("empty training set")
     out = copy.deepcopy(model)
     x_all = _standardize(out, data.features)
     y_all = data.labels
-    # stream 1: ``init_model`` draws the weights from stream 0 of a seed
-    rng = trial_rng(seed, 1)
     history = []
     lr = hyper.learning_rate
     n = len(data)
@@ -226,8 +222,7 @@ def train(model: MlnnModel, data: TrainingSet, hyper: Hyper, seed: int):
     out.metadata = dict(out.metadata, loss_history=history,
                         hyper=dict(learning_rate=hyper.learning_rate,
                                    batch_size=hyper.batch_size,
-                                   epochs=hyper.epochs, seed=seed,
-                                   loss="mse"),
+                                   epochs=hyper.epochs, loss="mse"),
                         n_examples=n)
     return out, history
 
@@ -240,19 +235,18 @@ def standardization_from(data: TrainingSet):
     return center, scale
 
 
-STAGE1_SHAPE = (32,)
-
-
-def _first_best(losses):
-    """Index of the lowest loss, the first of equal ones; a NaN loss never
-    wins."""
-    best, best_loss = None, math.inf
-    for i, loss in enumerate(losses):
-        if loss < best_loss:
-            best, best_loss = i, loss
-    if best is None:
+def _keep(errors, n_weights, n_se):
+    """(index, SE): the first candidate with the fewest ``n_weights`` whose
+    mean ``errors`` lie within ``n_se`` SE of the lowest, where the SE is the
+    sd of the lowest's errors over sqrt(n); a loss not finite never wins."""
+    losses = [float(np.mean(e)) for e in errors]
+    finite = [i for i, loss in enumerate(losses) if math.isfinite(loss)]
+    if not finite:
         raise TrainingError("no candidate reached a finite validation loss")
-    return best
+    best = min(finite, key=losses.__getitem__)
+    se = n_se * float(np.std(errors[best], ddof=1)) / math.sqrt(len(errors[best]))
+    kept = min((n_weights[i], i) for i in finite if losses[i] <= losses[best] + se)
+    return kept[1], se
 
 
 def select_architecture(candidate_activations, candidate_shapes,
@@ -264,13 +258,15 @@ def select_architecture(candidate_activations, candidate_shapes,
 
     Stage 1 fixes the hidden activation by validation loss on a small
     default shape; stage 2 grid-searches hidden shapes with that
-    activation; stage 3 retrains the winner on a fresh dataset sized
-    ``final_ratio`` times its weight count (clamped to the 5-10x rule).
+    activation and keeps the smallest within one standard error of the
+    best (Breiman et al., *CART*, 1984, sec. 3.4.3); stage 3 retrains the
+    winner on a fresh dataset sized ``final_ratio`` times its weight
+    count (clamped to the 5-10x rule).
 
-    ``dataset_factory(n_examples, seed)`` must return a balanced
-    TrainingSet.  Returns (model, report) where the report records every
-    candidate's score.  A seed whose streams would pass 2**64 raises
-    ``ConfigError`` before any dataset is drawn.
+    ``dataset_factory(n_examples, first_stream)`` must return a balanced
+    TrainingSet drawn from the run's streams from ``first_stream`` on;
+    each fit draws from a stream of its own at ``seed``.  Returns (model,
+    report) where the report records every candidate's score.
     """
     candidate_activations = tuple(candidate_activations)
     candidate_shapes = tuple(tuple(s) for s in candidate_shapes)
@@ -278,58 +274,57 @@ def select_architecture(candidate_activations, candidate_shapes,
         raise ValueError("candidate lists must be nonempty")
     if not 5.0 <= final_ratio <= 10.0:
         raise ValueError("final dataset ratio must lie in [5, 10]")
-    # the datasets and fits below draw from seed up to seed + span, and
-    # a stream key holds the seed modulo 2**64: past the top, the streams
-    # would wrap to those of a small seed
-    span = max(2000, 9 + len(candidate_activations), 99 + len(candidate_shapes))
-    if not (seed >= 0 and seed + span < 1 << 64):
-        raise ConfigError(f"training draws streams up to seed + {span}, so "
-                          f"its seed must lie in [0, 2**64 - {span})")
 
-    train_set = dataset_factory(search_size, seed)
-    val_set = dataset_factory(max(search_size // 2, 2000), seed + 1)
+    train_set = dataset_factory(search_size, SEARCH_STREAMS)
+    val_set = dataset_factory(max(search_size // 2, 2000), VALIDATION_STREAMS)
     center, scale = standardization_from(train_set)
     n_features = train_set.features.shape[1]
     report = []
 
-    def fit(stage, shape, activation, data, fit_seed, **report_fields):
-        """Train, score and report one candidate; returns (model, loss)."""
+    def n_weights(shape):
+        sizes = (n_features, *shape, 1)
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+    def fit(stage, shape, activation, data, **report_fields):
+        """Train, score and report one candidate; returns (model, errors)."""
+        # a stream per fit: the fits so far made one report row each
+        rng = trial_rng(seed, FIT_STREAMS + len(report))
         model = init_model((n_features, *shape, 1), (activation,) * len(shape),
-                           fit_seed, center, scale)
-        model, _ = train(model, data, hyper, fit_seed)
+                           rng, center, scale)
+        model, _ = train(model, data, hyper, rng)
         # no backward pass, and not through ``forward``, whose rows count
         # detector scoring in the benchmark's trace
         x = _standardize(model, val_set.features)
-        loss = _mse(_layers(model, x)[1][-1][:, 0], val_set.labels)
+        errors = (_layers(model, x)[1][-1][:, 0] - val_set.labels) ** 2
         report.append(dict(stage=stage, activation=activation, shape=shape,
-                           val_loss=loss, **report_fields))
-        return model, loss
+                           val_loss=float(np.mean(errors)), **report_fields))
+        return model, errors
 
     # stage 1: activation on a small default shape
-    shape1 = STAGE1_SHAPE if STAGE1_SHAPE in candidate_shapes else candidate_shapes[0]
-    losses = [fit(1, shape1, act, train_set, seed + 10 + i)[1]
-              for i, act in enumerate(candidate_activations)]
-    activation = candidate_activations[_first_best(losses)]
+    shape1 = (32,) if (32,) in candidate_shapes else candidate_shapes[0]
+    errors = [fit(1, shape1, act, train_set)[1] for act in candidate_activations]
+    i, _ = _keep(errors, [n_weights(shape1)] * len(errors), 0.0)
+    activation = candidate_activations[i]
 
     # stage 2: depth and width with the chosen activation
-    losses = [fit(2, shape, activation, train_set, seed + 100 + i)[1]
-              for i, shape in enumerate(candidate_shapes)]
-    shape = candidate_shapes[_first_best(losses)]
+    errors = [fit(2, shape, activation, train_set)[1] for shape in candidate_shapes]
+    i, se = _keep(errors, [n_weights(s) for s in candidate_shapes], 1.0)
+    shape = candidate_shapes[i]
 
     # stage 3: final fit on a dataset sized by the winner's weight count
-    sizes = (n_features, *shape, 1)
-    n_weights = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    final_set = dataset_factory(int(final_ratio * n_weights), seed + 1000)
-    ratio = len(final_set) / n_weights
+    weights = n_weights(shape)
+    final_set = dataset_factory(int(final_ratio * weights), FINAL_STREAMS)
+    ratio = len(final_set) / weights
     if not 5.0 <= ratio <= 10.0:
         raise TrainingError(
             f"final dataset ratio {ratio:.2f} outside the 5-10x rule")
-    model, _ = fit(3, shape, activation, final_set, seed + 2000,
-                   dataset_size=len(final_set), n_weights=n_weights,
+    model, _ = fit(3, shape, activation, final_set,
+                   dataset_size=len(final_set), n_weights=weights,
                    dataset_ratio=ratio)
     model.metadata = dict(model.metadata, selection_seed=seed,
                           dataset_ratio=ratio, activation=activation,
-                          shape=list(shape))
+                          shape=list(shape), shape_rule="one-se",
+                          shape_se=se)
     return model, report
 
 

@@ -17,6 +17,15 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# The first stream index, at the config seed, of each draw of a neural
+# detector's training run and of its ROC: each owns 2**60 streams.
+SEARCH_STREAMS = 0
+VALIDATION_STREAMS = 1 << 60
+FINAL_STREAMS = 2 << 60
+FIT_STREAMS = 3 << 60
+ROC_STREAMS = 4 << 60
+CALIBRATION_STREAMS = 5 << 60
+
 
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent generator for one trial of one experiment: a fresh

@@ -142,10 +142,11 @@ def test_criterion_2_threshold_calibration(mlnn_model, roc_runs):
 
 def test_default_architecture(mlnn_model):
     # the default search's outcome at SEED: the stage-2 winner, and the
-    # stage-3 dataset sized from its 8,385 weights (x 6).  A change that
-    # moves either edits this pin and records the move.
-    assert mlnn_model.metadata["shape"] == [64, 64]
-    assert mlnn_model.metadata["n_examples"] == 50310
+    # stage-3 dataset sized from its 1,057 weights (x 6).  A change that
+    # moves either edits this pin and records the move: the one-SE rule
+    # and the per-draw stream ranges moved it from (64, 64) and 50,310.
+    assert mlnn_model.metadata["shape"] == [16]
+    assert mlnn_model.metadata["n_examples"] == 6342
 
 
 def test_criterion_3_crlb_oracle():
@@ -244,7 +245,7 @@ def test_criterion_8_numerical_hygiene():
     ok = True
     rng = trial_rng(SEED)
     for act in ("sigmoid", "tanh", "relu"):
-        m = init_model((6, 8, 1), (act,), 3)
+        m = init_model((6, 8, 1), (act,), trial_rng(3))
         x = rng.standard_normal((16, 6)) + 0.1
         y = (rng.random(16) > 0.5).astype(float)
         _, gw, _ = _forward_backward(m, x, y)

@@ -131,14 +131,14 @@ class TestCalibration:
 
 class TestThreshold:
     def test_quantile_semantics(self):
-        m = init_model((2, 8, 1), ("tanh",), 0)
+        m = init_model((2, 8, 1), ("tanh",), trial_rng(0))
         h0 = trial_rng(1).standard_normal((2000, 2))
         tau = decision_threshold(forward(m, h0), 0.1)
         fap = np.mean(forward(m, h0) > tau)
         assert fap <= 0.1
 
     def test_too_few_examples(self):
-        m = init_model((2, 8, 1), ("tanh",), 0)
+        m = init_model((2, 8, 1), ("tanh",), trial_rng(0))
         with pytest.raises(ValueError):
             decision_threshold(forward(m, np.zeros((50, 2))), 0.01)
 

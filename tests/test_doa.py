@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from doalab import doa, spectral
 from doalab.arrays import (
@@ -21,6 +24,7 @@ from doalab.doa import (
     tlhad_estimate,
     tlhad_estimate_rows,
 )
+from doalab.crlb import crlb_tlhad
 from doalab.errors import ConfigError
 from doalab.rng import TrialStreams, trial_rng
 
@@ -463,6 +467,23 @@ class TestTlhadRows:
             for row, ref in zip(cands, whole[2]):
                 np.testing.assert_array_equal(row[~np.isnan(row)],
                                               ref[~np.isnan(ref)])
+
+    @pytest.mark.parametrize("eta,snr_db", [(0.25, 10.0), (0.5, 10.0),
+                                            (1.0, 10.0), (0.25, 15.0)])
+    def test_follows_its_law(self, eta, snr_db):
+        # above its ambiguity threshold the one-snapshot estimate is
+        # unbiased, Gaussian and efficient: z = error / sqrt(CRLB_tlhad) is
+        # a standard normal draw, to within its Monte Carlo error
+        cfg = ArrayConfig.two_layer(64, 4, eta)
+        n = 4000
+        u = tlhad_estimate_rows(cfg, _scen(15.0, snr_db),
+                                TrialStreams(11, range(n)))[0]
+        z = ((np.arcsin(u) - math.radians(15.0))
+             / math.sqrt(crlb_tlhad(cfg, 15.0, snr_db, 1)))
+        assert abs(z.mean()) <= 3.0 / math.sqrt(n)
+        low, high = stats.chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1)
+        assert low <= z.var(ddof=1) <= high
+        assert stats.anderson(z, method="interpolate").pvalue >= 0.01
 
     def test_needs_fd_block(self):
         for cfg in (ArrayConfig.pure_had(64, 4), ArrayConfig(9, 4, 2, 1)):

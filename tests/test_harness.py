@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,17 @@ from doalab.harness import (
 )
 from doalab.mlnn import init_model, save_model
 from doalab.quantize import normalise, performance_loss_db, quantize
-from doalab.rng import TrialStreams, rekey, trial_rng
+from doalab.rng import (
+    CALIBRATION_STREAMS,
+    FINAL_STREAMS,
+    FIT_STREAMS,
+    ROC_STREAMS,
+    SEARCH_STREAMS,
+    VALIDATION_STREAMS,
+    TrialStreams,
+    rekey,
+    trial_rng,
+)
 from doalab.spectral import (
     root_music,
     root_music_rows,
@@ -161,15 +174,15 @@ class TestDetectionEigs:
         assert np.all(np.diff(e, axis=1) <= 1e-12)
 
     def test_dataset_factory_balanced_and_normalized(self):
-        factory = make_detection_dataset_factory(8, 16, -8.0)
-        data = factory(101, seed=3)
+        factory = make_detection_dataset_factory(8, 16, -8.0, 3)
+        data = factory(101, first_stream=0)
         assert abs(2 * int(data.labels.sum()) - 101) <= 1
         np.testing.assert_allclose(data.features.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zero_trials(self):
         # a map over no trials runs one empty block
         assert detection_eigs(8, 20, 0.0, 1, 0, 5).shape == (0, 8)
-        data = make_detection_dataset_factory(8, 20, 0.0)(1, 5)
+        data = make_detection_dataset_factory(8, 20, 0.0, 5)(1, 0)
         assert data.features.shape == (1, 8)
         np.testing.assert_array_equal(data.labels, [0.0])
 
@@ -557,6 +570,30 @@ def test_worker_count_invariance(tmp_path, experiment):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_start_method_invariance(tmp_path, monkeypatch, method):
+    # workers that import doalab afresh, as forkserver and spawn start
+    # them, write the bytes of one worker
+    runs = {"rmse-snr": SMALL_RMSE, "loss-bits": SMALL_BITS,
+            "train-mlnn": SMALL_MLNN, "roc": INVARIANCE_CASES["roc"][0]}
+    outputs = ("rmse_snr.csv", "loss_bits.csv", "mlnn_model.json",
+               "mlnn_report.csv", "roc.csv")
+    got = []
+    for workers in (1, 2):
+        if workers == 2:
+            monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(
+                ProcessPoolExecutor, mp_context=get_context(method)))
+        out = tmp_path / f"w{workers}"
+        for experiment, text in runs.items():
+            cfg_path = _write_config(tmp_path / f"{experiment}.ini", text)
+            # roc scores the model train-mlnn wrote; the others ignore it
+            run_experiment(load_config(experiment, cfg_path, out=str(out),
+                                       workers=workers),
+                           model_path=str(out / "mlnn_model.json"))
+        got.append([(out / name).read_bytes() for name in outputs])
+    assert got[0] == got[1]
+
+
 class _CountingPool:
     """A stand-in for the worker pool whose map takes exactly one function
     and one iterable, as perfbench's traced pool does, and counts calls."""
@@ -710,6 +747,52 @@ def test_roc_trials_disjoint_from_training(tmp_path, monkeypatch):
     assert not training & roc
 
 
+def test_every_training_draw_owns_its_streams(tmp_path, monkeypatch):
+    # train-mlnn and roc at one seed: the three datasets, each of the three
+    # fits, the calibration scores and the ROC each read a run of streams
+    # from the first index of their range, at the config seed, and no
+    # stream is read twice
+    opened = _record_streams(monkeypatch)
+    cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
+    config = load_config("train-mlnn", cfg_path, out=str(tmp_path / "t"))
+    _, _, model = run_train_mlnn(config)
+    run_roc(load_config("roc", cfg_path, out=str(tmp_path / "r")), model=model)
+    assert {seed for seed, _ in opened} == {config.seed}
+    indices = [index for _, index in opened]
+    assert len(set(indices)) == len(indices)
+    counts = {SEARCH_STREAMS: 400, VALIDATION_STREAMS: 2000,
+              FINAL_STREAMS: model.metadata["n_examples"], FIT_STREAMS: 3,
+              CALIBRATION_STREAMS: 1000, ROC_STREAMS: 2 * 1000}
+    assert sorted(indices) == sorted(i for first, n in counts.items()
+                                     for i in range(first, first + n))
+
+
+def test_nearby_seeds_share_no_training_row(tmp_path, monkeypatch):
+    # seeds 5 and 6 draw no common eigenvalue row, and seed 5's calibration
+    # scores are not seed 12's search-set H0 rows
+    draws = {}  # the detection draws of each run, by its seed, in order
+    real = harness.detection_eigs
+
+    def recording(*args, **kwargs):
+        draws[seed].append(real(*args, **kwargs))
+        return draws[seed][-1]
+
+    monkeypatch.setattr(harness, "detection_eigs", recording)
+    cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
+    for seed in (5, 6, 12):
+        draws[seed] = []
+        run_train_mlnn(load_config("train-mlnn", cfg_path, seed=seed,
+                                   out=str(tmp_path / str(seed))))
+
+    def rows(*arrays):
+        return {row.tobytes() for eigs in arrays for row in eigs}
+
+    assert not rows(*draws[5]) & rows(*draws[6])
+    calibration, search_h0 = draws[5][-1], draws[12][0]
+    assert len(calibration) == 1000 and len(search_h0) == 200
+    assert not rows(calibration) & rows(search_h0)
+
+
 class TestCli:
     def test_loss_bits_end_to_end(self, tmp_path, capsys):
         text = ("[quant]\nbits = 1\nn_antennas = 8\nn_snapshots = 20\n"
@@ -752,16 +835,15 @@ class TestCli:
             capsys.readouterr().err
         assert load_config("rmse-snr", seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
-    @pytest.mark.parametrize("experiment", ["train-mlnn", "roc"])
-    def test_training_seed_span_exit_code(self, tmp_path, capsys, monkeypatch,
-                                          experiment):
-        # training draws streams up to seed + 2000, which would wrap past
-        # 2**64 here; roc without --model trains its own model
-        monkeypatch.setattr(harness, "_run_block", lambda *args: pytest.fail(
-            "a trial block ran before exit 2"))
-        assert cli_main([experiment, "--seed", "18446744073709549616",
-                         "--out", str(tmp_path / "o")]) == 2
-        assert "2**64 - 2000" in capsys.readouterr().err
+    def test_training_at_the_top_seed(self, tmp_path, capsys, monkeypatch):
+        # every draw of a training run is a stream at the config seed, so
+        # the largest seed trains without wrapping onto another's streams
+        opened = _record_streams(monkeypatch)
+        cfg_path = _write_config(tmp_path / "c.ini", SMALL_MLNN)
+        assert cli_main(["train-mlnn", "--config", cfg_path, "--seed",
+                         str(2 ** 64 - 1), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.strip().endswith("mlnn_model.json")
+        assert opened and {seed for seed, _ in opened} == {2 ** 64 - 1}
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")
@@ -887,7 +969,7 @@ class TestCli:
         monkeypatch.setattr(harness, "detection_eigs", lambda *args, **kw:
                             pytest.fail("a detection trial ran"))
         model = tmp_path / "model.json"
-        save_model(init_model((n_inputs, 4, 1), ("sigmoid",), 0), model)
+        save_model(init_model((n_inputs, 4, 1), ("sigmoid",), trial_rng(0)), model)
         model.write_text(json.dumps(edit(json.loads(model.read_text()))))
         cfg_path = _write_config(tmp_path / "c.ini",
                                  "[run]\ntrials = 200\n[array]\nn_total = 16\n")
@@ -944,7 +1026,7 @@ def test_signal_model_changes_numbers(tmp_path, experiment, text, output):
             "[scenario]\n", f"[scenario]\nsignal_model = {model}\n"))
         config = load_config(experiment, cfg_path, out=str(tmp_path / model))
         if experiment == "roc":  # one fixed network for both signals
-            run_roc(config, model=init_model((16, 4, 1), ("sigmoid",), 0))
+            run_roc(config, model=init_model((16, 4, 1), ("sigmoid",), trial_rng(0)))
         else:
             run_experiment(config)
         with open(tmp_path / model / output, newline="") as fh:
