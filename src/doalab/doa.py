@@ -209,21 +209,22 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     classic eliminator's first candidate snapshot, so both eliminators
     share every draw.  Every trial's stream is read in one pass, for as
     many snapshots as the most candidates need; a trial with fewer
-    candidates leaves its last ones unused.
+    candidates leaves its last ones unused.  An array with fewer
+    subarrays than the most candidates, or than 2, is refused first.
     """
     if cfg.n_fd != 0:
         raise ConfigError("HAD eliminators need a pure HAD array")
     _require_single_emitter(scen)
+    n_cands = max_candidates(cfg.m_sub, cfg.spacing)
+    if cfg.k_sub < max(2, n_cands):
+        raise ConfigError(f"the HAD eliminators need {max(2, n_cands)} subarrays "
+                          f"(one per candidate, at least 2), got {cfg.k_sub}")
     scen1 = replace(scen, n_snapshots=1)
-    x = synthesize_snapshot_rows(
-        cfg, scen1, rngs, 1 + max_candidates(cfg.m_sub, cfg.spacing))
+    x = synthesize_snapshot_rows(cfg, scen1, rngs, 1 + n_cands)
     had = analog_combine(x[:, 0], cfg)[:, : cfg.k_sub]
     u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
     cands = _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
     counts = np.count_nonzero(~np.isnan(cands), axis=1)
-    if cfg.k_sub < cands.shape[1]:
-        raise ConfigError(f"{cfg.k_sub} subarrays cannot host "
-                          f"{cands.shape[1]} candidate subgroups")
     x = x[:, 1: 1 + cands.shape[1]]
 
     steer = np.repeat(np.nan_to_num(cands)[..., None], cfg.k_sub, axis=-1)

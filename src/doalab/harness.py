@@ -106,8 +106,8 @@ _SNR = (lambda v: abs(v) <= MAX_SNR_DB, f"a number in [-{MAX_SNR_DB:g}, {MAX_SNR
 # are rejected at parse time, and load_config parses and checks every key
 SCHEMA = {
     "run": {
-        # the Philox key holds the seed in one 64-bit word: a seed outside
-        # it would draw the streams of the seed it wraps to
+        # the Philox key holds the seed in one 64-bit word, and rng.rekey
+        # refuses a seed outside it; refused here, it exits 2 at load
         "seed": Setting("20240901", int, lambda v: 0 <= v < 1 << 64,
                         "an integer in [0, 2**64)"),
         "trials": _count("", 100),  # empty = per-experiment default
@@ -267,24 +267,23 @@ def load_config(experiment: str, path=None, seed=None, out=None,
     values["run.trials"] = str(parsed["run.trials"])
     config = ExperimentConfig(experiment, values, parsed)
     # the subarray partition couples several keys, so only the arrays built
-    # from all of them can tell whether they fit together
+    # from all of them can tell whether they fit together; only the rmse
+    # runs build them, rmse-snr at fd_proportion and rmse-eta at each eta
+    etas = {"rmse-snr": [parsed["array.fd_proportion"]],
+            "rmse-eta": parsed["rmse.eta_grid"]}.get(experiment, ())
     try:
-        cfg = config.array_config()
-        etas = [config.array_config(eta) for eta in
-                (parsed["rmse.eta_grid"] if experiment == "rmse-eta" else ())]
+        arrays = [config.array_config(eta) for eta in etas]
     except ValueError as exc:
         raise ConfigError(f"[array] settings do not fit together: {exc}") from None
     # so do the estimators' needs, which would otherwise fail in a trial
-    if experiment == "rmse-snr":
-        _check_estimators(cfg, eliminators=True)
-        theta = parsed["scenario.theta_deg"]
-        if not broadside_gain_ok(cfg, math.sin(math.radians(theta))):
-            raise ConfigError(
-                f"scenario.theta_deg must leave the broadside analog beam "
-                f"its gain, got {values['scenario.theta_deg']!r}, which sits "
-                f"in a null of the {cfg.m_sub}-antenna subarrays")
-    for arr in etas:
-        _check_estimators(arr, eliminators=False)
+    for cfg in arrays:
+        _check_estimators(cfg, eliminators=experiment == "rmse-snr")
+    u = math.sin(math.radians(parsed["scenario.theta_deg"]))
+    if experiment == "rmse-snr" and not broadside_gain_ok(arrays[0], u):
+        raise ConfigError(
+            f"scenario.theta_deg must leave the broadside analog beam "
+            f"its gain, got {values['scenario.theta_deg']!r}, which sits "
+            f"in a null of the {arrays[0].m_sub}-antenna subarrays")
     return config
 
 

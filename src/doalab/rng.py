@@ -15,8 +15,6 @@ draws.
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 # The first stream index, at the config seed, of each draw of a neural
 # detector's training run and of its ROC: each owns 2**60 streams.
 SEARCH_STREAMS = 0
@@ -40,16 +38,17 @@ def rekey(rng: np.random.Generator, master_seed: int,
     (master_seed, trial_index), and return it.
 
     The Philox key packs the 64-bit master seed and the trial index, so
-    streams for distinct (seed, index) pairs never collide.
+    streams for distinct (seed, index) pairs never collide; either one
+    outside [0, 2**64), its key word, raises ValueError.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
+    if not (0 <= master_seed < 1 << 64 and 0 <= trial_index < 1 << 64):
+        raise ValueError("seed and trial index must lie in [0, 2**64)")
     # the state of a fresh Philox(key=(seed << 64) | index): the key's low
     # word first, a zero counter and an empty buffer
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0],
-                  "key": [trial_index & _MASK64, master_seed & _MASK64]},
+                  "key": [trial_index, master_seed]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     return rng

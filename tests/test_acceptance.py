@@ -26,7 +26,6 @@ from doalab.doa import (
     tlhad_estimate,
 )
 from doalab.harness import (
-    ROC_STREAMS,
     detection_eigs,
     load_config,
     run_loss_bits,
@@ -37,7 +36,7 @@ from doalab.harness import (
 )
 from doalab.mlnn import eig_features, forward, init_model
 from doalab.quantize import distortion_factor, performance_loss_db
-from doalab.rng import trial_rng
+from doalab.rng import ROC_STREAMS, trial_rng
 from doalab.spectral import root_music, sample_covariance
 
 from oracles import crlb_fd_closed_form, music_spectrum_grid, pd_at_fap

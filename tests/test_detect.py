@@ -19,9 +19,8 @@ from doalab.detect import (
     trial_eigs,
 )
 from doalab.errors import EstimationError
-from doalab.harness import ROC_STREAMS
 from doalab.mlnn import forward, init_model
-from doalab.rng import TrialStreams, trial_rng
+from doalab.rng import ROC_STREAMS, TrialStreams, trial_rng
 
 from oracles import auc, pd_at_fap
 

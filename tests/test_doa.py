@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from doalab import doa, spectral
+from doalab import rng as rng_module
 from doalab.arrays import (
     CONSTANT_MODULUS,
     GAUSSIAN,
@@ -342,6 +344,19 @@ class TestEliminatorRows:
         with pytest.raises(ConfigError):
             had_eliminator_rows(ArrayConfig.pure_had(8, 4), _scen(10.0, 20.0),
                                 [trial_rng(0)])
+
+    @pytest.mark.parametrize("theta", [15.0, -40.0, 60.0])
+    @pytest.mark.parametrize("n_trials", [1, 5])
+    def test_too_few_subarrays_refused_before_a_draw(self, theta, n_trials):
+        # 3 subarrays cannot host the ceil(2 M d) = 4 candidates a trial
+        # may have at M = 4, d = 0.4, whatever this draw's counts are
+        streams = TrialStreams(101, range(n_trials))
+        with mock.patch.object(rng_module, "rekey",
+                               wraps=rng_module.rekey) as rekey:
+            with pytest.raises(ConfigError):
+                had_eliminator_rows(ArrayConfig.pure_had(12, 4, 0.4),
+                                    _scen(theta, 20.0), streams)
+        assert rekey.call_count == 0
 
     def test_rejects_fd_antennas(self):
         with pytest.raises(ConfigError):

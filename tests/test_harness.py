@@ -92,6 +92,8 @@ search_size = 400
 epochs = 5
 """
 
+# 8-antenna subarrays do not fit in 6 antennas
+MISFIT_MLNN = SMALL_MLNN.replace("n_total = 16\nm_sub = 4", "n_total = 6\nm_sub = 8")
 
 SMALL_BITS = """
 [quant]
@@ -178,6 +180,11 @@ class TestDetectionEigs:
         data = factory(101, first_stream=0)
         assert abs(2 * int(data.labels.sum()) - 101) <= 1
         np.testing.assert_allclose(data.features.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_dataset_factory_refuses_wrapped_seed(self):
+        # seed -1 would draw the detection streams of seed 2**64 - 1
+        with pytest.raises(ValueError):
+            make_detection_dataset_factory(8, 16, -8.0, -1)(10, 0)
 
     def test_zero_trials(self):
         # a map over no trials runs one empty block
@@ -844,6 +851,21 @@ class TestCli:
                          str(2 ** 64 - 1), "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().out.strip().endswith("mlnn_model.json")
         assert opened and {seed for seed, _ in opened} == {2 ** 64 - 1}
+
+    @pytest.mark.parametrize("experiment,text,code", [
+        ("loss-bits", SMALL_BITS + "[array]\nm_sub = 128\n", 0),
+        ("roc", MISFIT_MLNN, 0),
+        ("train-mlnn", MISFIT_MLNN, 0),
+        ("rmse-snr", "[run]\ntrials = 100\n[array]\nn_total = 6\nm_sub = 8\n", 2),
+    ], ids=["loss-bits", "roc", "train-mlnn", "rmse-snr"])
+    def test_partition_checked_only_where_built(self, tmp_path, capsys,
+                                                experiment, text, code):
+        # only rmse-snr and rmse-eta build the two-layer [array]; roc and
+        # train-mlnn read its n_total alone, and loss-bits reads none of it
+        cfg_path = _write_config(tmp_path / "c.ini", text)
+        assert cli_main([experiment, "--config", cfg_path,
+                         "--out", str(tmp_path / "o")]) == code
+        assert ("config error" in capsys.readouterr().err) == bool(code)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "c.ini", "[nope]\nx = 1\n")

@@ -233,6 +233,14 @@ class TestSelection:
             select_architecture(("tanh",), ((8,),), lambda n, s: _xor_set(n, s),
                                 seed=0, final_ratio=20.0)
 
+    def test_wrapped_seed_refused_before_a_fit(self, monkeypatch):
+        # seed -1 would draw the fit streams of seed 2**64 - 1
+        monkeypatch.setattr(mlnn, "train",
+                            lambda *args: pytest.fail("a fit ran"))
+        with pytest.raises(ValueError):
+            select_architecture(("tanh",), ((2,),), lambda n, s: _xor_set(n, s),
+                                seed=-1, search_size=200)
+
     # enough steps that the fits converge, so the gap between two shapes
     # that both learn the XOR is validation noise
     _CONVERGED = Hyper(learning_rate=0.5, epochs=60)

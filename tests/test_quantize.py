@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import doalab.quantize as quantize_module
+from doalab import harness
 from doalab.arrays import ArrayConfig, EmitterScenario, synthesize_snapshot_rows
+from doalab.crlb import crlb_fd
 from doalab.quantize import (
     distortion_factor,
     effective_snr,
@@ -16,6 +19,8 @@ from doalab.quantize import (
     quantize,
 )
 from doalab.rng import TrialStreams, trial_rng
+
+from oracles import crlb_quantized_u
 
 # classic Lloyd-Max distortions for a unit-variance Gaussian source
 RHO_TABLE = {
@@ -324,3 +329,113 @@ class TestQuantizeSymmetry:
             for turn in (np.conj, lambda z: 1j * z, np.negative):
                 got = quantize(normalise(turn(x)), bits)
                 assert got.tobytes() == turn(q).tobytes(), (bits, turn)
+
+
+# a loss-bits run's shape: antennas, snapshots and the emitter's angle
+BOUND_P, BOUND_T, BOUND_THETA = 32, 50, 15.0
+
+
+def _bound_by_differences(bits, snr_db, n_phase=64, steps=(1e-7, 1e-6, 1e-6)):
+    """``crlb_quantized_u`` by another route: the cells of the quantizer's
+    levels, each threshold the midpoint of two levels, scaled by the RMS of
+    one real part of a snapshot; each cell's probability differenced by
+    (u, Re s, Im s) at the given steps; and the amplitude projected out by
+    inverting the 3 x 3 information, whose (u, u) entry is then 1 / j."""
+    p = 10.0 ** (snr_db / 10.0)
+    levels = lloyd_max_codebook(bits)[0]
+    edges = math.sqrt((1.0 + p) / 2.0) * np.concatenate(
+        ([-np.inf], (levels[:-1] + levels[1:]) / 2.0, [np.inf]))
+    psi = 2.0 * math.pi * (np.arange(n_phase) + 0.5) / n_phase
+    point = np.array([math.sin(math.radians(BOUND_THETA)), 0.0, 0.0])
+
+    def cells(u, re, im):
+        """Per phase, antenna, I and Q part and cell, its probability."""
+        s = math.sqrt(p) * np.exp(1j * psi) + re + 1j * im
+        # half-wavelength spacing: 2 pi d u = pi u
+        mean = s[:, None] * np.exp(1j * math.pi * u * np.arange(BOUND_P))
+        parts = np.stack([mean.real, mean.imag], axis=-1)[..., None]
+        return np.diff(ndtr((edges - parts) / math.sqrt(0.5)), axis=-1)
+
+    grad = np.stack([(cells(*(point + h)) - cells(*(point - h))) / (2.0 * step)
+                     for h, step in zip(np.diag(steps), steps)], axis=-1)
+    prob = cells(*point)[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(prob > 0.0, grad[..., :, None] * grad[..., None, :]
+                         / prob, 0.0)
+    fim = terms.sum(axis=(1, 2, 3))
+    return 1.0 / (BOUND_T * np.mean(1.0 / np.linalg.inv(fim)[:, 0, 0]))
+
+
+@pytest.fixture(scope="module")
+def quantized_runs():
+    """Per SNR of 0 and 10 dB: the Root-MUSIC errors in u of a
+    loss-bits-shaped run, at 1-4 bits and then unquantized, each column
+    from the same draws; and each trial's mean automatic gain."""
+    cfg = ArrayConfig.fully_digital(BOUND_P)
+    streams = TrialStreams(101, range(1000))
+    runs = {}
+    for snr_db in (0.0, 10.0):
+        scen = EmitterScenario.single_emitter(BOUND_THETA, snr_db, BOUND_T)
+        x = synthesize_snapshot_rows(cfg, scen, streams)[:, 0]
+        runs[snr_db] = (harness._quant_block(cfg, scen, (1, 2, 3, 4), streams),
+                        normalise(x).safe.mean(axis=(1, 2)))
+    return runs
+
+
+class TestQuantizedBound:
+    """The exact bound for Lloyd-Max quantized FD snapshots,
+    ``oracles.crlb_quantized_u``: its unquantized limit, its derivatives
+    and gain, Root-MUSIC on quantized snapshots against it, and the AQNM
+    loss against its loss.  Moving one threshold by 1e-3, setting the gain
+    to 1, or dropping the amplitude projection each fails a test here."""
+
+    @pytest.mark.parametrize("theta", [15.0, 40.0, -60.0])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    def test_unquantized_limit_is_crlb_fd(self, theta, snr_db):
+        # crlb_fd bounds theta; on u = sin(theta) the bound gains cos^2
+        want = (crlb_fd(BOUND_P, theta, snr_db, BOUND_T)
+                * math.cos(math.radians(theta)) ** 2)
+        got = crlb_quantized_u(BOUND_P, theta, snr_db, BOUND_T)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_matches_differenced_cells(self, bits, snr_db):
+        # the two routes agree to about 5e-10; a threshold moved by 1e-3
+        # moves the bound by 1e-7 or more, and by 1e-5 or more unless it
+        # is the threshold at 0, where the bound is stationary
+        got = crlb_quantized_u(BOUND_P, BOUND_THETA, snr_db, BOUND_T, bits)
+        assert got == pytest.approx(_bound_by_differences(bits, snr_db),
+                                    rel=1e-8, abs=0.0)
+
+    def test_gain_is_the_quantizers(self, quantized_runs):
+        # the bound scales the thresholds by sqrt((1 + p) / 2), the
+        # expected RMS of one real part, where normalise takes each
+        # channel's RMS over its T snapshots
+        for snr_db, (_, gain) in quantized_runs.items():
+            p = 10.0 ** (snr_db / 10.0)
+            assert np.mean(gain) == pytest.approx(math.sqrt((1.0 + p) / 2.0),
+                                                  rel=0.01)
+
+    def test_root_music_meets_the_bound(self, quantized_runs):
+        # the bound is a floor, up to two SEs of the mean squared error,
+        # and at 0 and 10 dB Root-MUSIC pays it to within 15%; -10 dB is
+        # left out, where Root-MUSIC is not efficient
+        for snr_db, (errors, _) in quantized_runs.items():
+            for bits, e in zip((1, 2, 3, 4), errors.T):
+                bound = crlb_quantized_u(BOUND_P, BOUND_THETA, snr_db,
+                                         BOUND_T, bits)
+                ratio = np.mean(e ** 2) / bound
+                se = np.std(e ** 2, ddof=1) / math.sqrt(len(e)) / bound
+                assert 1.0 - 2.0 * se <= ratio <= 1.15, (snr_db, bits, ratio, se)
+
+    def test_aqnm_loss_above_exact_loss(self):
+        # at every point of the default loss-bits grid the AQNM formula
+        # states a larger loss than the exact bound's
+        for snr_db in (-10.0, 0.0, 10.0):
+            clear = crlb_quantized_u(BOUND_P, BOUND_THETA, snr_db, BOUND_T)
+            for bits in range(1, 9):
+                exact_db = 10.0 * math.log10(crlb_quantized_u(
+                    BOUND_P, BOUND_THETA, snr_db, BOUND_T, bits) / clear)
+                assert 0.0 < exact_db < performance_loss_db(bits, snr_db), \
+                    (snr_db, bits)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from doalab.harness import ROC_STREAMS
-from doalab.rng import TrialStreams, rekey, trial_rng
+from doalab.rng import ROC_STREAMS, TrialStreams, rekey, trial_rng
 
-SEEDS = [0, 2 ** 63 + 5, 2 ** 64 - 1, 2 ** 70 + 3]
+SEEDS = [0, 2 ** 63 + 5, 2 ** 64 - 1]
 INDICES = [0, 1, ROC_STREAMS, ROC_STREAMS + 1, 2 ** 64 - 1]
 
 
@@ -114,3 +113,17 @@ def test_negative_index_rejected():
         list(TrialStreams(0, [3, -1]))
     with pytest.raises(ValueError):
         trial_rng(0, -1)
+
+
+@pytest.mark.parametrize("seed,index", [
+    (-1, 0), (2 ** 64, 0), (2 ** 70 + 3, 0), (0, 2 ** 64)],
+    ids=["seed-minus-one", "seed-2**64", "seed-2**70+3", "index-2**64"])
+def test_key_word_out_of_range_rejected(seed, index):
+    # each key word holds 64 bits: a seed or index outside [0, 2**64) would
+    # draw the stream of the value it wraps to, so every form refuses it
+    with pytest.raises(ValueError):
+        rekey(trial_rng(0), seed, index)
+    with pytest.raises(ValueError):
+        trial_rng(seed, index)
+    with pytest.raises(ValueError):
+        next(iter(TrialStreams(seed, [index])))
