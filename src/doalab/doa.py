@@ -100,11 +100,17 @@ def _snapshot(cfg, scen1, rng, u_steer=0.0):
                           u_steer)
 
 
-def _had_candidates(cfg, scen1, rng):
-    """Broadside snapshot -> Root-MUSIC on the subarray channels -> candidates."""
+def _had_candidates(cfg, scen, rng):
+    """The HAD eliminators' first step on the pure HAD ``cfg``: ``scen``
+    at one snapshot, and the candidates of its broadside snapshot, from
+    Root-MUSIC on the subarray channels."""
+    if cfg.n_fd != 0:
+        raise ConfigError("HAD eliminators need a pure HAD array")
+    _require_single_emitter(scen)
+    scen1 = replace(scen, n_snapshots=1)
     had = _snapshot(cfg, scen1, rng)[: cfg.k_sub]
     u_hat = root_music(sample_covariance(had), spacing=cfg.m_sub * cfg.spacing)
-    return candidate_set(u_hat, cfg.m_sub, cfg.spacing)
+    return scen1, candidate_set(u_hat, cfg.m_sub, cfg.spacing)
 
 
 def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
@@ -116,11 +122,7 @@ def had_root_music_classic(cfg: ArrayConfig, scen: EmitterScenario,
     maximum average combined power.  It carries no bound (``crlb_rad2`` is
     None); ``crlb.crlb_had`` gives the broadside one.
     """
-    if cfg.n_fd != 0:
-        raise ConfigError("classic eliminator needs a pure HAD array")
-    _require_single_emitter(scen)
-    scen1 = replace(scen, n_snapshots=1)
-    cands = _had_candidates(cfg, scen1, rng)
+    scen1, cands = _had_candidates(cfg, scen, rng)
     powers = []
     for u_k in cands.candidates:
         had = _snapshot(cfg, scen1, rng, u_k)[: cfg.k_sub]
@@ -142,11 +144,7 @@ def fhad_root_music(cfg: ArrayConfig, scen: EmitterScenario,
                     rng: np.random.Generator) -> DoaEstimate:
     """Two-snapshot eliminator: subarray subgroups steer at distinct
     candidates.  Like the classic one, it carries no bound."""
-    if cfg.n_fd != 0:
-        raise ConfigError("fast eliminator needs a pure HAD array")
-    _require_single_emitter(scen)
-    scen1 = replace(scen, n_snapshots=1)
-    cands = _had_candidates(cfg, scen1, rng)
+    scen1, cands = _had_candidates(cfg, scen, rng)
     if cfg.k_sub < len(cands):
         raise ConfigError(
             f"{cfg.k_sub} subarrays cannot host {len(cands)} candidate subgroups")
@@ -166,6 +164,22 @@ def max_candidates(m_sub: int, spacing: float) -> int:
     if 2.0 * m_sub * spacing <= 1.0:
         return 1
     return math.ceil(2.0 * m_sub * spacing - 1e-9)
+
+
+def eliminator_sets(cfg: ArrayConfig) -> int:
+    """The snapshot sets the HAD eliminators draw per trial on the HAD part
+    of ``cfg``: a broadside one, then one per candidate for as many as a
+    trial can have (``max_candidates``).
+
+    Raises ConfigError when that part has fewer subarrays than those
+    candidates, since the fast eliminator steers a subgroup of subarrays
+    at each, or than the 2 a Root-MUSIC estimate needs.
+    """
+    n_cands = max_candidates(cfg.m_sub, cfg.spacing)
+    if cfg.k_sub < max(2, n_cands):
+        raise ConfigError(f"the HAD eliminators need {max(2, n_cands)} subarrays "
+                          f"(one per candidate, at least 2), got {cfg.k_sub}")
+    return 1 + n_cands
 
 
 def _candidate_rows(u_hat, m_sub, spacing):
@@ -208,19 +222,16 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     stream draws the same broadside snapshot and, as its steered one, the
     classic eliminator's first candidate snapshot, so both eliminators
     share every draw.  Every trial's stream is read in one pass, for as
-    many snapshots as the most candidates need; a trial with fewer
-    candidates leaves its last ones unused.  An array with fewer
-    subarrays than the most candidates, or than 2, is refused first.
+    many snapshots as the most candidates need (``eliminator_sets``, which
+    refuses an array with too few subarrays before the draw); a trial with
+    fewer candidates leaves its last ones unused.
     """
     if cfg.n_fd != 0:
         raise ConfigError("HAD eliminators need a pure HAD array")
     _require_single_emitter(scen)
-    n_cands = max_candidates(cfg.m_sub, cfg.spacing)
-    if cfg.k_sub < max(2, n_cands):
-        raise ConfigError(f"the HAD eliminators need {max(2, n_cands)} subarrays "
-                          f"(one per candidate, at least 2), got {cfg.k_sub}")
+    n_sets = eliminator_sets(cfg)
     scen1 = replace(scen, n_snapshots=1)
-    x = synthesize_snapshot_rows(cfg, scen1, rngs, 1 + n_cands)
+    x = synthesize_snapshot_rows(cfg, scen1, rngs, n_sets)
     had = analog_combine(x[:, 0], cfg)[:, : cfg.k_sub]
     u_hat = root_music_rows(signal_vectors(had), cfg.m_sub * cfg.spacing)
     cands = _candidate_rows(u_hat, cfg.m_sub, cfg.spacing)
@@ -268,8 +279,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     FD block, then CRLB-weighted combining.
 
     Both sub-estimates come from the same T snapshots (T = scenario count,
-    works for T = 1).  The candidate nearest the FD estimate wins; an exact
-    midpoint tie breaks toward the candidate with smaller |u|.
+    works for T = 1).  The candidate nearest the FD estimate wins.
     """
     _require_single_emitter(scen)
     if cfg.n_fd < 2:
@@ -293,9 +303,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     had = x[: cfg.k_sub]
     u_had = root_music(sample_covariance(had), spacing=cfg.m_sub * cfg.spacing)
     cands = candidate_set(u_had, cfg.m_sub, cfg.spacing)
-    dist = np.abs(cands.candidates - u_fd)
-    near = np.flatnonzero(np.isclose(dist, dist.min(), rtol=0.0, atol=1e-12))
-    u_star = float(cands.candidates[near[np.argmin(np.abs(cands.candidates[near]))]])
+    u_star = float(cands.candidates[np.argmin(np.abs(cands.candidates - u_fd))])
 
     crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
                       scen.snr_db, t)
@@ -339,10 +347,7 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     u_had = root_music_rows(signal_vectors(x[:, : cfg.k_sub]),
                             cfg.m_sub * cfg.spacing)
     cands = _candidate_rows(u_had, cfg.m_sub, cfg.spacing)
-    dist = np.abs(cands - u_fd[:, None])
-    dist[np.isnan(dist)] = np.inf
-    near = dist - dist.min(axis=1, keepdims=True) <= 1e-12
-    chosen = np.argmin(np.where(near, np.abs(cands), np.inf), axis=1)
+    chosen = np.nanargmin(np.abs(cands - u_fd[:, None]), axis=1)
     u_star = cands[np.arange(len(cands)), chosen]
 
     crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),

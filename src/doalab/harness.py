@@ -43,8 +43,8 @@ from .doa import (
     METHOD_FHAD,
     METHOD_TLHAD,
     broadside_gain_ok,
+    eliminator_sets,
     had_eliminator_rows,
-    max_candidates,
     tlhad_estimate_rows,
 )
 from .errors import ConfigError
@@ -290,14 +290,11 @@ def load_config(experiment: str, path=None, seed=None, out=None,
 def _check_estimators(cfg: ArrayConfig, eliminators: bool):
     """Raise ConfigError unless the two-layer estimator, and with
     ``eliminators`` also the HAD eliminators, can run on ``cfg``."""
-    where = f"at fd_proportion {cfg.fd_proportion:g}"
     if cfg.n_fd < 2:
-        raise ConfigError(f"the two-layer estimator needs 2 FD antennas, "
-                          f"got {cfg.n_fd} {where}")
-    need = max(2, max_candidates(cfg.m_sub, cfg.spacing))
-    if eliminators and cfg.k_sub < need:
-        raise ConfigError(f"the HAD eliminators need {need} subarrays (one per "
-                          f"candidate, at least 2), got {cfg.k_sub} {where}")
+        raise ConfigError(f"the two-layer estimator needs 2 FD antennas, got "
+                          f"{cfg.n_fd} at fd_proportion {cfg.fd_proportion:g}")
+    if eliminators:
+        eliminator_sets(cfg)
 
 
 def _fmt(x) -> str:
@@ -342,7 +339,8 @@ def _pool(workers: int):
     lives until the context exits.  A run opens it once and hands it to
     every helper that maps trials.  The pool forks at most one process per
     CPU this process may run on, since the executor starts all of its
-    processes at once; the blocks are still planned for ``workers``.
+    processes at once, and the blocks are planned for the processes it
+    forks.
     """
     if workers <= 1:
         yield _IN_PROCESS
@@ -350,7 +348,8 @@ def _pool(workers: int):
         # sched_getaffinity is missing on macOS and Windows
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
+        workers = min(workers, cpus)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield _Pool(pool.map, workers)
 
 
@@ -524,8 +523,7 @@ def _rmse_curve(config, points, eliminators):
     # and of the eliminators' broadside and candidate snapshots
     shapes = {(cfg.n_total, t_snap, 1) for cfg, _ in points}
     if eliminators:
-        shapes |= {(cfg.n_had, 1, 1 + max_candidates(cfg.m_sub, cfg.spacing))
-                   for cfg, _ in points}
+        shapes |= {(cfg.n_had, 1, eliminator_sets(cfg)) for cfg, _ in points}
     with _pool(config.workers) as pool:
         errors = _monte_carlo(_rmse_block, tasks, config.trials, config.seed,
                               pool, sum(n * t * sets for n, t, sets in shapes))

@@ -13,7 +13,6 @@ reference checks both.  The grid-sampled null spectrum that checks
 ``tests/oracles.py``.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,14 +151,6 @@ def _pow2_at_least(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-@functools.lru_cache(maxsize=16)
-def _conj_unit_roots(k: int) -> np.ndarray:
-    """exp(-2 pi i j / k) for j = 0 .. k-1, read-only."""
-    w = np.exp(-2j * np.pi / k * np.arange(k))
-    w.flags.writeable = False
-    return w
-
-
 def _spectrum_minima(a: np.ndarray):
     """Per row of ``a``, the local minima of the null spectrum.
 
@@ -288,7 +279,7 @@ def _certified(a: np.ndarray, best: np.ndarray):
         live = k * np.abs(h).min(axis=1) > floor
         # times conj((w - b)(w - m)) at the same w, with b = best / r1
         # and m its mirror: the phase of g over the pair
-        conj_w = _conj_unit_roots(k)
+        conj_w = np.exp(-2j * np.pi / k * np.arange(k))
         np.subtract(conj_w, conj_b, out=pair)
         h *= np.multiply(pair, np.subtract(conj_w, conj_m, out=nxt), out=pair)
         # the phase step from each sample to the next

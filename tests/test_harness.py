@@ -624,7 +624,9 @@ class _CountingPool:
 def test_pool_bounded_by_cpus(tmp_path, monkeypatch):
     # a worker count far past the CPUs forks one process per CPU at most
     # and plans one block per trial at most, with the bytes of one worker.
-    # The pool is a stand-in that records its size and starts no process
+    # The pool is a stand-in that records its size and starts no process;
+    # the host shows more CPUs than trials, so the trial count caps the
+    # blocks
     cfg_path = _write_config(tmp_path / "c.ini", SMALL_RMSE)
     run_rmse_snr(load_config("rmse-snr", cfg_path, out=str(tmp_path / "w1")))
     sizes, blocks = [], []
@@ -639,9 +641,11 @@ def test_pool_bounded_by_cpus(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)),
+                        raising=False)
     run_rmse_snr(load_config("rmse-snr", cfg_path, out=str(tmp_path / "wmax"),
                              workers=10 ** 9))
-    assert len(sizes) == 1 and 1 <= sizes[0] <= len(os.sched_getaffinity(0))
+    assert sizes == [1000]
     assert blocks == [100]
     assert ((tmp_path / "wmax" / "rmse_snr.csv").read_bytes()
             == (tmp_path / "w1" / "rmse_snr.csv").read_bytes())
@@ -709,8 +713,11 @@ def _mapped_points(monkeypatch):
 def test_block_plan_one_block_per_worker(tmp_path, monkeypatch, experiment,
                                          workers):
     # each curve point of a small run is one block per worker, of sizes
-    # differing by at most one trial
+    # differing by at most one trial; the host shows as many CPUs as
+    # workers, since a pool forks, and plans blocks for, one per CPU at most
     points = _mapped_points(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
     cfg_path = _write_config(tmp_path / "c.ini", BLOCK_PLAN_CASES[experiment][0])
     run_experiment(load_config(experiment, cfg_path, out=str(tmp_path),
                                workers=workers))
@@ -736,6 +743,31 @@ def test_block_plan_splits_over_budget(tmp_path, monkeypatch):
     per_point = len(blocks) // len(harness._parse_list(config["quant.snr_db_list"]))
     assert per_point >= 4
     assert max(map(len, blocks)) * 32 * 50 <= harness.BLOCK_SAMPLES
+
+
+def test_block_budget_counts_eliminator_draws(tmp_path, monkeypatch):
+    # on the paper array the eliminators draw 48 antennas x 5 sets a trial,
+    # more than the two-layer estimator's 64 x 1; under a budget small
+    # enough to split the run, each block's distinct draws (trials x
+    # channels x snapshots x sets) stay within it
+    from doalab import doa
+
+    draws = {}
+
+    def recorded(cfg, scen, rngs, sets=1):
+        draws.setdefault(rngs.trials, set()).add(
+            (cfg.n_total, scen.n_snapshots, sets))
+        return synthesize_snapshot_rows(cfg, scen, rngs, sets)
+
+    monkeypatch.setattr(doa, "synthesize_snapshot_rows", recorded)
+    monkeypatch.setattr(harness, "BLOCK_SAMPLES", 3000)
+    cfg_path = _write_config(tmp_path / "c.ini", "[run]\ntrials = 100\n")
+    run_rmse_snr(load_config("rmse-snr", cfg_path, out=str(tmp_path)))
+    assert len(draws) > 1
+    for trials, shapes in draws.items():
+        assert shapes == {(64, 1, 1), (48, 1, 5)}
+        assert (len(trials) * sum(n * t * sets for n, t, sets in shapes)
+                <= harness.BLOCK_SAMPLES)
 
 
 def test_roc_trials_disjoint_from_training(tmp_path, monkeypatch):
