@@ -136,16 +136,10 @@ class EmitterScenario:
 
 @dataclass
 class SnapshotBatch:
-    """Element-level complex baseband samples, channels x snapshots."""
+    """Element-level complex baseband samples, channels x snapshots, as
+    ``synthesize_snapshots`` draws and checks them."""
 
     samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 2:
-            raise ValueError("samples must be channels x snapshots")
-        if not np.all(np.isfinite(self.samples.view(np.float64))):
-            raise ValueError("samples must be finite")
 
 
 def steering_vector(n_elements: int, u: float, spacing: float = 0.5) -> np.ndarray:

@@ -254,6 +254,14 @@ def had_eliminator_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     return classic, _pick(cands, group_power.reshape(cands.shape))
 
 
+def require_fd_block(cfg: ArrayConfig):
+    """Raise ConfigError unless ``cfg`` has the 2 FD antennas whose
+    estimate the two-layer estimator resolves the HAD ambiguity with."""
+    if cfg.n_fd < 2:
+        raise ConfigError(f"the two-layer estimator needs 2 FD antennas, got "
+                          f"{cfg.n_fd} at fd_proportion {cfg.fd_proportion:g}")
+
+
 def combine_estimates(u_a, crlb_a, u_b, crlb_b):
     """Inverse-variance (minimum-variance) combination of two estimates,
     elementwise over arrays.
@@ -279,11 +287,12 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     FD block, then CRLB-weighted combining.
 
     Both sub-estimates come from the same T snapshots (T = scenario count,
-    works for T = 1).  The candidate nearest the FD estimate wins.
+    works for T = 1).  The candidate nearest the FD estimate wins.  Raises
+    ConfigError without an emitter or with fewer than 2 FD antennas
+    (``require_fd_block``).
     """
     _require_single_emitter(scen)
-    if cfg.n_fd < 2:
-        raise ConfigError("two-layer estimator needs at least two FD channels")
+    require_fd_block(cfg)
     t = scen.n_snapshots
     x = analog_combine(synthesize_snapshots(cfg, scen, rng).samples, cfg)
     flags = []
@@ -326,11 +335,11 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     row padded with NaN, and a boolean row marking which of
     ``TLHAD_FLAGS`` the per-trial form attaches.  Without a HAD estimate
     (fewer than two subarrays) every trial is "fd-only", ``candidates`` has
-    no columns and ``chosen`` is -1.
+    no columns and ``chosen`` is -1.  Refuses, with ConfigError, what
+    ``tlhad_estimate`` refuses, once per call and before the draw.
     """
     _require_single_emitter(scen)
-    if cfg.n_fd < 2:
-        raise ConfigError("two-layer estimator needs at least two FD channels")
+    require_fd_block(cfg)
     t = scen.n_snapshots
     x = analog_combine(synthesize_snapshot_rows(cfg, scen, rngs)[:, 0], cfg)
     flags = np.zeros((len(x), len(TLHAD_FLAGS)), dtype=bool)

@@ -45,6 +45,7 @@ from .doa import (
     broadside_gain_ok,
     eliminator_sets,
     had_eliminator_rows,
+    require_fd_block,
     tlhad_estimate_rows,
 )
 from .errors import ConfigError
@@ -277,7 +278,9 @@ def load_config(experiment: str, path=None, seed=None, out=None,
         raise ConfigError(f"[array] settings do not fit together: {exc}") from None
     # so do the estimators' needs, which would otherwise fail in a trial
     for cfg in arrays:
-        _check_estimators(cfg, eliminators=experiment == "rmse-snr")
+        require_fd_block(cfg)
+        if experiment == "rmse-snr":
+            eliminator_sets(cfg)
     u = math.sin(math.radians(parsed["scenario.theta_deg"]))
     if experiment == "rmse-snr" and not broadside_gain_ok(arrays[0], u):
         raise ConfigError(
@@ -285,16 +288,6 @@ def load_config(experiment: str, path=None, seed=None, out=None,
             f"its gain, got {values['scenario.theta_deg']!r}, which sits "
             f"in a null of the {arrays[0].m_sub}-antenna subarrays")
     return config
-
-
-def _check_estimators(cfg: ArrayConfig, eliminators: bool):
-    """Raise ConfigError unless the two-layer estimator, and with
-    ``eliminators`` also the HAD eliminators, can run on ``cfg``."""
-    if cfg.n_fd < 2:
-        raise ConfigError(f"the two-layer estimator needs 2 FD antennas, got "
-                          f"{cfg.n_fd} at fd_proportion {cfg.fd_proportion:g}")
-    if eliminators:
-        eliminator_sets(cfg)
 
 
 def _fmt(x) -> str:

@@ -8,7 +8,6 @@ from doalab.arrays import (
     GAUSSIAN,
     ArrayConfig,
     EmitterScenario,
-    SnapshotBatch,
     analog_combine,
     steering_vector,
     subarray_gain,
@@ -202,7 +201,11 @@ class TestSynthesizeRows:
         for i in range(3):
             ref = synthesize_oracle(cfg, scen, trial_rng(9, i)).tobytes()
             assert x[i, 0].tobytes() == ref
-            assert synthesize_snapshots(cfg, scen, trial_rng(9, i)).samples.tobytes() == ref
+            # SnapshotBatch carries the slice as it is: complex, channels x
+            # snapshots
+            samples = synthesize_snapshots(cfg, scen, trial_rng(9, i)).samples
+            assert samples.shape == (12, 4) and samples.dtype == np.complex128
+            assert samples.tobytes() == ref
 
     @pytest.mark.parametrize("model", [CONSTANT_MODULUS, GAUSSIAN])
     def test_independent_of_block_split(self, model):
@@ -334,9 +337,3 @@ class TestAnalogWeights:
             w = analog_combine(np.eye(cfg.n_total, dtype=complex), cfg, u_steer)
             assert np.all(np.count_nonzero(w, axis=0) == 1)
             np.testing.assert_allclose(np.abs(w).sum(axis=0), 0.5)
-
-
-class TestSnapshotBatch:
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            SnapshotBatch(np.array([[np.nan + 0j]]))

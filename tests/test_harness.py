@@ -20,7 +20,7 @@ from doalab.arrays import (
 )
 from doalab.cli import main as cli_main
 from doalab.crlb import RAD2_TO_DEG2, crlb_had
-from doalab.doa import had_eliminator_rows, tlhad_estimate_rows
+from doalab.doa import had_eliminator_rows, tlhad_estimate, tlhad_estimate_rows
 from doalab.errors import ConfigError
 from doalab.harness import (
     DEFAULT_TRIALS,
@@ -61,6 +61,15 @@ from doalab.spectral import (
 def _write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _refusal(call, *args):
+    """The message of the ConfigError ``call(*args)`` raises, else None."""
+    try:
+        call(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 SMALL_RMSE = """
@@ -157,6 +166,39 @@ class TestLoadConfig:
         c = load_config("roc", seed=2)
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+    def test_refuses_what_the_estimators_refuse(self, tmp_path):
+        # at 10 and 12 antennas, subarrays of 1-4 and eta from 0.05 to 1
+        # leave FD blocks of 0, 1, 2, 3 and more antennas, and HAD parts of
+        # 0 to 12 subarrays
+        scen = EmitterScenario.single_emitter(5.0, 10.0, 1)
+        seen = set()
+        for n_total in (10, 12):
+            for m_sub in (1, 2, 3, 4):
+                for eta in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.9, 1.0):
+                    try:
+                        cfg = ArrayConfig.two_layer(n_total, m_sub, eta)
+                    except ValueError:
+                        continue  # no partition: refused before any estimator
+                    two_layer = _refusal(tlhad_estimate_rows, cfg, scen,
+                                         [trial_rng(0)])
+                    assert _refusal(tlhad_estimate, cfg, scen,
+                                    trial_rng(0)) == two_layer
+                    had = ArrayConfig.pure_had(cfg.n_had, m_sub)
+                    eliminators = _refusal(had_eliminator_rows, had, scen,
+                                           [trial_rng(0)])
+                    path = _write_config(tmp_path / "c.ini", (
+                        f"[array]\nn_total = {n_total}\nm_sub = {m_sub}\n"
+                        f"fd_proportion = {eta}\n[scenario]\ntheta_deg = 5\n"
+                        f"[rmse]\neta_grid = {eta}\n"))
+                    # the same arrays, with the same message
+                    assert _refusal(load_config, "rmse-eta", path) == two_layer
+                    assert (_refusal(load_config, "rmse-snr", path)
+                            == (two_layer or eliminators))
+                    seen.add((cfg.n_fd, two_layer is None, eliminators is None))
+        assert {0, 1, 2, 3} <= {n_fd for n_fd, _, _ in seen}
+        # each estimator refuses some array the other accepts
+        assert {(True, False), (False, True)} <= {(t, e) for _, t, e in seen}
 
 
 class TestDetectionEigs:
