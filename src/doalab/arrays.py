@@ -119,10 +119,6 @@ class EmitterScenario:
         return np.sin(np.deg2rad(np.array([self.theta_deg] * self.n_emitters,
                                           dtype=float)))
 
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.power)
-
     @classmethod
     def single_emitter(cls, theta_deg, snr_db, n_snapshots,
                        signal_model=CONSTANT_MODULUS):

@@ -301,8 +301,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     if abs(u_fd) > 1.0:
         u_fd = float(np.clip(u_fd, -1.0, 1.0))
         flags.append("fd-clamped")
-    theta_fd = np.degrees(np.arcsin(u_fd))
-    crlb_f = crlb_fd(cfg.n_fd, theta_fd, scen.snr_db, t, cfg.spacing)
+    crlb_f = crlb_fd(cfg.n_fd, u_fd, scen.power, t, cfg.spacing)
 
     if cfg.k_sub < 2:
         # degenerate two-layer array: FD block only
@@ -314,8 +313,7 @@ def tlhad_estimate(cfg: ArrayConfig, scen: EmitterScenario,
     cands = candidate_set(u_had, cfg.m_sub, cfg.spacing)
     u_star = float(cands.candidates[np.argmin(np.abs(cands.candidates - u_fd))])
 
-    crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
-                      scen.snr_db, t)
+    crlb_h = crlb_had(cfg, np.clip(u_star, -1, 1), scen.power, t)
     if np.isinf(crlb_h):
         u, var = u_fd, crlb_f
         flags.append("analog-null")
@@ -350,8 +348,7 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     if cfg.k_sub < 2:
         fd_only[:] = True
         return u_fd, np.full(len(x), -1), np.empty((len(x), 0)), flags
-    crlb_f = crlb_fd(cfg.n_fd, np.degrees(np.arcsin(u_fd)), scen.snr_db, t,
-                     cfg.spacing)
+    crlb_f = crlb_fd(cfg.n_fd, u_fd, scen.power, t, cfg.spacing)
 
     u_had = root_music_rows(signal_vectors(x[:, : cfg.k_sub]),
                             cfg.m_sub * cfg.spacing)
@@ -359,8 +356,7 @@ def tlhad_estimate_rows(cfg: ArrayConfig, scen: EmitterScenario, rngs):
     chosen = np.nanargmin(np.abs(cands - u_fd[:, None]), axis=1)
     u_star = cands[np.arange(len(cands)), chosen]
 
-    crlb_h = crlb_had(cfg, np.degrees(np.arcsin(np.clip(u_star, -1, 1))),
-                      scen.snr_db, t)
+    crlb_h = crlb_had(cfg, np.clip(u_star, -1, 1), scen.power, t)
     analog_null[:] = np.isinf(crlb_h)
     u = u_fd.copy()
     live = ~analog_null

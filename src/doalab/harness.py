@@ -507,7 +507,7 @@ def _rmse_curve(config, points, eliminators):
     """Per curve point (cfg, snr_db) of ``points``, a (method, RMSE,
     sqrt CRLB) triple, both in degrees, for each column of
     ``_rmse_block``, from one Monte Carlo map over all points."""
-    theta = config.value("scenario.theta_deg")
+    u = float(np.sin(np.radians(config.value("scenario.theta_deg"))))
     t_snap = config.value("scenario.t_snapshots")
     tasks = [(cfg, _emitter(config, snr_db, t_snap), eliminators)
              for cfg, snr_db in points]
@@ -522,13 +522,13 @@ def _rmse_curve(config, points, eliminators):
                               pool, sum(n * t * sets for n, t, sets in shapes))
     methods = ((METHOD_CLASSIC, METHOD_FHAD) if eliminators else ()) + (METHOD_TLHAD,)
     curve = []
-    for (cfg, snr_db), e in zip(points, errors):
+    for (cfg, scen, _), e in zip(tasks, errors):
         bounds = []
         if eliminators:
             # the HAD eliminators estimate from a broadside snapshot of the
             # HAD part, so their bound is that part's broadside one
-            bounds += 2 * [math.sqrt(crlb_had(cfg, theta, snr_db, 1) * RAD2_TO_DEG2)]
-        bounds.append(math.sqrt(crlb_tlhad(cfg, theta, snr_db, t_snap) * RAD2_TO_DEG2))
+            bounds += 2 * [math.sqrt(crlb_had(cfg, u, scen.power, 1) * RAD2_TO_DEG2)]
+        bounds.append(math.sqrt(crlb_tlhad(cfg, u, scen.power, t_snap) * RAD2_TO_DEG2))
         curve.append(list(zip(methods, map(_rms, e.T), bounds)))
     return curve
 

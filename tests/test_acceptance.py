@@ -152,7 +152,8 @@ def test_criterion_3_crlb_oracle():
     ok = True
     for n in (2, 4, 16, 64, 128):
         for theta in (-60.0, -20.0, 0.0, 35.0, 75.0):
-            got = crlb_fd(n, theta, -20.0, 200)
+            got = crlb_fd(n, math.sin(math.radians(theta)), 10.0 ** (-20.0 / 10.0),
+                          200)
             ref = crlb_fd_closed_form(n, theta, -20.0, 200)
             ok = ok and abs(got - ref) <= 1e-9 * ref
     _report(3, "FD CRLB matches the closed form to 1e-9", ok)

@@ -69,8 +69,8 @@ class TestEmitterScenario:
             EmitterScenario(90.0, 1.0)
 
     def test_snr(self):
+        # the emitter's power is the linear per-antenna SNR
         scen = EmitterScenario.single_emitter(0.0, -20.0, 200)
-        assert scen.snr_db == pytest.approx(-20.0)
         assert scen.power == pytest.approx(0.01)
 
     def test_noise_only(self):

@@ -26,7 +26,7 @@ from doalab.doa import (
     tlhad_estimate,
     tlhad_estimate_rows,
 )
-from doalab.crlb import crlb_tlhad
+from doalab.crlb import crlb_fd, crlb_tlhad
 from doalab.errors import ConfigError
 from doalab.rng import TrialStreams, trial_rng
 
@@ -519,7 +519,8 @@ class TestTlhadRows:
         u = tlhad_estimate_rows(cfg, _scen(theta, snr_db),
                                 TrialStreams(11, range(n)))[0]
         z = ((np.arcsin(u) - math.radians(theta))
-             / math.sqrt(crlb_tlhad(cfg, theta, snr_db, 1)))
+             / math.sqrt(crlb_tlhad(cfg, math.sin(math.radians(theta)),
+                                    10.0 ** (snr_db / 10.0), 1)))
         assert abs(z.mean()) <= 3.0 / math.sqrt(n)
         low, high = stats.chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1)
         assert low <= z.var(ddof=1) <= high
@@ -538,6 +539,30 @@ class TestTlhadRows:
         with pytest.raises(ConfigError):
             tlhad_estimate_rows(ArrayConfig(64, 4, 12, 16), scen, [trial_rng(0)])
 
+    def test_clamped_fd_estimate_carries_no_information(self):
+        # below half-wavelength spacing the FD estimate can pass +-1; clamped
+        # there it sits at endfire, where the FD bound is infinite, so the
+        # combined estimate is the chosen HAD candidate itself, unless that
+        # candidate is an analog null too and the FD estimate stands alone
+        cfg = ArrayConfig.two_layer(64, 4, 0.25, spacing=0.25)
+        scen = _scen(60.0, -10.0)
+        n = 2000
+        u, chosen, cands, flags = tlhad_estimate_rows(
+            cfg, scen, [trial_rng(68, i) for i in range(n)])
+        fd_clamped = flags[:, TLHAD_FLAGS.index("fd-clamped")]
+        held = fd_clamped & ~flags[:, TLHAD_FLAGS.index("analog-null")]
+        assert held.any()
+        for edge in (-1.0, 1.0):
+            assert crlb_fd(cfg.n_fd, edge, scen.power, 1, cfg.spacing) == math.inf
+        picked = cands[np.arange(n), chosen]
+        assert u[held].tobytes() == picked[held].tobytes()
+        for i in range(n):
+            est = tlhad_estimate(cfg, scen, trial_rng(68, i))
+            assert _flag_names(flags[i]) == est.flags
+            assert abs(u[i] - est.u) <= 1e-12
+            if held[i]:
+                assert est.u == est.candidates.candidates[chosen[i]]
+
     @pytest.mark.parametrize("fd_bound,had_bound", [
         (0.0, 1e-4), (1e-4, 0.0), (np.inf, np.inf), (np.inf, 1e-4)])
     def test_degenerate_bounds_like_oracle(self, fd_bound, had_bound,
@@ -545,10 +570,10 @@ class TestTlhadRows:
         # a zero bound makes combine_estimates raise in both forms; an
         # infinite HAD bound takes the FD estimate alone ("analog-null")
         # before any combining, so both infinite raises in neither
-        # each fake keeps the shape of its directions, as the bounds do:
+        # each fake keeps the shape of its direction-sines, as the bounds do:
         # a float for one direction, an array for the stacked trials
         def fake(bound):
-            return lambda _, theta, *a: np.full(np.shape(theta), bound)[()]
+            return lambda _, u, *a: np.full(np.shape(u), bound)[()]
 
         monkeypatch.setattr(doa, "crlb_fd", fake(fd_bound))
         monkeypatch.setattr(doa, "crlb_had", fake(had_bound))

@@ -261,7 +261,8 @@ class TestRmseSnr:
         path, _ = run_rmse_snr(load_config("rmse-snr", cfg_path,
                                            out=str(tmp_path / "o")))
         cfg_had = ArrayConfig.pure_had(32, 4)  # the HAD part of 40 / 4 / 0.2
-        want = math.sqrt(crlb_had(cfg_had, 15.0, 10.0, 1)
+        want = math.sqrt(crlb_had(cfg_had, math.sin(math.radians(15.0)),
+                                  10.0 ** (10.0 / 10.0), 1)
                          * RAD2_TO_DEG2)
         rows = [line.split(",")
                 for line in Path(path).read_text().splitlines()[1:]]

@@ -393,7 +393,8 @@ class TestQuantizedBound:
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
     def test_unquantized_limit_is_crlb_fd(self, theta, snr_db):
         # crlb_fd bounds theta; on u = sin(theta) the bound gains cos^2
-        want = (crlb_fd(BOUND_P, theta, snr_db, BOUND_T)
+        want = (crlb_fd(BOUND_P, math.sin(math.radians(theta)),
+                        10.0 ** (snr_db / 10.0), BOUND_T)
                 * math.cos(math.radians(theta)) ** 2)
         got = crlb_quantized_u(BOUND_P, theta, snr_db, BOUND_T)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

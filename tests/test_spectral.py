@@ -297,7 +297,8 @@ class TestRootMusic:
             x = synthesize_snapshot_rows(cfg, scen, TrialStreams(101, range(a, a + 1000)))
             u.append(root_music_rows(signal_vectors(x[:, 0]), cfg.spacing))
         u = np.concatenate(u)
-        bound = crlb_fd(p, theta, snr_db, t) * math.cos(math.radians(theta)) ** 2
+        bound = (crlb_fd(p, math.sin(math.radians(theta)), 10.0 ** (snr_db / 10.0), t)
+                 * math.cos(math.radians(theta)) ** 2)
         sq = (u - math.sin(math.radians(theta))) ** 2 / bound
         factor = 1.0 + 1.0 / (p * 10.0 ** (snr_db / 10.0))
         assert abs(sq.mean() - factor) <= 3.0 * sq.std(ddof=1) / math.sqrt(n)
